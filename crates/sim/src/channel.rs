@@ -194,10 +194,7 @@ impl<T> OneshotSender<T> {
         if let Some(w) = c.waker.take() {
             w.wake();
         }
-        // Skip Drop (it would mark sender dead again, harmlessly, but this
-        // is clearer).
-        drop(c);
-        std::mem::forget(self);
+        // `Drop` then finds the sender already dead and no waker to wake.
     }
 }
 
@@ -338,6 +335,24 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(*got.borrow(), Some("hello"));
+    }
+
+    #[test]
+    fn oneshot_frees_its_channel_after_a_send() {
+        let sim = Sim::new();
+        let (tx, rx) = oneshot::<u32>();
+        let inner = Rc::downgrade(&tx.inner);
+        let got = Rc::new(Cell::new(None));
+        let g = Rc::clone(&got);
+        sim.spawn(async move { g.set(rx.await) });
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_millis(1)).await;
+            tx.send(7);
+        });
+        sim.run().unwrap();
+        assert_eq!(got.get(), Some(7));
+        assert!(inner.upgrade().is_none(), "both halves are gone");
     }
 
     #[test]

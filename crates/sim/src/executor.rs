@@ -18,15 +18,13 @@
 //! seeded [`crate::rng::DetRng`]. Two runs with the same seed produce
 //! identical event schedules, at any shard count.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 use crate::shard::{EventKind, EventSlot, HeapEntry, Shard, SimStats};
 use crate::time::{SimDuration, SimTime};
@@ -112,16 +110,22 @@ enum ReadyItem {
     CallRun(u32),
 }
 
+/// Wake state shared by a task's slab entry and its [`Waker`]s. Lives in
+/// an `Rc`: the simulation is single-threaded, and [`thread_waker`] makes
+/// every waker operation check that it runs on the owning thread.
 struct TaskWaker {
+    /// [`thread_waker::token`] of the thread that spawned the task. Never
+    /// written after construction, so any thread may read it.
+    owner: usize,
     slot: usize,
     generation: u64,
-    queued: AtomicBool,
-    ready: Arc<ReadyQueue>,
+    queued: Cell<bool>,
+    ready: Rc<ReadyQueue>,
 }
 
 impl TaskWaker {
     fn enqueue(&self) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
+        if !self.queued.replace(true) {
             self.ready.push(ReadyItem::Task(TaskId {
                 slot: self.slot,
                 generation: self.generation,
@@ -130,32 +134,111 @@ impl TaskWaker {
     }
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.enqueue();
+/// Thread-bound [`Waker`]s over `Rc<TaskWaker>`: the only `unsafe` in the
+/// executor.
+///
+/// A standard `Waker` is `Send + Sync`, but the simulation never leaves
+/// the thread that built it, so the refcount and the ready FIFO need no
+/// atomics. Every vtable entry first compares the waker's owner with the
+/// calling thread's token. On a foreign thread `clone`, `wake` and
+/// `wake_by_ref` panic, and `drop` leaks the count instead of touching
+/// it; the `Rc` is only ever read or written by its owner.
+mod thread_waker {
+    use std::rc::Rc;
+    use std::task::{RawWaker, RawWakerVTable, Waker};
+
+    use super::TaskWaker;
+
+    thread_local! {
+        /// The address of a byte leaked on the thread's first use. Leaked
+        /// memory is never reused, so no two threads of the process ever
+        /// share a token, even after one of them has exited.
+        static TOKEN: usize = Box::leak(Box::new(0u8)) as *const u8 as usize;
     }
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.enqueue();
+    /// The calling thread's token.
+    pub(super) fn token() -> usize {
+        TOKEN.with(|t| *t)
+    }
+
+    /// Build the waker for `task`, taking over its count.
+    pub(super) fn waker(task: Rc<TaskWaker>) -> Waker {
+        let raw = RawWaker::new(Rc::into_raw(task).cast(), &VTABLE);
+        // SAFETY: the data pointer owns one strong count of an
+        // `Rc<TaskWaker>`, and every `VTABLE` entry honours the `RawWaker`
+        // contract for it on the owning thread (see each entry).
+        unsafe { Waker::from_raw(raw) }
+    }
+
+    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);
+
+    /// Whether the calling thread owns the waker at `data`.
+    ///
+    /// # Safety
+    /// `data` must come from a live waker built by [`waker`].
+    unsafe fn owned_here(data: *const ()) -> bool {
+        // SAFETY: the caller's waker holds a count, so the `TaskWaker` is
+        // alive; `owner` is never written after construction, so reading
+        // it from a foreign thread does not race with the owner.
+        let owner = unsafe { (*data.cast::<TaskWaker>()).owner };
+        owner == token()
+    }
+
+    fn assert_owned(owned: bool) {
+        assert!(
+            owned,
+            "a simulation task waker was used on a thread other than the one running its simulation"
+        );
+    }
+
+    unsafe fn clone(data: *const ()) -> RawWaker {
+        // SAFETY: `data` belongs to the waker being cloned.
+        assert_owned(unsafe { owned_here(data) });
+        // SAFETY: on the owning thread `data` is a live `Rc` pointer; the
+        // new waker takes the extra count.
+        unsafe { Rc::increment_strong_count(data.cast::<TaskWaker>()) };
+        RawWaker::new(data, &VTABLE)
+    }
+
+    unsafe fn wake(data: *const ()) {
+        // SAFETY: `data` belongs to the waker being consumed. On a foreign
+        // thread the panic leaves its count untouched (a leak).
+        assert_owned(unsafe { owned_here(data) });
+        // SAFETY: on the owning thread, take over the consumed waker's count.
+        let task = unsafe { Rc::from_raw(data.cast::<TaskWaker>()) };
+        task.enqueue();
+    }
+
+    unsafe fn wake_by_ref(data: *const ()) {
+        // SAFETY: `data` belongs to the borrowed waker.
+        assert_owned(unsafe { owned_here(data) });
+        // SAFETY: the borrowed waker keeps the `TaskWaker` alive, and only
+        // the owning thread reaches this reference.
+        unsafe { &*data.cast::<TaskWaker>() }.enqueue();
+    }
+
+    unsafe fn drop_waker(data: *const ()) {
+        // SAFETY: `data` belongs to the waker being dropped.
+        if unsafe { owned_here(data) } {
+            // SAFETY: on the owning thread, release the dropped waker's count.
+            drop(unsafe { Rc::from_raw(data.cast::<TaskWaker>()) });
+        }
     }
 }
 
-/// FIFO of runnable work. `Send + Sync` so it can live inside standard
-/// `Waker`s even though the simulation itself is single-threaded.
+/// FIFO of runnable work. A plain `RefCell`: task wakers are bound to the
+/// simulation's thread (see [`thread_waker`]), so nothing else reaches it.
 struct ReadyQueue {
-    queue: Mutex<VecDeque<ReadyItem>>,
+    queue: RefCell<VecDeque<ReadyItem>>,
 }
 
 impl ReadyQueue {
     fn push(&self, item: ReadyItem) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(item);
+        self.queue.borrow_mut().push_back(item);
     }
 
     fn pop(&self) -> Option<ReadyItem> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
+        self.queue.borrow_mut().pop_front()
     }
 }
 
@@ -164,7 +247,10 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 struct Task {
     future: Option<BoxFuture>,
     name: Rc<str>,
-    waker: Arc<TaskWaker>,
+    /// The task's waker, built once at spawn. [`Sim::poll_task`] lends it
+    /// to each poll.
+    waker: Waker,
+    wake: Rc<TaskWaker>,
     generation: u64,
     /// Shard this task's timers are attributed to.
     shard: u32,
@@ -244,7 +330,7 @@ impl Core {
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
-    ready: Arc<ReadyQueue>,
+    ready: Rc<ReadyQueue>,
 }
 
 impl Default for Sim {
@@ -286,8 +372,8 @@ impl Sim {
                 fire_scratch: Vec::new(),
                 batch_scratch: Vec::new(),
             })),
-            ready: Arc::new(ReadyQueue {
-                queue: Mutex::new(VecDeque::new()),
+            ready: Rc::new(ReadyQueue {
+                queue: RefCell::new(VecDeque::new()),
             }),
         }
     }
@@ -365,16 +451,18 @@ impl Sim {
             core.tasks.push(None);
             core.tasks.len() - 1
         });
-        let waker = Arc::new(TaskWaker {
+        let wake = Rc::new(TaskWaker {
+            owner: thread_waker::token(),
             slot,
             generation,
-            queued: AtomicBool::new(true), // spawned tasks start on the ready queue
-            ready: Arc::clone(&self.ready),
+            queued: Cell::new(true), // spawned tasks start on the ready queue
+            ready: Rc::clone(&self.ready),
         });
         core.tasks[slot] = Some(Task {
             future: Some(Box::pin(fut)),
             name: Rc::from(name.into()),
-            waker: Arc::clone(&waker),
+            waker: thread_waker::waker(Rc::clone(&wake)),
+            wake,
             generation,
             shard,
         });
@@ -644,48 +732,44 @@ impl Sim {
     }
 
     fn poll_task(&self, id: TaskId) {
-        // Take the future out of the slab so the core is not borrowed
-        // while the task body runs (the body will re-borrow it).
+        // Take the future and the waker out of the slab so the core is not
+        // borrowed while the task body runs (the body will re-borrow it).
         let (mut fut, waker) = {
             let mut core = self.core.borrow_mut();
-            let slot = match core.tasks.get_mut(id.slot) {
+            let task = match core.tasks.get_mut(id.slot) {
                 Some(Some(task)) if task.generation == id.generation => task,
                 _ => return, // task already finished; stale wake
             };
-            slot.waker.queued.store(false, Ordering::Release);
-            let shard = slot.shard;
-            match slot.future.take() {
-                Some(f) => {
-                    let pair = (f, Arc::clone(&slot.waker));
-                    core.current_shard = shard;
-                    core.polls += 1;
-                    pair
-                }
-                None => return,
-            }
+            task.wake.queued.set(false);
+            let Some(fut) = task.future.take() else {
+                return;
+            };
+            let waker = std::mem::replace(&mut task.waker, Waker::noop().clone());
+            core.current_shard = task.shard;
+            core.polls += 1;
+            (fut, waker)
         };
-        let std_waker = Waker::from(Arc::clone(&waker));
-        let mut cx = Context::from_waker(&std_waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut core = self.core.borrow_mut();
-                if let Some(Some(task)) = core.tasks.get_mut(id.slot) {
-                    if task.generation == id.generation {
-                        core.tasks[id.slot] = None;
-                        core.free_slots.push(id.slot);
-                        core.live_tasks -= 1;
-                    }
-                }
-            }
-            Poll::Pending => {
-                let mut core = self.core.borrow_mut();
-                if let Some(Some(task)) = core.tasks.get_mut(id.slot) {
-                    if task.generation == id.generation {
-                        task.future = Some(fut);
-                    }
-                }
-            }
+        let ready = fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_ready();
+        // The future and waker drop after this borrow ends: a future's
+        // destructor may re-enter the executor.
+        let mut core = self.core.borrow_mut();
+        let Some(Some(task)) = core.tasks.get_mut(id.slot) else {
+            return;
+        };
+        if task.generation != id.generation {
+            return;
         }
+        if !ready {
+            task.future = Some(fut);
+            task.waker = waker;
+            return;
+        }
+        core.tasks[id.slot] = None;
+        core.free_slots.push(id.slot);
+        core.live_tasks -= 1;
     }
 }
 
@@ -1020,6 +1104,71 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(count.get(), 4);
+    }
+
+    #[test]
+    fn consecutive_polls_see_one_waker() {
+        let sim = Sim::new();
+        let seen: Rc<RefCell<Vec<Waker>>> = Rc::new(RefCell::new(Vec::new()));
+        let s = sim.clone();
+        let mut body = Box::pin(async move {
+            s.yield_now().await;
+            s.sleep(SimDuration::from_millis(1)).await;
+        });
+        let log = Rc::clone(&seen);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            log.borrow_mut().push(cx.waker().clone());
+            body.as_mut().poll(cx)
+        }));
+        sim.run().unwrap();
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 3, "a wake_by_ref, a timer, then completion");
+        assert!(seen.windows(2).all(|w| w[0].will_wake(&w[1])));
+        assert!(!seen[0].will_wake(Waker::noop()));
+    }
+
+    #[test]
+    fn task_wakers_are_bound_to_the_simulation_thread() {
+        let sim = Sim::new();
+        let parked: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let done = Rc::new(Cell::new(false));
+        let (p, d) = (Rc::clone(&parked), Rc::clone(&done));
+        let id = sim.spawn(std::future::poll_fn(move |cx| {
+            if p.borrow().is_some() {
+                d.set(true);
+                return Poll::Ready(());
+            }
+            *p.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        }));
+        assert!(sim.run().is_err(), "the task waits on its parked waker");
+        let waker = parked.borrow().clone().unwrap();
+        let count = || {
+            let core = sim.core.borrow();
+            Rc::strong_count(&core.tasks[id.slot].as_ref().unwrap().wake)
+        };
+        let before = count();
+
+        // Every use on a foreign thread panics; every foreign drop (the
+        // plain one and the ones during unwinding) leaks its count.
+        let w = waker.clone();
+        assert!(std::thread::spawn(move || w.wake()).join().is_err());
+        let w = waker.clone();
+        assert!(std::thread::spawn(move || w.wake_by_ref()).join().is_err());
+        let w = waker.clone();
+        assert!(std::thread::spawn(move || drop(w.clone())).join().is_err());
+        let w = waker.clone();
+        std::thread::spawn(move || drop(w)).join().unwrap();
+        assert_eq!(count(), before + 4);
+        assert!(
+            sim.ready.pop().is_none(),
+            "no foreign wake reached the FIFO"
+        );
+
+        waker.wake();
+        sim.run().unwrap();
+        assert!(done.get());
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]
