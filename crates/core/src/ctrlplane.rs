@@ -23,7 +23,9 @@ pub mod tags {
     pub const BARRIER2: u64 = 0x0300_0000;
     /// Chandy–Lamport marker: `MARKER + wave`.
     pub const MARKER: u64 = 0x0400_0000;
-    /// Restart volume exchange.
+    /// Restart volume exchange (a restarting rank sends its rolled-back
+    /// `RR`, or under receiver-based logging its receiver-log high-water
+    /// mark; a live peer answers with its consumed volume).
     pub const RESTART_VOL: u64 = 0x0500_0000;
     /// Restart replay plan (entry count).
     pub const RESTART_PLAN: u64 = 0x0600_0000;
@@ -37,14 +39,6 @@ pub mod tags {
     /// CVC clock-exchange round: `CVC_CLOCK + wave`, payload the
     /// sender's flattened per-communicator clock vector.
     pub const CVC_CLOCK: u64 = 0x0A00_0000;
-    /// Receiver-based restart volume exchange (restarting rank sends its
-    /// receiver-log high-water mark; a live peer answers with its
-    /// consumed volume).
-    pub const RBLOG_VOL: u64 = 0x0B00_0000;
-    /// Receiver-based restart tail-replay plan (entry count).
-    pub const RBLOG_PLAN: u64 = 0x0C00_0000;
-    /// Receiver-based restart tail-replayed message.
-    pub const RBLOG_DATA: u64 = 0x0D00_0000;
 }
 
 /// Wire size of a small control message (bookmarks, barrier tokens).

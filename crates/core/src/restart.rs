@@ -7,6 +7,12 @@
 //! already consumed them. Intra-group channels need nothing: the group's
 //! coordinated checkpoint left them empty.
 //!
+//! Receiver-based logging (Dichev & Nikolopoulos) runs the same exchange.
+//! It changes only where the replayed bytes come from: a restarting rank
+//! first replays Q's stream from its **own local receiver log**, then
+//! advertises that log's high-water mark instead of its rolled-back
+//! `RR_Q`, so only the unacked tail crosses the network.
+//!
 //! Every path here returns [`RecoveryError`] instead of panicking: the
 //! chaos harness injects faults mid-recovery, and an abort in the restart
 //! protocol would kill the whole scenario sweep rather than surface as a
@@ -14,7 +20,7 @@
 
 use std::rc::Rc;
 
-use gcr_mpi::Rank;
+use gcr_mpi::{Rank, RankCtx};
 use gcr_sim::future::{join2, join_all};
 
 use gcr_net::{ImageOp, StorageTarget};
@@ -22,30 +28,38 @@ use gcr_net::{ImageOp, StorageTarget};
 use crate::ctrlplane::{ctrl_barrier, tags, CTRL_BYTES};
 use crate::error::RecoveryError;
 use crate::metrics::RestartRecord;
+use crate::msglog::LogEntry;
 use crate::runtime::RankProto;
 
-/// Execute the restart protocol at one rank, exchanging volumes with the
-/// rank's own view of its communication peers. Correct at quiescence
-/// (e.g. a full restart after the application finished), where both sides
-/// of every channel agree on whether they exchanged data.
+/// Execute the restart protocol at one rank against an explicit peer set.
+/// A full restart at quiescence passes the rank's own `comm_peers`, where
+/// both sides of every channel agree on whether they exchanged data. A
+/// mid-run recovery must pass the coordinator's slice instead: with
+/// traffic still in flight toward the failed group, the two ends of a
+/// channel can disagree about whether they communicated (the sender
+/// counted bytes the halted receiver never consumed), and a one-sided
+/// peer choice deadlocks the volume exchange. The recovery coordinator
+/// computes a symmetric map and hands each participant its slice.
 ///
 /// `gen` is the committed generation selected for this rank's group
 /// (`None`: restart from the initial state).
-pub(crate) async fn restart_rank(
-    p: &RankProto,
-    gen: Option<u64>,
-) -> Result<RestartRecord, RecoveryError> {
-    let out = p.gp.comm_peers();
-    restart_rank_with_peers(p, &out, gen).await
-}
-
-/// Execute the restart protocol at one rank against an explicit peer set.
-/// A mid-run recovery must use this: with traffic still in flight toward
-/// the failed group, the two ends of a channel can disagree about whether
-/// they communicated (the sender counted bytes the halted receiver never
-/// consumed), and a one-sided peer choice deadlocks the volume exchange.
-/// The recovery coordinator computes a symmetric map and hands each
-/// participant its slice.
+///
+/// Per out-of-group peer `Q`, under receiver-based logging (`p.rb` is
+/// set):
+/// 1. **Local replay** — every logged entry of `Q`'s stream between the
+///    rolled-back `RR_Q` and the receiver log's high-water mark is read
+///    back from this node's own disk. No network, no load on `Q`.
+/// 2. **Volume exchange** — this rank advertises that high-water mark;
+///    `Q` answers with its durable-coverage point for this rank's stream
+///    (a live peer: bytes consumed; a restarting peer: *its* logged
+///    high-water mark).
+/// 3. **Tail replay** — `Q` serves the unacked tail above the advertised
+///    mark from its ack-trimmed sender log. Ack GC only ever trims below
+///    a logged high-water mark, so the retained tail always covers the
+///    gap.
+///
+/// Sender-based logging skips step 1 and advertises `RR_Q`, so `Q`
+/// replays everything this rank lost in the rollback.
 pub(crate) async fn restart_rank_with_peers(
     p: &RankProto,
     out: &[u32],
@@ -125,21 +139,30 @@ pub(crate) async fn restart_rank_with_peers(
         .map(|&q| {
             let ctx = ctx.clone();
             let gp = Rc::clone(&p.gp);
+            let rb = p.rb.clone();
             async move {
                 let peer = Rank(q);
-                // Exchange: I tell Q how much I had received from it at my
-                // checkpoint (RR_Q); Q tells me the same about me.
-                let my_rr = gp.rr(q);
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(my_rr))),
-                    ctx.ctrl_recv(peer, tags::RESTART_VOL),
-                )
-                .await;
-                let q_received = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "volume",
-                })?;
+                // The point up to which I can rebuild Q's stream without
+                // Q: my checkpoint-time RR_Q, or my receiver log's
+                // high-water mark once its entries above RR_Q are read
+                // back from this node's own disk.
+                let my_mark = match &rb {
+                    None => gp.rr(q),
+                    Some(rb) => {
+                        let local_bytes: u64 =
+                            rb.replay_local(q, gp.rr(q)).iter().map(|e| e.bytes).sum();
+                        if local_bytes > 0 {
+                            let storage = ctx.world().cluster().storage().clone();
+                            storage
+                                .read(ctx.rank().idx(), local_bytes, StorageTarget::Local)
+                                .await?;
+                        }
+                        rb.logged_end(q)
+                    }
+                };
+                // Exchange: I tell Q my mark; Q tells me how much of my
+                // stream it holds (its own mark, or its consumed bytes).
+                let q_received = exchange_volume(&ctx, peer, my_mark).await?;
 
                 // Replay: messages I sent before my checkpoint that Q had
                 // not received at its checkpoint.
@@ -150,53 +173,7 @@ pub(crate) async fn restart_rank_with_peers(
                 let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
                 // Skip: bytes Q already consumed beyond my rolled-back S.
                 let skip = q_received.saturating_sub(gp.ss(q));
-
-                // Send my replay plan and data; concurrently drain Q's.
-                let send_side = {
-                    let ctx = ctx.clone();
-                    let entries = entries.clone();
-                    let world = ctx.world().clone();
-                    async move {
-                        // Replayed messages are read back from the on-disk
-                        // log before they can be resent; a log-read fault
-                        // aborts this peer's replay as a typed error.
-                        if bytes > 0 {
-                            let storage = world.cluster().storage().clone();
-                            storage
-                                .read(ctx.rank().idx(), bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        ctx.ctrl_send(
-                            peer,
-                            tags::RESTART_PLAN,
-                            CTRL_BYTES,
-                            Some(Rc::new(entries.len() as u64)),
-                        )
-                        .await;
-                        for e in entries {
-                            ctx.ctrl_send(peer, tags::RESTART_DATA, e.bytes, None).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let recv_side = {
-                    let ctx = ctx.clone();
-                    async move {
-                        let plan = ctx.ctrl_recv(peer, tags::RESTART_PLAN).await;
-                        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                            at: ctx.rank().0,
-                            from: peer.0,
-                            what: "plan",
-                        })?;
-                        for _ in 0..m {
-                            ctx.ctrl_recv(peer, tags::RESTART_DATA).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let (sent, drained) = join2(send_side, recv_side).await;
-                sent?;
-                drained?;
+                replay_with(&ctx, peer, entries, bytes).await?;
                 Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
             }
         })
@@ -209,8 +186,7 @@ pub(crate) async fn restart_rank_with_peers(
     }
 
     // Group members resume together.
-    let members = p.groups.members(p.groups.group_of(rank.0)).to_vec();
-    ctrl_barrier(ctx, &members, tags::RESTART_BARRIER).await?;
+    ctrl_barrier(ctx, p.groups.members(gid), tags::RESTART_BARRIER).await?;
     let finished = ctx.now();
 
     let rec = RestartRecord {
@@ -225,313 +201,15 @@ pub(crate) async fn restart_rank_with_peers(
     };
     p.metrics.push_restart(rec);
     Ok(rec)
-}
-
-/// Execute the **receiver-based** restart protocol at one rank
-/// (Dichev & Nikolopoulos), exchanging with the rank's own view of its
-/// communication peers (full restart at quiescence).
-///
-/// Where the sender-based path solicits every lost message from the
-/// peers' logs, this path replays the bulk of the receive stream from
-/// the rank's **own local receiver log** — only the unacked tail (bytes
-/// that were in flight, neither consumed nor receiver-logged, when the
-/// crash hit) crosses the network.
-pub(crate) async fn restart_rank_rblog(
-    p: &RankProto,
-    rb: &Rc<crate::hooks::RbState>,
-    gen: Option<u64>,
-) -> Result<RestartRecord, RecoveryError> {
-    let out = p.gp.comm_peers();
-    restart_rank_with_peers_rblog(p, rb, &out, gen).await
-}
-
-/// The receiver-based restart protocol against an explicit peer set
-/// (mid-run recovery; see [`restart_rank_with_peers`] for why the peer
-/// map must be symmetric).
-///
-/// Per out-of-group peer `Q`:
-/// 1. **Local replay** — every logged entry of `Q`'s stream between the
-///    rolled-back `RR_Q` and the receiver log's high-water mark is read
-///    back from this node's own disk. No network, no load on `Q`.
-/// 2. **Volume exchange** — this rank advertises its logged high-water
-///    mark for `Q`'s stream (the point local replay reaches); `Q`
-///    answers with its durable-coverage point for this rank's stream
-///    (a live peer: bytes consumed; a restarting peer: *its* logged
-///    high-water mark).
-/// 3. **Tail replay** — `Q` serves the unacked tail above the
-///    advertised mark from its ack-trimmed sender log; this rank
-///    symmetrically serves `Q` the entries above `Q`'s coverage point
-///    from its own sender log. Ack GC only ever trims below a logged
-///    high-water mark, so the retained tail always covers the gap.
-pub(crate) async fn restart_rank_with_peers_rblog(
-    p: &RankProto,
-    rb: &Rc<crate::hooks::RbState>,
-    out: &[u32],
-    gen: Option<u64>,
-) -> Result<RestartRecord, RecoveryError> {
-    let ctx = &p.ctx;
-    let world = ctx.world().clone();
-    let sim = world.sim().clone();
-    let rank = ctx.rank();
-    let started = ctx.now();
-
-    if p.cfg.stragglers {
-        let jitter = p.rng.borrow_mut().uniform(0.0, 0.2);
-        sim.sleep(gcr_sim::SimDuration::from_secs_f64(jitter)).await;
-    }
-
-    // Image selection, validation and reload: identical to the
-    // sender-based path — the logging protocol changes the replay plane,
-    // not the image plane.
-    let gid = p.groups.group_of(rank.0);
-    let image_bytes = match gen {
-        Some(g) => {
-            let store = world.cluster().ckpt_store().clone();
-            let bytes = store
-                .validate(gid, g, rank.0)
-                .map_err(RecoveryError::Storage)?;
-            store.record_load(gid, g, rank.0);
-            bytes
-        }
-        None => p
-            .cfg
-            .image_bytes
-            .get(rank.idx())
-            .copied()
-            .ok_or(RecoveryError::MissingImage { rank: rank.0 })?,
-    };
-    let backend = world.cluster().backend();
-    backend
-        .read_image(ImageOp {
-            node: rank.idx(),
-            group: gid,
-            gen,
-            rank: rank.0,
-            bytes: image_bytes,
-            target: p.cfg.storage,
-            policy: p.cfg.retry,
-        })
-        .await
-        .map_err(RecoveryError::Storage)?;
-    let image_loaded = ctx.now();
-
-    sim.sleep(p.cfg.restart_init).await;
-    if !out.is_empty() {
-        sim.sleep(p.cfg.restart_peer_overhead * out.len() as u64)
-            .await;
-    }
-    let mut resend_ops = 0u64;
-    let mut resend_bytes = 0u64;
-    let mut skip_bytes = 0u64;
-    let futs: Vec<_> = out
-        .iter()
-        .map(|&q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            let rb = Rc::clone(rb);
-            async move {
-                let peer = Rank(q);
-                // Step 1: local replay from the receiver's own log. The
-                // read is paid against this node's local disk; nothing
-                // crosses the network and the peer is never involved.
-                let local: Vec<crate::msglog::RecvEntry> = rb.replay_local(q, gp.rr(q));
-                let local_bytes: u64 = local.iter().map(|e| e.bytes).sum();
-                if local_bytes > 0 {
-                    let storage = ctx.world().cluster().storage().clone();
-                    storage
-                        .read(ctx.rank().idx(), local_bytes, StorageTarget::Local)
-                        .await?;
-                }
-                // Step 2: volume exchange — my logged high-water mark
-                // for Q's stream against Q's coverage point for mine.
-                let my_logged = rb.logged_end(q);
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RBLOG_VOL, CTRL_BYTES, Some(Rc::new(my_logged))),
-                    ctx.ctrl_recv(peer, tags::RBLOG_VOL),
-                )
-                .await;
-                let q_covered = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "receiver-log volume",
-                })?;
-
-                // Step 3: symmetric tail replay. I serve Q the entries
-                // above its coverage point from my sender log; Q serves
-                // me the unacked tail above my logged mark.
-                let entries = gp.replay_entries(q, q_covered);
-                let ops = entries.len() as u64;
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                let skip = q_covered.saturating_sub(gp.ss(q));
-                let send_side = {
-                    let ctx = ctx.clone();
-                    let entries = entries.clone();
-                    let world = ctx.world().clone();
-                    async move {
-                        if bytes > 0 {
-                            let storage = world.cluster().storage().clone();
-                            storage
-                                .read(ctx.rank().idx(), bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        ctx.ctrl_send(
-                            peer,
-                            tags::RBLOG_PLAN,
-                            CTRL_BYTES,
-                            Some(Rc::new(entries.len() as u64)),
-                        )
-                        .await;
-                        for e in entries {
-                            ctx.ctrl_send(peer, tags::RBLOG_DATA, e.bytes, None).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let recv_side = {
-                    let ctx = ctx.clone();
-                    async move {
-                        let plan = ctx.ctrl_recv(peer, tags::RBLOG_PLAN).await;
-                        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                            at: ctx.rank().0,
-                            from: peer.0,
-                            what: "receiver-log plan",
-                        })?;
-                        for _ in 0..m {
-                            ctx.ctrl_recv(peer, tags::RBLOG_DATA).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let (sent, drained) = join2(send_side, recv_side).await;
-                sent?;
-                drained?;
-                Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
-            }
-        })
-        .collect();
-    for r in join_all(futs).await {
-        let (ops, bytes, skip) = r?;
-        resend_ops += ops;
-        resend_bytes += bytes;
-        skip_bytes += skip;
-    }
-
-    let members = p.groups.members(p.groups.group_of(rank.0)).to_vec();
-    ctrl_barrier(ctx, &members, tags::RESTART_BARRIER).await?;
-    let finished = ctx.now();
-
-    let rec = RestartRecord {
-        rank: rank.0,
-        started,
-        finished,
-        image_load: image_loaded.saturating_since(started),
-        resend_ops,
-        resend_bytes,
-        skip_bytes,
-        generation: gen,
-    };
-    p.metrics.push_restart(rec);
-    Ok(rec)
-}
-
-/// A live rank's side of a receiver-based group recovery: answer each
-/// restarting peer's volume exchange with the bytes consumed of its
-/// stream, serve the unacked tail above the peer's advertised logged
-/// mark from the (ack-trimmed) sender log, and drain the peer's
-/// symmetric plan. Returns the total bytes replayed toward the
-/// restarting peers — under receiver-based logging this is only the
-/// in-flight tail, not the full post-checkpoint stream.
-pub(crate) async fn serve_peer_recovery_rblog(
-    p: &RankProto,
-    restarting: &[u32],
-) -> Result<u64, RecoveryError> {
-    let ctx = &p.ctx;
-    let futs: Vec<_> = restarting
-        .iter()
-        .copied()
-        .map(|q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            let world = ctx.world().clone();
-            async move {
-                let peer = Rank(q);
-                // My durable-coverage point for the peer's stream: I am
-                // live, everything I consumed is part of my state.
-                let my_r = gp.received_from(q);
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RBLOG_VOL, CTRL_BYTES, Some(Rc::new(my_r))),
-                    ctx.ctrl_recv(peer, tags::RBLOG_VOL),
-                )
-                .await;
-                let q_logged = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "receiver-log volume",
-                })?;
-                // The unacked tail: everything above the peer's logged
-                // high-water mark. Ack GC never trims past that mark,
-                // so the retained log covers [q_logged, sent).
-                let to = gp.sent_to(q);
-                let entries: Vec<crate::msglog::LogEntry> = gp.replay_entries_live(q, q_logged, to);
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                let send_side = {
-                    let ctx = ctx.clone();
-                    let entries = entries.clone();
-                    let world = world.clone();
-                    async move {
-                        if bytes > 0 {
-                            let storage = world.cluster().storage().clone();
-                            storage
-                                .read(ctx.rank().idx(), bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        ctx.ctrl_send(
-                            peer,
-                            tags::RBLOG_PLAN,
-                            CTRL_BYTES,
-                            Some(Rc::new(entries.len() as u64)),
-                        )
-                        .await;
-                        for e in entries {
-                            ctx.ctrl_send(peer, tags::RBLOG_DATA, e.bytes, None).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let recv_side = {
-                    let ctx = ctx.clone();
-                    async move {
-                        let plan = ctx.ctrl_recv(peer, tags::RBLOG_PLAN).await;
-                        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                            at: ctx.rank().0,
-                            from: peer.0,
-                            what: "receiver-log plan",
-                        })?;
-                        for _ in 0..m {
-                            ctx.ctrl_recv(peer, tags::RBLOG_DATA).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let (sent, drained) = join2(send_side, recv_side).await;
-                sent?;
-                drained?;
-                Ok::<u64, RecoveryError>(bytes)
-            }
-        })
-        .collect();
-    let mut total = 0u64;
-    for r in join_all(futs).await {
-        total += r?;
-    }
-    Ok(total)
 }
 
 /// A live (non-failed) rank's side of a group recovery: serve the volume
 /// exchange and replay for each of the given restarting peers. Live ranks
 /// do not roll back — they answer with their *current* counters, replay
 /// the retained log suffix the restarted peer is missing, and absorb the
-/// (empty) replay plan from the peer.
+/// (empty) replay plan from the peer. Under receiver-based logging the
+/// peer advertises its receiver log's high-water mark, so the suffix is
+/// only the unacked tail, not the full post-checkpoint stream.
 ///
 /// `restarting` is this rank's slice of the coordinator's symmetric
 /// exchange map; it must mirror the peer set each restarting member was
@@ -549,73 +227,18 @@ pub(crate) async fn serve_peer_recovery(
         .map(|q| {
             let ctx = ctx.clone();
             let gp = Rc::clone(&p.gp);
-            let world = ctx.world().clone();
             async move {
                 let peer = Rank(q);
                 // I am live: my "received from q" is current, not a snapshot.
-                let my_r = gp.received_from(q);
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(my_r))),
-                    ctx.ctrl_recv(peer, tags::RESTART_VOL),
-                )
-                .await;
-                let q_rr = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "volume",
-                })?;
-                // Replay everything retained beyond the peer's checkpoint —
-                // the peer lost all of it in the rollback. GC safety
-                // guarantees the retained log still covers [q_rr, S).
+                let q_mark = exchange_volume(&ctx, peer, gp.received_from(q)).await?;
+                // Replay everything retained beyond the peer's mark — the
+                // peer lost all of it in the rollback. GC safety (commit-
+                // or ack-gated) guarantees the retained log still covers
+                // [q_mark, S).
                 let to = gp.sent_to(q);
-                // All retained entries overlapping [q_rr, current S).
-                let entries: Vec<crate::msglog::LogEntry> = gp.replay_entries_live(q, q_rr, to);
+                let entries = gp.replay_entries_live(q, q_mark, to);
                 let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                let send_side = {
-                    let ctx = ctx.clone();
-                    let entries = entries.clone();
-                    let world = world.clone();
-                    async move {
-                        // A log-read fault fails the serving side loudly
-                        // instead of silently sending a replay built from
-                        // nothing.
-                        if bytes > 0 {
-                            let storage = world.cluster().storage().clone();
-                            storage
-                                .read(ctx.rank().idx(), bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        ctx.ctrl_send(
-                            peer,
-                            tags::RESTART_PLAN,
-                            CTRL_BYTES,
-                            Some(Rc::new(entries.len() as u64)),
-                        )
-                        .await;
-                        for e in entries {
-                            ctx.ctrl_send(peer, tags::RESTART_DATA, e.bytes, None).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let recv_side = {
-                    let ctx = ctx.clone();
-                    async move {
-                        let plan = ctx.ctrl_recv(peer, tags::RESTART_PLAN).await;
-                        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                            at: ctx.rank().0,
-                            from: peer.0,
-                            what: "plan",
-                        })?;
-                        for _ in 0..m {
-                            ctx.ctrl_recv(peer, tags::RESTART_DATA).await;
-                        }
-                        Ok::<(), RecoveryError>(())
-                    }
-                };
-                let (sent, drained) = join2(send_side, recv_side).await;
-                sent?;
-                drained?;
+                replay_with(&ctx, peer, entries, bytes).await?;
                 Ok::<u64, RecoveryError>(bytes)
             }
         })
@@ -625,4 +248,69 @@ pub(crate) async fn serve_peer_recovery(
         total += r?;
     }
     Ok(total)
+}
+
+/// Swap volume marks with `peer`: send `mine`, return the peer's.
+async fn exchange_volume(ctx: &RankCtx, peer: Rank, mine: u64) -> Result<u64, RecoveryError> {
+    let (_, env) = join2(
+        ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(mine))),
+        ctx.ctrl_recv(peer, tags::RESTART_VOL),
+    )
+    .await;
+    env.payload_as::<u64>()
+        .copied()
+        .ok_or(RecoveryError::BadPayload {
+            at: ctx.rank().0,
+            from: peer.0,
+            what: "volume",
+        })
+}
+
+/// Send my replay plan and the `entries` (`bytes` in total) to `peer`,
+/// and concurrently drain the peer's plan and data.
+async fn replay_with(
+    ctx: &RankCtx,
+    peer: Rank,
+    entries: Vec<LogEntry>,
+    bytes: u64,
+) -> Result<(), RecoveryError> {
+    let send_side = async {
+        // Replayed messages are read back from the on-disk log before they
+        // can be resent; a log-read fault fails this peer's replay as a
+        // typed error instead of silently sending a replay built from
+        // nothing.
+        if bytes > 0 {
+            let storage = ctx.world().cluster().storage().clone();
+            storage
+                .read(ctx.rank().idx(), bytes, StorageTarget::Local)
+                .await?;
+        }
+        ctx.ctrl_send(
+            peer,
+            tags::RESTART_PLAN,
+            CTRL_BYTES,
+            Some(Rc::new(entries.len() as u64)),
+        )
+        .await;
+        for e in entries {
+            ctx.ctrl_send(peer, tags::RESTART_DATA, e.bytes, None).await;
+        }
+        Ok::<(), RecoveryError>(())
+    };
+    let recv_side = async {
+        let plan = ctx.ctrl_recv(peer, tags::RESTART_PLAN).await;
+        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+            at: ctx.rank().0,
+            from: peer.0,
+            what: "plan",
+        })?;
+        for _ in 0..m {
+            ctx.ctrl_recv(peer, tags::RESTART_DATA).await;
+        }
+        Ok::<(), RecoveryError>(())
+    };
+    let (sent, drained) = join2(send_side, recv_side).await;
+    sent?;
+    drained?;
+    Ok(())
 }

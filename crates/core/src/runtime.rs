@@ -19,10 +19,7 @@ use crate::cvc::{cvc_wave, CvcState};
 use crate::error::RecoveryError;
 use crate::hooks::{GpState, RbState, VclState};
 use crate::metrics::Metrics;
-use crate::restart::{
-    restart_rank, restart_rank_rblog, restart_rank_with_peers, restart_rank_with_peers_rblog,
-    serve_peer_recovery, serve_peer_recovery_rblog,
-};
+use crate::restart::{restart_rank_with_peers, serve_peer_recovery};
 use crate::vcl::vcl_wave;
 
 /// A crash trap armed on a group (fault injection): the group's next
@@ -68,6 +65,7 @@ struct RtInner {
     mode: Mode,
     metrics: Metrics,
     gp: Vec<Rc<GpState>>,
+    vcl: Vec<Rc<VclState>>,
     cvc: Vec<Rc<CvcState>>,
     rb: Vec<Option<Rc<RbState>>>,
     cmd_tx: RefCell<Vec<Sender<Cmd>>>,
@@ -77,6 +75,26 @@ struct RtInner {
     waves_in_flight: Cell<u64>,
     /// Armed crash-during-checkpoint traps, by group id.
     traps: TrapMap,
+}
+
+impl RtInner {
+    /// Rank `r`'s protocol context over the installed per-rank state,
+    /// with `rng` as its private jitter stream.
+    fn rank_proto(&self, r: u32, rng: DetRng) -> RankProto {
+        let i = r as usize;
+        RankProto {
+            ctx: self.world.ctx(Rank(r)),
+            groups: Rc::clone(&self.groups),
+            cfg: Rc::clone(&self.cfg),
+            metrics: self.metrics.clone(),
+            gp: Rc::clone(&self.gp[i]),
+            vcl: Rc::clone(&self.vcl[i]),
+            cvc: Rc::clone(&self.cvc[i]),
+            rb: self.rb[i].clone(),
+            rng: RefCell::new(rng),
+            traps: Rc::clone(&self.traps),
+        }
+    }
 }
 
 /// Handle to the installed checkpoint system. Cheap to clone.
@@ -100,29 +118,24 @@ impl CkptRuntime {
             n,
             "image_bytes must cover every rank"
         );
-        if mode == Mode::Vcl {
+        // A mode differs from another in three things only: its hook
+        // (below), its wave fn (in the daemon), and whether it checkpoints
+        // as one global group.
+        if matches!(mode, Mode::Vcl | Mode::Cvc) {
             assert_eq!(
                 groups.group_count(),
                 1,
-                "the VCL model checkpoints globally; use a single group"
-            );
-        }
-        if mode == Mode::Cvc {
-            assert_eq!(
-                groups.group_count(),
-                1,
-                "the CVC model checkpoints globally; use a single group"
+                "the {} model checkpoints globally; use a single group",
+                format!("{mode:?}").to_uppercase()
             );
         }
         let cfg = Rc::new(cfg);
-        let metrics = Metrics::new();
-        let root_rng = DetRng::new(cfg.seed);
-        let traps: TrapMap = Rc::new(RefCell::new(Default::default()));
+        let storage = world.cluster().storage();
 
         let mut gp_states = Vec::with_capacity(n);
+        let mut vcl_states = Vec::with_capacity(n);
         let mut cvc_states = Vec::with_capacity(n);
         let mut rb_states = Vec::with_capacity(n);
-        let mut senders = Vec::with_capacity(n);
         for r in 0..n as u32 {
             let gp = GpState::new(
                 r,
@@ -133,74 +146,65 @@ impl CkptRuntime {
             );
             gp.set_gc_overshoot(cfg.gc_overshoot);
             gp.set_gc_retention(cfg.gc_retention_gens);
-            gp.attach_log_disk(Rc::clone(world.cluster().storage()), r as usize);
+            gp.attach_log_disk(Rc::clone(storage), r as usize);
             let vcl = VclState::new(r, n);
             let cvc = CvcState::new();
-            let rb = match mode {
+            let (hook, rb): (Rc<dyn MpiHook>, _) = match mode {
+                // The GP data plane only acts on inter-group traffic, so
+                // it is a no-op under a single global group (NORM); the
+                // hook is installed unconditionally for uniformity.
+                Mode::Blocking => (Rc::clone(&gp) as _, None),
+                Mode::Vcl => (Rc::clone(&vcl) as _, None),
+                Mode::Cvc => (Rc::clone(&cvc) as _, None),
                 Mode::RbLog => {
                     let rb = RbState::new(Rc::clone(&gp), Rc::clone(&groups));
-                    rb.attach_recv_disk(Rc::clone(world.cluster().storage()), r as usize);
-                    Some(rb)
+                    rb.attach_recv_disk(Rc::clone(storage), r as usize);
+                    (Rc::clone(&rb) as _, Some(rb))
                 }
-                Mode::Blocking | Mode::Vcl | Mode::Cvc => None,
             };
-            match mode {
-                Mode::Blocking => {
-                    // The GP data plane only acts on inter-group traffic, so
-                    // it is a no-op under a single global group (NORM); the
-                    // hook is installed unconditionally for uniformity.
-                    world.install_hook(Rank(r), Rc::clone(&gp) as Rc<dyn MpiHook>);
-                }
-                Mode::Vcl => {
-                    world.install_hook(Rank(r), Rc::clone(&vcl) as Rc<dyn MpiHook>);
-                }
-                Mode::Cvc => {
-                    world.install_hook(Rank(r), Rc::clone(&cvc) as Rc<dyn MpiHook>);
-                }
-                Mode::RbLog => {
-                    if let Some(rb) = &rb {
-                        world.install_hook(Rank(r), Rc::clone(rb) as Rc<dyn MpiHook>);
-                    }
-                }
-            }
-            let proto = RankProto {
-                ctx: world.ctx(Rank(r)),
-                groups: Rc::clone(&groups),
-                cfg: Rc::clone(&cfg),
-                metrics: metrics.clone(),
-                gp: Rc::clone(&gp),
-                vcl,
-                cvc: Rc::clone(&cvc),
-                rb: rb.clone(),
-                rng: RefCell::new(root_rng.fork("proto").fork_idx(r as u64)),
-                traps: Rc::clone(&traps),
-            };
+            world.install_hook(Rank(r), hook);
             gp_states.push(gp);
+            vcl_states.push(vcl);
             cvc_states.push(cvc);
             rb_states.push(rb);
+        }
+        let inner = Rc::new(RtInner {
+            world: world.clone(),
+            groups,
+            cfg,
+            mode,
+            metrics: Metrics::new(),
+            gp: gp_states,
+            vcl: vcl_states,
+            cvc: cvc_states,
+            rb: rb_states,
+            cmd_tx: RefCell::new(Vec::with_capacity(n)),
+            next_wave: Cell::new(0),
+            waves_in_flight: Cell::new(0),
+            traps: Rc::new(RefCell::new(Default::default())),
+        });
 
-            // The per-rank protocol daemon.
+        // The per-rank protocol daemons.
+        let proto_rng = DetRng::new(inner.cfg.seed).fork("proto");
+        let latency = world.cluster().spec().net.latency.dur();
+        for r in 0..n as u32 {
+            let proto = inner.rank_proto(r, proto_rng.fork_idx(r as u64));
             let (tx, mut rx) = channel::<Cmd>();
-            senders.push(tx);
+            inner.cmd_tx.borrow_mut().push(tx);
             let sim = world.sim().clone();
-            let latency = world.cluster().spec().net.latency.dur();
             // mpirun spawns one child per group; the child signals its
             // members serially, so the propagation delay grows with the
             // rank's position within its group (not with the world size).
-            let pos_in_group = groups
-                .members(groups.group_of(r))
+            // MPICH-VCL's checkpoint scheduler and CVC's single mpirun
+            // child contact processes sequentially too: under their one
+            // global group the position is the rank itself.
+            let pos_in_group = inner
+                .groups
+                .members(inner.groups.group_of(r))
                 .iter()
                 .position(|&m| m == r)
                 .expect("rank in own group") as u64;
-            let propagation = match mode {
-                // Receiver-based logging rides the blocking group plane:
-                // per-group children signal members serially.
-                Mode::Blocking | Mode::RbLog => cfg.propagation_per_proc * pos_in_group,
-                // MPICH-VCL's checkpoint scheduler contacts processes
-                // sequentially as well — one global sequence; CVC's single
-                // mpirun child does the same.
-                Mode::Vcl | Mode::Cvc => cfg.propagation_per_proc * r as u64,
-            };
+            let propagation = inner.cfg.propagation_per_proc * pos_in_group;
             world.sim().spawn_named(format!("ckptd{r}"), async move {
                 while let Some(cmd) = rx.recv().await {
                     match cmd {
@@ -211,6 +215,8 @@ impl CkptRuntime {
                             sim.sleep(latency + propagation + SimDuration::from_micros(jitter_us))
                                 .await;
                             match mode {
+                                // Receiver-based logging rides the blocking
+                                // group plane.
                                 Mode::Blocking | Mode::RbLog => blocking_wave(&proto, wave).await,
                                 Mode::Vcl => vcl_wave(&proto, wave).await,
                                 Mode::Cvc => cvc_wave(&proto, wave).await,
@@ -225,22 +231,7 @@ impl CkptRuntime {
             });
         }
 
-        CkptRuntime {
-            inner: Rc::new(RtInner {
-                world: world.clone(),
-                groups,
-                cfg,
-                mode,
-                metrics,
-                gp: gp_states,
-                cvc: cvc_states,
-                rb: rb_states,
-                cmd_tx: RefCell::new(senders),
-                next_wave: Cell::new(0),
-                waves_in_flight: Cell::new(0),
-                traps,
-            }),
-        }
+        CkptRuntime { inner }
     }
 
     /// The metrics collector.
@@ -491,20 +482,8 @@ impl CkptRuntime {
         done.add(n);
         let root_rng = DetRng::new(self.inner.cfg.seed ^ 0xdead_beef);
         let first_err: Rc<RefCell<Option<RecoveryError>>> = Rc::new(RefCell::new(None));
-        let mode = self.inner.mode;
         for r in 0..n as u32 {
-            let proto = RankProto {
-                ctx: self.inner.world.ctx(Rank(r)),
-                groups: Rc::clone(&self.inner.groups),
-                cfg: Rc::clone(&self.inner.cfg),
-                metrics: self.inner.metrics.clone(),
-                gp: Rc::clone(&self.inner.gp[r as usize]),
-                vcl: VclState::new(r, n),
-                cvc: Rc::clone(&self.inner.cvc[r as usize]),
-                rb: self.inner.rb[r as usize].clone(),
-                rng: RefCell::new(root_rng.fork_idx(r as u64)),
-                traps: Rc::clone(&self.inner.traps),
-            };
+            let proto = self.inner.rank_proto(r, root_rng.fork_idx(r as u64));
             let done = done.clone();
             let first_err = Rc::clone(&first_err);
             let gen = gen_of_rank[r as usize];
@@ -512,15 +491,8 @@ impl CkptRuntime {
                 .world
                 .sim()
                 .spawn_named(format!("restart{r}"), async move {
-                    let rb = proto.rb.clone();
-                    let result = if let (Mode::RbLog, Some(rb)) = (mode, &rb) {
-                        // Receiver-based restart: replay from the local
-                        // receiver log, solicit only the unacked tail.
-                        restart_rank_rblog(&proto, rb, gen).await
-                    } else {
-                        restart_rank(&proto, gen).await
-                    };
-                    if let Err(e) = result {
+                    let out = proto.gp.comm_peers();
+                    if let Err(e) = restart_rank_with_peers(&proto, &out, gen).await {
                         first_err.borrow_mut().get_or_insert(e);
                     }
                     done.done();
@@ -587,20 +559,8 @@ impl CkptRuntime {
         let replayed_in = Rc::new(Cell::new(0u64));
         let first_err: Rc<RefCell<Option<RecoveryError>>> = Rc::new(RefCell::new(None));
         let root_rng = DetRng::new(self.inner.cfg.seed ^ 0xfa11_ed00);
-        let mode = self.inner.mode;
         for r in 0..n as u32 {
-            let proto = RankProto {
-                ctx: self.inner.world.ctx(Rank(r)),
-                groups: Rc::clone(&self.inner.groups),
-                cfg: Rc::clone(&self.inner.cfg),
-                metrics: self.inner.metrics.clone(),
-                gp: Rc::clone(&self.inner.gp[r as usize]),
-                vcl: VclState::new(r, n),
-                cvc: Rc::clone(&self.inner.cvc[r as usize]),
-                rb: self.inner.rb[r as usize].clone(),
-                rng: RefCell::new(root_rng.fork_idx(r as u64)),
-                traps: Rc::clone(&self.inner.traps),
-            };
+            let proto = self.inner.rank_proto(r, root_rng.fork_idx(r as u64));
             done.add(1);
             let done = done.clone();
             let is_member = members.contains(&r);
@@ -616,22 +576,11 @@ impl CkptRuntime {
                 .sim()
                 .spawn_named(format!("recover{r}"), async move {
                     if is_member {
-                        let rb = proto.rb.clone();
-                        let result = if let (Mode::RbLog, Some(rb)) = (mode, &rb) {
-                            restart_rank_with_peers_rblog(&proto, rb, &peers, generation).await
-                        } else {
-                            restart_rank_with_peers(&proto, &peers, generation).await
-                        };
-                        if let Err(e) = result {
+                        if let Err(e) = restart_rank_with_peers(&proto, &peers, generation).await {
                             first_err.borrow_mut().get_or_insert(e);
                         }
                     } else {
-                        let result = if mode == Mode::RbLog {
-                            serve_peer_recovery_rblog(&proto, &peers).await
-                        } else {
-                            serve_peer_recovery(&proto, &peers).await
-                        };
-                        match result {
+                        match serve_peer_recovery(&proto, &peers).await {
                             Ok(served) => replayed_in.set(replayed_in.get() + served),
                             Err(e) => {
                                 first_err.borrow_mut().get_or_insert(e);

@@ -687,3 +687,50 @@ fn rblog_restart_replays_from_the_local_receiver_log() {
     assert_eq!(rt.metrics().total_resend_ops(), 0);
     assert_eq!(rt.metrics().total_resend_bytes(), 0);
 }
+
+#[test]
+fn rblog_recover_group_replays_only_the_unacked_tail() {
+    // The shape of the local-receiver-log restart test above, but the
+    // consumer's group recovers alone while the producer stays live and
+    // serves it from its sender log.
+    let replayed = |mode: Mode| -> u64 {
+        let (sim, world) = make_world(2);
+        world.launch(Rank(0), |ctx| async move {
+            for _ in 0..10 {
+                ctx.send(Rank(1), 1, 1000).await;
+            }
+        });
+        world.launch(Rank(1), |ctx| async move {
+            ctx.busy(SimDuration::from_millis(500)).await;
+            for _ in 0..10 {
+                ctx.recv(Rank(0), 1).await;
+            }
+        });
+        let rt = CkptRuntime::install(&world, Rc::new(singletons(2)), mode, cfg(2));
+        let stats = Rc::new(std::cell::RefCell::new(None));
+        {
+            let rt = rt.clone();
+            let world = world.clone();
+            let stats = Rc::clone(&stats);
+            sim.spawn(async move {
+                rt.single_checkpoint_at(SimTime::from_millis(100)).await;
+                world.wait_all_ranks().await;
+                rt.shutdown();
+                *stats.borrow_mut() = Some(rt.recover_group(1).await.unwrap());
+            });
+        }
+        sim.run().unwrap();
+        let stats = stats.borrow().expect("recovery ran");
+        assert_eq!(stats.ranks_restarted, 1);
+        stats.replayed_into_group_bytes
+    };
+    // Sender-based logging: rank 1 rolled back to before the stream, so
+    // the live producer resends all of it.
+    let blocking = replayed(Mode::Blocking);
+    // Receiver-based logging: rank 1 logged the whole stream itself, so
+    // the unacked tail the producer has to serve is empty.
+    let rblog = replayed(Mode::RbLog);
+    assert_eq!(blocking, 10_000);
+    assert_eq!(rblog, 0);
+    assert!(rblog < blocking);
+}

@@ -157,6 +157,10 @@ pub const SPECS: &[PhaseSpec] = &[
             ("load", "store.validate", "load"),
             ("load", "store.record_load", "load"),
             ("load", "read", "loaded"),
+            // Under receiver-based logging, local replay from the rank's
+            // own receiver log is pure disk traffic — legal any time
+            // after the image load.
+            ("loaded", "read", "loaded"),
             ("loaded", "send:RESTART_VOL", "replay"),
             ("loaded", "recv:RESTART_VOL", "replay"),
             // A rank with no out-of-group peers resumes directly.
@@ -238,57 +242,6 @@ pub const SPECS: &[PhaseSpec] = &[
                  still pre-cut",
             ),
         ],
-    },
-    PhaseSpec {
-        protocol: "rblog-restart",
-        entry: "restart_rank_with_peers_rblog",
-        entry_file: "crates/core/src/restart.rs",
-        start: "load",
-        accepting: &["done"],
-        transitions: &[
-            // Generation selection: validate against the catalog, record
-            // the load, then read the image — all before any replay.
-            ("load", "store.validate", "load"),
-            ("load", "store.record_load", "load"),
-            ("load", "read", "loaded"),
-            // Local replay from the rank's own receiver log is pure
-            // disk traffic — legal any time after the image load.
-            ("loaded", "read", "loaded"),
-            ("loaded", "send:RBLOG_VOL", "replay"),
-            ("loaded", "recv:RBLOG_VOL", "replay"),
-            // A rank with no out-of-group peers resumes directly.
-            ("loaded", "barrier:RESTART_BARRIER", "done"),
-            ("replay", "send:RBLOG_VOL", "replay"),
-            ("replay", "recv:RBLOG_VOL", "replay"),
-            ("replay", "read", "replay"),
-            ("replay", "send:RBLOG_PLAN", "replay"),
-            ("replay", "recv:RBLOG_PLAN", "replay"),
-            ("replay", "send:RBLOG_DATA", "replay"),
-            ("replay", "recv:RBLOG_DATA", "replay"),
-            ("replay", "barrier:RESTART_BARRIER", "done"),
-        ],
-        required: &[(
-            "store.validate",
-            "restart must validate the generation against the catalog \
-             before consuming an image — the store-load oracle depends on it",
-        )],
-    },
-    PhaseSpec {
-        protocol: "rblog-serve",
-        entry: "serve_peer_recovery_rblog",
-        entry_file: "crates/core/src/restart.rs",
-        start: "serve",
-        accepting: &["serve"],
-        transitions: &[
-            ("serve", "send:RBLOG_VOL", "serve"),
-            ("serve", "recv:RBLOG_VOL", "serve"),
-            ("serve", "read", "serve"),
-            ("serve", "send:RBLOG_PLAN", "serve"),
-            ("serve", "recv:RBLOG_PLAN", "serve"),
-            ("serve", "send:RBLOG_DATA", "serve"),
-            ("serve", "recv:RBLOG_DATA", "serve"),
-        ],
-        required: &[],
     },
     PhaseSpec {
         protocol: "bookmark-drain",

@@ -1,13 +1,13 @@
 //! P20 — session tag-duality across the protocol zoo.
 //!
 //! Each [`Mode`] of the protocol zoo is a *session*: the set of entry
-//! points the runtime dispatches for it (the wave body, the restart
-//! member path, the live-peer serve path). The checked-in [`SESSIONS`]
-//! table mirrors the dispatch in `crates/core/src/runtime.rs`; this pass
-//! extracts, per mode, the ctrl tags emitted on any reachable path
-//! (reusing P10's interprocedural extraction with `ctrlplane.rs`
-//! inlining) and the tags its reachable receive sites can handle, then
-//! fires on three duality breaks:
+//! points the runtime dispatches for it (its wave body, plus the restart
+//! member path and the live-peer serve path every mode shares). The
+//! checked-in [`SESSIONS`] table mirrors the wave dispatch in
+//! `crates/core/src/runtime.rs`; this pass extracts, per mode, the ctrl
+//! tags emitted on any reachable path (reusing P10's interprocedural
+//! extraction with `ctrlplane.rs` inlining) and the tags its reachable
+//! receive sites can handle, then fires on three duality breaks:
 //!
 //! * **emitted-but-unhandled** — a `ctrl_send` whose tag no reachable
 //!   `ctrl_recv` in the same session matches: the rendezvous blocks the
@@ -32,55 +32,50 @@ use crate::phases;
 use crate::report::{Finding, Rule, Status};
 use crate::symbols::SymbolIndex;
 
-/// One protocol mode's session: the entry points the runtime dispatches
-/// for it, as `(fn name, workspace-relative file)` pairs.
+/// One protocol mode's session: its wave entry point plus the shared
+/// [`RECOVERY_ENTRIES`], as `(fn name, workspace-relative file)` pairs.
 #[derive(Debug)]
 pub struct SessionSpec {
     /// The `Mode` enum variant this session implements.
     pub mode: &'static str,
-    /// Entry functions whose reachable ctrl traffic forms the session.
-    pub entries: &'static [(&'static str, &'static str)],
+    /// The wave body the runtime's checkpoint daemon runs for this mode.
+    pub wave: (&'static str, &'static str),
 }
 
-/// The checked-in session tables, mirroring the `match mode` dispatch in
-/// `crates/core/src/runtime.rs` (wave daemon, `restart_all`,
-/// `recover_group`). P20 fails the build when a mode's wire traffic and
-/// its table diverge.
+/// The restart-member and live-peer serve paths. Every mode recovers
+/// through these two; receiver-based logging only changes the state
+/// they read.
+pub const RECOVERY_ENTRIES: &[(&str, &str)] = &[
+    ("restart_rank_with_peers", "crates/core/src/restart.rs"),
+    ("serve_peer_recovery", "crates/core/src/restart.rs"),
+];
+
+impl SessionSpec {
+    /// Entry functions whose reachable ctrl traffic forms the session.
+    fn entries(&self) -> impl Iterator<Item = &(&'static str, &'static str)> {
+        std::iter::once(&self.wave).chain(RECOVERY_ENTRIES)
+    }
+}
+
+/// The checked-in session tables, mirroring the wave dispatch in
+/// `crates/core/src/runtime.rs`'s checkpoint daemon. P20 fails the build
+/// when a mode's wire traffic and its table diverge.
 pub const SESSIONS: &[SessionSpec] = &[
     SessionSpec {
         mode: "Blocking",
-        entries: &[
-            ("blocking_wave", "crates/core/src/blocking.rs"),
-            ("restart_rank_with_peers", "crates/core/src/restart.rs"),
-            ("serve_peer_recovery", "crates/core/src/restart.rs"),
-        ],
+        wave: ("blocking_wave", "crates/core/src/blocking.rs"),
     },
     SessionSpec {
         mode: "Vcl",
-        entries: &[
-            ("vcl_wave", "crates/core/src/vcl.rs"),
-            ("restart_rank_with_peers", "crates/core/src/restart.rs"),
-            ("serve_peer_recovery", "crates/core/src/restart.rs"),
-        ],
+        wave: ("vcl_wave", "crates/core/src/vcl.rs"),
     },
     SessionSpec {
         mode: "Cvc",
-        entries: &[
-            ("cvc_wave", "crates/core/src/cvc.rs"),
-            ("restart_rank_with_peers", "crates/core/src/restart.rs"),
-            ("serve_peer_recovery", "crates/core/src/restart.rs"),
-        ],
+        wave: ("cvc_wave", "crates/core/src/cvc.rs"),
     },
     SessionSpec {
         mode: "RbLog",
-        entries: &[
-            ("blocking_wave", "crates/core/src/blocking.rs"),
-            (
-                "restart_rank_with_peers_rblog",
-                "crates/core/src/restart.rs",
-            ),
-            ("serve_peer_recovery_rblog", "crates/core/src/restart.rs"),
-        ],
+        wave: ("blocking_wave", "crates/core/src/blocking.rs"),
     },
 ];
 
@@ -99,8 +94,7 @@ pub fn active_modes(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<&'stat
 }
 
 fn fully_live(spec: &SessionSpec, index: &SymbolIndex, views: &[(&str, &Lexed)]) -> bool {
-    spec.entries
-        .iter()
+    spec.entries()
         .all(|(name, file)| phases::find_fn(index, views, name, file).is_some())
 }
 
@@ -115,7 +109,7 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
             let mut emits = Sites::new();
             let mut handles = Sites::new();
             let mut any = false;
-            for (name, file) in spec.entries {
+            for (name, file) in spec.entries() {
                 let Some(f) = phases::find_fn(index, views, name, file) else {
                     continue;
                 };

@@ -12,14 +12,19 @@ use gcr_json::Json;
 use gcr_net::StorageTarget;
 
 /// Digests of the pinned scenario (seed 0xD1CE, ring workload, local
-/// storage, 700 ms interval, `crash:g1@2500`) captured on the
-/// single-heap executor immediately before the sharding refactor.
-const PINNED: [(ChaosProto, u64); 5] = [
+/// storage, 700 ms interval, `crash:g1@2500`). The first five were
+/// captured on the single-heap executor immediately before the sharding
+/// refactor. The `Cvc` and `Rblog` pins were captured later, on the
+/// sharded executor just before the sender- and receiver-based restart
+/// paths were merged into one, so they guard that merge.
+const PINNED: [(ChaosProto, u64); 7] = [
     (ChaosProto::Norm, 0xaa0753172d701950),
     (ChaosProto::Gp, 0x3638182098136693),
     (ChaosProto::Gp1, 0x85db100133b6753e),
     (ChaosProto::Gp4, 0x994ab282c0502e59),
     (ChaosProto::Vcl, 0x3b1eea16a89df404),
+    (ChaosProto::Cvc, 0x63bd4fee771a7ce2),
+    (ChaosProto::Rblog, 0x7530a15a2a6cc0e0),
 ];
 
 #[test]
@@ -41,8 +46,8 @@ fn one_shard_digests_match_the_pre_refactor_pins() {
         assert_eq!(
             got,
             want,
-            "{}: 1-shard digest {got:#018x} != pre-refactor pin {want:#018x} — \
-             the sharded kernel changed observable behavior",
+            "{}: 1-shard digest {got:#018x} != pin {want:#018x} — \
+             observable behavior changed",
             proto.label()
         );
     }
