@@ -26,7 +26,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::shard::{EventKind, EventSlot, HeapEntry, Shard, SimStats};
+use crate::shard::{EventKind, EventSlot, HeapEntry, Shard, SimStats, RUN_END};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a spawned task. Stable for the lifetime of the task.
@@ -106,7 +106,7 @@ pub enum RunOutcome {
 #[derive(Clone, Copy, Debug)]
 enum ReadyItem {
     Task(TaskId),
-    CallInit(u32),
+    CallInit(u32, SimTime),
     CallRun(u32),
 }
 
@@ -309,19 +309,17 @@ impl Core {
     /// Convert a popped heap entry into its fire op. Wake slots are freed
     /// here; Call slots stay allocated until their `CallRun` drains.
     fn op_for(&mut self, entry: HeapEntry) -> FireOp {
-        let is_wake = matches!(
-            self.events.get(entry.slot as usize).map(|e| &e.kind),
-            Some(Some(EventKind::Wake(_)))
-        );
-        if is_wake {
-            if let Some(ev) = self.events.get_mut(entry.slot as usize) {
-                if let Some(EventKind::Wake(w)) = ev.kind.take() {
-                    self.free_events.push(entry.slot);
-                    return FireOp::Wake(w);
-                }
+        let wake = self
+            .events
+            .get_mut(entry.slot as usize)
+            .and_then(|ev| ev.kind.take_if(|k| matches!(k, EventKind::Wake(_))));
+        match wake {
+            Some(EventKind::Wake(w)) => {
+                self.free_events.push(entry.slot);
+                FireOp::Wake(w)
             }
+            _ => FireOp::Run(entry.slot),
         }
-        FireOp::Run(entry.slot)
     }
 }
 
@@ -398,7 +396,7 @@ impl Sim {
         self.core.borrow().polls
     }
 
-    /// Number of events currently waiting in the shard heaps.
+    /// Number of events currently waiting in the shards.
     pub fn pending_events(&self) -> usize {
         self.core.borrow().shards.iter().map(|s| s.len()).sum()
     }
@@ -498,11 +496,13 @@ impl Sim {
         core.event_seq += 1;
         let shard = core.current_shard;
         let slot = core.alloc_event(EventSlot {
-            at,
+            seq,
+            next: RUN_END,
             shard,
             kind: Some(EventKind::Wake(waker)),
         });
-        core.shards[shard as usize].push(HeapEntry { at, seq, slot });
+        let Core { shards, events, .. } = &mut *core;
+        shards[shard as usize].push(HeapEntry { at, seq, slot }, events);
     }
 
     /// Schedule `f` to run on the executor at absolute time `at`,
@@ -533,7 +533,8 @@ impl Sim {
         );
         let shard = (shard % core.shards.len()) as u32;
         let slot = core.alloc_event(EventSlot {
-            at,
+            seq: 0,
+            next: RUN_END,
             shard,
             kind: Some(EventKind::Call(Box::new(f))),
         });
@@ -541,7 +542,7 @@ impl Sim {
         drop(core);
         // The sequence number is assigned when this drains — the same FIFO
         // position where the task-per-message scheme registered its timer.
-        self.ready.push(ReadyItem::CallInit(slot));
+        self.ready.push(ReadyItem::CallInit(slot, at));
     }
 
     /// A future that completes at absolute simulated time `deadline`.
@@ -592,11 +593,12 @@ impl Sim {
             while let Some(item) = self.ready.pop() {
                 match item {
                     ReadyItem::Task(id) => self.poll_task(id),
-                    ReadyItem::CallInit(slot) => self.init_call(slot),
+                    ReadyItem::CallInit(slot, at) => self.init_call(slot, at),
                     ReadyItem::CallRun(slot) => self.run_call(slot),
                 }
             }
-            let mut core = self.core.borrow_mut();
+            let mut guard = self.core.borrow_mut();
+            let core = &mut *guard;
             if core.live_tasks == 0 && core.pending_calls == 0 {
                 return Ok(RunOutcome::AllDone);
             }
@@ -631,7 +633,7 @@ impl Sim {
                         // Conservative-window fast path: every event at
                         // this instant lives in one shard, whose heap
                         // already yields them in sequence order.
-                        while let Some(entry) = core.shards[shard].pop_at(at) {
+                        while let Some(entry) = core.shards[shard].pop_at(at, &core.events) {
                             let op = core.op_for(entry);
                             ops.push(op);
                         }
@@ -642,7 +644,7 @@ impl Sim {
                         let mut batch = std::mem::take(&mut core.batch_scratch);
                         batch.clear();
                         for i in 0..core.shards.len() {
-                            while let Some(entry) = core.shards[i].pop_at(at) {
+                            while let Some(entry) = core.shards[i].pop_at(at, &core.events) {
                                 batch.push(entry);
                             }
                         }
@@ -655,7 +657,7 @@ impl Sim {
                         core.batch_scratch = batch;
                     }
                     core.events_fired += ops.len() as u64;
-                    drop(core);
+                    drop(guard);
                     for op in ops.drain(..) {
                         match op {
                             FireOp::Wake(w) => w.wake(),
@@ -667,7 +669,7 @@ impl Sim {
                 Some(_) => return Ok(RunOutcome::HorizonReached),
                 None => {
                     // Live work but no pending event can ever fire. Calls
-                    // always hold a heap entry once initialized (and the
+                    // always sit in a shard run once initialized (and the
                     // FIFO is drained), so this is a pure task deadlock.
                     let mut stuck = Vec::new();
                     let mut stuck_shards = Vec::new();
@@ -689,15 +691,22 @@ impl Sim {
 
     /// Second half of `schedule_call`: assign the global sequence number
     /// and move the event into its shard heap.
-    fn init_call(&self, slot: u32) {
-        let mut core = self.core.borrow_mut();
-        let (at, shard) = match core.events.get(slot as usize) {
-            Some(ev) => (ev.at, ev.shard),
-            None => return,
+    fn init_call(&self, slot: u32, at: SimTime) {
+        let mut guard = self.core.borrow_mut();
+        let Core {
+            event_seq,
+            shards,
+            events,
+            ..
+        } = &mut *guard;
+        let Some(ev) = events.get_mut(slot as usize) else {
+            return;
         };
-        let seq = core.event_seq;
-        core.event_seq += 1;
-        core.shards[shard as usize].push(HeapEntry { at, seq, slot });
+        let seq = *event_seq;
+        *event_seq += 1;
+        ev.seq = seq;
+        let shard = ev.shard;
+        shards[shard as usize].push(HeapEntry { at, seq, slot }, events);
     }
 
     /// Final half of a scheduled call: take the closure, free the slot,
@@ -1184,5 +1193,20 @@ mod tests {
         // One live sleep at a time: the arena should stay tiny.
         assert!(sim.core.borrow().events.len() <= 2);
         assert_eq!(sim.stats().events_fired, 100);
+    }
+
+    #[test]
+    fn pending_events_count_events_not_runs() {
+        let sim = Sim::new();
+        let at = SimTime::from_millis(5);
+        let s = sim.clone();
+        sim.spawn(async move { s.sleep_until(at).await });
+        for _ in 0..3 {
+            sim.schedule_waker(at, Waker::noop().clone());
+        }
+        assert_eq!(sim.pending_events(), 3);
+        sim.run().unwrap();
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.stats().events_fired, 4);
     }
 }
