@@ -19,6 +19,10 @@
 //!   flow-sensitive, conformance) always re-run — they are cross-file by
 //!   nature and their inputs changed by definition.
 //!
+//! Both tiers store [`Report::to_json`] documents (a per-file entry is a
+//! report holding only that file's findings) and read them back through
+//! the one codec next to it in [`crate::report`].
+//!
 //! The cache is a pure memo: corrupt or unreadable entries are misses,
 //! and a populated cache can be deleted at any time.
 
@@ -32,13 +36,13 @@ use crate::baseline::Baseline;
 use crate::collect_workspace_files;
 use crate::lint_files_with_local;
 use crate::policy_for;
-use crate::report::{Finding, GraphStats, Report, Rule, Status};
+use crate::report::{Report, Rule};
 use crate::rules;
 
 /// Bump on any analyzer behavior change that reuses the same rule set —
 /// the key also folds in [`Rule::ALL`], so adding or removing a rule
 /// invalidates without a bump.
-const CACHE_VERSION: u64 = 1;
+const CACHE_VERSION: u64 = 2;
 
 /// What the cache did for one run — reported by `gcrsim lint` and
 /// asserted by the warm-run budget test.
@@ -85,16 +89,19 @@ pub fn lint_workspace_cached(
     let mut stats = CacheStats::default();
     let report = lint_files_with_local(&files, baseline, &mut |rel, src, lx| {
         let path = cache_dir.join(format!("file-{:016x}.json", file_key(version, rel, src)));
-        if let Some(found) = read_findings(&path) {
+        if let Some(found) = read_report(&path) {
             stats.file_hits += 1;
-            return found;
+            return found.findings;
         }
         stats.file_misses += 1;
-        let found = rules::check(rel, lx, policy_for(rel));
-        write_entry(&path, &findings_json(&found));
-        found
+        let found = Report {
+            findings: rules::check(rel, lx, policy_for(rel)),
+            ..Report::default()
+        };
+        write_entry(&path, &found.to_json());
+        found.findings
     });
-    write_entry(&ws_path, &report_json(&report));
+    write_entry(&ws_path, &report.to_json());
     Ok((report, stats))
 }
 
@@ -149,109 +156,7 @@ fn remove_entry(path: &Path) {
     }
 }
 
-fn finding_json(f: &Finding) -> Json {
-    Json::obj([
-        ("file", Json::from(f.file.as_str())),
-        ("line", Json::from(f.line as u64)),
-        ("rule", Json::from(f.rule.id())),
-        ("message", Json::from(f.message.as_str())),
-        ("snippet", Json::from(f.snippet.as_str())),
-        (
-            "status",
-            Json::from(match f.status {
-                Status::New => "new",
-                Status::Baselined => "baseline",
-            }),
-        ),
-    ])
-}
-
-fn parse_finding(j: &Json) -> Option<Finding> {
-    Some(Finding {
-        file: j.get("file")?.as_str()?.to_string(),
-        line: j.get("line")?.as_usize()?,
-        rule: Rule::parse(j.get("rule")?.as_str()?)?,
-        message: j.get("message")?.as_str()?.to_string(),
-        snippet: j.get("snippet")?.as_str()?.to_string(),
-        status: match j.get("status")?.as_str()? {
-            "new" => Status::New,
-            "baseline" => Status::Baselined,
-            _ => return None,
-        },
-    })
-}
-
-fn findings_json(findings: &[Finding]) -> Json {
-    Json::obj([(
-        "findings",
-        Json::from(findings.iter().map(finding_json).collect::<Vec<_>>()),
-    )])
-}
-
-fn read_findings(path: &Path) -> Option<Vec<Finding>> {
-    let text = fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    parse_findings(doc.get("findings")?)
-}
-
-fn parse_findings(j: &Json) -> Option<Vec<Finding>> {
-    j.as_arr()?.iter().map(parse_finding).collect()
-}
-
-fn report_json(r: &Report) -> Json {
-    let mut fields = vec![
-        ("files_scanned", Json::from(r.files_scanned as u64)),
-        (
-            "findings",
-            Json::from(r.findings.iter().map(finding_json).collect::<Vec<_>>()),
-        ),
-        (
-            "unused_baseline",
-            Json::from(
-                r.unused_baseline
-                    .iter()
-                    .map(|u| Json::from(u.as_str()))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ];
-    if let Some(g) = &r.graph {
-        fields.push((
-            "graph",
-            Json::obj([
-                ("functions", Json::from(g.functions as u64)),
-                ("call_sites", Json::from(g.call_sites as u64)),
-                ("resolved", Json::from(g.resolved as u64)),
-                ("external", Json::from(g.external as u64)),
-                ("ambiguous", Json::from(g.ambiguous as u64)),
-            ]),
-        ));
-    }
-    Json::obj(fields)
-}
-
 fn read_report(path: &Path) -> Option<Report> {
     let text = fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    let graph = match doc.get("graph") {
-        Some(g) => Some(GraphStats {
-            functions: g.get("functions")?.as_usize()?,
-            call_sites: g.get("call_sites")?.as_usize()?,
-            resolved: g.get("resolved")?.as_usize()?,
-            external: g.get("external")?.as_usize()?,
-            ambiguous: g.get("ambiguous")?.as_usize()?,
-        }),
-        None => None,
-    };
-    Some(Report {
-        findings: parse_findings(doc.get("findings")?)?,
-        files_scanned: doc.get("files_scanned")?.as_usize()?,
-        unused_baseline: doc
-            .get("unused_baseline")?
-            .as_arr()?
-            .iter()
-            .map(|u| u.as_str().map(str::to_string))
-            .collect::<Option<Vec<_>>>()?,
-        graph,
-    })
+    Report::from_json(&Json::parse(&text).ok()?)
 }

@@ -48,6 +48,17 @@ pub struct CallSite {
     pub resolution: Resolution,
 }
 
+/// The three shapes of a panic site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanicKind {
+    /// `.unwrap()` / `.expect(…)`.
+    Unwrap,
+    /// `panic!`, `unreachable!`, `todo!`, `unimplemented!`.
+    Macro,
+    /// Unchecked indexing `x[…]`.
+    Index,
+}
+
 /// One potential panic inside a function body.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
@@ -55,6 +66,8 @@ pub struct PanicSite {
     pub line: usize,
     /// Human description (``.unwrap()``, `panic!`, `buf[…]`, …).
     pub what: String,
+    /// Which shape of panic it is.
+    pub kind: PanicKind,
 }
 
 /// The call graph plus per-function panic sites.
@@ -316,20 +329,21 @@ pub fn call_sites(
     out
 }
 
+/// The ids of the functions named `name` that satisfy `keep`.
+fn named(index: &SymbolIndex, name: &str, keep: impl Fn(&FnDef) -> bool) -> Vec<usize> {
+    index.by_name.get(name).map_or_else(Vec::new, |ids| {
+        ids.iter()
+            .copied()
+            .filter(|&id| keep(&index.fns[id]))
+            .collect()
+    })
+}
+
 fn resolve_method(index: &SymbolIndex, name: &str) -> (Vec<usize>, Resolution) {
     if STD_METHOD_NAMES.contains(&name) {
         return (Vec::new(), Resolution::External);
     }
-    let cands: Vec<usize> = index
-        .by_name
-        .get(name)
-        .map(|ids| {
-            ids.iter()
-                .copied()
-                .filter(|&id| index.fns[id].is_method)
-                .collect()
-        })
-        .unwrap_or_default();
+    let cands = named(index, name, |f| f.is_method);
     if cands.is_empty() {
         return (Vec::new(), Resolution::External);
     }
@@ -340,16 +354,7 @@ fn resolve_method(index: &SymbolIndex, name: &str) -> (Vec<usize>, Resolution) {
 }
 
 fn resolve_bare(index: &SymbolIndex, caller: &FnDef, name: &str) -> (Vec<usize>, Resolution) {
-    let all: Vec<usize> = index
-        .by_name
-        .get(name)
-        .map(|ids| {
-            ids.iter()
-                .copied()
-                .filter(|&id| !index.fns[id].is_method)
-                .collect()
-        })
-        .unwrap_or_default();
+    let all = named(index, name, |f| !f.is_method);
     if all.is_empty() {
         return (Vec::new(), Resolution::External);
     }
@@ -395,16 +400,7 @@ fn resolve_path(
     }
     // A type-qualified associated call: prefer definitions owned by it.
     if !qual.is_empty() {
-        let owned: Vec<usize> = index
-            .by_name
-            .get(name)
-            .map(|ids| {
-                ids.iter()
-                    .copied()
-                    .filter(|&id| index.fns[id].owner.as_deref() == Some(qual.as_str()))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let owned = named(index, name, |f| f.owner.as_deref() == Some(qual.as_str()));
         if !owned.is_empty() {
             return (owned, Resolution::Resolved);
         }
@@ -422,8 +418,9 @@ fn resolve_path(
 }
 
 /// Panic sites (unwrap/expect, panic-family macros, unchecked indexing)
-/// in `toks[start..end)` — the same patterns as rule D03, shared so the
-/// direct and transitive passes can never disagree.
+/// in `toks[start..end)`. Rule D03 reports these sites over a whole file
+/// and D03-T propagates them through the call graph, so the direct and
+/// transitive passes can never disagree.
 pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
     let mut out = Vec::new();
     for i in start..end.min(toks.len()) {
@@ -435,6 +432,7 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
                 out.push(PanicSite {
                     line: t.line,
                     what: format!("`.{}()`", t.text),
+                    kind: PanicKind::Unwrap,
                 });
             }
         }
@@ -448,6 +446,7 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
             out.push(PanicSite {
                 line: t.line,
                 what: format!("`{}!`", t.text),
+                kind: PanicKind::Macro,
             });
         }
         if t.text == "[" && i > start {
@@ -461,20 +460,12 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
                 out.push(PanicSite {
                     line: t.line,
                     what: format!("unchecked index `{}[…]`", prev.text),
+                    kind: PanicKind::Index,
                 });
             }
         }
     }
     out
-}
-
-/// Group the index's function ids by file for the passes.
-pub fn fns_by_file(index: &SymbolIndex, n_files: usize) -> Vec<Vec<usize>> {
-    let mut by_file: Vec<Vec<usize>> = vec![Vec::new(); n_files];
-    for (id, f) in index.fns.iter().enumerate() {
-        by_file[f.file].push(id);
-    }
-    by_file
 }
 
 /// Map each function id to whether its crate is in `crates`.

@@ -47,12 +47,13 @@ fn is_ident(toks: &[Tok], i: usize, text: &str) -> bool {
 }
 
 /// Index of the bracket matching the opener at `open`, or `hi` if
-/// unclosed (truncated input). Counts all three bracket kinds.
+/// unclosed (truncated input); `open` itself when no opener sits there.
+/// Only the opener's own bracket kind is counted.
 pub fn matching(toks: &[Tok], open: usize, hi: usize) -> usize {
-    let (o, c) = match toks[open].text.as_str() {
-        "{" => ("{", "}"),
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
+    let (o, c) = match toks.get(open).map(|t| t.text.as_str()) {
+        Some("{") => ("{", "}"),
+        Some("(") => ("(", ")"),
+        Some("[") => ("[", "]"),
         _ => return open,
     };
     let mut depth = 0usize;
@@ -70,6 +71,81 @@ pub fn matching(toks: &[Tok], open: usize, hi: usize) -> usize {
         i += 1;
     }
     hi
+}
+
+/// Index of the first `stop` token at bracket depth 0 in `[from, hi)`,
+/// or `hi` if none: a statement's `;`, a match arm's `,`.
+pub(crate) fn scan_to(toks: &[Tok], from: usize, hi: usize, stop: &str) -> usize {
+    let mut depth = 0i32;
+    let mut i = from;
+    while i < hi {
+        match toks[i].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            t if t == stop && depth == 0 => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    hi
+}
+
+/// One `match` arm as token ranges: the pattern (with any guard) before
+/// the `=>`, and the body — a block's range excludes its braces.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arm {
+    pub(crate) pat: (usize, usize),
+    pub(crate) body: (usize, usize),
+}
+
+/// The arms of the `match` body whose braces sit at `open` and `close`.
+pub(crate) fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<Arm> {
+    let mut arms = Vec::new();
+    let mut i = open + 1;
+    while i < close {
+        // Skip the pattern (and guard) up to the `=>` at depth 0.
+        let mut depth = 0i32;
+        let mut arrow = None;
+        let mut j = i;
+        while j < close {
+            match toks[j].text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "=" if depth == 0 && toks.get(j + 1).is_some_and(|t| t.text == ">") => {
+                    arrow = Some(j);
+                    break;
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        let Some(arrow) = arrow else { break };
+        let body_start = arrow + 2;
+        if body_start >= close {
+            break;
+        }
+        let pat = (i, arrow);
+        if toks[body_start].text == "{" {
+            let bclose = matching(toks, body_start, close);
+            arms.push(Arm {
+                pat,
+                body: (body_start + 1, bclose),
+            });
+            i = bclose + 1;
+            if toks.get(i).is_some_and(|t| t.text == ",") {
+                i += 1;
+            }
+        } else {
+            // Expression arm: runs to the `,` at depth 0 (or the match end).
+            let k = scan_to(toks, body_start, close, ",");
+            arms.push(Arm {
+                pat,
+                body: (body_start, k),
+            });
+            i = (k + 1).min(close);
+        }
+    }
+    arms
 }
 
 /// Scan forward from `from` for a `{` at bracket depth 0 (only `(`/`[`
@@ -160,13 +236,9 @@ fn parse_seq(toks: &[Tok], lo: usize, hi: usize) -> Vec<Cfg> {
                     i += 1;
                     continue;
                 };
-                let close = matching(toks, open, hi);
-                out.push(Cfg::Loop(Box::new(Cfg::Seq(parse_seq(
-                    toks,
-                    open + 1,
-                    close,
-                )))));
-                i = close + 1;
+                let (body, next) = block(toks, open, hi);
+                out.push(Cfg::Loop(Box::new(Cfg::Seq(body))));
+                i = next;
                 flat = i;
             }
             "while" => {
@@ -179,46 +251,32 @@ fn parse_seq(toks: &[Tok], lo: usize, hi: usize) -> Vec<Cfg> {
                     i += 1;
                     continue;
                 };
-                let close = matching(toks, open, hi);
-                let mut body = vec![Cfg::Stmt(c, open)]; // the condition
-                body.extend(parse_seq(toks, open + 1, close));
-                out.push(Cfg::Loop(Box::new(Cfg::Seq(body))));
-                i = close + 1;
+                let (body, next) = block(toks, open, hi);
+                let mut seq = vec![Cfg::Stmt(c, open)]; // the condition
+                seq.extend(body);
+                out.push(Cfg::Loop(Box::new(Cfg::Seq(seq))));
+                i = next;
                 flat = i;
             }
             "for" => {
                 flush(&mut out, flat, i);
                 // pattern `in` iterable `{` body `}`
-                let mut c = i + 1;
-                let mut pdepth = 0i32;
-                while c < hi {
-                    match toks[c].text.as_str() {
-                        "(" | "[" | "{" => pdepth += 1,
-                        ")" | "]" | "}" => pdepth -= 1,
-                        "in" if pdepth == 0 && toks[c].kind == TokKind::Ident => break,
-                        _ => {}
-                    }
-                    c += 1;
-                }
+                let c = scan_to(toks, i + 1, hi, "in");
                 let Some(open) = block_open(toks, c, hi) else {
                     i += 1;
                     continue;
                 };
-                let close = matching(toks, open, hi);
+                let (body, next) = block(toks, open, hi);
                 out.push(Cfg::Stmt(c, open)); // the iterable expression
-                out.push(Cfg::Loop(Box::new(Cfg::Seq(parse_seq(
-                    toks,
-                    open + 1,
-                    close,
-                )))));
-                i = close + 1;
+                out.push(Cfg::Loop(Box::new(Cfg::Seq(body))));
+                i = next;
                 flat = i;
             }
             "{" => {
                 flush(&mut out, flat, i);
-                let close = matching(toks, i, hi);
-                out.push(Cfg::Seq(parse_seq(toks, i + 1, close)));
-                i = close + 1;
+                let (body, next) = block(toks, i, hi);
+                out.push(Cfg::Seq(body));
+                i = next;
                 flat = i;
             }
             _ => {
@@ -228,6 +286,13 @@ fn parse_seq(toks: &[Tok], lo: usize, hi: usize) -> Vec<Cfg> {
     }
     flush(&mut out, flat, hi.min(toks.len()));
     out
+}
+
+/// The statements of the block opened at `open`, and the index just past
+/// its closing brace.
+fn block(toks: &[Tok], open: usize, hi: usize) -> (Vec<Cfg>, usize) {
+    let close = matching(toks, open, hi);
+    (parse_seq(toks, open + 1, close), close + 1)
 }
 
 fn flush(out: &mut Vec<Cfg>, lo: usize, hi: usize) {
@@ -247,19 +312,18 @@ fn parse_if(toks: &[Tok], at: usize, hi: usize) -> (Cfg, usize) {
     let Some(open) = block_open(toks, c, hi) else {
         return (Cfg::Stmt(at, (at + 1).min(hi)), (at + 1).min(hi));
     };
-    let close = matching(toks, open, hi);
     let cond = Cfg::Stmt(c, open);
-    let then = Cfg::Seq(parse_seq(toks, open + 1, close));
-    let mut next = close + 1;
+    let (then, mut next) = block(toks, open, hi);
+    let then = Cfg::Seq(then);
     let alt = if is_ident(toks, next, "else") {
         if is_ident(toks, next + 1, "if") {
             let (node, after) = parse_if(toks, next + 1, hi);
             next = after;
             node
         } else if let Some(eopen) = block_open(toks, next + 1, hi) {
-            let eclose = matching(toks, eopen, hi);
-            next = eclose + 1;
-            Cfg::Seq(parse_seq(toks, eopen + 1, eclose))
+            let (body, after) = block(toks, eopen, hi);
+            next = after;
+            Cfg::Seq(body)
         } else {
             Cfg::Seq(Vec::new())
         }
@@ -277,54 +341,10 @@ fn parse_match(toks: &[Tok], at: usize, hi: usize) -> (Cfg, usize) {
     };
     let close = matching(toks, open, hi);
     let scrutinee = Cfg::Stmt(at + 1, open);
-    let mut arms = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        // Skip the pattern (and guard) up to the `=>` at depth 0.
-        let mut depth = 0i32;
-        let mut arrow = None;
-        let mut j = i;
-        while j < close {
-            match toks[j].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" if depth == 0 && toks.get(j + 1).is_some_and(|t| t.text == ">") => {
-                    arrow = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let body_start = arrow + 2;
-        if body_start >= close {
-            break;
-        }
-        if toks[body_start].text == "{" {
-            let bclose = matching(toks, body_start, close);
-            arms.push(Cfg::Seq(parse_seq(toks, body_start + 1, bclose)));
-            i = bclose + 1;
-            if toks.get(i).is_some_and(|t| t.text == ",") {
-                i += 1;
-            }
-        } else {
-            // Expression arm: runs to the `,` at depth 0 (or the match end).
-            let mut depth = 0i32;
-            let mut k = body_start;
-            while k < close {
-                match toks[k].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            arms.push(Cfg::Seq(parse_seq(toks, body_start, k)));
-            i = (k + 1).min(close);
-        }
-    }
+    let mut arms: Vec<Cfg> = match_arms(toks, open, close)
+        .into_iter()
+        .map(|a| Cfg::Seq(parse_seq(toks, a.body.0, a.body.1)))
+        .collect();
     if arms.is_empty() {
         arms.push(Cfg::Seq(Vec::new()));
     }

@@ -4,8 +4,9 @@
 //! **D10** upgrades D01/D02's "any use anywhere" syntactic net into a
 //! flow-sensitive question: does a nondeterministic *value* actually
 //! reach a determinism-critical *sink*? Sources are hash-order iteration
-//! and the clock/entropy/thread/env surfaces; sinks are digest folds,
-//! trace/metrics records, and protocol message payloads. The analysis is
+//! (D01's method list) and the clock/entropy/thread/env surfaces; sinks
+//! are digest folds, trace/metrics records, and protocol message
+//! payloads. The analysis is
 //! an intraprocedural worklist walk over the structured CFG
 //! ([`crate::cfg`]) with a taint environment per simple binding, merged
 //! at joins and iterated (twice) through loops, plus a coarse
@@ -15,13 +16,14 @@
 //! chain. Bindings killed by a clean reassignment drop their taint — the
 //! exact case the syntactic rules cannot express.
 //!
-//! **P21** reuses the same walker for the generation ledger: a value read
-//! from the *pending* (uncommitted) side of `GpState`'s ledger must
-//! never reach a log-trim or floor-advertise sink (`advertise`,
-//! `reset_floors`, `gc`). The sanctioned laundering point is promotion
-//! into `committed` — floors derived from the committed ledger are clean
-//! by construction, and that is exactly what the flow-sensitive kill
-//! expresses. Trimming to an uncommitted floor destroys log bytes a
+//! **P21** runs the same walker (`Flow`) over the generation ledger; the
+//! two rules differ only in the `Taint` parts they hand it (rule, sink
+//! list, source matcher, message). A value read from the *pending*
+//! (uncommitted) side of `GpState`'s ledger must never reach a log-trim
+//! or floor-advertise sink (`advertise`, `reset_floors`, `gc`). The
+//! sanctioned laundering point is promotion into `committed` — floors
+//! derived from the committed ledger are clean by construction, and that
+//! is exactly what the flow-sensitive kill expresses. Trimming to an uncommitted floor destroys log bytes a
 //! fallback restart still needs; the survivability oracle only catches
 //! it when chaos happens to schedule the crash inside the window.
 //!
@@ -38,9 +40,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
 use crate::cfg::{self, Cfg};
-use crate::lexer::{self, Lexed, TokKind};
+use crate::lexer::{in_spans, Lexed, Tok, TokKind};
 use crate::policy;
-use crate::report::{Finding, Rule, Status};
+use crate::report::{sort_dedup, Finding, Rule};
 use crate::rules;
 use crate::symbols::SymbolIndex;
 
@@ -107,49 +109,39 @@ pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -
         let Some((lo, hi)) = fd.body else { continue };
         // A body with no source and no call into a taint-returning fn
         // cannot produce a flow; skip the CFG walk.
-        let lx = views[fd.file].1;
         let calls_taint = graph.calls[f]
             .iter()
             .any(|cs| cs.targets.iter().any(|&t| ret_taint[t]));
         if !gen[f] && !calls_taint {
             continue;
         }
-        let mut flow = Flow {
-            index,
-            lx,
-            rel: views[fd.file].0,
-            hash_bound: &hash_bound[fd.file],
+        let hash_bound = &hash_bound[fd.file];
+        let taint = Taint {
+            rule: Rule::D10,
+            sinks: SINKS,
+            source: &|toks, i, hi| source_at(toks, i, hi, hash_bound),
             ret_taint: &ret_taint,
-            reported: BTreeSet::new(),
-            out: &mut out,
+            message: |sink, steps| {
+                format!(
+                    "nondeterministic value flows into sink `{sink}(…)`: {steps} → {sink}() \
+                     — the digest/trace/payload plane must be replay-stable"
+                )
+            },
         };
-        let graph_cfg = cfg::build(&lx.toks, lo, hi);
-        flow.walk(&graph_cfg, Env::new());
+        Flow::new(&taint, index, views[fd.file], &mut out).run(lo, hi);
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
 }
 
 /// Does `[lo, hi)` contain a nondeterminism source?
-fn has_source(toks: &[lexer::Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<String>) -> bool {
+fn has_source(toks: &[Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<String>) -> bool {
     let hi = hi.min(toks.len());
     (lo..hi).any(|i| source_at(toks, i, hi, hash_bound).is_some())
 }
 
 /// The nondeterminism source starting at token `i`, if any.
-fn source_at(
-    toks: &[lexer::Tok],
-    i: usize,
-    hi: usize,
-    hash_bound: &BTreeSet<String>,
-) -> Option<String> {
+fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<String>) -> Option<String> {
     let t = &toks[i];
     if t.kind != TokKind::Ident {
         return None;
@@ -173,27 +165,63 @@ fn source_at(
         && toks.get(i + 1).is_some_and(|a| a.text == ".")
         && i + 2 < hi
         && toks[i + 2].kind == TokKind::Ident
-        && matches!(
-            toks[i + 2].text.as_str(),
-            "iter" | "iter_mut" | "into_iter" | "keys" | "values" | "values_mut" | "drain"
-        )
+        && rules::HASH_ITER_METHODS.contains(&toks[i + 2].text.as_str())
     {
         return Some(format!("hash-ordered iteration over `{}`", t.text));
     }
     None
 }
 
-struct Flow<'a> {
-    index: &'a SymbolIndex,
-    lx: &'a Lexed,
-    rel: &'a str,
-    hash_bound: &'a BTreeSet<String>,
+/// A taint source matcher: the source starting at token `i` of a range
+/// ending at `hi`, described for the witness chain.
+type Source<'a> = dyn Fn(&[Tok], usize, usize) -> Option<String> + 'a;
+
+/// The rule-specific parts of a taint pass. D10 and P21 share the
+/// walker ([`Flow`]) and differ only in these.
+struct Taint<'a> {
+    rule: Rule,
+    /// Callee names whose tainted arguments are findings.
+    sinks: &'a [&'a str],
+    source: &'a Source<'a>,
+    /// Per fn id: does a call to it return a tainted value?
     ret_taint: &'a [bool],
+    /// The finding message for a sink name and its rendered chain.
+    message: fn(&str, &str) -> String,
+}
+
+/// The flow-sensitive taint walker over one function body.
+struct Flow<'a> {
+    taint: &'a Taint<'a>,
+    index: &'a SymbolIndex,
+    rel: &'a str,
+    lx: &'a Lexed,
     reported: BTreeSet<(usize, String)>,
     out: &'a mut Vec<Finding>,
 }
 
-impl Flow<'_> {
+impl<'a> Flow<'a> {
+    fn new(
+        taint: &'a Taint<'a>,
+        index: &'a SymbolIndex,
+        (rel, lx): (&'a str, &'a Lexed),
+        out: &'a mut Vec<Finding>,
+    ) -> Self {
+        Flow {
+            taint,
+            index,
+            rel,
+            lx,
+            reported: BTreeSet::new(),
+            out,
+        }
+    }
+
+    /// Walk the body `[lo, hi)` from an empty environment.
+    fn run(&mut self, lo: usize, hi: usize) {
+        let graph_cfg = cfg::build(&self.lx.toks, lo, hi);
+        self.walk(&graph_cfg, Env::new());
+    }
+
     fn walk(&mut self, c: &Cfg, mut env: Env) -> Env {
         match c {
             Cfg::Stmt(lo, hi) => {
@@ -230,17 +258,7 @@ impl Flow<'_> {
         let hi = hi.min(toks.len());
         let mut a = lo;
         while a < hi {
-            let mut depth = 0i32;
-            let mut b = a;
-            while b < hi {
-                match toks[b].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-                b += 1;
-            }
+            let b = cfg::scan_to(toks, a, hi, ";");
             if a < b {
                 self.sinks(env, a, b);
                 self.binding(env, a, b);
@@ -255,7 +273,7 @@ impl Flow<'_> {
         for i in a..b {
             let t = &toks[i];
             if t.kind != TokKind::Ident
-                || !SINKS.contains(&t.text.as_str())
+                || !self.taint.sinks.contains(&t.text.as_str())
                 || toks.get(i + 1).is_none_or(|n| n.text != "(")
             {
                 continue;
@@ -272,20 +290,14 @@ impl Flow<'_> {
                 .iter()
                 .map(|(desc, line)| format!("{desc} (line {line})"))
                 .collect();
-            self.out.push(Finding {
-                file: self.rel.to_string(),
-                line: t.line,
-                rule: Rule::D10,
-                message: format!(
-                    "nondeterministic value flows into sink `{}(…)`: {} → {}() \
-                     — the digest/trace/payload plane must be replay-stable",
-                    t.text,
-                    steps.join(" → "),
-                    t.text,
-                ),
-                snippet: self.lx.snippet(t.line).to_string(),
-                status: Status::New,
-            });
+            let message = (self.taint.message)(&t.text, &steps.join(" → "));
+            self.out.push(Finding::new(
+                self.rel,
+                self.lx,
+                t.line,
+                self.taint.rule,
+                message,
+            ));
         }
     }
 
@@ -313,13 +325,14 @@ impl Flow<'_> {
     }
 
     /// The leftmost taint in an expression range, if any: a source, a
-    /// tainted binding, or a call to a taint-returning function.
+    /// tainted binding, or a call to a taint-returning function — checked
+    /// in that order at each token.
     fn expr_taint(&self, env: &Env, lo: usize, hi: usize) -> Option<Chain> {
         let toks = &self.lx.toks;
         let hi = hi.min(toks.len());
         let mut i = lo;
         while i < hi {
-            if let Some(desc) = source_at(toks, i, hi, self.hash_bound) {
+            if let Some(desc) = (self.taint.source)(toks, i, hi) {
                 return Some(vec![(desc, toks[i].line)]);
             }
             let t = &toks[i];
@@ -329,7 +342,7 @@ impl Flow<'_> {
                 }
                 if toks.get(i + 1).is_some_and(|n| n.text == "(") {
                     if let Some(ids) = self.index.by_name.get(&t.text) {
-                        if ids.iter().any(|&id| self.ret_taint[id]) {
+                        if ids.iter().any(|&id| self.taint.ret_taint[id]) {
                             return Some(vec![(
                                 format!("`{}()` (returns a nondeterministic value)", t.text),
                                 t.line,
@@ -348,7 +361,7 @@ impl Flow<'_> {
 /// `[a, b)`: the bound name and the RHS start. An uninitialized `let x;`
 /// returns the name with RHS start `b` (the binding kills taint);
 /// destructuring patterns return `None` (nothing simple to track).
-fn simple_binding(toks: &[lexer::Tok], a: usize, b: usize) -> Option<(String, usize)> {
+fn simple_binding(toks: &[Tok], a: usize, b: usize) -> Option<(String, usize)> {
     if toks[a].text == "let" {
         let mut j = a + 1;
         if toks.get(j).is_some_and(|t| t.text == "mut") {
@@ -398,8 +411,29 @@ const GC_SINKS: &[&str] = &["advertise", "reset_floors", "gc"];
 /// this file's contract; elsewhere `pending` names unrelated state.
 const GC_FILE: &str = "crates/core/src/hooks.rs";
 
-/// Run the P21 GC-floor soundness pass.
+/// Run the P21 GC-floor soundness pass: D10's walker with the pending
+/// ledger as the sole source and the GC surfaces as sinks. Promotion into
+/// `committed` is not a sink, so the committed-ledger laundering path
+/// stays clean — exactly the sanctioned flow.
 pub fn gc_floor(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
+    let no_ret_taint = vec![false; index.fns.len()];
+    let taint = Taint {
+        rule: Rule::P21,
+        sinks: GC_SINKS,
+        source: &|toks, i, _| {
+            (toks[i].kind == TokKind::Ident && toks[i].text == "pending")
+                .then(|| "the pending generation ledger".to_string())
+        },
+        ret_taint: &no_ret_taint,
+        message: |sink, steps| {
+            format!(
+                "GC floor derived from an *uncommitted* generation reaches \
+                 `{sink}(…)`: {steps} → {sink}() — promote the snapshot to the \
+                 committed ledger first, or a crash inside the window trims log \
+                 bytes the fallback restart still needs"
+            )
+        },
+    };
     let mut out = Vec::new();
     for fd in &index.fns {
         if views[fd.file].0 != GC_FILE {
@@ -413,170 +447,10 @@ pub fn gc_floor(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         if !touches {
             continue;
         }
-        let mut flow = GcFlow {
-            lx,
-            rel: views[fd.file].0,
-            reported: BTreeSet::new(),
-            out: &mut out,
-        };
-        let graph_cfg = cfg::build(&lx.toks, lo, hi);
-        flow.walk(&graph_cfg, Env::new());
+        Flow::new(&taint, index, views[fd.file], &mut out).run(lo, hi);
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
-}
-
-/// The P21 walker: D10's flow-sensitive machinery with the pending
-/// ledger as the sole source and the GC surfaces as sinks. Promotion
-/// into `committed` is not a sink, so the committed-ledger laundering
-/// path stays clean — exactly the sanctioned flow.
-struct GcFlow<'a> {
-    lx: &'a Lexed,
-    rel: &'a str,
-    reported: BTreeSet<(usize, String)>,
-    out: &'a mut Vec<Finding>,
-}
-
-impl GcFlow<'_> {
-    fn walk(&mut self, c: &Cfg, mut env: Env) -> Env {
-        match c {
-            Cfg::Stmt(lo, hi) => {
-                self.stmt(&mut env, *lo, *hi);
-                env
-            }
-            Cfg::Seq(v) => v.iter().fold(env, |e, n| self.walk(n, e)),
-            Cfg::Branch(v) => {
-                let mut merged = Env::new();
-                for n in v {
-                    for (k, chain) in self.walk(n, env.clone()) {
-                        merged.entry(k).or_insert(chain);
-                    }
-                }
-                merged
-            }
-            Cfg::Loop(b) => {
-                for _ in 0..2 {
-                    for (k, chain) in self.walk(b, env.clone()) {
-                        env.entry(k).or_insert(chain);
-                    }
-                }
-                env
-            }
-        }
-    }
-
-    fn stmt(&mut self, env: &mut Env, lo: usize, hi: usize) {
-        let toks = &self.lx.toks;
-        let hi = hi.min(toks.len());
-        let mut a = lo;
-        while a < hi {
-            let mut depth = 0i32;
-            let mut b = a;
-            while b < hi {
-                match toks[b].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-                b += 1;
-            }
-            if a < b {
-                self.sinks(env, a, b);
-                self.binding(env, a, b);
-            }
-            a = b + 1;
-        }
-    }
-
-    fn sinks(&mut self, env: &Env, a: usize, b: usize) {
-        let toks = &self.lx.toks;
-        for i in a..b {
-            let t = &toks[i];
-            if t.kind != TokKind::Ident
-                || !GC_SINKS.contains(&t.text.as_str())
-                || toks.get(i + 1).is_none_or(|n| n.text != "(")
-            {
-                continue;
-            }
-            let close = cfg::matching(toks, i + 1, toks.len());
-            let Some(chain) = self.expr_taint(env, i + 2, close) else {
-                continue;
-            };
-            let key = (t.line, t.text.clone());
-            if !self.reported.insert(key) {
-                continue;
-            }
-            let steps: Vec<String> = chain
-                .iter()
-                .map(|(desc, line)| format!("{desc} (line {line})"))
-                .collect();
-            self.out.push(Finding {
-                file: self.rel.to_string(),
-                line: t.line,
-                rule: Rule::P21,
-                message: format!(
-                    "GC floor derived from an *uncommitted* generation reaches \
-                     `{}(…)`: {} → {}() — promote the snapshot to the committed \
-                     ledger first, or a crash inside the window trims log bytes \
-                     the fallback restart still needs",
-                    t.text,
-                    steps.join(" → "),
-                    t.text,
-                ),
-                snippet: self.lx.snippet(t.line).to_string(),
-                status: Status::New,
-            });
-        }
-    }
-
-    fn binding(&mut self, env: &mut Env, a: usize, b: usize) {
-        let toks = &self.lx.toks;
-        let Some((target, rhs)) = simple_binding(toks, a, b) else {
-            return;
-        };
-        if rhs >= b {
-            env.remove(&target);
-            return;
-        }
-        match self.expr_taint(env, rhs, b) {
-            Some(mut chain) => {
-                if chain.last().map(|(d, _)| d.as_str()) != Some(&format!("`{target}`")) {
-                    chain.push((format!("`{target}`"), toks[a].line));
-                }
-                env.insert(target, chain);
-            }
-            None => {
-                env.remove(&target);
-            }
-        }
-    }
-
-    /// The leftmost pending-ledger taint in `[lo, hi)`: the `pending`
-    /// field itself, or a binding carrying a value read from it.
-    fn expr_taint(&self, env: &Env, lo: usize, hi: usize) -> Option<Chain> {
-        let toks = &self.lx.toks;
-        let hi = hi.min(toks.len());
-        for t in &toks[lo..hi] {
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            if t.text == "pending" {
-                return Some(vec![("the pending generation ledger".to_string(), t.line)]);
-            }
-            if let Some(chain) = env.get(&t.text) {
-                return Some(chain.clone());
-            }
-        }
-        None
-    }
 }
 
 /// Run the S01 shard-isolation pass.
@@ -589,13 +463,12 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
     };
     let mut out = Vec::new();
     let (_, blx) = views[bi];
-    let btests = lexer::test_spans(blx);
 
     // Shard-local type names defined by the boundary file.
     let mut names: BTreeSet<&str> = BTreeSet::new();
     for (i, t) in blx.toks.iter().enumerate() {
         if matches!(t.text.as_str(), "struct" | "enum")
-            && !lexer::in_spans(&btests, t.line)
+            && !in_spans(&blx.tests, t.line)
             && blx
                 .toks
                 .get(i + 1)
@@ -614,7 +487,7 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
     while i < blx.toks.len() {
         let t = &blx.toks[i];
         if t.text == "pub"
-            && !lexer::in_spans(&btests, t.line)
+            && !in_spans(&blx.tests, t.line)
             && blx.toks.get(i + 1).is_none_or(|n| n.text != "(")
         {
             let mut j = i + 1;
@@ -632,19 +505,18 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
             {
                 if let Some(name) = blx.toks.get(j + 1) {
                     if !policy::SHARD_EXPORTED.contains(&name.text.as_str()) {
-                        out.push(Finding {
-                            file: views[bi].0.to_string(),
-                            line: t.line,
-                            rule: Rule::S01,
-                            message: format!(
+                        out.push(Finding::new(
+                            views[bi].0,
+                            blx,
+                            t.line,
+                            Rule::S01,
+                            format!(
                                 "shard-boundary item `{}` is exported `pub` — keep \
                                  shard-local state `pub(crate)` so only the merge \
                                  boundary can reach it",
                                 name.text
                             ),
-                            snippet: blx.snippet(t.line).to_string(),
-                            status: Status::New,
-                        });
+                        ));
                     }
                 }
             }
@@ -655,60 +527,43 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
     // (b) Scope crates: shard-local types and the `.shards` arena are
     // reachable only through the merge boundary.
     for (rel, lx) in views {
-        let scoped = crate_name(rel).is_some_and(|c| policy::SHARD_SCOPE_CRATES.contains(&c))
+        let scoped = policy::crate_of(rel).is_some_and(|c| policy::SHARD_SCOPE_CRATES.contains(&c))
             && !policy::SHARD_MERGERS.contains(rel);
         if !scoped {
             continue;
         }
-        let tests = lexer::test_spans(lx);
         for (i, t) in lx.toks.iter().enumerate() {
-            if lexer::in_spans(&tests, t.line) {
+            if in_spans(&lx.tests, t.line) {
                 continue;
             }
             if t.kind == TokKind::Ident && names.contains(t.text.as_str()) {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: Rule::S01,
-                    message: format!(
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    t.line,
+                    Rule::S01,
+                    format!(
                         "shard-local type `{}` used outside the merge boundary \
                          ({}) — cross-shard state must flow through the \
                          merge/global-sequence path",
                         t.text,
                         policy::SHARD_MERGERS.join(", "),
                     ),
-                    snippet: lx.snippet(t.line).to_string(),
-                    status: Status::New,
-                });
+                ));
             }
             if t.text == "shards" && i >= 1 && lx.toks[i - 1].text == "." {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: Rule::S01,
-                    message: "per-shard arena `.shards` accessed outside the merge \
-                              boundary — shard heaps are private to the \
-                              merge/global-sequence path"
-                        .to_string(),
-                    snippet: lx.snippet(t.line).to_string(),
-                    status: Status::New,
-                });
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    t.line,
+                    Rule::S01,
+                    "per-shard arena `.shards` accessed outside the merge \
+                     boundary — shard heaps are private to the \
+                     merge/global-sequence path",
+                ));
             }
         }
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
-}
-
-fn crate_name(rel: &str) -> Option<&str> {
-    let rest = rel.strip_prefix("crates/")?;
-    let (name, tail) = rest.split_once('/')?;
-    tail.starts_with("src/").then_some(name)
 }

@@ -58,6 +58,9 @@ pub struct Lexed {
     pub code_lines: Vec<String>,
     /// The raw source split into lines (for human-facing snippets).
     pub raw_lines: Vec<String>,
+    /// Line spans of test-only items ([`test_spans`]), computed once here
+    /// for every rule and pass that exempts test code.
+    pub tests: Vec<(usize, usize)>,
 }
 
 impl Lexed {
@@ -279,6 +282,7 @@ pub fn lex(src: &str) -> Lexed {
         .lines()
         .map(str::to_string)
         .collect();
+    out.tests = test_spans(&out);
     out
 }
 

@@ -34,28 +34,44 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{self, Cfg};
 use crate::lexer::{Lexed, TokKind};
-use crate::report::{Finding, Rule, Status};
+use crate::report::{sort_dedup, Finding, Rule};
 use crate::symbols::SymbolIndex;
 
 /// Control-plane helper file whose callees are inlined into every
 /// protocol entry (alongside the entry's own file).
 pub const INLINE_HELPERS: &str = "crates/core/src/ctrlplane.rs";
 
-/// Storage-catalog method names that are protocol events (on a `store`
-/// receiver).
-const STORE_OPS: &[&str] = &[
-    "begin",
-    "commit",
-    "abort",
-    "record_image",
-    "record_failure",
-    "validate",
-    "record_load",
+/// Method calls that are protocol events, as `(receiver, methods,
+/// event)`: a call `receiver.method(…)` on a receiver literally named so
+/// is the event, or `receiver.method` when the event is `None`.
+/// Backend-routed image I/O is the same event as the direct storage call
+/// it replaced: the disk path delegates verbatim, the restore path adds
+/// replica traffic on top. The `replicas` ops are the restore backend's
+/// rebuild pass.
+const METHOD_EVENTS: &[(&str, &[&str], Option<&str>)] = &[
+    (
+        "store",
+        &[
+            "begin",
+            "commit",
+            "abort",
+            "record_image",
+            "record_failure",
+            "validate",
+            "record_load",
+        ],
+        None,
+    ),
+    ("storage", &["write", "write_with_retry"], Some("write")),
+    ("storage", &["read", "read_with_retry"], Some("read")),
+    ("backend", &["write_image"], Some("write")),
+    ("backend", &["read_image"], Some("read")),
+    (
+        "replicas",
+        &["push_block", "ack_quorum", "commit_visible"],
+        None,
+    ),
 ];
-
-/// Replica-table method names that are protocol events (on a `replicas`
-/// receiver) — the restore backend's rebuild pass.
-const REPLICA_OPS: &[&str] = &["push_block", "ack_quorum", "commit_visible"];
 
 /// One protocol's phase machine.
 #[derive(Debug)]
@@ -344,14 +360,7 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         let tree = ex.extract_fn(f, &mut Vec::new());
         out.extend(simulate(spec, &tree, index, views, f));
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
 }
 
@@ -471,15 +480,8 @@ impl Extractor<'_> {
                 continue;
             }
             let name = t.text.as_str();
-            let ctrl = match name {
-                "ctrl_send" => Some("send"),
-                "ctrl_recv" => Some("recv"),
-                "ctrl_barrier" => Some("barrier"),
-                _ => None,
-            };
-            if let Some(kind) = ctrl {
-                let close = cfg::matching(toks, i + 1, toks.len());
-                if let Some(tag) = find_tag(lx, i + 2, close, tag_lets) {
+            if let Some((kind, _, tag)) = ctrl_call(lx, i, tag_lets) {
+                if let Some(tag) = tag {
                     out.push(Tree::Ev(Ev {
                         name: format!("{kind}:{tag}"),
                         file: fi,
@@ -489,63 +491,15 @@ impl Extractor<'_> {
                 i += 1;
                 continue;
             }
-            let receiver_is = |want: &str| {
-                i >= 2
-                    && toks[i - 1].text == "."
-                    && toks[i - 2].kind == TokKind::Ident
-                    && toks[i - 2].text == want
-            };
-            if STORE_OPS.contains(&name) && receiver_is("store") {
+            let receiver =
+                (i >= 2 && toks[i - 1].text == "." && toks[i - 2].kind == TokKind::Ident)
+                    .then(|| toks[i - 2].text.as_str());
+            let event = METHOD_EVENTS
+                .iter()
+                .find(|(recv, methods, _)| receiver == Some(*recv) && methods.contains(&name));
+            if let Some((recv, _, ev)) = event {
                 out.push(Tree::Ev(Ev {
-                    name: format!("store.{name}"),
-                    file: fi,
-                    line: t.line,
-                }));
-                i += 1;
-                continue;
-            }
-            if matches!(name, "write" | "write_with_retry") && receiver_is("storage") {
-                out.push(Tree::Ev(Ev {
-                    name: "write".to_string(),
-                    file: fi,
-                    line: t.line,
-                }));
-                i += 1;
-                continue;
-            }
-            if matches!(name, "read" | "read_with_retry") && receiver_is("storage") {
-                out.push(Tree::Ev(Ev {
-                    name: "read".to_string(),
-                    file: fi,
-                    line: t.line,
-                }));
-                i += 1;
-                continue;
-            }
-            // Backend-routed image I/O is the same protocol event as the
-            // direct storage call it replaced: the disk path delegates
-            // verbatim, the restore path adds replica traffic on top.
-            if name == "write_image" && receiver_is("backend") {
-                out.push(Tree::Ev(Ev {
-                    name: "write".to_string(),
-                    file: fi,
-                    line: t.line,
-                }));
-                i += 1;
-                continue;
-            }
-            if name == "read_image" && receiver_is("backend") {
-                out.push(Tree::Ev(Ev {
-                    name: "read".to_string(),
-                    file: fi,
-                    line: t.line,
-                }));
-                i += 1;
-                continue;
-            }
-            if REPLICA_OPS.contains(&name) && receiver_is("replicas") {
-                out.push(Tree::Ev(Ev {
-                    name: format!("replicas.{name}"),
+                    name: ev.map_or_else(|| format!("{recv}.{name}"), str::to_string),
                     file: fi,
                     line: t.line,
                 }));
@@ -600,9 +554,28 @@ pub(crate) fn tag_lets(lx: &Lexed, lo: usize, hi: usize) -> BTreeMap<String, Str
     map
 }
 
+/// The `ctrl_send`/`ctrl_recv`/`ctrl_barrier` call whose name is token
+/// `i` (already known to be followed by `(`): its event kind (`send`,
+/// `recv`, `barrier`), the index of its closing paren, and the tag its
+/// arguments name, if any.
+pub(crate) fn ctrl_call(
+    lx: &Lexed,
+    i: usize,
+    tag_lets: &BTreeMap<String, String>,
+) -> Option<(&'static str, usize, Option<String>)> {
+    let kind = match lx.toks[i].text.as_str() {
+        "ctrl_send" => "send",
+        "ctrl_recv" => "recv",
+        "ctrl_barrier" => "barrier",
+        _ => return None,
+    };
+    let close = cfg::matching(&lx.toks, i + 1, lx.toks.len());
+    Some((kind, close, find_tag(lx, i + 2, close, tag_lets)))
+}
+
 /// The ctrl tag named in `[lo, hi)`: a literal `tags::NAME`, or an ident
 /// aliased by a `tag_lets` binding.
-pub(crate) fn find_tag(
+fn find_tag(
     lx: &Lexed,
     lo: usize,
     hi: usize,
@@ -664,10 +637,11 @@ fn simulate(
             .last()
             .map(|e| (e.file, e.line))
             .unwrap_or((ed.file, ed.line));
-        out.push(raw_finding(
-            views,
-            file,
+        out.push(Finding::new(
+            views[file].0,
+            views[file].1,
             line,
+            Rule::P10,
             format!(
                 "protocol `{}` can finish in non-accepting phase `{st}` — an \
                  opened generation is never resolved (unmatched begin/commit/abort); \
@@ -679,10 +653,11 @@ fn simulate(
     }
     for (ev, why) in spec.required {
         if !sim.consumed.contains(ev) {
-            out.push(raw_finding(
-                views,
-                ed.file,
+            out.push(Finding::new(
+                views[ed.file].0,
+                views[ed.file].1,
                 ed.line,
+                Rule::P10,
                 format!(
                     "protocol `{}`: required event `{ev}` is unreachable in \
                      `{}` — {why}",
@@ -763,8 +738,9 @@ impl Sim<'_> {
                 legal_events(self.spec, st),
                 witness_with(self.views, trail, ev),
             );
+            let (rel, lx) = self.views[ev.file];
             self.violations
-                .push(raw_finding(self.views, ev.file, ev.line, message));
+                .push(Finding::new(rel, lx, ev.line, Rule::P10, message));
             // Report, then ignore the event: the rest of the protocol is
             // still checked from the phases we were in.
             return states;
@@ -811,15 +787,4 @@ fn witness(views: &[(&str, &Lexed)], trail: &Trail) -> String {
 
 fn basename(rel: &str) -> &str {
     rel.rsplit('/').next().unwrap_or(rel)
-}
-
-fn raw_finding(views: &[(&str, &Lexed)], file: usize, line: usize, message: String) -> Finding {
-    Finding {
-        file: views[file].0.to_string(),
-        line,
-        rule: Rule::P10,
-        message,
-        snippet: views[file].1.snippet(line).to_string(),
-        status: Status::New,
-    }
 }

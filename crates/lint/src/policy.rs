@@ -86,7 +86,9 @@ pub struct Policy {
     pub e: bool,
 }
 
-fn crate_of(rel: &str) -> Option<&str> {
+/// The crate of a `crates/<name>/src/…` path; `None` for the root
+/// package and anything outside a crate's `src/` tree.
+pub(crate) fn crate_of(rel: &str) -> Option<&str> {
     let rest = rel.strip_prefix("crates/")?;
     let (name, tail) = rest.split_once('/')?;
     tail.starts_with("src/").then_some(name)

@@ -2,6 +2,8 @@
 
 use gcr_json::Json;
 
+use crate::lexer::Lexed;
+
 /// Rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -79,27 +81,8 @@ impl Rule {
     /// Parse a rule id (as found inside `allow(...)`). `D03-T` also
     /// accepts the hyphen-free spelling `D03T`.
     pub fn parse(s: &str) -> Option<Rule> {
-        match s {
-            "D01" => Some(Rule::D01),
-            "D02" => Some(Rule::D02),
-            "D03" => Some(Rule::D03),
-            "D04" => Some(Rule::D04),
-            "D03-T" | "D03T" => Some(Rule::D03T),
-            "D10" => Some(Rule::D10),
-            "E01" => Some(Rule::E01),
-            "E02" => Some(Rule::E02),
-            "E03" => Some(Rule::E03),
-            "P01" => Some(Rule::P01),
-            "P02" => Some(Rule::P02),
-            "P10" => Some(Rule::P10),
-            "P20" => Some(Rule::P20),
-            "P21" => Some(Rule::P21),
-            "S01" => Some(Rule::S01),
-            "W10" => Some(Rule::W10),
-            "W00" => Some(Rule::W00),
-            "W01" => Some(Rule::W01),
-            _ => None,
-        }
+        let s = if s == "D03T" { "D03-T" } else { s };
+        Rule::ALL.iter().copied().find(|r| r.id() == s)
     }
 
     /// Every rule, in catalog order.
@@ -158,6 +141,25 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A new finding at `line` of the file `rel`, its snippet taken from
+    /// the lexed source.
+    pub(crate) fn new(
+        rel: &str,
+        lx: &Lexed,
+        line: usize,
+        rule: Rule,
+        message: impl Into<String>,
+    ) -> Finding {
+        Finding {
+            file: rel.to_string(),
+            line,
+            rule,
+            message: message.into(),
+            snippet: lx.snippet(line).to_string(),
+            status: Status::New,
+        }
+    }
+
     /// Render as `file:line: RULE message`.
     pub fn human(&self) -> String {
         let tag = match self.status {
@@ -186,6 +188,35 @@ impl Finding {
             ),
         ])
     }
+
+    fn from_json(j: &Json) -> Option<Finding> {
+        Some(Finding {
+            file: j.get("file")?.as_str()?.to_string(),
+            line: j.get("line")?.as_usize()?,
+            rule: Rule::parse(j.get("rule")?.as_str()?)?,
+            message: j.get("message")?.as_str()?.to_string(),
+            snippet: j.get("snippet")?.as_str()?.to_string(),
+            status: match j.get("status")?.as_str()? {
+                "new" => Status::New,
+                "baseline" => Status::Baselined,
+                _ => return None,
+            },
+        })
+    }
+}
+
+/// Sort findings by file, line and message, then drop repeats of the
+/// same message on the same line — the tail of every flow-sensitive and
+/// conformance pass, whose walks can reach one site twice.
+pub(crate) fn sort_dedup(out: &mut Vec<Finding>) {
+    out.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
+            b.file.as_str(),
+            b.line,
+            b.message.as_str(),
+        ))
+    });
+    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
 }
 
 /// Call-graph construction statistics, reported so resolution quality is
@@ -227,6 +258,17 @@ impl GraphStats {
             ("ambiguous", Json::from(self.ambiguous as u64)),
             ("resolution_rate", Json::from(rate.as_str())),
         ])
+    }
+
+    /// The inverse of `to_json`; the derived `resolution_rate` is ignored.
+    fn from_json(j: &Json) -> Option<GraphStats> {
+        Some(GraphStats {
+            functions: j.get("functions")?.as_usize()?,
+            call_sites: j.get("call_sites")?.as_usize()?,
+            resolved: j.get("resolved")?.as_usize()?,
+            external: j.get("external")?.as_usize()?,
+            ambiguous: j.get("ambiguous")?.as_usize()?,
+        })
     }
 }
 
@@ -319,6 +361,32 @@ impl Report {
             fields.push(("callgraph", g.to_json()));
         }
         Json::obj(fields)
+    }
+
+    /// The inverse of [`Report::to_json`] (the derived `new` count is
+    /// recomputed, not read): the incremental cache's codec. `None` on
+    /// any missing or mistyped field.
+    pub(crate) fn from_json(j: &Json) -> Option<Report> {
+        let graph = match j.get("callgraph") {
+            Some(g) => Some(GraphStats::from_json(g)?),
+            None => None,
+        };
+        Some(Report {
+            findings: j
+                .get("findings")?
+                .as_arr()?
+                .iter()
+                .map(Finding::from_json)
+                .collect::<Option<_>>()?,
+            files_scanned: j.get("files_scanned")?.as_usize()?,
+            unused_baseline: j
+                .get("unused_baseline")?
+                .as_arr()?
+                .iter()
+                .map(|u| u.as_str().map(str::to_string))
+                .collect::<Option<_>>()?,
+            graph,
+        })
     }
 
     /// The report as a minimal SARIF 2.1.0 document, so CI can attach the

@@ -10,12 +10,14 @@
 
 use std::collections::BTreeSet;
 
+use crate::callgraph::{panic_sites, PanicKind};
 use crate::lexer::{in_spans, Lexed, Tok, TokKind};
 use crate::policy::Policy;
-use crate::report::{Finding, Rule, Status};
+use crate::report::{Finding, Rule};
 
-/// Methods whose call on a hash-ordered container observes its order.
-const HASH_ITER_METHODS: &[&str] = &[
+/// Methods whose call on a hash-ordered container observes its order
+/// (D01's method check and D10's hash-iteration source).
+pub(crate) const HASH_ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -56,33 +58,21 @@ pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
 /// `#[cfg(test)]` spans are skipped: test code runs outside the simulated
 /// world and its determinism is checked dynamically, not statically.
 pub fn check(rel: &str, lx: &Lexed, policy: Policy) -> Vec<Finding> {
-    let tests = crate::lexer::test_spans(lx);
     let mut out = Vec::new();
     if policy.d01 {
-        d01(rel, lx, &tests, &mut out);
+        d01(rel, lx, &mut out);
     }
     if policy.d02 {
-        d02(rel, lx, &tests, &mut out);
+        d02(rel, lx, &mut out);
     }
     if policy.d03 {
-        d03(rel, lx, &tests, &mut out);
+        d03(rel, lx, &mut out);
     }
     if policy.d04 {
-        d04(rel, lx, &tests, &mut out);
+        d04(rel, lx, &mut out);
     }
     out.sort_by_key(|f| (f.line, f.rule));
     out
-}
-
-fn finding(rel: &str, lx: &Lexed, line: usize, rule: Rule, message: String) -> Finding {
-    Finding {
-        file: rel.to_string(),
-        line,
-        rule,
-        message,
-        snippet: lx.snippet(line).to_string(),
-        status: Status::New,
-    }
 }
 
 fn is_hash_type(t: &Tok) -> bool {
@@ -127,11 +117,11 @@ pub(crate) fn hash_bound_idents(toks: &[Tok]) -> BTreeSet<String> {
     bound
 }
 
-fn d01(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) {
+fn d01(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
     let toks = &lx.toks;
     let bound = hash_bound_idents(toks);
     for (i, t) in toks.iter().enumerate() {
-        if in_spans(tests, t.line) {
+        if in_spans(&lx.tests, t.line) {
             continue;
         }
         // `name.iter()` / `name.keys()` / … where `name` is hash-bound,
@@ -146,7 +136,7 @@ fn d01(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
                         && HASH_ITER_METHODS.contains(&m.text.as_str())
                         && p.text == "("
                     {
-                        out.push(finding(
+                        out.push(Finding::new(
                             rel,
                             lx,
                             t.line,
@@ -182,7 +172,7 @@ fn d01(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
                     // `name.keys()` is caught by the method check above).
                     let next_is_dot = toks.get(j + 1).is_some_and(|n| n.text == ".");
                     if !next_is_dot {
-                        out.push(finding(
+                        out.push(Finding::new(
                             rel,
                             lx,
                             tk.line,
@@ -243,10 +233,10 @@ fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<String>) -> b
     false
 }
 
-fn d02(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) {
+fn d02(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
     for (idx, code) in lx.code_lines.iter().enumerate() {
         let line = idx + 1;
-        if in_spans(tests, line) {
+        if in_spans(&lx.tests, line) {
             continue;
         }
         // Report at most one finding per line: the patterns overlap
@@ -261,7 +251,7 @@ fn d02(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
                     || !code.as_bytes()[end].is_ascii_alphanumeric()
                         && code.as_bytes()[end] != b'_';
                 if before_ok && after_ok {
-                    out.push(finding(
+                    out.push(Finding::new(
                         rel,
                         lx,
                         line,
@@ -278,73 +268,27 @@ fn d02(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
     }
 }
 
-fn d03(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) {
-    let toks = &lx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if in_spans(tests, t.line) {
+fn d03(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
+    for site in panic_sites(&lx.toks, 0, lx.toks.len()) {
+        if in_spans(&lx.tests, site.line) {
             continue;
         }
-        if t.kind == TokKind::Ident && (t.text == "unwrap" || t.text == "expect") {
-            let dotted = i > 0 && toks[i - 1].text == ".";
-            let called = toks.get(i + 1).is_some_and(|n| n.text == "(");
-            if dotted && called {
-                out.push(finding(
-                    rel,
-                    lx,
-                    t.line,
-                    Rule::D03,
-                    format!(
-                        "`.{}()` on the recovery path — an injected fault must degrade \
-                         into a typed `Err`, not an abort",
-                        t.text
-                    ),
-                ));
-            }
-        }
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
-            && toks.get(i + 1).is_some_and(|n| n.text == "!")
-        {
-            out.push(finding(
-                rel,
-                lx,
-                t.line,
-                Rule::D03,
-                format!(
-                    "`{}!` on the recovery path — return a typed error through the \
-                     recovery coordinator instead",
-                    t.text
-                ),
-            ));
-        }
-        if t.text == "[" && i > 0 {
-            let prev = &toks[i - 1];
-            let indexes = match prev.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                TokKind::Punct => prev.text == ")" || prev.text == "]",
-                _ => false,
-            };
-            if indexes {
-                out.push(finding(
-                    rel,
-                    lx,
-                    t.line,
-                    Rule::D03,
-                    format!(
-                        "unchecked index `{}[…]` on the recovery path — use `.get()` \
-                         and propagate the miss",
-                        prev.text
-                    ),
-                ));
-            }
-        }
+        let advice = match site.kind {
+            PanicKind::Unwrap => "an injected fault must degrade into a typed `Err`, not an abort",
+            PanicKind::Macro => "return a typed error through the recovery coordinator instead",
+            PanicKind::Index => "use `.get()` and propagate the miss",
+        };
+        out.push(Finding::new(
+            rel,
+            lx,
+            site.line,
+            Rule::D03,
+            format!("{} on the recovery path — {advice}", site.what),
+        ));
     }
 }
 
-fn d04(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) {
+fn d04(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
     let toks = &lx.toks;
     let mut i = 0usize;
     while i + 6 < toks.len() {
@@ -355,7 +299,7 @@ fn d04(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
             && toks[i + 4].text == "dead_code"
             && toks[i + 5].text == ")"
             && toks[i + 6].text == "]";
-        if !attr || in_spans(tests, toks[i].line) {
+        if !attr || in_spans(&lx.tests, toks[i].line) {
             i += 1;
             continue;
         }
@@ -428,7 +372,7 @@ fn d04(rel: &str, lx: &Lexed, tests: &[(usize, usize)], out: &mut Vec<Finding>) 
             k += 1;
         }
         if takes_mut_ref {
-            out.push(finding(
+            out.push(Finding::new(
                 rel,
                 lx,
                 attr_line,

@@ -17,9 +17,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{self, CallGraph};
-use crate::lexer::{in_spans, test_spans, Lexed, Tok, TokKind};
+use crate::cfg;
+use crate::lexer::{in_spans, Lexed, Tok, TokKind};
 use crate::policy::{self, PROTOCOL_CRATES, PROTOCOL_ERROR_TYPES, RECOVERY_CRITICAL};
-use crate::report::{Finding, Rule, Status};
+use crate::report::{Finding, Rule};
 use crate::suppress::FileWaivers;
 use crate::symbols::{FnDef, SymbolIndex, KEYWORDS};
 
@@ -48,17 +49,6 @@ pub fn check(
     });
     out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
     out
-}
-
-fn finding(rel: &str, lx: &Lexed, line: usize, rule: Rule, message: String) -> Finding {
-    Finding {
-        file: rel.to_string(),
-        line,
-        rule,
-        message,
-        snippet: lx.snippet(line).to_string(),
-        status: Status::New,
-    }
 }
 
 // ---------------------------------------------------------------- D03-T
@@ -117,7 +107,7 @@ fn d03t(
                     cs.name
                 ),
             };
-            out.push(finding(rel, files[f.file].1, cs.line, Rule::D03T, msg));
+            out.push(Finding::new(rel, files[f.file].1, cs.line, Rule::D03T, msg));
         }
     }
 }
@@ -146,8 +136,7 @@ fn e_rules(
     waivers: &mut [FileWaivers],
     out: &mut Vec<Finding>,
 ) {
-    for (id, f) in index.fns.iter().enumerate() {
-        let _ = id;
+    for f in &index.fns {
         let rel = files[f.file].0;
         if !policy::policy_for(rel).e {
             continue;
@@ -165,11 +154,11 @@ fn e_rules(
                 && toks.get(i + 1).is_some_and(|t| t.text == "_")
                 && toks.get(i + 2).is_some_and(|t| t.text == "=")
             {
-                let stmt_end = statement_end(toks, i + 3, end);
+                let stmt_end = cfg::scan_to(toks, i + 3, end, ";");
                 if let Some((name, why)) = first_protocol_call(index, f, toks, i + 3, stmt_end) {
                     let line = toks[i].line;
                     if !waivers[f.file].waives(line, Rule::E01) {
-                        out.push(finding(
+                        out.push(Finding::new(
                             rel,
                             lx,
                             line,
@@ -196,10 +185,10 @@ fn e_rules(
                 let at_stmt_start = chain_start <= start
                     || matches!(toks[chain_start - 1].text.as_str(), ";" | "{" | "}");
                 if at_stmt_start {
-                    if let Some((name, why)) = chain_protocol_call(index, f, &names) {
+                    if let Some((name, why)) = chain_protocol_call(index, &names) {
                         let line = toks[i].line;
                         if !waivers[f.file].waives(line, Rule::E02) {
-                            out.push(finding(
+                            out.push(Finding::new(
                                 rel,
                                 lx,
                                 line,
@@ -222,10 +211,10 @@ fn e_rules(
                 && i > start
             {
                 let (names, _) = chain_callees(toks, i - 1, start);
-                if let Some((name, why)) = chain_protocol_call(index, f, &names) {
+                if let Some((name, why)) = chain_protocol_call(index, &names) {
                     let line = toks[i + 1].line;
                     if !waivers[f.file].waives(line, Rule::E03) {
-                        out.push(finding(
+                        out.push(Finding::new(
                             rel,
                             lx,
                             line,
@@ -241,21 +230,6 @@ fn e_rules(
             i += 1;
         }
     }
-}
-
-/// Token index just past the `;` ending the statement starting at `from`
-/// (depth-aware), or `to` if none.
-fn statement_end(toks: &[Tok], from: usize, to: usize) -> usize {
-    let mut d = 0i32;
-    for (k, t) in toks.iter().enumerate().take(to.min(toks.len())).skip(from) {
-        match t.text.as_str() {
-            "(" | "[" | "{" => d += 1,
-            ")" | "]" | "}" => d -= 1,
-            ";" if d == 0 => return k + 1,
-            _ => {}
-        }
-    }
-    to
 }
 
 /// The first call in `toks[from..to)` that resolves to a workspace fn
@@ -280,11 +254,7 @@ fn first_protocol_call(
 
 /// Resolve each chained callee name and return the first that produces a
 /// protocol `Result`.
-fn chain_protocol_call(
-    index: &SymbolIndex,
-    caller: &FnDef,
-    names: &[(String, bool)],
-) -> Option<(String, String)> {
+fn chain_protocol_call(index: &SymbolIndex, names: &[(String, bool)]) -> Option<(String, String)> {
     for (name, is_method) in names {
         let ids = index.by_name.get(name)?.clone();
         for id in ids {
@@ -292,7 +262,6 @@ fn chain_protocol_call(
             if fd.is_method != *is_method && *is_method {
                 continue;
             }
-            let _ = caller;
             if let Some(why) = protocol_result(fd) {
                 return Some((fd.qualified(), why));
             }
@@ -413,7 +382,6 @@ fn p01(
     let mut uses: BTreeMap<&str, TagUses> = BTreeMap::new();
     for (file_idx, (_, lx)) in files.iter().enumerate() {
         let toks = &lx.toks;
-        let tests = test_spans(lx);
         for i in 0..toks.len() {
             let is_tag = toks[i].text == "tags"
                 && toks.get(i + 1).is_some_and(|t| t.text == ":")
@@ -421,7 +389,7 @@ fn p01(
                 && toks
                     .get(i + 3)
                     .is_some_and(|t| tag_names.contains(t.text.as_str()));
-            if !is_tag || in_spans(&tests, toks[i].line) {
+            if !is_tag || in_spans(&lx.tests, toks[i].line) {
                 continue;
             }
             let name_tok = &toks[i + 3];
@@ -460,7 +428,7 @@ fn p01(
             continue;
         }
         let rel = files[file_idx].0;
-        out.push(finding(
+        out.push(Finding::new(
             rel,
             files[file_idx].1,
             line,
@@ -523,14 +491,13 @@ fn p02(
             continue;
         }
         let toks = &lx.toks;
-        let tests = test_spans(lx);
         let mut i = 0usize;
         while i < toks.len() {
             if toks[i].text != "match" || toks[i].kind != TokKind::Ident {
                 i += 1;
                 continue;
             }
-            if in_spans(&tests, toks[i].line) {
+            if in_spans(&lx.tests, toks[i].line) {
                 i += 1;
                 continue;
             }
@@ -547,15 +514,16 @@ fn p02(
                 }
                 j += 1;
             }
-            let Some(close) = match_forward(toks, j) else {
+            let close = cfg::matching(toks, j, toks.len());
+            if close >= toks.len() {
                 i += 1;
                 continue;
-            };
+            }
             let (wildcard, protocol) = scan_arms(toks, j, close, &protocol_enums);
             if wildcard && protocol {
                 let line = toks[i].line;
                 if !waivers[file_idx].waives(line, Rule::P02) {
-                    out.push(finding(
+                    out.push(Finding::new(
                         rel,
                         lx,
                         line,
@@ -572,26 +540,6 @@ fn p02(
     }
 }
 
-fn match_forward(toks: &[Tok], open: usize) -> Option<usize> {
-    if toks.get(open).is_none_or(|t| t.text != "{") {
-        return None;
-    }
-    let mut d = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => d += 1,
-            "}" => {
-                d -= 1;
-                if d == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Scan a match body for (a) a bare `_ =>` arm, (b) any protocol-enum
 /// `Enum::Variant` in an arm pattern.
 fn scan_arms(
@@ -602,27 +550,8 @@ fn scan_arms(
 ) -> (bool, bool) {
     let mut wildcard = false;
     let mut protocol = false;
-    let mut k = open + 1;
-    while k < close {
-        // Pattern: tokens until `=>` at depth 0 (inside the match body).
-        let pat_start = k;
-        let mut d = 0i32;
-        let mut arrow = None;
-        while k < close {
-            let t = &toks[k].text;
-            match t.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d -= 1,
-                "=" if d == 0 && toks.get(k + 1).is_some_and(|n| n.text == ">") => {
-                    arrow = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let pat = &toks[pat_start..arrow];
+    for arm in cfg::match_arms(toks, open, close) {
+        let pat = &toks[arm.pat.0..arm.pat.1];
         if pat.len() == 1 && pat[0].text == "_" {
             wildcard = true;
         }
@@ -635,32 +564,6 @@ fn scan_arms(
                 })
             {
                 protocol = true;
-            }
-        }
-        // Arm body: a block (skip matched braces) or an expression up to
-        // the `,` at depth 0.
-        k = arrow + 2;
-        if toks.get(k).is_some_and(|t| t.text == "{") {
-            let Some(body_close) = match_forward(toks, k) else {
-                break;
-            };
-            k = body_close + 1;
-            if toks.get(k).is_some_and(|t| t.text == ",") {
-                k += 1;
-            }
-        } else {
-            let mut d = 0i32;
-            while k < close {
-                match toks[k].text.as_str() {
-                    "(" | "[" | "{" => d += 1,
-                    ")" | "]" | "}" => d -= 1,
-                    "," if d == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                k += 1;
             }
         }
     }

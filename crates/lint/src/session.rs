@@ -27,9 +27,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{in_spans, test_spans, Lexed};
+use crate::lexer::{in_spans, Lexed};
 use crate::phases;
-use crate::report::{Finding, Rule, Status};
+use crate::report::{sort_dedup, Finding, Rule};
 use crate::symbols::SymbolIndex;
 
 /// One protocol mode's session: its wave entry point plus the shared
@@ -152,7 +152,13 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
                     elsewhere.join(", "),
                 )
             };
-            out.push(raw_finding(views, fi, line, message));
+            out.push(Finding::new(
+                views[fi].0,
+                views[fi].1,
+                line,
+                Rule::P20,
+                message,
+            ));
         }
         for (tag, &(fi, line)) in handles {
             if emits.contains_key(tag) {
@@ -173,19 +179,18 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
                     elsewhere.join(", "),
                 )
             };
-            out.push(raw_finding(views, fi, line, message));
+            out.push(Finding::new(
+                views[fi].0,
+                views[fi].1,
+                line,
+                Rule::P20,
+                message,
+            ));
         }
     }
 
     out.extend(enrollment(index, views));
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
 }
 
@@ -219,10 +224,11 @@ fn enrollment(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
                 .iter()
                 .any(|s| s.mode == v.as_str() && fully_live(s, index, views));
             if !bound {
-                out.push(raw_finding(
-                    views,
-                    fi,
+                out.push(Finding::new(
+                    views[fi].0,
+                    views[fi].1,
                     line,
+                    Rule::P20,
                     format!(
                         "protocol mode `{v}` has no live P20 session table — \
                          register its wave/restart/serve entries in \
@@ -242,10 +248,9 @@ fn mode_enum_site(views: &[(&str, &Lexed)]) -> Option<(usize, usize)> {
         if !rel.starts_with("crates/core/") {
             continue;
         }
-        let tests = test_spans(lx);
         for (i, t) in lx.toks.iter().enumerate() {
             if t.text == "enum"
-                && !in_spans(&tests, t.line)
+                && !in_spans(&lx.tests, t.line)
                 && lx.toks.get(i + 1).is_some_and(|n| n.text == "Mode")
             {
                 return Some((fi, t.line));
@@ -253,15 +258,4 @@ fn mode_enum_site(views: &[(&str, &Lexed)]) -> Option<(usize, usize)> {
         }
     }
     None
-}
-
-fn raw_finding(views: &[(&str, &Lexed)], file: usize, line: usize, message: String) -> Finding {
-    Finding {
-        file: views[file].0.to_string(),
-        line,
-        rule: Rule::P20,
-        message,
-        snippet: views[file].1.snippet(line).to_string(),
-        status: Status::New,
-    }
 }

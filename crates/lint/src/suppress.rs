@@ -14,7 +14,7 @@
 //! trust only removes the file from the transitive panic set.
 
 use crate::lexer::Lexed;
-use crate::report::{Finding, Rule, Status};
+use crate::report::{Finding, Rule};
 
 /// One parsed suppression comment.
 #[derive(Debug, Clone)]
@@ -66,6 +66,19 @@ impl FileWaivers {
                 continue;
             };
             let rest = rest.trim();
+            let malformed = || {
+                Finding::new(
+                    rel,
+                    lx,
+                    c.line,
+                    Rule::W00,
+                    format!(
+                        "malformed suppression `{body}` — expected \
+                         `gcr-lint: allow(D0x[,D0y]) <reason>` or \
+                         `gcr-lint: trust(D03-T) <reason>`"
+                    ),
+                )
+            };
             if let Some(inner) = rest.strip_prefix("trust(") {
                 let parsed = inner.split_once(')').and_then(|(id, reason)| {
                     (Rule::parse(id.trim()) == Some(Rule::D03T)).then(|| reason.trim().to_string())
@@ -75,7 +88,7 @@ impl FileWaivers {
                         line: c.line,
                         reason,
                     }),
-                    None => w.malformed.push(malformed_finding(rel, lx, c.line, body)),
+                    None => w.malformed.push(malformed()),
                 }
                 continue;
             }
@@ -102,7 +115,7 @@ impl FileWaivers {
                         reason,
                     });
                 }
-                None => w.malformed.push(malformed_finding(rel, lx, c.line, body)),
+                None => w.malformed.push(malformed()),
             }
         }
         w.used = vec![false; w.sups.len()];
@@ -151,73 +164,50 @@ impl FileWaivers {
         let mut out = std::mem::take(&mut self.malformed);
         for (i, s) in self.sups.iter().enumerate() {
             if !self.used[i] {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: s.line,
-                    rule: Rule::W00,
-                    message: format!(
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    s.line,
+                    Rule::W00,
+                    format!(
                         "stale suppression: allow({}) waives nothing on line {} — remove it",
                         s.rules.iter().map(Rule::id).collect::<Vec<_>>().join(","),
                         s.applies_to
                     ),
-                    snippet: lx.snippet(s.line).to_string(),
-                    status: Status::New,
-                });
+                ));
             }
             if s.reason.is_empty() {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: s.line,
-                    rule: Rule::W01,
-                    message: "suppression without a justification — say why the waiver is safe"
-                        .to_string(),
-                    snippet: lx.snippet(s.line).to_string(),
-                    status: Status::New,
-                });
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    s.line,
+                    Rule::W01,
+                    "suppression without a justification — say why the waiver is safe",
+                ));
             }
         }
         for (i, t) in self.trusts.iter().enumerate() {
             if !self.trust_used[i] {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: Rule::W00,
-                    message: "stale trust(D03-T): the file has no panic sites to certify — \
-                              remove it"
-                        .to_string(),
-                    snippet: lx.snippet(t.line).to_string(),
-                    status: Status::New,
-                });
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    t.line,
+                    Rule::W00,
+                    "stale trust(D03-T): the file has no panic sites to certify — remove it",
+                ));
             }
             if t.reason.is_empty() {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: t.line,
-                    rule: Rule::W01,
-                    message: "trust(D03-T) without a justification — say why every panic \
-                              site in this file is invariant-guarded"
-                        .to_string(),
-                    snippet: lx.snippet(t.line).to_string(),
-                    status: Status::New,
-                });
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    t.line,
+                    Rule::W01,
+                    "trust(D03-T) without a justification — say why every panic \
+                     site in this file is invariant-guarded",
+                ));
             }
         }
         out
-    }
-}
-
-fn malformed_finding(rel: &str, lx: &Lexed, line: usize, body: &str) -> Finding {
-    Finding {
-        file: rel.to_string(),
-        line,
-        rule: Rule::W00,
-        message: format!(
-            "malformed suppression `{}` — expected \
-             `gcr-lint: allow(D0x[,D0y]) <reason>` or `gcr-lint: trust(D03-T) <reason>`",
-            body
-        ),
-        snippet: lx.snippet(line).to_string(),
-        status: Status::New,
     }
 }
 

@@ -11,7 +11,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{in_spans, test_spans, Lexed, TokKind};
+use crate::cfg;
+use crate::lexer::{in_spans, Lexed, TokKind};
+use crate::policy;
 
 /// One indexed function (or method) definition.
 #[derive(Debug, Clone)]
@@ -121,14 +123,6 @@ pub struct SymbolIndex {
     pub owners: BTreeSet<String>,
 }
 
-/// The crate a workspace-relative path belongs to (`""` for root `src/`).
-pub fn crate_of(rel: &str) -> String {
-    rel.strip_prefix("crates/")
-        .and_then(|rest| rest.split_once('/'))
-        .map(|(name, _)| name.to_string())
-        .unwrap_or_default()
-}
-
 /// Keywords that introduce or qualify items — never call or index names.
 pub(crate) const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "in", "match", "return", "loop", "break", "continue", "as",
@@ -158,8 +152,7 @@ pub fn build(files: &[(&str, &Lexed)]) -> SymbolIndex {
 
 fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
     let toks = &lx.toks;
-    let tests = test_spans(lx);
-    let krate = crate_of(rel);
+    let krate = policy::crate_of(rel).unwrap_or_default().to_string();
     // Owner contexts: (brace depth the block's body lives at, type name).
     let mut owners: Vec<(usize, String)> = Vec::new();
     let mut mods: Vec<(usize, String)> = Vec::new();
@@ -200,7 +193,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                 i += 1;
             }
             "fn" if t.kind == TokKind::Ident => {
-                if in_spans(&tests, t.line) {
+                if in_spans(&lx.tests, t.line) {
                     i += 1;
                     continue;
                 }
@@ -225,7 +218,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                     None => i += 1,
                 }
             }
-            "enum" if t.kind == TokKind::Ident && !in_spans(&tests, t.line) => {
+            "enum" if t.kind == TokKind::Ident && !in_spans(&lx.tests, t.line) => {
                 if let Some((def, resume)) = parse_enum(toks, i, &krate) {
                     ix.enums.push(def);
                     i = resume;
@@ -233,7 +226,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                     i += 1;
                 }
             }
-            "const" if t.kind == TokKind::Ident && !in_spans(&tests, t.line) => {
+            "const" if t.kind == TokKind::Ident && !in_spans(&lx.tests, t.line) => {
                 // `const NAME :` — not `const fn` and not `*const T`.
                 let named = toks
                     .get(i + 1)
@@ -380,7 +373,7 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
         let t = &toks[j];
         match t.text.as_str() {
             "{" => {
-                let close = match_brace(toks, j)?;
+                let close = Some(cfg::matching(toks, j, toks.len())).filter(|&c| c < toks.len())?;
                 // Resume AT the `{` so the item scan's own brace-depth
                 // tracking stays consistent while it walks the body.
                 return Some(ParsedFn {
@@ -417,24 +410,6 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
     None
 }
 
-/// Index of the `}` matching the `{` at `open`.
-fn match_brace(toks: &[crate::lexer::Tok], open: usize) -> Option<usize> {
-    let mut d = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => d += 1,
-            "}" => {
-                d -= 1;
-                if d == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 fn parse_enum(toks: &[crate::lexer::Tok], at: usize, krate: &str) -> Option<(EnumDef, usize)> {
     let name_tok = toks.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
@@ -449,7 +424,7 @@ fn parse_enum(toks: &[crate::lexer::Tok], at: usize, krate: &str) -> Option<(Enu
         return None;
     }
     let open = j;
-    let close = match_brace(toks, open)?;
+    let close = Some(cfg::matching(toks, open, toks.len())).filter(|&c| c < toks.len())?;
     let mut variants = Vec::new();
     let mut d = 0i32;
     let mut expect_variant = true;

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::cfg;
 use crate::lexer::{Lexed, TokKind};
 use crate::phases;
-use crate::report::{Finding, Rule, Status};
+use crate::report::{sort_dedup, Finding, Rule};
 use crate::symbols::{FnDef, SymbolIndex};
 
 /// One encoder/decoder pair whose record shapes must agree.
@@ -79,14 +79,7 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         out.extend(check_pair(spec, index, views));
     }
     out.extend(payload_duality(index, views));
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.message.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.message.as_str(),
-        ))
-    });
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
+    sort_dedup(&mut out);
     out
 }
 
@@ -117,10 +110,11 @@ fn check_pair(spec: &WireSpec, index: &SymbolIndex, views: &[(&str, &Lexed)]) ->
 
     if let Some((k, line)) = chunk {
         if k != eshape.fields.len() {
-            out.push(raw_finding(
-                views,
-                dfd.file,
+            out.push(Finding::new(
+                views[dfd.file].0,
+                dlx,
                 line,
+                Rule::W10,
                 format!(
                     "wire pair `{}`: encoder `{}` writes {}-field records \
                      [{}] but decoder `{}` consumes them in chunks of {k} — \
@@ -139,10 +133,11 @@ fn check_pair(spec: &WireSpec, index: &SymbolIndex, views: &[(&str, &Lexed)]) ->
         return out;
     };
     if dshape.fields.len() != eshape.fields.len() {
-        out.push(raw_finding(
-            views,
-            dfd.file,
+        out.push(Finding::new(
+            views[dfd.file].0,
+            dlx,
             dshape.line,
+            Rule::W10,
             format!(
                 "wire pair `{}`: encoder `{}` writes fields [{}] but decoder \
                  `{}` destructures [{}] — record arity diverged",
@@ -174,10 +169,11 @@ fn check_pair(spec: &WireSpec, index: &SymbolIndex, views: &[(&str, &Lexed)]) ->
     }
     let distinct: BTreeSet<usize> = perm.iter().copied().collect();
     if distinct.len() == perm.len() && perm.iter().enumerate().any(|(i, &j)| i != j) {
-        out.push(raw_finding(
-            views,
-            dfd.file,
+        out.push(Finding::new(
+            views[dfd.file].0,
+            dlx,
             dshape.line,
+            Rule::W10,
             format!(
                 "wire pair `{}`: decoder `{}` reads fields [{}] in a \
                  different order than encoder `{}` writes them [{}] — \
@@ -384,24 +380,16 @@ fn payload_duality(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding
                 i += 1;
                 continue;
             }
-            match t.text.as_str() {
-                "ctrl_send" => {
-                    let close = cfg::matching(toks, i + 1, toks.len());
-                    if let Some(tag) = phases::find_tag(lx, i + 2, close, &tag_lets) {
-                        if let Some(ty) = sent_payload_type(index, lx, lo, hi, i + 2, close) {
-                            sent.entry(tag)
-                                .or_default()
-                                .entry(ty)
-                                .or_insert((fd.file, t.line));
-                        }
+            match phases::ctrl_call(lx, i, &tag_lets) {
+                Some(("send", close, Some(tag))) => {
+                    if let Some(ty) = sent_payload_type(index, lx, lo, hi, i + 2, close) {
+                        sent.entry(tag)
+                            .or_default()
+                            .entry(ty)
+                            .or_insert((fd.file, t.line));
                     }
                 }
-                "ctrl_recv" => {
-                    let close = cfg::matching(toks, i + 1, toks.len());
-                    if let Some(tag) = phases::find_tag(lx, i + 2, close, &tag_lets) {
-                        last_recv = Some(tag);
-                    }
-                }
+                Some(("recv", _, Some(tag))) => last_recv = Some(tag),
                 _ => {}
             }
             i += 1;
@@ -417,10 +405,11 @@ fn payload_duality(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding
             continue;
         }
         let &(fi, line) = dec_types.values().next().expect("non-empty type map");
-        out.push(raw_finding(
-            views,
-            fi,
+        out.push(Finding::new(
+            views[fi].0,
+            views[fi].1,
             line,
+            Rule::W10,
             format!(
                 "ctrl tag `{tag}`: payload is sent as [{}] but decoded as \
                  [{}] — the `Rc<dyn Any>` downcast returns None at runtime \
@@ -567,17 +556,7 @@ fn binding_type(
         }
         if toks.get(j + 1).is_some_and(|n| n.text == "=") {
             // RHS runs to the statement's `;` at bracket depth 0.
-            let mut k = j + 2;
-            let mut depth = 0i32;
-            while k < hi {
-                match toks[k].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
+            let k = cfg::scan_to(toks, j + 2, hi, ";");
             return expr_type(index, lx, lo, hi, j + 2, k);
         }
         i += 1;
@@ -607,15 +586,4 @@ fn callee_ret(
         }
     }
     None
-}
-
-fn raw_finding(views: &[(&str, &Lexed)], file: usize, line: usize, message: String) -> Finding {
-    Finding {
-        file: views[file].0.to_string(),
-        line,
-        rule: Rule::W10,
-        message,
-        snippet: views[file].1.snippet(line).to_string(),
-        status: Status::New,
-    }
 }

@@ -119,6 +119,25 @@ fn d10_fires_on_direct_and_interprocedural_flows() {
             && f.message.contains("returns a nondeterministic value")),
         "the helper-return flow must name the tainted call: {d10:#?}"
     );
+
+    // Consuming iteration observes hash order just like `.keys()`.
+    for method in ["into_keys", "into_values"] {
+        let src = format!(
+            "use std::collections::HashMap;\n\
+             pub fn fold(m: HashMap<u64, u64>, out: &mut Vec<u64>) {{\n\
+             \x20   out.push(digest(m.{method}().next().unwrap_or(0)));\n\
+             }}\n\
+             fn digest(x: u64) -> u64 {{ x }}\n"
+        );
+        let report = ws(&[(BENCH, &src)]);
+        let d10 = of_rule(&report, Rule::D10);
+        assert!(
+            d10.len() == 1
+                && d10[0].line == 3
+                && d10[0].message.contains("hash-ordered iteration over `m`"),
+            "`.{method}()` on a hash-bound map must taint the digest: {d10:#?}"
+        );
+    }
 }
 
 #[test]
