@@ -465,6 +465,11 @@ mod tests {
     }
 
     #[test]
+    fn digest_of_value_is_pinned() {
+        assert_eq!(RecvEntry::digest_of(1, 2, 3), 0xda2b_fb22_5e0d_1f05);
+    }
+
+    #[test]
     fn recv_digest_is_a_function_of_the_message_identity() {
         let a = RecvEntry::digest_of(1, 7, 100);
         assert_eq!(a, RecvEntry::digest_of(1, 7, 100));

@@ -466,6 +466,11 @@ mod tests {
     use super::*;
 
     #[test]
+    fn image_digest_value_is_pinned() {
+        assert_eq!(image_digest(1, 2, 3, 4), 0x898f_7e1c_e696_4921);
+    }
+
+    #[test]
     fn two_phase_commit_requires_every_member() {
         let store = CkptStore::new();
         store.begin(0, 0);

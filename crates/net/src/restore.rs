@@ -779,6 +779,12 @@ mod tests {
     }
 
     #[test]
+    fn placement_digest_values_are_pinned() {
+        assert_eq!(placement_digest(&two_of_four(24), 2), 0xce95_7418_5661_a9ad);
+        assert_eq!(placement_digest(&[0usize; 8], 2), 0x3c84_bf96_a495_0ce5);
+    }
+
+    #[test]
     fn placement_degrades_typed_when_too_few_groups() {
         let group_of = vec![0usize; 8]; // NORM: one group, no candidates
         match place_replicas(&group_of, 3, 2) {

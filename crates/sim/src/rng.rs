@@ -175,6 +175,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
     fn same_seed_same_stream() {
         let mut a = DetRng::new(42);
         let mut b = DetRng::new(42);
