@@ -17,7 +17,7 @@
 use gcr_json::Json;
 use gcr_mpi::{Rank, World, WorldOpts};
 use gcr_net::{Cluster, ClusterSpec};
-use gcr_sim::Sim;
+use gcr_sim::{fnv1a, Sim};
 
 /// Ranks per simulated group. The shard map assigns whole groups to
 /// shards, so cross-shard traffic only crosses group boundaries.
@@ -125,18 +125,8 @@ pub fn run_kernel(spec: &KernelSpec) -> KernelPoint {
         events,
         wall_s,
         events_per_sec: events as f64 / wall_s,
-        digest: fnv1a64(&canon),
+        digest: fnv1a(canon.as_bytes()),
     }
-}
-
-/// FNV-1a over the canonical outcome string.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Short git revision of the working tree, or `"unknown"` outside a

@@ -43,7 +43,7 @@ use gcr_group::GroupDef;
 use gcr_json::Json;
 use gcr_mpi::{Rank, World};
 use gcr_net::{Cluster, GenState, RestoreBackend, StorageTarget};
-use gcr_sim::{Sim, SimDuration, SimTime};
+use gcr_sim::{fnv1a, Sim, SimDuration, SimTime};
 
 use crate::schedule::ChaosEvent;
 use crate::spec::{chaos_cluster_spec, chaos_world_opts, ChaosBackend, ChaosProto, ChaosSpec};
@@ -197,12 +197,7 @@ impl ChaosReport {
     /// FNV-1a digest of the serialized report — the unit of the
     /// bit-determinism oracle.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().dump().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(self.to_json().dump().as_bytes())
     }
 }
 
@@ -403,9 +398,10 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
                     }
                     // Arm the per-node counter; the node's next `count`
                     // image writes tear mid-transfer as they happen.
-                    cluster
-                        .storage()
-                        .inject_torn_writes((node as usize) % n_u, count as u32);
+                    cluster.storage().inject_torn_writes(
+                        (node as usize) % n_u,
+                        u32::try_from(count).unwrap_or(u32::MAX),
+                    );
                     applied.set(applied.get() + 1);
                 }
                 ChaosEvent::Storm { dur_ms, factor, .. } => {

@@ -294,6 +294,29 @@ fn torn_writes_never_break_recovery() {
     }
 }
 
+/// A torn-write count beyond `u32::MAX` arms as many tears as the
+/// counter holds, never wraps to none, and two arms that sum past the
+/// counter's range saturate instead of overflowing.
+#[test]
+fn torn_write_counts_saturate_instead_of_wrapping() {
+    let run = |schedule: &str| {
+        let r = run_chaos_verified(&spec(
+            70,
+            ChaosWorkload::Cg,
+            ChaosProto::Gp4,
+            StorageTarget::Local,
+            600,
+            schedule,
+        ));
+        assert!(r.passed(), "{schedule}: {:?}", r.violations);
+        (r.exec_s.to_bits(), r.metrics_digest)
+    };
+    let max = run("torn:n2x4294967295@900");
+    assert_eq!(run("torn:n2x4294967296@900"), max);
+    assert_ne!(run("torn:n2x0@900"), max);
+    assert_eq!(run("torn:n2x4294967295@900;torn:n2x1@901"), max);
+}
+
 /// A healthy spec has nothing to shrink.
 #[test]
 fn shrink_returns_none_for_passing_spec() {

@@ -17,7 +17,7 @@ use gcr_mpi::{Envelope, MpiHook};
 use gcr_net::Storage;
 use gcr_sim::SimDuration;
 
-use crate::msglog::{MsgLog, RecvEntry, RecvLog};
+use crate::msglog::{LogEntry, MsgLog};
 use crate::volume::VolumeCounters;
 
 /// One generation's volume snapshot: the `RR`/`SS` values a restart from
@@ -51,13 +51,6 @@ pub struct GpState {
     log_copy_bps: f64,
     /// Fixed per-logged-message overhead.
     log_fixed: SimDuration,
-    /// Background log writer target: queued (non-blocking) disk writes on
-    /// this node's local disk, drained at checkpoint time.
-    log_disk: RefCell<Option<(Rc<Storage>, usize)>>,
-    /// Total bytes ever logged (diagnostics).
-    logged_bytes: Cell<u64>,
-    /// Total log bytes garbage-collected thanks to piggybacks.
-    gc_bytes: Cell<u64>,
     /// Fault-injection knob: GC `piggyback + overshoot` instead of the
     /// piggybacked `RR`. Nonzero deliberately breaks log retention.
     gc_overshoot: Cell<u64>,
@@ -85,9 +78,6 @@ impl GpState {
             piggyback_gc,
             log_copy_bps,
             log_fixed,
-            log_disk: RefCell::new(None),
-            logged_bytes: Cell::new(0),
-            gc_bytes: Cell::new(0),
             gc_overshoot: Cell::new(0),
         })
     }
@@ -107,7 +97,7 @@ impl GpState {
     /// node's local disk asynchronously; the checkpoint-time "synchronize
     /// message logs" step only drains the un-synced tail.
     pub fn attach_log_disk(&self, storage: Rc<Storage>, node: usize) {
-        *self.log_disk.borrow_mut() = Some((storage, node));
+        self.log.borrow_mut().attach_disk(storage, node);
     }
 
     /// The rank this state belongs to.
@@ -233,30 +223,16 @@ impl GpState {
     /// Messages to replay to peer `q` on a restart where `q` had received
     /// `q_received` bytes at its checkpoint; bounded by this rank's own
     /// checkpointed `S`.
-    pub fn replay_entries(&self, q: u32, q_received: u64) -> Vec<crate::msglog::LogEntry> {
-        let to = self.ss(q);
-        self.log
-            .borrow()
-            .peer(q)
-            .map(|l| l.replay_range(q_received, to))
-            .unwrap_or_default()
+    pub fn replay_entries(&self, q: u32, q_received: u64) -> Vec<LogEntry> {
+        self.log.borrow().replay_range(q, q_received, self.ss(q))
     }
 
     /// Replay entries for a *live* sender serving a rolled-back peer: all
     /// retained entries overlapping `[peer_rr, to)` where `to` is the
     /// sender's current `S` (no snapshot — the live rank never rolled
     /// back).
-    pub fn replay_entries_live(
-        &self,
-        q: u32,
-        peer_rr: u64,
-        to: u64,
-    ) -> Vec<crate::msglog::LogEntry> {
-        self.log
-            .borrow()
-            .peer(q)
-            .map(|l| l.replay_range(peer_rr, to))
-            .unwrap_or_default()
+    pub fn replay_entries_live(&self, q: u32, peer_rr: u64, to: u64) -> Vec<LogEntry> {
+        self.log.borrow().replay_range(q, peer_rr, to)
     }
 
     /// Bytes currently retained in the message log.
@@ -266,12 +242,12 @@ impl GpState {
 
     /// Total bytes ever logged.
     pub fn total_logged_bytes(&self) -> u64 {
-        self.logged_bytes.get()
+        self.log.borrow().appended_bytes()
     }
 
-    /// Total bytes garbage-collected via piggybacks.
+    /// Total bytes garbage-collected via piggybacks and acknowledgements.
     pub fn total_gc_bytes(&self) -> u64 {
-        self.gc_bytes.get()
+        self.log.borrow().gc_bytes()
     }
 
     /// Receiver-acknowledgement GC (receiver-based logging): the peer has
@@ -281,9 +257,7 @@ impl GpState {
     /// independently of the committed-generation floor: the receiver's
     /// log, not my checkpoint ledger, is the durable copy now.
     pub fn ack_gc(&self, peer: u32, acked: u64) -> u64 {
-        let dropped = self.log.borrow_mut().peer_mut(peer).gc(acked);
-        self.gc_bytes.set(self.gc_bytes.get() + dropped);
-        dropped
+        self.log.borrow_mut().gc(peer, acked)
     }
 
     /// Current `S` toward `q` (diagnostics / invariants).
@@ -319,18 +293,11 @@ impl MpiHook for GpState {
         let mut cost = SimDuration::ZERO;
         if !self.groups.is_intra(self.rank, dst) {
             // Asynchronous sender-based logging of the inter-group message:
-            // the copy into the log buffer delays the sender.
-            self.log
-                .borrow_mut()
-                .peer_mut(dst)
-                .append(env.bytes, env.id.seq);
-            self.logged_bytes.set(self.logged_bytes.get() + env.bytes);
+            // the log streams it to disk in the background, and the copy
+            // into the log buffer delays the sender.
+            self.log.borrow_mut().append(dst, env.bytes, env.id.seq);
             cost =
                 self.log_fixed + SimDuration::from_secs_f64(env.bytes as f64 / self.log_copy_bps);
-            // Stream the entry to disk in the background.
-            if let Some((storage, node)) = self.log_disk.borrow().as_ref() {
-                let _ = storage.queue_local_log_write(*node, env.bytes);
-            }
             // First message to dst since my last checkpoint: piggyback RR.
             if let Some(rr) = vols.piggyback_for(dst) {
                 env.piggyback_rr = Some(rr);
@@ -345,12 +312,7 @@ impl MpiHook for GpState {
         self.vols.borrow_mut().on_recv(src, env.bytes);
         if let Some(v) = env.piggyback_rr {
             if self.piggyback_gc {
-                let dropped = self
-                    .log
-                    .borrow_mut()
-                    .peer_mut(src)
-                    .gc(v + self.gc_overshoot.get());
-                self.gc_bytes.set(self.gc_bytes.get() + dropped);
+                self.log.borrow_mut().gc(src, v + self.gc_overshoot.get());
             }
         }
     }
@@ -432,7 +394,7 @@ impl MpiHook for VclState {
 /// piggybacks all still apply) and adds the receiver-side log plus its
 /// acknowledgement piggyback.
 ///
-/// Every inter-group **receive** is appended to a local [`RecvLog`] and
+/// Every inter-group **receive** is appended to a local [`MsgLog`] and
 /// streamed to the node's own disk in the background — the receiver, not
 /// the sender, owns the durable replay copy. Application sends piggyback
 /// the receiver's logged high-water mark for the destination's stream
@@ -444,13 +406,8 @@ impl MpiHook for VclState {
 pub struct RbState {
     gp: Rc<GpState>,
     groups: Rc<GroupDef>,
-    recv: RefCell<RecvLog>,
-    /// Background receiver-log writer (the receiver's own local disk).
-    recv_disk: RefCell<Option<(Rc<Storage>, usize)>>,
-    /// Total bytes ever receiver-logged (diagnostics).
-    recv_logged_bytes: Cell<u64>,
-    /// Receiver-log bytes dropped below committed checkpoint floors.
-    recv_gc_bytes: Cell<u64>,
+    /// The receiver plane's log, addressed like the sender's.
+    recv: RefCell<MsgLog>,
 }
 
 impl RbState {
@@ -459,10 +416,7 @@ impl RbState {
         Rc::new(RbState {
             gp,
             groups,
-            recv: RefCell::new(RecvLog::new()),
-            recv_disk: RefCell::new(None),
-            recv_logged_bytes: Cell::new(0),
-            recv_gc_bytes: Cell::new(0),
+            recv: RefCell::new(MsgLog::new()),
         })
     }
 
@@ -479,7 +433,7 @@ impl RbState {
     /// Attach the background receiver-log writer (this node's local
     /// disk). The log survives a crash of the rank: restart replays it.
     pub fn attach_recv_disk(&self, storage: Rc<Storage>, node: usize) {
-        *self.recv_disk.borrow_mut() = Some((storage, node));
+        self.recv.borrow_mut().attach_disk(storage, node);
     }
 
     /// High-water mark of peer `q`'s logged stream — everything below it
@@ -491,12 +445,8 @@ impl RbState {
 
     /// Locally-logged entries of `q`'s stream overlapping
     /// `[from_offset, logged_end)` — the restart's local replay.
-    pub fn replay_local(&self, q: u32, from_offset: u64) -> Vec<RecvEntry> {
-        self.recv
-            .borrow()
-            .peer(q)
-            .map(|l| l.replay_from(from_offset))
-            .unwrap_or_default()
+    pub fn replay_local(&self, q: u32, from_offset: u64) -> Vec<LogEntry> {
+        self.recv.borrow().replay_range(q, from_offset, u64::MAX)
     }
 
     /// Checkpoint-time "synchronize message logs" for the receiver side:
@@ -510,27 +460,16 @@ impl RbState {
     /// the (retention-lagged) committed floor can never be replayed again
     /// — drop them. The high-water marks are unaffected.
     pub fn on_commit(&self) {
-        let peers: Vec<u32> = self.recv.borrow().iter().map(|(p, _)| p).collect();
         let mut recv = self.recv.borrow_mut();
+        let peers: Vec<u32> = recv.iter().map(|(p, _)| p).collect();
         for p in peers {
-            let dropped = recv.peer_mut(p).gc(self.gp.gc_floor(p));
-            self.recv_gc_bytes.set(self.recv_gc_bytes.get() + dropped);
+            recv.gc(p, self.gp.gc_floor(p));
         }
     }
 
     /// Total bytes ever receiver-logged.
     pub fn total_recv_logged_bytes(&self) -> u64 {
-        self.recv_logged_bytes.get()
-    }
-
-    /// Receiver-log bytes garbage-collected below committed floors.
-    pub fn total_recv_gc_bytes(&self) -> u64 {
-        self.recv_gc_bytes.get()
-    }
-
-    /// Bytes currently retained in the receiver log.
-    pub fn retained_recv_bytes(&self) -> u64 {
-        self.recv.borrow().retained_bytes()
+        self.recv.borrow().appended_bytes()
     }
 }
 
@@ -552,15 +491,7 @@ impl MpiHook for RbState {
         if !self.groups.is_intra(self.rank(), src) {
             // The receiver owns the durable copy: log the message
             // locally (asynchronously — drained at checkpoint time).
-            self.recv
-                .borrow_mut()
-                .peer_mut(src)
-                .append(src, env.bytes, env.id.seq);
-            self.recv_logged_bytes
-                .set(self.recv_logged_bytes.get() + env.bytes);
-            if let Some((storage, node)) = self.recv_disk.borrow().as_ref() {
-                let _ = storage.queue_local_log_write(*node, env.bytes);
-            }
+            self.recv.borrow_mut().append(src, env.bytes, env.id.seq);
         }
         if let Some(acked) = env.piggyback_ack {
             // The peer has durably logged this much of my stream: my

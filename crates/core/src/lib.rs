@@ -55,6 +55,6 @@ pub use cvc::CvcState;
 pub use error::RecoveryError;
 pub use hooks::{GpState, RbState, VclState};
 pub use metrics::{CkptRecord, Metrics, PhaseBreakdown, RestartRecord};
-pub use msglog::{LogEntry, MsgLog, PeerLog, RecvEntry, RecvLog, RecvPeerLog};
+pub use msglog::{digest_of, LogEntry, MsgLog, PeerLog};
 pub use runtime::{CkptRuntime, RecoveryStats};
 pub use volume::VolumeCounters;

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use gcr_sim::{SimDuration, SimTime};
+use gcr_sim::{fnv1a_words, SimDuration, SimTime};
 
 /// The four phases of a blocking coordinated checkpoint (paper Fig. 9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -230,44 +230,42 @@ impl Metrics {
     /// exact nanosecond timestamps. Two runs are bit-deterministic iff
     /// their digests match — the chaos harness's determinism oracle.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
         let inner = self.inner.borrow();
-        fold(inner.completed_waves);
-        fold(inner.ckpts.len() as u64);
-        for r in &inner.ckpts {
-            fold(r.wave);
-            fold(r.rank as u64);
-            fold(r.started.as_nanos());
-            fold(r.finished.as_nanos());
-            fold(r.phases.lock.as_nanos());
-            fold(r.phases.coordination.as_nanos());
-            fold(r.phases.checkpoint.as_nanos());
-            fold(r.phases.finalize.as_nanos());
-            fold(r.log_flushed_bytes);
-            fold(r.image_bytes);
-            fold(r.committed as u64);
-        }
-        fold(inner.restarts.len() as u64);
-        for r in &inner.restarts {
-            fold(r.rank as u64);
-            fold(r.started.as_nanos());
-            fold(r.finished.as_nanos());
-            fold(r.image_load.as_nanos());
-            fold(r.resend_ops);
-            fold(r.resend_bytes);
-            fold(r.skip_bytes);
-            // +1 keeps "no generation" distinct from "generation 0".
-            fold(r.generation.map(|g| g + 1).unwrap_or(0));
-        }
-        h
+        let ckpts = inner.ckpts.iter().flat_map(|r| {
+            [
+                r.wave,
+                r.rank as u64,
+                r.started.as_nanos(),
+                r.finished.as_nanos(),
+                r.phases.lock.as_nanos(),
+                r.phases.coordination.as_nanos(),
+                r.phases.checkpoint.as_nanos(),
+                r.phases.finalize.as_nanos(),
+                r.log_flushed_bytes,
+                r.image_bytes,
+                r.committed as u64,
+            ]
+        });
+        let restarts = inner.restarts.iter().flat_map(|r| {
+            [
+                r.rank as u64,
+                r.started.as_nanos(),
+                r.finished.as_nanos(),
+                r.image_load.as_nanos(),
+                r.resend_ops,
+                r.resend_bytes,
+                r.skip_bytes,
+                // +1 keeps "no generation" distinct from "generation 0".
+                r.generation.map(|g| g + 1).unwrap_or(0),
+            ]
+        });
+        fnv1a_words(
+            [inner.completed_waves, inner.ckpts.len() as u64]
+                .into_iter()
+                .chain(ckpts)
+                .chain([inner.restarts.len() as u64])
+                .chain(restarts),
+        )
     }
 }
 

@@ -1,29 +1,38 @@
-//! Sender-based message logs (paper Algorithm 1).
+//! Message logs addressed by stream offset (paper Algorithm 1).
 //!
-//! Each rank keeps, per out-of-group peer, an ordered log of the messages
-//! it sent to that peer. Entries are addressed by their **cumulative byte
-//! offset** in the sender→peer stream, which is exactly the unit of the
-//! paper's volume counters: garbage collection drops the prefix a
-//! piggybacked `RR` value proves is covered by the peer's checkpoint, and a
-//! restart replays the suffix of the stream beyond what the (rolled-back)
-//! peer had received at its own checkpoint.
+//! Each rank keeps, per peer, an ordered log of one byte stream. Entries
+//! are addressed by their **cumulative byte offset** in that stream, which
+//! is exactly the unit of the paper's volume counters. The sender plane
+//! logs the messages a rank sent to each out-of-group peer: garbage
+//! collection drops the prefix a piggybacked `RR` value proves is covered
+//! by the peer's checkpoint, and a restart replays the suffix of the
+//! stream beyond what the (rolled-back) peer had received at its own
+//! checkpoint. The receiver plane (receiver-based logging) logs what a
+//! rank received from each peer in the same coordinates — the two views
+//! of one channel share a coordinate system, so a restart can splice
+//! "replay my local receiver log up to its high-water mark, then the
+//! sender's unacked tail beyond it" without any translation.
 //!
-//! Logging is *asynchronous*: entries accumulate in memory and are flushed
-//! to stable storage right before a checkpoint ("Synchronize message logs"
-//! in Algorithm 1); `take_pending_flush` reports how many bytes must be
-//! written at that point.
+//! Logging is *asynchronous*: entries accumulate in memory and stream to
+//! the node's local disk in the background; the bytes not yet synced are
+//! drained right before a checkpoint ("Synchronize message logs" in
+//! Algorithm 1), and `take_all_pending_flush` reports how many they are.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
+
+use gcr_net::Storage;
+use gcr_sim::fnv1a_words;
 
 /// One logged message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
     /// Cumulative byte offset of the first byte of this message within the
-    /// sender→peer stream.
+    /// stream.
     pub offset: u64,
     /// Message size in bytes.
     pub bytes: u64,
-    /// Sender-side message sequence number (diagnostics).
+    /// Sender-side message sequence number.
     pub seq: u64,
 }
 
@@ -34,7 +43,15 @@ impl LogEntry {
     }
 }
 
-/// The log of messages sent to one peer.
+/// Deterministic FNV-1a pseudo-digest of a message's identifying triple.
+/// Stands in for a payload checksum, since the simulator carries sizes,
+/// not payload bytes: two streams agree on every `(src, seq, bytes)`
+/// triple iff they agree on every digest.
+pub fn digest_of(src: u32, seq: u64, bytes: u64) -> u64 {
+    fnv1a_words([u64::from(src), seq, bytes])
+}
+
+/// The log of one peer's stream.
 ///
 /// ```
 /// use gcr_ckpt::PeerLog;
@@ -52,13 +69,10 @@ impl LogEntry {
 #[derive(Debug, Default, Clone)]
 pub struct PeerLog {
     entries: VecDeque<LogEntry>,
-    /// Total bytes ever appended (== the sender's `S` counter for the peer
-    /// restricted to logged traffic).
+    /// Total bytes ever appended: the stream's high-water mark (for the
+    /// sender plane, the `S` counter restricted to logged traffic; for the
+    /// receiver plane, the acknowledgement piggybacked back to the sender).
     appended: u64,
-    /// Bytes appended since the last flush.
-    pending_flush: u64,
-    /// Lowest offset still retained (everything below was GC'd).
-    gc_floor: u64,
 }
 
 impl PeerLog {
@@ -71,7 +85,6 @@ impl PeerLog {
         };
         self.entries.push_back(e);
         self.appended += bytes;
-        self.pending_flush += bytes;
         e
     }
 
@@ -80,9 +93,10 @@ impl PeerLog {
         self.appended
     }
 
-    /// Bytes currently retained in the log.
+    /// Bytes currently retained in the log: the stream is contiguous, so
+    /// everything from the oldest retained offset to the end.
     pub fn retained_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
+        self.entries.front().map_or(0, |e| self.appended - e.offset)
     }
 
     /// Number of retained entries.
@@ -104,7 +118,6 @@ impl PeerLog {
         while let Some(front) = self.entries.front() {
             if front.end() <= covered_offset {
                 dropped += front.bytes;
-                self.gc_floor = front.end();
                 self.entries.pop_front();
             } else {
                 break;
@@ -113,11 +126,13 @@ impl PeerLog {
         dropped
     }
 
-    /// Entries whose byte range extends beyond `from_offset` — the messages
-    /// to replay for a peer that had received `from_offset` bytes at its
-    /// checkpoint. Optionally bounded by `to_offset` (the sender's own `S`
-    /// at *its* checkpoint; entries at or past it were sent after the
-    /// sender's checkpoint and will be regenerated by re-execution).
+    /// Entries whose byte range extends beyond `from_offset` and starts
+    /// below `to_offset`. For the sender plane: the messages to replay for
+    /// a peer that had received `from_offset` bytes at its checkpoint,
+    /// bounded by the sender's own `S` at *its* checkpoint (entries at or
+    /// past it were sent after the sender's checkpoint and will be
+    /// regenerated by re-execution). For the receiver plane, `to_offset`
+    /// is `u64::MAX`: the local replay of everything logged.
     pub fn replay_range(&self, from_offset: u64, to_offset: u64) -> Vec<LogEntry> {
         self.entries
             .iter()
@@ -125,36 +140,50 @@ impl PeerLog {
             .copied()
             .collect()
     }
-
-    /// Report and reset the pending-flush byte count.
-    pub fn take_pending_flush(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_flush)
-    }
-
-    /// Lowest retained offset (diagnostics / invariants).
-    pub fn gc_floor(&self) -> u64 {
-        self.gc_floor
-    }
 }
 
-/// All of one rank's peer logs.
-#[derive(Debug, Default, Clone)]
+/// All of one rank's peer logs on one plane, plus the background writer
+/// that streams appends to the node's local disk.
+#[derive(Default)]
 pub struct MsgLog {
     peers: BTreeMap<u32, PeerLog>,
+    /// Bytes appended since the last flush, across peers.
+    pending_flush: u64,
+    /// Background log writer target: queued (non-blocking) writes on
+    /// this node's local disk, drained at checkpoint time.
+    disk: Option<(Rc<Storage>, usize)>,
 }
 
 impl MsgLog {
-    /// Empty log.
+    /// Empty log with no background writer.
     pub fn new() -> Self {
         MsgLog::default()
     }
 
-    /// The log toward `peer`, created on first use.
-    pub fn peer_mut(&mut self, peer: u32) -> &mut PeerLog {
-        self.peers.entry(peer).or_default()
+    /// Stream every later append to `node`'s local disk in the background.
+    pub fn attach_disk(&mut self, storage: Rc<Storage>, node: usize) {
+        self.disk = Some((storage, node));
     }
 
-    /// The log toward `peer`, if any messages were ever logged.
+    /// Append a message of `bytes` at the end of `peer`'s stream and queue
+    /// its background disk write.
+    pub fn append(&mut self, peer: u32, bytes: u64, seq: u64) -> LogEntry {
+        let e = self.peers.entry(peer).or_default().append(bytes, seq);
+        self.pending_flush += bytes;
+        if let Some((storage, node)) = &self.disk {
+            storage.queue_local_log_write(*node, bytes);
+        }
+        e
+    }
+
+    /// [`PeerLog::gc`] on `peer`'s stream (0 if nothing was ever logged).
+    pub fn gc(&mut self, peer: u32, covered_offset: u64) -> u64 {
+        self.peers
+            .get_mut(&peer)
+            .map_or(0, |l| l.gc(covered_offset))
+    }
+
+    /// The log of `peer`'s stream, if any messages were ever logged.
     pub fn peer(&self, peer: u32) -> Option<&PeerLog> {
         self.peers.get(&peer)
     }
@@ -164,186 +193,38 @@ impl MsgLog {
         self.peers.iter().map(|(&p, l)| (p, l))
     }
 
-    /// Sum of pending-flush bytes across peers, resetting them — the bytes
+    /// High-water mark of `peer`'s stream (0 if never logged).
+    pub fn logged_end(&self, peer: u32) -> u64 {
+        self.peer(peer).map_or(0, PeerLog::appended_bytes)
+    }
+
+    /// [`PeerLog::replay_range`] on `peer`'s stream (empty if never logged).
+    pub fn replay_range(&self, peer: u32, from_offset: u64, to_offset: u64) -> Vec<LogEntry> {
+        self.peer(peer)
+            .map(|l| l.replay_range(from_offset, to_offset))
+            .unwrap_or_default()
+    }
+
+    /// Pending-flush bytes across peers, resetting them — the bytes
     /// written to storage at "synchronize message logs".
     pub fn take_all_pending_flush(&mut self) -> u64 {
-        self.peers
-            .values_mut()
-            .map(PeerLog::take_pending_flush)
-            .sum()
+        std::mem::take(&mut self.pending_flush)
+    }
+
+    /// Total bytes ever appended across peers.
+    pub fn appended_bytes(&self) -> u64 {
+        self.peers.values().map(PeerLog::appended_bytes).sum()
     }
 
     /// Total retained bytes across peers (memory pressure diagnostics).
     pub fn retained_bytes(&self) -> u64 {
         self.peers.values().map(PeerLog::retained_bytes).sum()
     }
-}
 
-/// One logged *received* message (receiver-based logging).
-///
-/// The receive stream from a peer is addressed by cumulative byte offset,
-/// exactly like the sender-side [`LogEntry`] stream — the two views of the
-/// same channel share a coordinate system, so a restart can splice "replay
-/// my local receiver log up to its high-water mark, then the sender's
-/// unacked tail beyond it" without any translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvEntry {
-    /// Cumulative byte offset of the first byte within the peer→me stream.
-    pub offset: u64,
-    /// Message size in bytes.
-    pub bytes: u64,
-    /// Sender-side message sequence number.
-    pub seq: u64,
-    /// Content digest over `(src, seq, bytes)` — the replay-equivalence
-    /// oracle compares these, since the simulator carries sizes, not
-    /// payload bytes.
-    pub digest: u64,
-}
-
-impl RecvEntry {
-    /// Offset one past the last byte.
-    pub fn end(&self) -> u64 {
-        self.offset + self.bytes
-    }
-
-    /// Deterministic FNV-1a pseudo-digest of a message's identifying
-    /// triple. Stands in for a payload checksum: two streams agree on
-    /// every `(src, seq, bytes)` triple iff they agree on every digest.
-    pub fn digest_of(src: u32, seq: u64, bytes: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [src as u64, seq, bytes] {
-            for b in word.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-}
-
-/// The receiver-side log of one peer's stream.
-#[derive(Debug, Default, Clone)]
-pub struct RecvPeerLog {
-    entries: VecDeque<RecvEntry>,
-    /// Total bytes ever logged (the high-water mark of the stream; also
-    /// the acknowledgement value piggybacked back to the sender).
-    logged: u64,
-    /// Bytes logged since the last flush to the local disk.
-    pending_flush: u64,
-}
-
-impl RecvPeerLog {
-    /// Log a received message of `bytes` from `src` with sender seq `seq`.
-    pub fn append(&mut self, src: u32, bytes: u64, seq: u64) -> RecvEntry {
-        let e = RecvEntry {
-            offset: self.logged,
-            bytes,
-            seq,
-            digest: RecvEntry::digest_of(src, seq, bytes),
-        };
-        self.entries.push_back(e);
-        self.logged += bytes;
-        self.pending_flush += bytes;
-        e
-    }
-
-    /// Total bytes ever logged — everything below this offset can be
-    /// replayed locally after a restart.
-    pub fn logged_end(&self) -> u64 {
-        self.logged
-    }
-
-    /// Bytes currently retained.
-    pub fn retained_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entries overlapping `[from_offset, logged_end)` — the local replay
-    /// for a rank restarted from a checkpoint where it had received
-    /// `from_offset` bytes of this stream.
-    pub fn replay_from(&self, from_offset: u64) -> Vec<RecvEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.end() > from_offset)
-            .copied()
-            .collect()
-    }
-
-    /// Drop entries fully covered by a committed checkpoint at
-    /// `covered_offset` (a restart from that generation or newer never
-    /// replays below it). Returns bytes dropped.
-    pub fn gc(&mut self, covered_offset: u64) -> u64 {
-        let mut dropped = 0;
-        while let Some(front) = self.entries.front() {
-            if front.end() <= covered_offset {
-                dropped += front.bytes;
-                self.entries.pop_front();
-            } else {
-                break;
-            }
-        }
-        dropped
-    }
-
-    /// Report and reset the pending-flush byte count.
-    pub fn take_pending_flush(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_flush)
-    }
-}
-
-/// All of one rank's receiver-side peer logs.
-#[derive(Debug, Default, Clone)]
-pub struct RecvLog {
-    peers: BTreeMap<u32, RecvPeerLog>,
-}
-
-impl RecvLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        RecvLog::default()
-    }
-
-    /// The log of `peer`'s stream, created on first use.
-    pub fn peer_mut(&mut self, peer: u32) -> &mut RecvPeerLog {
-        self.peers.entry(peer).or_default()
-    }
-
-    /// The log of `peer`'s stream, if anything was ever logged.
-    pub fn peer(&self, peer: u32) -> Option<&RecvPeerLog> {
-        self.peers.get(&peer)
-    }
-
-    /// Iterate all (peer, log) pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &RecvPeerLog)> {
-        self.peers.iter().map(|(&p, l)| (p, l))
-    }
-
-    /// High-water mark of `peer`'s stream (0 if never logged).
-    pub fn logged_end(&self, peer: u32) -> u64 {
-        self.peers.get(&peer).map(|l| l.logged_end()).unwrap_or(0)
-    }
-
-    /// Sum of pending-flush bytes across peers, resetting them.
-    pub fn take_all_pending_flush(&mut self) -> u64 {
-        self.peers
-            .values_mut()
-            .map(RecvPeerLog::take_pending_flush)
-            .sum()
-    }
-
-    /// Total retained bytes across peers.
-    pub fn retained_bytes(&self) -> u64 {
-        self.peers.values().map(RecvPeerLog::retained_bytes).sum()
+    /// Total bytes garbage-collected across peers: every appended byte is
+    /// either retained or dropped.
+    pub fn gc_bytes(&self) -> u64 {
+        self.appended_bytes() - self.retained_bytes()
     }
 }
 
@@ -374,7 +255,10 @@ mod tests {
         let dropped = log.gc(150);
         assert_eq!(dropped, 100);
         assert_eq!(log.len(), 2);
-        assert_eq!(log.gc_floor(), 100);
+        assert_eq!(
+            log.replay_range(0, u64::MAX).first().map(|e| e.offset),
+            Some(100)
+        );
         // GC is monotone; a smaller offset later is a no-op.
         assert_eq!(log.gc(50), 0);
         assert_eq!(log.len(), 2);
@@ -404,19 +288,19 @@ mod tests {
     #[test]
     fn pending_flush_accumulates_and_resets() {
         let mut log = MsgLog::new();
-        log.peer_mut(3).append(100, 0);
-        log.peer_mut(5).append(200, 1);
+        log.append(3, 100, 0);
+        log.append(5, 200, 1);
         assert_eq!(log.take_all_pending_flush(), 300);
         assert_eq!(log.take_all_pending_flush(), 0);
-        log.peer_mut(3).append(40, 2);
+        log.append(3, 40, 2);
         assert_eq!(log.take_all_pending_flush(), 40);
     }
 
     #[test]
     fn per_peer_isolation() {
         let mut log = MsgLog::new();
-        log.peer_mut(1).append(10, 0);
-        log.peer_mut(2).append(20, 1);
+        log.append(1, 10, 0);
+        log.append(2, 20, 1);
         assert_eq!(log.peer(1).unwrap().retained_bytes(), 10);
         assert_eq!(log.peer(2).unwrap().retained_bytes(), 20);
         assert!(log.peer(9).is_none());
@@ -444,18 +328,18 @@ mod tests {
 
     #[test]
     fn recv_log_replays_its_own_suffix() {
-        let mut log = RecvLog::new();
-        log.peer_mut(2).append(2, 100, 0); // [0, 100)
-        log.peer_mut(2).append(2, 100, 1); // [100, 200)
-        log.peer_mut(2).append(2, 50, 2); // [200, 250)
+        let mut log = MsgLog::new();
+        log.append(2, 100, 0); // [0, 100)
+        log.append(2, 100, 1); // [100, 200)
+        log.append(2, 50, 2); // [200, 250)
         assert_eq!(log.logged_end(2), 250);
         // Restart from a checkpoint with rr = 150: entry 0 is covered by
         // the image, entries 1 and 2 replay locally.
-        let replay = log.peer(2).unwrap().replay_from(150);
+        let replay = log.replay_range(2, 150, u64::MAX);
         assert_eq!(replay.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2]);
         // GC below a committed floor keeps the replayable suffix whole.
-        assert_eq!(log.peer_mut(2).gc(150), 100);
-        let replay = log.peer(2).unwrap().replay_from(150);
+        assert_eq!(log.gc(2, 150), 100);
+        let replay = log.replay_range(2, 150, u64::MAX);
         assert_eq!(replay.len(), 2);
         assert_eq!(
             log.logged_end(2),
@@ -466,15 +350,15 @@ mod tests {
 
     #[test]
     fn digest_of_value_is_pinned() {
-        assert_eq!(RecvEntry::digest_of(1, 2, 3), 0xda2b_fb22_5e0d_1f05);
+        assert_eq!(digest_of(1, 2, 3), 0xda2b_fb22_5e0d_1f05);
     }
 
     #[test]
     fn recv_digest_is_a_function_of_the_message_identity() {
-        let a = RecvEntry::digest_of(1, 7, 100);
-        assert_eq!(a, RecvEntry::digest_of(1, 7, 100));
-        assert_ne!(a, RecvEntry::digest_of(2, 7, 100));
-        assert_ne!(a, RecvEntry::digest_of(1, 8, 100));
-        assert_ne!(a, RecvEntry::digest_of(1, 7, 101));
+        let a = digest_of(1, 7, 100);
+        assert_eq!(a, digest_of(1, 7, 100));
+        assert_ne!(a, digest_of(2, 7, 100));
+        assert_ne!(a, digest_of(1, 8, 100));
+        assert_ne!(a, digest_of(1, 7, 101));
     }
 }

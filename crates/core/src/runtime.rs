@@ -254,12 +254,6 @@ impl CkptRuntime {
         self.inner.mode
     }
 
-    /// Per-rank CVC protocol state (collective clocks, cut epoch,
-    /// orphan oracle). Meaningful in [`Mode::Cvc`] only.
-    pub fn cvc_state(&self, rank: u32) -> &Rc<CvcState> {
-        &self.inner.cvc[rank as usize]
-    }
-
     /// Total orphaned receives observed across all ranks — messages
     /// consumed while stamped with a cut epoch ahead of the consumer's.
     /// The CVC cut protocol makes this impossible by construction; the

@@ -17,6 +17,21 @@ use crate::mailbox::{Arrival, Mailbox, Posted, Pulse, RecvFut, RecvSlot};
 use crate::message::{Envelope, MsgId, MsgKind, Payload, Tag};
 use crate::rank::{Rank, SrcSel};
 
+/// Await `rank`'s application gates, in order: halted, frozen and, for a
+/// send, sends blocked. Every application send, receive post and compute
+/// slice passes them. A macro rather than an async fn: a helper future
+/// around these awaits costs a few percent of message-heavy runs.
+macro_rules! wait_app_gates {
+    ($inner:expr, $rank:expr) => {{
+        $inner.halt_gates[$rank.idx()].wait_open().await;
+        $inner.app_gates[$rank.idx()].wait_open().await;
+    }};
+    ($inner:expr, $rank:expr, send) => {{
+        wait_app_gates!($inner, $rank);
+        $inner.send_gates[$rank.idx()].wait_open().await;
+    }};
+}
+
 /// Tunables of the MPI runtime model.
 #[derive(Debug, Clone)]
 pub struct WorldOpts {
@@ -197,19 +212,9 @@ impl World {
         self.inner.hooks[rank.idx()].borrow_mut().push(hook);
     }
 
-    /// Remove all hooks from `rank`.
-    pub fn clear_hooks(&self, rank: Rank) {
-        self.inner.hooks[rank.idx()].borrow_mut().clear();
-    }
-
     /// Install the global trace sink.
     pub fn set_trace(&self, sink: Rc<dyn TraceSink>) {
         *self.inner.trace.borrow_mut() = Some(sink);
-    }
-
-    /// Remove the trace sink.
-    pub fn clear_trace(&self) {
-        *self.inner.trace.borrow_mut() = None;
     }
 
     /// Freeze `rank`: no new sends, receive posts, or compute slices until
@@ -221,11 +226,6 @@ impl World {
     /// Release a frozen rank.
     pub fn thaw(&self, rank: Rank) {
         self.inner.app_gates[rank.idx()].open();
-    }
-
-    /// Whether the rank is currently frozen.
-    pub fn is_frozen(&self, rank: Rank) -> bool {
-        !self.inner.app_gates[rank.idx()].is_open()
     }
 
     /// Halt `rank` as if its process died: no new application sends,
@@ -240,11 +240,6 @@ impl World {
     /// Release a halted rank (recovery finished; the process is back).
     pub fn resume(&self, rank: Rank) {
         self.inner.halt_gates[rank.idx()].open();
-    }
-
-    /// Whether the rank is currently halted by fault injection.
-    pub fn is_halted(&self, rank: Rank) -> bool {
-        !self.inner.halt_gates[rank.idx()].is_open()
     }
 
     /// Suspend new application sends from `rank` (receives and compute
@@ -279,24 +274,37 @@ impl World {
         }
     }
 
-    /// Wait until at least `target_msgs` application messages from `src`
-    /// have arrived at `dst`'s MPI layer.
-    pub async fn wait_arrived_msgs(&self, src: Rank, dst: Rank, target_msgs: u64) {
-        loop {
-            if self.inner.counters.borrow().pair(src, dst).arrived_msgs >= target_msgs {
-                return;
-            }
-            self.inner.arrival_pulses[dst.idx()].wait_next().await;
-        }
-    }
-
     // -- internal engine ---------------------------------------------------
 
-    fn next_msg_id(&self, src: Rank) -> MsgId {
+    /// A new message `src → dst` with the sender's next sequence number,
+    /// stamped with the current time; send hooks fill in the piggybacks.
+    fn envelope(
+        &self,
+        src: Rank,
+        dst: Rank,
+        tag: Tag,
+        bytes: u64,
+        kind: MsgKind,
+        payload: Payload,
+    ) -> Envelope {
+        assert!(dst.idx() < self.inner.n, "destination rank out of range");
         let c = &self.inner.send_seq[src.idx()];
         let seq = c.get();
         c.set(seq + 1);
-        MsgId { src, seq }
+        Envelope {
+            src,
+            dst,
+            tag,
+            bytes,
+            id: MsgId { src, seq },
+            kind,
+            piggyback_rr: None,
+            piggyback_epoch: None,
+            piggyback_ack: None,
+            payload,
+            sent_at: self.inner.sim.now(),
+            arrived_at: SimTime::ZERO,
+        }
     }
 
     /// Run send hooks; returns the summed sender-side cost to charge
@@ -437,26 +445,10 @@ impl World {
         kind: MsgKind,
         payload: Payload,
     ) {
-        assert!(dst.idx() < self.inner.n, "destination rank out of range");
         if kind == MsgKind::App {
-            self.inner.halt_gates[src.idx()].wait_open().await;
-            self.inner.app_gates[src.idx()].wait_open().await;
-            self.inner.send_gates[src.idx()].wait_open().await;
+            wait_app_gates!(self.inner, src, send);
         }
-        let mut env = Envelope {
-            src,
-            dst,
-            tag,
-            bytes,
-            id: self.next_msg_id(src),
-            kind,
-            piggyback_rr: None,
-            piggyback_epoch: None,
-            piggyback_ack: None,
-            payload,
-            sent_at: self.inner.sim.now(),
-            arrived_at: SimTime::ZERO,
-        };
+        let mut env = self.envelope(src, dst, tag, bytes, kind, payload);
         let net = Rc::clone(self.inner.cluster.network());
         let opts = &self.inner.opts;
         let rendezvous = kind == MsgKind::App && bytes > opts.eager_threshold && src != dst;
@@ -533,29 +525,14 @@ impl World {
         if count == 0 {
             return;
         }
-        self.inner.halt_gates[src.idx()].wait_open().await;
-        self.inner.app_gates[src.idx()].wait_open().await;
-        self.inner.send_gates[src.idx()].wait_open().await;
+        wait_app_gates!(self.inner, src, send);
         let net = Rc::clone(self.inner.cluster.network());
         let opts = &self.inner.opts;
         let shard = self.shard_of(dst);
         let mut envs = Vec::with_capacity(count as usize);
         let mut cost = SimDuration::ZERO;
         for _ in 0..count {
-            let mut env = Envelope {
-                src,
-                dst,
-                tag,
-                bytes,
-                id: self.next_msg_id(src),
-                kind: MsgKind::App,
-                piggyback_rr: None,
-                piggyback_epoch: None,
-                piggyback_ack: None,
-                payload: None,
-                sent_at: self.inner.sim.now(),
-                arrived_at: SimTime::ZERO,
-            };
+            let mut env = self.envelope(src, dst, tag, bytes, MsgKind::App, None);
             cost += self.run_send_hooks(&mut env);
             envs.push(env);
         }
@@ -604,11 +581,6 @@ impl World {
             }
         }
         RecvFut::new(slot)
-    }
-
-    /// Number of unexpected (arrived, unmatched) messages at `rank`.
-    pub fn unexpected_count(&self, rank: Rank) -> usize {
-        self.inner.mailboxes[rank.idx()].borrow().unexpected_len()
     }
 }
 
@@ -661,12 +633,7 @@ impl RankCtx {
 
     /// Receive a message from `src` with app tag `tag`.
     pub async fn recv(&self, src: impl Into<SrcSel>, tag: u64) -> Envelope {
-        self.world.inner.halt_gates[self.rank.idx()]
-            .wait_open()
-            .await;
-        self.world.inner.app_gates[self.rank.idx()]
-            .wait_open()
-            .await;
+        wait_app_gates!(self.world.inner, self.rank);
         self.world
             .recv_impl(self.rank, src.into(), Tag::app(tag))
             .await
@@ -692,22 +659,11 @@ impl RankCtx {
         let slice = self.world.inner.opts.compute_slice;
         let mut remaining = dur;
         while !remaining.is_zero() {
-            self.world.inner.halt_gates[self.rank.idx()]
-                .wait_open()
-                .await;
-            self.world.inner.app_gates[self.rank.idx()]
-                .wait_open()
-                .await;
+            wait_app_gates!(self.world.inner, self.rank);
             let step = remaining.min(slice);
             self.world.sim().sleep(step).await;
             remaining = remaining.saturating_sub(step);
         }
-    }
-
-    /// Execute `flops` of computation at the cluster's sustained rate.
-    pub async fn compute_flops(&self, flops: f64) {
-        let dur = self.world.cluster().spec().compute_time(flops);
-        self.busy(dur).await;
     }
 
     /// Fork a deterministic RNG substream for this rank.
@@ -751,12 +707,7 @@ impl RankCtx {
 
     /// Receive on the collective-internal tag space.
     pub(crate) async fn coll_recv(&self, src: Rank, seq: u64) -> Envelope {
-        self.world.inner.halt_gates[self.rank.idx()]
-            .wait_open()
-            .await;
-        self.world.inner.app_gates[self.rank.idx()]
-            .wait_open()
-            .await;
+        wait_app_gates!(self.world.inner, self.rank);
         self.world
             .recv_impl(self.rank, SrcSel::From(src), Tag::coll(seq))
             .await

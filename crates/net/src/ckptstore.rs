@@ -24,8 +24,9 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 
-use gcr_sim::SimDuration;
+use gcr_sim::{fnv1a_words, Sim, SimDuration};
 
 /// A failure of the storage subsystem, observed by a checkpoint or
 /// restart operation.
@@ -178,6 +179,27 @@ impl RetryPolicy {
         }
         d
     }
+
+    /// Run `op` under this policy: each failed attempt sleeps the
+    /// deterministic backoff on `sim`'s clock and tries again, until one
+    /// succeeds or `max_attempts` (at least one) have failed. The error
+    /// is the last attempt's, with the number of attempts made.
+    pub async fn run<T, E, Fut: Future<Output = Result<T, E>>>(
+        &self,
+        sim: &Sim,
+        mut op: impl FnMut() -> Fut,
+    ) -> Result<T, (E, u32)> {
+        let max = self.max_attempts.max(1);
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            match op().await {
+                Ok(t) => return Ok(t),
+                Err(e) if attempt >= max => return Err((e, attempt)),
+                Err(_) => sim.sleep(self.backoff(attempt)).await,
+            }
+        }
+    }
 }
 
 /// Lifecycle of one (group, generation) catalog entry.
@@ -229,18 +251,7 @@ struct GenEntry {
 /// Simulated content digest of one image (FNV-1a over its identity and
 /// size — enough to detect the injected bit flips deterministically).
 fn image_digest(group: usize, gen: u64, rank: u32, bytes: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    fold(group as u64);
-    fold(gen);
-    fold(rank as u64);
-    fold(bytes);
-    h
+    fnv1a_words([group as u64, gen, u64::from(rank), bytes])
 }
 
 /// The per-cluster checkpoint catalog. Cheap interior mutability; shared

@@ -67,11 +67,6 @@ impl Cluster {
         self.storm.set(factor);
     }
 
-    /// The current straggler-storm multiplier.
-    pub fn straggler_storm(&self) -> f64 {
-        self.storm.get()
-    }
-
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
         &self.sim

@@ -90,11 +90,6 @@ impl Network {
         self.slow[node].set(factor);
     }
 
-    /// The node's current link slowdown factor.
-    pub fn node_slowdown(&self, node: NodeId) -> f64 {
-        self.slow[node].get()
-    }
-
     /// Number of endpoints.
     pub fn nodes(&self) -> usize {
         self.tx.len()
@@ -103,11 +98,6 @@ impl Network {
     /// Serialization time of `bytes` on a link.
     pub fn wire_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
-    }
-
-    /// Uncontended end-to-end transfer time for a message of `bytes`.
-    pub fn ideal_transfer_time(&self, bytes: u64) -> SimDuration {
-        self.overhead + self.latency + self.wire_time(bytes)
     }
 
     /// Reserve link capacity for a `src → dst` message of `bytes` and return
@@ -159,11 +149,6 @@ impl Network {
     /// Total bytes·time busy accumulated on a node's uplink (diagnostics).
     pub fn tx_busy(&self, node: NodeId) -> SimDuration {
         self.tx[node].busy_time()
-    }
-
-    /// Total busy time on a node's downlink (diagnostics).
-    pub fn rx_busy(&self, node: NodeId) -> SimDuration {
-        self.rx[node].busy_time()
     }
 }
 

@@ -32,26 +32,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use gcr_sim::future::join_all;
-use gcr_sim::Sim;
+use gcr_sim::{fnv1a_words, Sim};
 
 use crate::backend::{CkptBackend, ImageFuture, ImageOp};
 use crate::ckptstore::{CkptStore, RetryPolicy, StorageError};
 use crate::cluster::Cluster;
 use crate::network::Network;
 use crate::storage::{Storage, StorageTarget};
-
-/// FNV-1a over a word sequence — the placement hash. Stable across
-/// platforms and runs, which is what makes placement reproducible.
-fn fnv(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Deterministic k-replica placement for one rank's checkpoint block.
 ///
@@ -99,7 +86,7 @@ pub fn place_replicas(group_of: &[usize], owner: u32, k: usize) -> Result<Vec<u3
         .enumerate()
         .filter(|&(r, &g)| g == owner_group && (r as u32) < owner)
         .count();
-    let start = (fnv(&[owner_group as u64]) as usize)
+    let start = (fnv1a_words([owner_group as u64]) as usize)
         .wrapping_add(owner_pos)
         .checked_rem(groups.len())
         .unwrap_or(0);
@@ -107,7 +94,7 @@ pub fn place_replicas(group_of: &[usize], owner: u32, k: usize) -> Result<Vec<u3
     for slot in 0..k {
         if let Some((_, ranks)) = groups.get((start + slot) % groups.len()) {
             if !ranks.is_empty() {
-                let pick = (fnv(&[owner_group as u64, slot as u64]) as usize)
+                let pick = (fnv1a_words([owner_group as u64, slot as u64]) as usize)
                     .wrapping_add(owner_pos)
                     .checked_rem(ranks.len())
                     .unwrap_or(0);
@@ -136,7 +123,7 @@ pub fn placement_digest(group_of: &[usize], k: usize) -> u64 {
             Err(_) => words.push(u64::MAX),
         }
     }
-    fnv(&words)
+    fnv1a_words(words)
 }
 
 /// One replicated checkpoint block's bookkeeping.
@@ -603,22 +590,15 @@ impl RestoreBackend {
             }
             let mut exhausted = false;
             for dst in targets {
-                let max = self.policy.max_attempts.max(1);
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    match self.push_copy(src, dst, bytes).await {
-                        Ok(()) => {
-                            replicas.push_block(group, gen, rank, bytes, dst);
-                            stats.repushed += 1;
-                            break;
-                        }
-                        Err(_) if attempt >= max => {
-                            exhausted = true;
-                            break;
-                        }
-                        Err(_) => self.sim.sleep(self.policy.backoff(attempt)).await,
-                    }
+                let pushed = self
+                    .policy
+                    .run(&self.sim, || self.push_copy(src, dst, bytes))
+                    .await;
+                if pushed.is_ok() {
+                    replicas.push_block(group, gen, rank, bytes, dst);
+                    stats.repushed += 1;
+                } else {
+                    exhausted = true;
                 }
             }
             match replicas.ack_quorum(group, gen, rank, self.k) {

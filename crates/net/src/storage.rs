@@ -15,9 +15,10 @@
 //! [`Storage::inject_write_timeouts`], [`Storage::set_server_down`]) let the
 //! chaos harness trigger each mode deterministically. The
 //! [`Storage::write_with_retry`] / [`Storage::read_with_retry`] wrappers
-//! implement the bounded, sim-clock-driven backoff policy the protocol layer
-//! uses: transient faults are retried, a retry under an outage fails over to
-//! the next live server, and exhaustion degrades to a typed error.
+//! run the bounded, sim-clock-driven backoff loop ([`RetryPolicy::run`])
+//! the protocol layer uses: transient faults are retried, a retry under an
+//! outage fails over to the next live server, and exhaustion degrades to a
+//! typed error.
 
 // gcr-lint: trust(D03-T) local_disks/remote_disks/remote_down are sized to the cluster at construction and indexed by NodeId/server ids the cluster validated; storage faults surface as StorageError, not index panics
 
@@ -75,6 +76,24 @@ fn take_one(counters: &[Cell<u32>], node: NodeId) -> bool {
             true
         }
         _ => false,
+    }
+}
+
+/// Arm `count` more injected faults on `node`'s counter. Saturates: a
+/// count past the counter's range arms as many faults as it can hold.
+fn arm(counters: &[Cell<u32>], node: NodeId, count: u32) {
+    if let Some(c) = counters.get(node) {
+        c.set(c.get().saturating_add(count));
+    }
+}
+
+/// The error a retry loop reports once its attempts ran out: an outage
+/// passes through unmasked (retrying cannot help until a server
+/// returns), any other fault becomes [`StorageError::RetriesExhausted`].
+fn exhausted(node: NodeId, (e, attempts): (StorageError, u32)) -> StorageError {
+    match e {
+        StorageError::AllServersDown { .. } => e,
+        _ => StorageError::RetriesExhausted { node, attempts },
     }
 }
 
@@ -149,27 +168,18 @@ impl Storage {
         self.remote_down[server].set(down);
     }
 
-    /// Whether the remote checkpoint server is currently marked down.
-    pub fn server_is_down(&self, server: usize) -> bool {
-        self.remote_down[server].get()
-    }
-
     /// Arm `count` torn writes on `node` (fault injection): each of the
     /// next `count` writes from that node lands only half its bytes and
     /// returns [`StorageError::TornWrite`].
     pub fn inject_torn_writes(&self, node: NodeId, count: u32) {
-        if let Some(c) = self.torn_writes.get(node) {
-            c.set(c.get() + count);
-        }
+        arm(&self.torn_writes, node, count);
     }
 
     /// Arm `count` write timeouts on `node` (fault injection): each of the
     /// next `count` writes from that node pays its full service time and
     /// returns [`StorageError::WriteTimeout`].
     pub fn inject_write_timeouts(&self, node: NodeId, count: u32) {
-        if let Some(c) = self.write_timeouts.get(node) {
-            c.set(c.get() + count);
-        }
+        arm(&self.write_timeouts, node, count);
     }
 
     /// Arm `count` read timeouts on `node` (fault injection): each of the
@@ -178,9 +188,7 @@ impl Storage {
     /// [`Storage::read_with_retry`] must ride out transient read faults
     /// exactly like the write path does.
     pub fn inject_read_timeouts(&self, node: NodeId, count: u32) {
-        if let Some(c) = self.read_timeouts.get(node) {
-            c.set(c.get() + count);
-        }
+        arm(&self.read_timeouts, node, count);
     }
 
     fn local_service(&self, bytes: u64) -> SimDuration {
@@ -312,24 +320,10 @@ impl Storage {
         target: StorageTarget,
         policy: RetryPolicy,
     ) -> Result<SimTime, StorageError> {
-        let max = policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.write(node, bytes, target).await {
-                Ok(t) => return Ok(t),
-                Err(e) if attempt >= max => {
-                    return Err(match e {
-                        StorageError::AllServersDown { .. } => e,
-                        _ => StorageError::RetriesExhausted {
-                            node,
-                            attempts: attempt,
-                        },
-                    });
-                }
-                Err(_) => self.sim.sleep(policy.backoff(attempt)).await,
-            }
-        }
+        policy
+            .run(&self.sim, || self.write(node, bytes, target))
+            .await
+            .map_err(|e| exhausted(node, e))
     }
 
     /// [`Storage::read`] under the bounded retry/backoff `policy`.
@@ -343,29 +337,10 @@ impl Storage {
         target: StorageTarget,
         policy: RetryPolicy,
     ) -> Result<SimTime, StorageError> {
-        let max = policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.read(node, bytes, target).await {
-                Ok(t) => return Ok(t),
-                Err(e) if attempt >= max => {
-                    return Err(match e {
-                        StorageError::AllServersDown { .. } => e,
-                        _ => StorageError::RetriesExhausted {
-                            node,
-                            attempts: attempt,
-                        },
-                    });
-                }
-                Err(_) => self.sim.sleep(policy.backoff(attempt)).await,
-            }
-        }
-    }
-
-    /// Estimated uncontended local write time for `bytes` (planning).
-    pub fn ideal_local_write(&self, bytes: u64) -> SimDuration {
-        self.local_service(bytes)
+        policy
+            .run(&self.sim, || self.read(node, bytes, target))
+            .await
+            .map_err(|e| exhausted(node, e))
     }
 
     /// Queue an asynchronous, batched background write on `node`'s local

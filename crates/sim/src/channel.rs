@@ -15,15 +15,6 @@ use std::task::{Context, Poll, Waker};
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// Error returned by [`Receiver::try_recv`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message is currently queued.
-    Empty,
-    /// All senders are gone and the queue is drained.
-    Disconnected,
-}
-
 struct ChanInner<T> {
     queue: VecDeque<T>,
     recv_waker: Option<Waker>,
@@ -107,30 +98,6 @@ impl<T> Receiver<T> {
     /// and the queue is drained.
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { rx: self }
-    }
-
-    /// Non-blocking receive.
-    ///
-    /// # Errors
-    /// [`TryRecvError::Empty`] if nothing is queued,
-    /// [`TryRecvError::Disconnected`] if drained and all senders dropped.
-    pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-        let mut c = self.inner.borrow_mut();
-        match c.queue.pop_front() {
-            Some(v) => Ok(v),
-            None if c.senders == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().queue.is_empty()
     }
 }
 
@@ -281,16 +248,6 @@ mod tests {
         let (tx, rx) = channel::<u32>();
         drop(rx);
         assert_eq!(tx.send(7), Err(SendError(7)));
-    }
-
-    #[test]
-    fn try_recv_reports_state() {
-        let (tx, mut rx) = channel::<u32>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(1).unwrap();
-        assert_eq!(rx.try_recv(), Ok(1));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

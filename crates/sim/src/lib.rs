@@ -7,8 +7,8 @@
 //! deterministic executor ([`Sim`]) over a nanosecond virtual clock
 //! ([`SimTime`]). The crate also provides the synchronization primitives
 //! ([`sync`]), zero-time channels ([`channel`]), FIFO-server resources
-//! ([`resource::FifoResource`]) used to model NICs/disks, seeded random
-//! substreams ([`rng::DetRng`]), and stats collectors ([`stats`]).
+//! ([`resource::FifoResource`]) used to model NICs/disks, and seeded random
+//! substreams plus the FNV-1a fold ([`rng`]).
 //!
 //! ## Example
 //! ```
@@ -31,11 +31,10 @@ pub mod future;
 pub mod resource;
 pub mod rng;
 pub mod shard;
-pub mod stats;
 pub mod sync;
 pub mod time;
 
 pub use executor::{Deadlock, RunOutcome, Sim, TaskId};
-pub use rng::DetRng;
+pub use rng::{fnv1a, fnv1a_words, DetRng};
 pub use shard::SimStats;
 pub use time::{SimDuration, SimTime};

@@ -5,15 +5,27 @@
 //! experiment's root seed by a stable label, so adding a new consumer never
 //! perturbs existing streams and runs are exactly reproducible.
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash — stable across platforms and Rust versions,
-/// unlike `DefaultHasher`.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// unlike `DefaultHasher`. The workspace's one FNV-1a: substream labels,
+/// run digests and replica placement all fold through it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a`] over a word sequence, each word folded as its eight
+/// little-endian bytes.
+pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| fnv1a_fold(h, &w.to_le_bytes()))
+}
+
+fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// splitmix64 finalizer — decorrelates seeds that differ in few bits.

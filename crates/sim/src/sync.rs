@@ -165,159 +165,6 @@ impl Future for EventWait {
 }
 
 // ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-/// A counting semaphore. Permits are returned manually via
-/// [`Semaphore::release`] (no RAII guard: simulated tasks usually hand
-/// permits across task boundaries, e.g. bounded in-flight message windows).
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<RefCell<SemInner>>,
-}
-
-struct SemInner {
-    permits: usize,
-    waiters: Vec<Waker>,
-}
-
-impl Semaphore {
-    /// Create a semaphore holding `permits` permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            inner: Rc::new(RefCell::new(SemInner {
-                permits,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Acquire one permit, waiting if none are available.
-    pub fn acquire(&self) -> SemAcquire {
-        SemAcquire { sem: self.clone() }
-    }
-
-    /// Try to acquire a permit without waiting.
-    pub fn try_acquire(&self) -> bool {
-        let mut s = self.inner.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Return one permit, waking a waiter if any.
-    pub fn release(&self) {
-        let mut s = self.inner.borrow_mut();
-        s.permits += 1;
-        // Wake all; contenders re-check and at most `permits` proceed.
-        wake_all(&mut s.waiters);
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.inner.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire {
-    sem: Semaphore,
-}
-
-impl Future for SemAcquire {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.sem.inner.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            Poll::Ready(())
-        } else {
-            s.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-/// A reusable barrier for `parties` tasks. The `parties`-th arrival releases
-/// everyone and the barrier resets for the next generation.
-///
-/// Note: this is an *infrastructure* barrier (zero simulated cost). MPI
-/// barriers in `gcr-mpi` are built from real messages instead.
-#[derive(Clone)]
-pub struct Barrier {
-    inner: Rc<RefCell<BarrierInner>>,
-}
-
-struct BarrierInner {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    waiters: Vec<Waker>,
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` participants.
-    ///
-    /// # Panics
-    /// Panics if `parties == 0`.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            inner: Rc::new(RefCell::new(BarrierInner {
-                parties,
-                arrived: 0,
-                generation: 0,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrive and wait for the rest of the generation.
-    pub fn wait(&self) -> BarrierWait {
-        let mut b = self.inner.borrow_mut();
-        b.arrived += 1;
-        let my_generation = b.generation;
-        if b.arrived == b.parties {
-            b.arrived = 0;
-            b.generation += 1;
-            wake_all(&mut b.waiters);
-        }
-        BarrierWait {
-            barrier: self.clone(),
-            generation: my_generation,
-        }
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    barrier: Barrier,
-    generation: u64,
-}
-
-impl Future for BarrierWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut b = self.barrier.inner.borrow_mut();
-        if b.generation > self.generation {
-            Poll::Ready(())
-        } else {
-            b.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // WaitGroup
 // ---------------------------------------------------------------------------
 
@@ -478,81 +325,6 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(count.get(), 6);
-    }
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let active = Rc::new(Cell::new(0usize));
-        let max_active = Rc::new(Cell::new(0usize));
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let a = Rc::clone(&active);
-            let m = Rc::clone(&max_active);
-            sim.spawn(async move {
-                sem.acquire().await;
-                a.set(a.get() + 1);
-                m.set(m.get().max(a.get()));
-                s.sleep(SimDuration::from_millis(10)).await;
-                a.set(a.get() - 1);
-                sem.release();
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(max_active.get(), 2);
-        assert_eq!(sem.available(), 2);
-    }
-
-    #[test]
-    fn try_acquire_does_not_block() {
-        let sem = Semaphore::new(1);
-        assert!(sem.try_acquire());
-        assert!(!sem.try_acquire());
-        sem.release();
-        assert!(sem.try_acquire());
-    }
-
-    #[test]
-    fn barrier_synchronizes_generations() {
-        let sim = Sim::new();
-        let barrier = Barrier::new(3);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for id in 0..3u32 {
-            let b = barrier.clone();
-            let s = sim.clone();
-            let l = Rc::clone(&log);
-            sim.spawn(async move {
-                for round in 0..2u32 {
-                    s.sleep(SimDuration::from_millis((id as u64 + 1) * 10))
-                        .await;
-                    l.borrow_mut().push((round, id, "arrive"));
-                    b.wait().await;
-                    l.borrow_mut().push((round, id, "pass"));
-                }
-            });
-        }
-        sim.run().unwrap();
-        let log = log.borrow();
-        // Within each round, all arrivals precede all passes.
-        for round in 0..2u32 {
-            let arrives: Vec<usize> = log
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.0 == round && e.2 == "arrive")
-                .map(|(i, _)| i)
-                .collect();
-            let passes: Vec<usize> = log
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.0 == round && e.2 == "pass")
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(arrives.len(), 3);
-            assert_eq!(passes.len(), 3);
-            assert!(arrives.iter().max().unwrap() < passes.iter().min().unwrap());
-        }
     }
 
     #[test]

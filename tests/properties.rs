@@ -94,6 +94,153 @@ fn log_gc_is_always_safe() {
     }
 }
 
+/// A message log's tallies close: after random appends, GCs and replays
+/// on several peer streams, every appended byte was either dropped (as
+/// the GCs reported) or is still retained, and each stream's retained
+/// suffix replays `[floor, appended)` without a hole.
+#[test]
+fn msg_log_tallies_close_under_random_appends_and_gcs() {
+    use gcr::ckpt::MsgLog;
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0xA160_000A).fork_idx(case);
+        let mut log = MsgLog::new();
+        let mut dropped = 0u64;
+        for seq in 0..rng.range_u64(1, 80) {
+            let peer = rng.index(3) as u32;
+            match rng.index(4) {
+                0 | 1 => {
+                    log.append(peer, rng.range_u64(1, 5_000), seq);
+                }
+                2 => {
+                    let end = log.logged_end(peer);
+                    dropped += log.gc(peer, rng.range_u64(0, end + 1));
+                }
+                _ => {
+                    let end = log.logged_end(peer);
+                    let from = rng.range_u64(0, end + 1);
+                    let replayed: u64 = log
+                        .replay_range(peer, from, u64::MAX)
+                        .iter()
+                        .map(|e| e.bytes)
+                        .sum();
+                    let retained = log.peer(peer).map_or(0, |l| l.retained_bytes());
+                    assert!(replayed <= retained, "case {case}: replay beyond the log");
+                }
+            }
+            assert_eq!(
+                log.appended_bytes(),
+                dropped + log.retained_bytes(),
+                "case {case}: appended != dropped + retained"
+            );
+            assert_eq!(log.gc_bytes(), dropped, "case {case}");
+            for (peer, l) in log.iter() {
+                let floor = l.appended_bytes() - l.retained_bytes();
+                let mut cursor = floor;
+                for e in l.replay_range(floor, u64::MAX) {
+                    assert!(
+                        e.offset <= cursor,
+                        "case {case} peer {peer}: hole at {cursor}"
+                    );
+                    cursor = cursor.max(e.end());
+                }
+                assert_eq!(cursor, l.appended_bytes(), "case {case} peer {peer}");
+            }
+        }
+    }
+}
+
+/// The protocol state's log tallies close under random inter-group
+/// traffic with both trimming paths live — piggybacked `RR` GC after
+/// committed checkpoints and receiver-log acknowledgement GC:
+/// `total_logged_bytes == total_gc_bytes + retained_log_bytes` on every
+/// rank after every step.
+#[test]
+fn gp_log_tallies_close_under_piggyback_and_ack_gc() {
+    use gcr::ckpt::{GpState, RbState};
+    use gcr::mpi::{Envelope, MpiHook, MsgId, MsgKind, Rank, Tag};
+    use gcr::sim::SimDuration;
+
+    fn env(src: u32, dst: u32, bytes: u64, seq: u64) -> Envelope {
+        Envelope {
+            src: Rank(src),
+            dst: Rank(dst),
+            tag: Tag::app(0),
+            bytes,
+            id: MsgId {
+                src: Rank(src),
+                seq,
+            },
+            kind: MsgKind::App,
+            piggyback_rr: None,
+            piggyback_epoch: None,
+            piggyback_ack: None,
+            payload: None,
+            sent_at: SimTime::ZERO,
+            arrived_at: SimTime::ZERO,
+        }
+    }
+
+    let mut trimmed = 0u64;
+    for case in 0..32u64 {
+        let mut rng = DetRng::new(0xA160_000B).fork_idx(case);
+        let groups = Rc::new(GroupDef::new(4, vec![vec![0, 1], vec![2, 3]]).unwrap());
+        let gps: Vec<_> = (0..4)
+            .map(|r| {
+                GpState::new(
+                    r,
+                    Rc::clone(&groups),
+                    true,
+                    250e6,
+                    SimDuration::from_micros(20),
+                )
+            })
+            .collect();
+        // Half the cases add receiver-based logging, whose sends carry
+        // the acknowledgement piggyback.
+        let rbs: Vec<_> = gps
+            .iter()
+            .map(|gp| RbState::new(Rc::clone(gp), Rc::clone(&groups)))
+            .collect();
+        let ack = case % 2 == 1;
+        let mut seq = 0u64;
+        let mut gen = 0u64;
+        for _ in 0..rng.range_u64(20, 120) {
+            if rng.index(4) == 0 {
+                let r = rng.index(4);
+                gps[r].on_checkpoint(gen);
+                if rng.chance(0.7) {
+                    gps[r].on_commit(gen);
+                    rbs[r].on_commit();
+                } else {
+                    gps[r].on_abort(gen);
+                }
+                gen += 1;
+            } else {
+                let src = rng.index(4);
+                let dst = (src + 1 + rng.index(3)) % 4;
+                let mut e = env(src as u32, dst as u32, rng.range_u64(1, 4096), seq);
+                seq += 1;
+                if ack {
+                    rbs[src].on_send(&mut e);
+                    rbs[dst].on_recv(&e);
+                } else {
+                    gps[src].on_send(&mut e);
+                    gps[dst].on_recv(&e);
+                }
+            }
+            for (r, gp) in gps.iter().enumerate() {
+                assert_eq!(
+                    gp.total_logged_bytes(),
+                    gp.total_gc_bytes() + gp.retained_log_bytes(),
+                    "case {case} rank {r}: logged != gc'd + retained"
+                );
+            }
+        }
+        trimmed += gps.iter().map(|gp| gp.total_gc_bytes()).sum::<u64>();
+    }
+    assert!(trimmed > 0, "no case ever trimmed its log");
+}
+
 /// The replay/skip arithmetic reconstructs the exact sender stream for
 /// any (sender-ckpt, receiver-ckpt) cut positions.
 #[test]
@@ -618,7 +765,7 @@ fn cvc_piggybacked_epochs_keep_every_cut_consistent() {
 /// original stream exactly: no hole, no duplicate, no reordering.
 #[test]
 fn rblog_restart_replays_a_byte_identical_receive_stream() {
-    use gcr::ckpt::{GpState, RbState, RecvEntry};
+    use gcr::ckpt::{digest_of, GpState, RbState};
     use gcr::mpi::{Envelope, MpiHook, MsgId, MsgKind, Rank, Tag};
     use gcr::sim::SimDuration;
     use std::collections::VecDeque;
@@ -719,15 +866,15 @@ fn rblog_restart_replays_a_byte_identical_receive_stream() {
         let my_logged = rb_r.logged_end(1);
         let mut replayed: Vec<(u64, u32, u64, u64)> = Vec::new();
         for e in rb_r.replay_local(1, rr) {
-            replayed.push((e.offset, 1, e.seq, e.digest));
+            replayed.push((e.offset, 1, e.seq, digest_of(1, e.seq, e.bytes)));
         }
         for e in gp_s.replay_entries_live(0, my_logged, gp_s.sent_to(0)) {
-            replayed.push((e.offset, 1, e.seq, RecvEntry::digest_of(1, e.seq, e.bytes)));
+            replayed.push((e.offset, 1, e.seq, digest_of(1, e.seq, e.bytes)));
         }
         let expected: Vec<(u64, u32, u64, u64)> = history
             .iter()
             .filter(|&&(off, bytes, _)| off + bytes > rr)
-            .map(|&(off, bytes, s)| (off, 1, s, RecvEntry::digest_of(1, s, bytes)))
+            .map(|&(off, bytes, s)| (off, 1, s, digest_of(1, s, bytes)))
             .collect();
         assert_eq!(
             replayed,
