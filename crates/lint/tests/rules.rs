@@ -60,6 +60,24 @@ fn d02_fires_on_wall_clock_and_threads() {
         vec![Rule::D02, Rule::D02],
         "Instant::now and available_parallelism each fire once: {fs:?}"
     );
+
+    // Overlapping patterns give one finding per line, naming the first
+    // pattern in D02's list that matches.
+    let fs = lint_at(
+        "crates/net/src/fixture.rs",
+        "fn f() { let t = std::time::Instant::now(); }\n",
+    );
+    assert_eq!(rules_of(&fs), vec![Rule::D02], "{fs:?}");
+    assert!(fs[0].message.contains("`Instant::now`"), "{fs:?}");
+
+    // A pattern at the start of a line, at its end, and before a `\r\n`
+    // line ending each fire.
+    let src = "std::env::var(\"X\");\nlet p = available_parallelism\n\
+               let r = RandomState\r\nlet s = 1;\r\n";
+    let fs = lint_at("crates/net/src/fixture.rs", src);
+    let lines: Vec<usize> = fs.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![1, 2, 3], "{fs:?}");
+    assert!(fs.iter().all(|f| f.rule == Rule::D02));
 }
 
 #[test]
@@ -69,6 +87,21 @@ fn d02_quiet_on_sim_time_and_comments() {
         include_str!("fixtures/d02_quiet.rs"),
     );
     assert!(fs.is_empty(), "comments and strings are not code: {fs:?}");
+
+    // Identifier boundaries: a longer identifier hides the pattern, and a
+    // pattern never matches across spaces.
+    let src = "fn f() { my_std::env::x(); SystemTimeX::new(); std :: env :: var(); }\n";
+    let fs = lint_at("crates/net/src/fixture.rs", src);
+    assert!(fs.is_empty(), "{fs:?}");
+
+    // Strings, comments and `#[cfg(test)]` items are not simulated code.
+    let src = "fn f() -> &'static str { \"thread::spawn\" }\n\
+               // RandomState\n\
+               /* SystemTime */\n\
+               #[cfg(test)]\n\
+               mod tests {\n    fn t() { std::thread::sleep(d); }\n}\n";
+    let fs = lint_at("crates/net/src/fixture.rs", src);
+    assert!(fs.is_empty(), "{fs:?}");
 }
 
 #[test]
