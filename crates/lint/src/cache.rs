@@ -42,7 +42,7 @@ use crate::rules;
 /// Bump on any analyzer behavior change that reuses the same rule set —
 /// the key also folds in [`Rule::ALL`], so adding or removing a rule
 /// invalidates without a bump.
-const CACHE_VERSION: u64 = 2;
+const CACHE_VERSION: u64 = 3;
 
 /// What the cache did for one run — reported by `gcrsim lint` and
 /// asserted by the warm-run budget test.

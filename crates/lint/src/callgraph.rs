@@ -37,11 +37,11 @@ pub enum Resolution {
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
-pub struct CallSite {
+pub struct CallSite<'a> {
     /// 1-based source line.
     pub line: usize,
     /// Callee name as written.
-    pub name: String,
+    pub name: &'a str,
     /// Resolved workspace callee ids (empty for external).
     pub targets: Vec<usize>,
     /// Classification for the statistics.
@@ -72,9 +72,9 @@ pub struct PanicSite {
 
 /// The call graph plus per-function panic sites.
 #[derive(Debug, Default)]
-pub struct CallGraph {
+pub struct CallGraph<'a> {
     /// Call sites per function id (source order).
-    pub calls: Vec<Vec<CallSite>>,
+    pub calls: Vec<Vec<CallSite<'a>>>,
     /// Deduplicated workspace callee ids per function id.
     pub edges: Vec<Vec<usize>>,
     /// Unwaived panic sites per function id.
@@ -86,11 +86,11 @@ pub struct CallGraph {
 /// Build the graph. `files` pairs each indexed file with its lexer
 /// output; `waivers` is consulted (and marked) for panic-site line
 /// waivers and file-scope `trust(D03-T)` directives.
-pub fn build(
+pub fn build<'a>(
     index: &SymbolIndex,
-    files: &[(&str, &Lexed)],
+    files: &[(&str, &Lexed<'a>)],
     waivers: &mut [FileWaivers],
-) -> CallGraph {
+) -> CallGraph<'a> {
     let mut g = CallGraph {
         calls: Vec::with_capacity(index.fns.len()),
         edges: Vec::with_capacity(index.fns.len()),
@@ -147,7 +147,7 @@ pub fn build(
     g
 }
 
-impl CallGraph {
+impl CallGraph<'_> {
     /// For every function, can it reach a (kept) panic site through
     /// edges within `scope`? Least fixpoint over the cyclic graph.
     pub fn reaches_panic(&self, scope: &[bool]) -> Vec<bool> {
@@ -286,18 +286,18 @@ const STD_METHOD_NAMES: &[&str] = &[
 ];
 
 /// Extract and resolve the call sites in `toks[start..end)`.
-pub fn call_sites(
+pub fn call_sites<'a>(
     index: &SymbolIndex,
     caller: &FnDef,
-    toks: &[Tok],
+    toks: &[Tok<'a>],
     start: usize,
     end: usize,
     stats: &mut GraphStats,
-) -> Vec<CallSite> {
+) -> Vec<CallSite<'a>> {
     let mut out = Vec::new();
     for i in start..end.min(toks.len()) {
         let t = &toks[i];
-        if t.kind != TokKind::Ident || KEYWORDS.contains(&t.text.as_str()) {
+        if t.kind != TokKind::Ident || KEYWORDS.contains(&t.text) {
             continue;
         }
         if toks.get(i + 1).is_none_or(|n| n.text != "(") {
@@ -307,11 +307,11 @@ pub fn call_sites(
             continue; // nested definition, indexed separately
         }
         let (targets, resolution) = if i > 0 && toks[i - 1].text == "." {
-            resolve_method(index, &t.text)
+            resolve_method(index, t.text)
         } else if i > 1 && toks[i - 1].text == ":" && toks[i - 2].text == ":" {
             resolve_path(index, caller, toks, i)
         } else {
-            resolve_bare(index, caller, &t.text)
+            resolve_bare(index, caller, t.text)
         };
         stats.call_sites += 1;
         match resolution {
@@ -321,7 +321,7 @@ pub fn call_sites(
         }
         out.push(CallSite {
             line: t.line,
-            name: t.text.clone(),
+            name: t.text,
             targets,
             resolution,
         });
@@ -388,19 +388,18 @@ fn resolve_path(
     toks: &[Tok],
     at: usize,
 ) -> (Vec<usize>, Resolution) {
-    let name = toks[at].text.as_str();
+    let name = toks[at].text;
     // Qualifier: the path segment right before `::name`.
     let mut qual = toks
         .get(at.wrapping_sub(3))
         .filter(|q| q.kind == TokKind::Ident)
-        .map(|q| q.text.clone())
-        .unwrap_or_default();
+        .map_or("", |q| q.text);
     if qual == "Self" {
-        qual = caller.owner.clone().unwrap_or_default();
+        qual = caller.owner.unwrap_or_default();
     }
     // A type-qualified associated call: prefer definitions owned by it.
     if !qual.is_empty() {
-        let owned = named(index, name, |f| f.owner.as_deref() == Some(qual.as_str()));
+        let owned = named(index, name, |f| f.owner == Some(qual));
         if !owned.is_empty() {
             return (owned, Resolution::Resolved);
         }
@@ -437,10 +436,7 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
             }
         }
         if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
+            && matches!(t.text, "panic" | "unreachable" | "todo" | "unimplemented")
             && toks.get(i + 1).is_some_and(|n| n.text == "!")
         {
             out.push(PanicSite {
@@ -452,7 +448,7 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<PanicSite> {
         if t.text == "[" && i > start {
             let prev = &toks[i - 1];
             let indexes = match prev.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
+                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text),
                 TokKind::Punct => prev.text == ")" || prev.text == "]",
                 _ => false,
             };
@@ -473,7 +469,7 @@ pub fn crate_scope(index: &SymbolIndex, crates: &[&str]) -> Vec<bool> {
     index
         .fns
         .iter()
-        .map(|f| crates.contains(&f.krate.as_str()))
+        .map(|f| crates.contains(&f.krate))
         .collect()
 }
 
@@ -494,7 +490,7 @@ mod tests {
     use crate::lexer::lex;
     use crate::symbols;
 
-    fn graph_of(files: &[(&str, &str)]) -> (SymbolIndex, CallGraph) {
+    fn graph_of<'a>(files: &[(&'a str, &'a str)]) -> (SymbolIndex<'a>, CallGraph<'a>) {
         let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lex(s)).collect();
         let pairs: Vec<(&str, &Lexed)> = files
             .iter()

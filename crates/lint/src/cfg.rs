@@ -50,7 +50,7 @@ fn is_ident(toks: &[Tok], i: usize, text: &str) -> bool {
 /// unclosed (truncated input); `open` itself when no opener sits there.
 /// Only the opener's own bracket kind is counted.
 pub fn matching(toks: &[Tok], open: usize, hi: usize) -> usize {
-    let (o, c) = match toks.get(open).map(|t| t.text.as_str()) {
+    let (o, c) = match toks.get(open).map(|t| t.text) {
         Some("{") => ("{", "}"),
         Some("(") => ("(", ")"),
         Some("[") => ("[", "]"),
@@ -59,7 +59,7 @@ pub fn matching(toks: &[Tok], open: usize, hi: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < hi {
-        let t = toks[i].text.as_str();
+        let t = toks[i].text;
         if t == o {
             depth += 1;
         } else if t == c {
@@ -79,7 +79,7 @@ pub(crate) fn scan_to(toks: &[Tok], from: usize, hi: usize, stop: &str) -> usize
     let mut depth = 0i32;
     let mut i = from;
     while i < hi {
-        match toks[i].text.as_str() {
+        match toks[i].text {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
             t if t == stop && depth == 0 => return i,
@@ -108,7 +108,7 @@ pub(crate) fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<Arm> {
         let mut arrow = None;
         let mut j = i;
         while j < close {
-            match toks[j].text.as_str() {
+            match toks[j].text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "=" if depth == 0 && toks.get(j + 1).is_some_and(|t| t.text == ">") => {
@@ -154,7 +154,7 @@ fn block_open(toks: &[Tok], from: usize, hi: usize) -> Option<usize> {
     let mut depth = 0i32;
     let mut i = from;
     while i < hi {
-        match toks[i].text.as_str() {
+        match toks[i].text {
             "(" | "[" => depth += 1,
             ")" | "]" => depth -= 1,
             "{" if depth == 0 => return Some(i),
@@ -172,7 +172,7 @@ fn skip_let_pattern(toks: &[Tok], from: usize, hi: usize) -> usize {
     let mut depth = 0i32;
     let mut i = from;
     while i < hi {
-        match toks[i].text.as_str() {
+        match toks[i].text {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
             "=" if depth == 0 => {
@@ -198,7 +198,7 @@ fn parse_seq(toks: &[Tok], lo: usize, hi: usize) -> Vec<Cfg> {
     let mut depth = 0i32; // ( / [ nesting — keywords inside are expression-level
     while i < hi {
         let t = &toks[i];
-        match t.text.as_str() {
+        match t.text {
             "(" | "[" => {
                 depth += 1;
                 i += 1;
@@ -215,7 +215,7 @@ fn parse_seq(toks: &[Tok], lo: usize, hi: usize) -> Vec<Cfg> {
             i += 1;
             continue;
         }
-        match t.text.as_str() {
+        match t.text {
             "if" => {
                 flush(&mut out, flat, i);
                 let (node, next) = parse_if(toks, i, hi);

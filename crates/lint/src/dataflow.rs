@@ -63,14 +63,14 @@ const SINKS: &[&str] = &[
 type Chain = Vec<(String, usize)>;
 
 /// Taint environment: simple binding name → how it got tainted.
-type Env = BTreeMap<String, Chain>;
+type Env<'a> = BTreeMap<&'a str, Chain>;
 
 /// Run the D10 determinism taint pass over the workspace.
 pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -> Vec<Finding> {
     let n = index.fns.len();
 
     // Per-file hash-bound identifier sets (reused from D01's binding scan).
-    let hash_bound: Vec<BTreeSet<String>> = views
+    let hash_bound: Vec<BTreeSet<&str>> = views
         .iter()
         .map(|(_, lx)| rules::hash_bound_idents(&lx.toks))
         .collect();
@@ -135,13 +135,13 @@ pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -
 }
 
 /// Does `[lo, hi)` contain a nondeterminism source?
-fn has_source(toks: &[Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<String>) -> bool {
+fn has_source(toks: &[Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> bool {
     let hi = hi.min(toks.len());
     (lo..hi).any(|i| source_at(toks, i, hi, hash_bound).is_some())
 }
 
 /// The nondeterminism source starting at token `i`, if any.
-fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<String>) -> Option<String> {
+fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> Option<String> {
     let t = &toks[i];
     if t.kind != TokKind::Ident {
         return None;
@@ -149,7 +149,7 @@ fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<String>) -
     let path_next = |j: usize| {
         toks.get(j).is_some_and(|a| a.text == ":") && toks.get(j + 1).is_some_and(|a| a.text == ":")
     };
-    match t.text.as_str() {
+    match t.text {
         "Instant" if path_next(i + 1) && toks.get(i + 3).is_some_and(|a| a.text == "now") => {
             return Some("Instant::now()".to_string());
         }
@@ -161,11 +161,11 @@ fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<String>) -
         _ => {}
     }
     // Hash-order iteration: `m.iter()` where `m` is hash-bound.
-    if hash_bound.contains(&t.text)
+    if hash_bound.contains(t.text)
         && toks.get(i + 1).is_some_and(|a| a.text == ".")
         && i + 2 < hi
         && toks[i + 2].kind == TokKind::Ident
-        && rules::HASH_ITER_METHODS.contains(&toks[i + 2].text.as_str())
+        && rules::HASH_ITER_METHODS.contains(&toks[i + 2].text)
     {
         return Some(format!("hash-ordered iteration over `{}`", t.text));
     }
@@ -192,18 +192,18 @@ struct Taint<'a> {
 /// The flow-sensitive taint walker over one function body.
 struct Flow<'a> {
     taint: &'a Taint<'a>,
-    index: &'a SymbolIndex,
+    index: &'a SymbolIndex<'a>,
     rel: &'a str,
-    lx: &'a Lexed,
-    reported: BTreeSet<(usize, String)>,
+    lx: &'a Lexed<'a>,
+    reported: BTreeSet<(usize, &'a str)>,
     out: &'a mut Vec<Finding>,
 }
 
 impl<'a> Flow<'a> {
     fn new(
         taint: &'a Taint<'a>,
-        index: &'a SymbolIndex,
-        (rel, lx): (&'a str, &'a Lexed),
+        index: &'a SymbolIndex<'a>,
+        (rel, lx): (&'a str, &'a Lexed<'a>),
         out: &'a mut Vec<Finding>,
     ) -> Self {
         Flow {
@@ -222,7 +222,7 @@ impl<'a> Flow<'a> {
         self.walk(&graph_cfg, Env::new());
     }
 
-    fn walk(&mut self, c: &Cfg, mut env: Env) -> Env {
+    fn walk(&mut self, c: &Cfg, mut env: Env<'a>) -> Env<'a> {
         match c {
             Cfg::Stmt(lo, hi) => {
                 self.stmt(&mut env, *lo, *hi);
@@ -253,7 +253,7 @@ impl<'a> Flow<'a> {
 
     /// Transfer one straight-line run: per `;`-separated statement,
     /// check sinks against the pre-state, then apply the binding.
-    fn stmt(&mut self, env: &mut Env, lo: usize, hi: usize) {
+    fn stmt(&mut self, env: &mut Env<'a>, lo: usize, hi: usize) {
         let toks = &self.lx.toks;
         let hi = hi.min(toks.len());
         let mut a = lo;
@@ -273,7 +273,7 @@ impl<'a> Flow<'a> {
         for i in a..b {
             let t = &toks[i];
             if t.kind != TokKind::Ident
-                || !self.taint.sinks.contains(&t.text.as_str())
+                || !self.taint.sinks.contains(&t.text)
                 || toks.get(i + 1).is_none_or(|n| n.text != "(")
             {
                 continue;
@@ -282,7 +282,7 @@ impl<'a> Flow<'a> {
             let Some(chain) = self.expr_taint(env, i + 2, close) else {
                 continue;
             };
-            let key = (t.line, t.text.clone());
+            let key = (t.line, t.text);
             if !self.reported.insert(key) {
                 continue;
             }
@@ -290,7 +290,7 @@ impl<'a> Flow<'a> {
                 .iter()
                 .map(|(desc, line)| format!("{desc} (line {line})"))
                 .collect();
-            let message = (self.taint.message)(&t.text, &steps.join(" → "));
+            let message = (self.taint.message)(t.text, &steps.join(" → "));
             self.out.push(Finding::new(
                 self.rel,
                 self.lx,
@@ -302,13 +302,13 @@ impl<'a> Flow<'a> {
     }
 
     /// Apply a simple `let x = …` / `x = …` binding: taint or kill.
-    fn binding(&mut self, env: &mut Env, a: usize, b: usize) {
+    fn binding(&mut self, env: &mut Env<'a>, a: usize, b: usize) {
         let toks = &self.lx.toks;
         let Some((target, rhs)) = simple_binding(toks, a, b) else {
             return; // destructuring pattern: no simple binding to track
         };
         if rhs >= b {
-            env.remove(&target); // `let x;` — uninitialized, kills taint
+            env.remove(target); // `let x;` — uninitialized, kills taint
             return;
         }
         match self.expr_taint(env, rhs, b) {
@@ -319,7 +319,7 @@ impl<'a> Flow<'a> {
                 env.insert(target, chain);
             }
             None => {
-                env.remove(&target);
+                env.remove(target);
             }
         }
     }
@@ -337,11 +337,11 @@ impl<'a> Flow<'a> {
             }
             let t = &toks[i];
             if t.kind == TokKind::Ident {
-                if let Some(chain) = env.get(&t.text) {
+                if let Some(chain) = env.get(t.text) {
                     return Some(chain.clone());
                 }
                 if toks.get(i + 1).is_some_and(|n| n.text == "(") {
-                    if let Some(ids) = self.index.by_name.get(&t.text) {
+                    if let Some(ids) = self.index.by_name.get(t.text) {
                         if ids.iter().any(|&id| self.taint.ret_taint[id]) {
                             return Some(vec![(
                                 format!("`{}()` (returns a nondeterministic value)", t.text),
@@ -361,7 +361,7 @@ impl<'a> Flow<'a> {
 /// `[a, b)`: the bound name and the RHS start. An uninitialized `let x;`
 /// returns the name with RHS start `b` (the binding kills taint);
 /// destructuring patterns return `None` (nothing simple to track).
-fn simple_binding(toks: &[Tok], a: usize, b: usize) -> Option<(String, usize)> {
+fn simple_binding<'a>(toks: &[Tok<'a>], a: usize, b: usize) -> Option<(&'a str, usize)> {
     if toks[a].text == "let" {
         let mut j = a + 1;
         if toks.get(j).is_some_and(|t| t.text == "mut") {
@@ -376,12 +376,12 @@ fn simple_binding(toks: &[Tok], a: usize, b: usize) -> Option<(String, usize)> {
         {
             return None;
         }
-        let name = name.text.clone();
+        let name = name.text;
         let mut k = j + 1;
         // Optional `: Type` annotation, then `=` (a bare `let x;` kills).
         let mut depth = 0i32;
         while k < b {
-            match toks[k].text.as_str() {
+            match toks[k].text {
                 "(" | "[" | "{" | "<" => depth += 1,
                 ")" | "]" | "}" | ">" => depth -= 1,
                 "=" if depth <= 0 && toks.get(k + 1).is_none_or(|t| t.text != "=") => break,
@@ -397,7 +397,7 @@ fn simple_binding(toks: &[Tok], a: usize, b: usize) -> Option<(String, usize)> {
         && toks.get(a + 1).is_some_and(|t| t.text == "=")
         && toks.get(a + 2).is_none_or(|t| t.text != "=")
     {
-        Some((toks[a].text.clone(), a + 2))
+        Some((toks[a].text, a + 2))
     } else {
         None
     }
@@ -467,14 +467,14 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
     // Shard-local type names defined by the boundary file.
     let mut names: BTreeSet<&str> = BTreeSet::new();
     for (i, t) in blx.toks.iter().enumerate() {
-        if matches!(t.text.as_str(), "struct" | "enum")
+        if matches!(t.text, "struct" | "enum")
             && !in_spans(&blx.tests, t.line)
             && blx
                 .toks
                 .get(i + 1)
                 .is_some_and(|n| n.kind == TokKind::Ident)
         {
-            let name = blx.toks[i + 1].text.as_str();
+            let name = blx.toks[i + 1].text;
             if !policy::SHARD_EXPORTED.contains(&name) {
                 names.insert(name);
             }
@@ -494,17 +494,17 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
             while blx
                 .toks
                 .get(j)
-                .is_some_and(|n| matches!(n.text.as_str(), "async" | "const" | "unsafe"))
+                .is_some_and(|n| matches!(n.text, "async" | "const" | "unsafe"))
             {
                 j += 1;
             }
             if blx
                 .toks
                 .get(j)
-                .is_some_and(|n| matches!(n.text.as_str(), "fn" | "struct" | "enum"))
+                .is_some_and(|n| matches!(n.text, "fn" | "struct" | "enum"))
             {
                 if let Some(name) = blx.toks.get(j + 1) {
-                    if !policy::SHARD_EXPORTED.contains(&name.text.as_str()) {
+                    if !policy::SHARD_EXPORTED.contains(&name.text) {
                         out.push(Finding::new(
                             views[bi].0,
                             blx,
@@ -536,7 +536,7 @@ pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
             if in_spans(&lx.tests, t.line) {
                 continue;
             }
-            if t.kind == TokKind::Ident && names.contains(t.text.as_str()) {
+            if t.kind == TokKind::Ident && names.contains(t.text) {
                 out.push(Finding::new(
                     rel,
                     lx,

@@ -25,59 +25,76 @@ pub enum TokKind {
 
 /// One lexed token.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub struct Tok<'a> {
     /// 1-based source line.
     pub line: usize,
-    /// Token text (single char for punctuation).
-    pub text: String,
+    /// Token text, a slice of the source (one char for punctuation).
+    pub text: &'a str,
     /// Classification.
     pub kind: TokKind,
 }
 
 /// One `//` line comment.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub struct Comment<'a> {
     /// 1-based source line.
     pub line: usize,
-    /// Comment text including the leading slashes.
-    pub text: String,
+    /// Comment text including the leading slashes, a slice of the source.
+    pub text: &'a str,
     /// True when no code token precedes the comment on its line.
     pub own_line: bool,
 }
 
-/// The lexer's full output for one file.
+/// The lexer's full output for one file. It borrows the source: tokens
+/// and comments are slices of it, and both texts share one table of line
+/// starts.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub struct Lexed<'a> {
     /// Code tokens in source order.
-    pub toks: Vec<Tok>,
+    pub toks: Vec<Tok<'a>>,
     /// `//` comments in source order.
-    pub comments: Vec<Comment>,
-    /// Per-line source with comments/strings blanked out (1-based access
-    /// via `code_line`). Used by substring-style rules (D02) and for
-    /// finding snippets.
-    pub code_lines: Vec<String>,
-    /// The raw source split into lines (for human-facing snippets).
-    pub raw_lines: Vec<String>,
+    pub comments: Vec<Comment<'a>>,
+    /// The raw source (for human-facing snippets).
+    pub src: &'a str,
+    /// The source with comments, strings and char literals blanked to
+    /// spaces, byte for byte the length of `src` so offsets carry over.
+    /// Used by substring-style rules (D02).
+    pub code: String,
+    /// Byte offset of the start of each line, one entry per line of
+    /// `src.lines()`.
+    pub line_starts: Vec<usize>,
     /// Line spans of test-only items ([`test_spans`]), computed once here
     /// for every rule and pass that exempts test code.
     pub tests: Vec<(usize, usize)>,
 }
 
-impl Lexed {
+impl Lexed<'_> {
+    /// The 1-based line holding byte `offset`.
+    pub fn line_of(&self, offset: usize) -> usize {
+        self.line_starts.partition_point(|&s| s <= offset)
+    }
+
+    /// The byte range of a 1-based line without its terminator, split as
+    /// `str::lines` splits: at `\n`, with the `\r` of a `\r\n` stripped.
+    fn line_range(&self, line: usize) -> Option<(usize, usize)> {
+        let start = *self.line_starts.get(line.wrapping_sub(1))?;
+        let end = self.line_starts.get(line).map_or(self.src.len(), |&s| s);
+        let text = &self.src[start..end];
+        let text = text
+            .strip_suffix('\n')
+            .map_or(text, |t| t.strip_suffix('\r').unwrap_or(t));
+        Some((start, start + text.len()))
+    }
+
     /// The blanked code text of a 1-based line ("" when out of range).
     pub fn code_line(&self, line: usize) -> &str {
-        self.code_lines
-            .get(line.wrapping_sub(1))
-            .map(String::as_str)
-            .unwrap_or("")
+        self.line_range(line).map_or("", |(a, b)| &self.code[a..b])
     }
 
     /// The raw trimmed text of a 1-based line ("" when out of range).
     pub fn snippet(&self, line: usize) -> &str {
-        self.raw_lines
-            .get(line.wrapping_sub(1))
-            .map(|s| s.trim())
-            .unwrap_or("")
+        self.line_range(line)
+            .map_or("", |(a, b)| self.src[a..b].trim())
     }
 }
 
@@ -89,15 +106,27 @@ fn is_ident_cont(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Lex `src` into tokens, comments and blanked lines.
-pub fn lex(src: &str) -> Lexed {
+/// Lex `src` into tokens, comments and blanked text.
+pub fn lex(src: &str) -> Lexed<'_> {
     let b = src.as_bytes();
     let mut out = Lexed {
-        raw_lines: src.lines().map(str::to_string).collect(),
+        src,
+        // A line starts at 0 and after every `\n`, unless the source
+        // ends there: `str::lines` adds no empty last line.
+        line_starts: std::iter::once(0)
+            .chain(
+                b.iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c == b'\n')
+                    .map(|(k, _)| k + 1),
+            )
+            .filter(|&start| start < b.len())
+            .collect(),
         ..Lexed::default()
     };
     // Blanked copy built in place: start from the raw bytes and overwrite
-    // comment/string interiors with spaces as we pass them.
+    // comment/string interiors with spaces as we pass them. Every blanked
+    // run covers whole chars, so the copy stays valid UTF-8.
     let mut blank: Vec<u8> = b.to_vec();
     let mut i = 0usize;
     let mut line = 1usize;
@@ -108,6 +137,16 @@ pub fn lex(src: &str) -> Lexed {
             if blank[$idx] != b'\n' {
                 blank[$idx] = b' ';
             }
+        };
+    }
+    macro_rules! push_tok {
+        ($start:expr, $kind:expr) => {
+            out.toks.push(Tok {
+                line,
+                text: &src[$start..i],
+                kind: $kind,
+            });
+            last_tok_line = line;
         };
     }
 
@@ -127,7 +166,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 out.comments.push(Comment {
                     line,
-                    text: src[start..i].to_string(),
+                    text: &src[start..i],
                     own_line: last_tok_line != line,
                 });
             }
@@ -182,46 +221,42 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             b'\'' => {
-                // Lifetime or char literal. `'a'` / `'\n'` are chars;
-                // `'a` followed by a non-quote is a lifetime.
+                // Lifetime or char literal. `'a'` / `'é'` / `'\n'` are
+                // chars; `'a` followed by a non-quote is a lifetime.
+                let ch = src[i + 1..]
+                    .chars()
+                    .next()
+                    .filter(|&ch| ch != '\'' && ch != '\n');
+                let ch_end = i + 1 + ch.map_or(0, char::len_utf8);
                 if i + 1 < b.len() && b[i + 1] == b'\\' {
-                    // Escaped char literal: skip to closing quote.
+                    // Escaped char literal: skip to the closing quote (an
+                    // escape never spans a line).
                     blank_at!(i);
                     i += 1;
-                    while i < b.len() && b[i] != b'\'' {
+                    while i < b.len() && b[i] != b'\'' && b[i] != b'\n' {
                         blank_at!(i);
                         i += 1;
                     }
-                    if i < b.len() {
+                    if i < b.len() && b[i] == b'\'' {
                         blank_at!(i);
                         i += 1;
                     }
-                } else if i + 2 < b.len() && b[i + 2] == b'\'' && b[i + 1] != b'\'' {
-                    blank_at!(i);
-                    blank_at!(i + 1);
-                    blank_at!(i + 2);
-                    i += 3;
+                } else if ch.is_some() && b.get(ch_end) == Some(&b'\'') {
+                    while i <= ch_end {
+                        blank_at!(i);
+                        i += 1;
+                    }
                 } else if i + 1 < b.len() && is_ident_start(b[i + 1]) {
                     let start = i;
                     i += 1;
                     while i < b.len() && is_ident_cont(b[i]) {
                         i += 1;
                     }
-                    out.toks.push(Tok {
-                        line,
-                        text: src[start..i].to_string(),
-                        kind: TokKind::Lifetime,
-                    });
-                    last_tok_line = line;
+                    push_tok!(start, TokKind::Lifetime);
                 } else {
                     // Stray quote; treat as punctuation.
-                    out.toks.push(Tok {
-                        line,
-                        text: "'".to_string(),
-                        kind: TokKind::Punct,
-                    });
-                    last_tok_line = line;
                     i += 1;
+                    push_tok!(i - 1, TokKind::Punct);
                 }
             }
             c if is_ident_start(c) => {
@@ -243,12 +278,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     continue;
                 }
-                out.toks.push(Tok {
-                    line,
-                    text: text.to_string(),
-                    kind: TokKind::Ident,
-                });
-                last_tok_line = line;
+                push_tok!(start, TokKind::Ident);
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -259,29 +289,18 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     i += 1;
                 }
-                out.toks.push(Tok {
-                    line,
-                    text: src[start..i].to_string(),
-                    kind: TokKind::Num,
-                });
-                last_tok_line = line;
+                push_tok!(start, TokKind::Num);
             }
             _ => {
-                out.toks.push(Tok {
-                    line,
-                    text: (c as char).to_string(),
-                    kind: TokKind::Punct,
-                });
-                last_tok_line = line;
-                i += 1;
+                // One punctuation token per char, whatever its width.
+                let start = i;
+                i += src[i..].chars().next().map_or(1, char::len_utf8);
+                push_tok!(start, TokKind::Punct);
             }
         }
     }
 
-    out.code_lines = String::from_utf8_lossy(&blank)
-        .lines()
-        .map(str::to_string)
-        .collect();
+    out.code = String::from_utf8(blank).expect("blanking replaces whole chars");
     out.tests = test_spans(&out);
     out
 }
@@ -312,6 +331,9 @@ fn skip_raw_or_byte_string(b: &[u8], i: &mut usize, line: &mut usize, blank: &mu
         }
         if hashes == 0 && b[j] == b'\\' && j + 1 < b.len() {
             // Plain (byte) string escapes; raw strings have none.
+            if b[j + 1] == b'\n' {
+                *line += 1;
+            }
             j += 2;
             continue;
         }
@@ -362,7 +384,7 @@ pub fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
         let mut j = i + 5;
         let mut attr_depth = 1usize; // the `[` at i+1
         while j < t.len() && attr_depth > 0 {
-            match t[j].text.as_str() {
+            match t[j].text {
                 "[" => attr_depth += 1,
                 "]" => attr_depth -= 1,
                 _ => {}
@@ -373,7 +395,7 @@ pub fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
         let mut brace_depth = 0usize;
         let mut entered = false;
         while j < t.len() {
-            match t[j].text.as_str() {
+            match t[j].text {
                 "{" => {
                     brace_depth += 1;
                     entered = true;
@@ -440,6 +462,15 @@ mod tests {
         // The 'x' char literal is blanked, not tokenized.
         assert!(!lx.toks.iter().any(|t| t.text == "'x'"));
         assert!(lx.code_line(1).contains("fn f"));
+    }
+
+    #[test]
+    fn non_ascii_char_literals_are_blanked_whole() {
+        let src = "let c = 'é'; let d = '€';";
+        let lx = lex(src);
+        let texts: Vec<String> = lx.toks.iter().map(|t| t.text.to_string()).collect();
+        assert_eq!(texts.join(" "), "let c = ; let d = ;");
+        assert_eq!(lx.code_line(1).len(), src.len());
     }
 
     #[test]

@@ -413,8 +413,8 @@ fn flatten_tree(t: &Tree, out: &mut Vec<Ev>) {
 }
 
 struct Extractor<'a> {
-    index: &'a SymbolIndex,
-    views: &'a [(&'a str, &'a Lexed)],
+    index: &'a SymbolIndex<'a>,
+    views: &'a [(&'a str, &'a Lexed<'a>)],
     entry_file: &'a str,
 }
 
@@ -439,7 +439,7 @@ impl Extractor<'_> {
         &self,
         c: &Cfg,
         fi: usize,
-        tag_lets: &BTreeMap<String, String>,
+        tag_lets: &BTreeMap<&str, &str>,
         stack: &mut Vec<usize>,
     ) -> Tree {
         match c {
@@ -465,7 +465,7 @@ impl Extractor<'_> {
         fi: usize,
         lo: usize,
         hi: usize,
-        tag_lets: &BTreeMap<String, String>,
+        tag_lets: &BTreeMap<&str, &str>,
         stack: &mut Vec<usize>,
     ) -> Vec<Tree> {
         let lx = self.views[fi].1;
@@ -479,7 +479,7 @@ impl Extractor<'_> {
                 i += 1;
                 continue;
             }
-            let name = t.text.as_str();
+            let name = t.text;
             if let Some((kind, _, tag)) = ctrl_call(lx, i, tag_lets) {
                 if let Some(tag) = tag {
                     out.push(Tree::Ev(Ev {
@@ -493,7 +493,7 @@ impl Extractor<'_> {
             }
             let receiver =
                 (i >= 2 && toks[i - 1].text == "." && toks[i - 2].kind == TokKind::Ident)
-                    .then(|| toks[i - 2].text.as_str());
+                    .then(|| toks[i - 2].text);
             let event = METHOD_EVENTS
                 .iter()
                 .find(|(recv, methods, _)| receiver == Some(*recv) && methods.contains(&name));
@@ -533,7 +533,7 @@ impl Extractor<'_> {
 
 /// `let IDENT = tags::NAME …` aliases within a body — `bookmark_drain`
 /// binds its tag once and reuses it.
-pub(crate) fn tag_lets(lx: &Lexed, lo: usize, hi: usize) -> BTreeMap<String, String> {
+pub(crate) fn tag_lets<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> BTreeMap<&'a str, &'a str> {
     let toks = &lx.toks;
     let mut map = BTreeMap::new();
     let hi = hi.min(toks.len());
@@ -547,7 +547,7 @@ pub(crate) fn tag_lets(lx: &Lexed, lo: usize, hi: usize) -> BTreeMap<String, Str
             && toks[i + 5].text == ":"
             && toks[i + 6].kind == TokKind::Ident
         {
-            map.insert(toks[i + 1].text.clone(), toks[i + 6].text.clone());
+            map.insert(toks[i + 1].text, toks[i + 6].text);
         }
         i += 1;
     }
@@ -558,12 +558,12 @@ pub(crate) fn tag_lets(lx: &Lexed, lo: usize, hi: usize) -> BTreeMap<String, Str
 /// `i` (already known to be followed by `(`): its event kind (`send`,
 /// `recv`, `barrier`), the index of its closing paren, and the tag its
 /// arguments name, if any.
-pub(crate) fn ctrl_call(
-    lx: &Lexed,
+pub(crate) fn ctrl_call<'a>(
+    lx: &Lexed<'a>,
     i: usize,
-    tag_lets: &BTreeMap<String, String>,
-) -> Option<(&'static str, usize, Option<String>)> {
-    let kind = match lx.toks[i].text.as_str() {
+    tag_lets: &BTreeMap<&str, &'a str>,
+) -> Option<(&'static str, usize, Option<&'a str>)> {
+    let kind = match lx.toks[i].text {
         "ctrl_send" => "send",
         "ctrl_recv" => "recv",
         "ctrl_barrier" => "barrier",
@@ -575,12 +575,12 @@ pub(crate) fn ctrl_call(
 
 /// The ctrl tag named in `[lo, hi)`: a literal `tags::NAME`, or an ident
 /// aliased by a `tag_lets` binding.
-fn find_tag(
-    lx: &Lexed,
+fn find_tag<'a>(
+    lx: &Lexed<'a>,
     lo: usize,
     hi: usize,
-    tag_lets: &BTreeMap<String, String>,
-) -> Option<String> {
+    tag_lets: &BTreeMap<&str, &'a str>,
+) -> Option<&'a str> {
     let toks = &lx.toks;
     let hi = hi.min(toks.len());
     let mut i = lo;
@@ -591,11 +591,11 @@ fn find_tag(
             && toks[i + 2].text == ":"
             && toks[i + 3].kind == TokKind::Ident
         {
-            return Some(toks[i + 3].text.clone());
+            return Some(toks[i + 3].text);
         }
         if toks[i].kind == TokKind::Ident {
-            if let Some(name) = tag_lets.get(&toks[i].text) {
-                return Some(name.clone());
+            if let Some(&name) = tag_lets.get(toks[i].text) {
+                return Some(name);
             }
         }
         i += 1;
@@ -671,7 +671,7 @@ fn simulate(
 
 struct Sim<'s> {
     spec: &'s PhaseSpec,
-    views: &'s [(&'s str, &'s Lexed)],
+    views: &'s [(&'s str, &'s Lexed<'s>)],
     alphabet: BTreeSet<&'s str>,
     consumed: BTreeSet<&'s str>,
     violations: Vec<Finding>,

@@ -8,7 +8,7 @@
 //! | D03  | recovery-critical modules | `unwrap`/`expect`/`panic!`/unchecked `[...]` |
 //! | D04  | protocol crates | `#[allow(dead_code)]` on `pub fn … (&mut …)` |
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{panic_sites, PanicKind};
 use crate::lexer::{in_spans, Lexed, Tok, TokKind};
@@ -82,7 +82,7 @@ fn is_hash_type(t: &Tok) -> bool {
 /// Identifiers bound to a `HashMap`/`HashSet` anywhere in the file:
 /// `let m = HashMap::new()`, `m: HashMap<..>` (locals, fields, params),
 /// including `std::collections::`-qualified spellings.
-pub(crate) fn hash_bound_idents(toks: &[Tok]) -> BTreeSet<String> {
+pub(crate) fn hash_bound_idents<'a>(toks: &[Tok<'a>]) -> BTreeSet<&'a str> {
     let mut bound = BTreeSet::new();
     for (k, t) in toks.iter().enumerate() {
         if !is_hash_type(t) {
@@ -109,8 +109,8 @@ pub(crate) fn hash_bound_idents(toks: &[Tok]) -> BTreeSet<String> {
             None
         };
         if let Some(b) = binder {
-            if b.kind == TokKind::Ident && !NON_INDEX_KEYWORDS.contains(&b.text.as_str()) {
-                bound.insert(b.text.clone());
+            if b.kind == TokKind::Ident && !NON_INDEX_KEYWORDS.contains(&b.text) {
+                bound.insert(b.text);
             }
         }
     }
@@ -128,12 +128,12 @@ fn d01(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
         // and `HashMap::new().into_iter()`-style direct chains.
         if t.text == "." {
             let recv_hash = i > 0
-                && ((toks[i - 1].kind == TokKind::Ident && bound.contains(&toks[i - 1].text))
+                && ((toks[i - 1].kind == TokKind::Ident && bound.contains(toks[i - 1].text))
                     || toks[i - 1].text == ")" && chain_root_is_hash(toks, i - 1, &bound));
             if recv_hash {
                 if let (Some(m), Some(p)) = (toks.get(i + 1), toks.get(i + 2)) {
                     if m.kind == TokKind::Ident
-                        && HASH_ITER_METHODS.contains(&m.text.as_str())
+                        && HASH_ITER_METHODS.contains(&m.text)
                         && p.text == "("
                     {
                         out.push(Finding::new(
@@ -166,7 +166,7 @@ fn d01(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
             let mut j = start + 1;
             while j < toks.len() && toks[j].text != "{" {
                 let tk = &toks[j];
-                if tk.kind == TokKind::Ident && bound.contains(&tk.text) {
+                if tk.kind == TokKind::Ident && bound.contains(tk.text) {
                     // Only when iterated directly (`&name` / `name`), not
                     // when a method is applied (`name.len()` is fine and
                     // `name.keys()` is caught by the method check above).
@@ -194,12 +194,12 @@ fn d01(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
 /// Is the call chain ending at the `)` at index `close` rooted in a
 /// hash-bound identifier or a `HashMap`/`HashSet` constructor? Covers
 /// `HashMap::new().into_iter()` and `name.clone().drain()`.
-fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<String>) -> bool {
+fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<&str>) -> bool {
     // Walk back to the matching `(`.
     let mut depth = 0i32;
     let mut j = close;
     loop {
-        match toks[j].text.as_str() {
+        match toks[j].text {
             ")" => depth += 1,
             "(" => {
                 depth -= 1;
@@ -221,10 +221,10 @@ fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<String>) -> b
         if is_hash_type(t) {
             return true;
         }
-        if t.kind == TokKind::Ident && bound.contains(&t.text) {
+        if t.kind == TokKind::Ident && bound.contains(t.text) {
             return true;
         }
-        match t.text.as_str() {
+        match t.text {
             ":" | "." => j -= 1,
             _ if t.kind == TokKind::Ident => j -= 1,
             _ => return false,
@@ -234,37 +234,37 @@ fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<String>) -> b
 }
 
 fn d02(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
-    for (idx, code) in lx.code_lines.iter().enumerate() {
-        let line = idx + 1;
+    // One search per pattern over the whole blanked text. No pattern holds
+    // a line break, so every hit lies within one line, and a line break
+    // next to a hit passes the identifier-boundary test as a line edge
+    // would. Report at most one finding per line, naming the first
+    // pattern that matches: the patterns overlap (`std::time::Instant`
+    // and `Instant::now` both match one call).
+    let code = lx.code.as_bytes();
+    let is_ident = |k: usize| code[k].is_ascii_alphanumeric() || code[k] == b'_';
+    let mut first: BTreeMap<usize, &str> = BTreeMap::new();
+    for pat in D02_PATTERNS {
+        for (at, _) in lx.code.match_indices(pat) {
+            let end = at + pat.len();
+            if (at == 0 || !is_ident(at - 1)) && (end == code.len() || !is_ident(end)) {
+                first.entry(lx.line_of(at)).or_insert(pat);
+            }
+        }
+    }
+    for (line, pat) in first {
         if in_spans(&lx.tests, line) {
             continue;
         }
-        // Report at most one finding per line: the patterns overlap
-        // (`std::time::Instant` and `Instant::now` both match one call).
-        'patterns: for pat in D02_PATTERNS {
-            for (at, _) in code.match_indices(pat) {
-                let before_ok = at == 0
-                    || !code.as_bytes()[at - 1].is_ascii_alphanumeric()
-                        && code.as_bytes()[at - 1] != b'_';
-                let end = at + pat.len();
-                let after_ok = end >= code.len()
-                    || !code.as_bytes()[end].is_ascii_alphanumeric()
-                        && code.as_bytes()[end] != b'_';
-                if before_ok && after_ok {
-                    out.push(Finding::new(
-                        rel,
-                        lx,
-                        line,
-                        Rule::D02,
-                        format!(
-                            "nondeterministic source `{pat}` — simulation code must use \
-                             sim time / DetRng (bench and the CLI are exempt)"
-                        ),
-                    ));
-                    break 'patterns;
-                }
-            }
-        }
+        out.push(Finding::new(
+            rel,
+            lx,
+            line,
+            Rule::D02,
+            format!(
+                "nondeterministic source `{pat}` — simulation code must use \
+                 sim time / DetRng (bench and the CLI are exempt)"
+            ),
+        ));
     }
 }
 
@@ -310,7 +310,7 @@ fn d04(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
             let mut depth = 0i32;
             j += 1;
             while j < toks.len() {
-                match toks[j].text.as_str() {
+                match toks[j].text {
                     "[" => depth += 1,
                     "]" => {
                         depth -= 1;
@@ -328,7 +328,7 @@ fn d04(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
         let mut is_pub = false;
         let mut fn_at = None;
         while j < toks.len() {
-            match toks[j].text.as_str() {
+            match toks[j].text {
                 "pub" => {
                     is_pub = true;
                     // Skip a `(crate)`/`(super)` restriction.
@@ -355,7 +355,7 @@ fn d04(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
             i = f + 1;
             continue;
         }
-        let name = toks.get(f + 1).map(|t| t.text.clone()).unwrap_or_default();
+        let name = toks.get(f + 1).map_or("", |t| t.text);
         // Signature: tokens until the body `{` or a trailing `;`.
         let mut k = f + 1;
         let mut takes_mut_ref = false;

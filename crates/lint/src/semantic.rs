@@ -116,7 +116,7 @@ fn d03t(
 
 /// Does discarding this callee's return value lose protocol error info?
 fn protocol_result(fd: &FnDef) -> Option<String> {
-    let is_result = fd.ret.iter().any(|t| t == "Result");
+    let is_result = fd.ret.contains(&"Result");
     if !is_result {
         return None;
     }
@@ -126,7 +126,7 @@ fn protocol_result(fd: &FnDef) -> Option<String> {
         }
     }
     PROTOCOL_CRATES
-        .contains(&fd.krate.as_str())
+        .contains(&fd.krate)
         .then(|| format!("protocol crate `{}`", fd.krate))
 }
 
@@ -182,8 +182,8 @@ fn e_rules(
                 && i > start
             {
                 let (names, chain_start) = chain_callees(toks, i - 1, start);
-                let at_stmt_start = chain_start <= start
-                    || matches!(toks[chain_start - 1].text.as_str(), ";" | "{" | "}");
+                let at_stmt_start =
+                    chain_start <= start || matches!(toks[chain_start - 1].text, ";" | "{" | "}");
                 if at_stmt_start {
                     if let Some((name, why)) = chain_protocol_call(index, &names) {
                         let line = toks[i].line;
@@ -254,12 +254,11 @@ fn first_protocol_call(
 
 /// Resolve each chained callee name and return the first that produces a
 /// protocol `Result`.
-fn chain_protocol_call(index: &SymbolIndex, names: &[(String, bool)]) -> Option<(String, String)> {
-    for (name, is_method) in names {
-        let ids = index.by_name.get(name)?.clone();
-        for id in ids {
+fn chain_protocol_call(index: &SymbolIndex, names: &[(&str, bool)]) -> Option<(String, String)> {
+    for &(name, is_method) in names {
+        for &id in index.by_name.get(name)? {
             let fd = &index.fns[id];
-            if fd.is_method != *is_method && *is_method {
+            if fd.is_method != is_method && is_method {
                 continue;
             }
             if let Some(why) = protocol_result(fd) {
@@ -273,14 +272,14 @@ fn chain_protocol_call(index: &SymbolIndex, names: &[(String, bool)]) -> Option<
 /// Walk a postfix chain leftwards from `end` (the last token of the
 /// receiver expression). Returns the callee names encountered (with
 /// whether each was a `.method()` call) and the chain's start index.
-fn chain_callees(toks: &[Tok], mut end: usize, lo: usize) -> (Vec<(String, bool)>, usize) {
+fn chain_callees<'a>(toks: &[Tok<'a>], mut end: usize, lo: usize) -> (Vec<(&'a str, bool)>, usize) {
     let mut names = Vec::new();
     loop {
         if end <= lo {
             return (names, end);
         }
         let t = &toks[end];
-        match t.text.as_str() {
+        match t.text {
             ")" => {
                 let Some(open) = match_back(toks, end, lo, "(", ")") else {
                     return (names, end);
@@ -289,9 +288,9 @@ fn chain_callees(toks: &[Tok], mut end: usize, lo: usize) -> (Vec<(String, bool)
                     return (names, open);
                 }
                 let nm = &toks[open - 1];
-                if nm.kind == TokKind::Ident && !KEYWORDS.contains(&nm.text.as_str()) {
+                if nm.kind == TokKind::Ident && !KEYWORDS.contains(&nm.text) {
                     let is_m = open >= 2 && toks[open - 2].text == ".";
-                    names.push((nm.text.clone(), is_m));
+                    names.push((nm.text, is_m));
                     if is_m && open >= 3 {
                         end = open - 3;
                         continue;
@@ -338,7 +337,7 @@ fn match_back(toks: &[Tok], at: usize, lo: usize, open: &str, close: &str) -> Op
     let mut d = 0i32;
     let mut k = at;
     loop {
-        let t = &toks[k].text;
+        let t = toks[k].text;
         if t == close {
             d += 1;
         } else if t == open {
@@ -374,7 +373,7 @@ fn p01(
         .consts
         .iter()
         .filter(|c| c.module == "tags")
-        .map(|c| c.name.as_str())
+        .map(|c| c.name)
         .collect();
     if tag_names.is_empty() {
         return;
@@ -386,25 +385,18 @@ fn p01(
             let is_tag = toks[i].text == "tags"
                 && toks.get(i + 1).is_some_and(|t| t.text == ":")
                 && toks.get(i + 2).is_some_and(|t| t.text == ":")
-                && toks
-                    .get(i + 3)
-                    .is_some_and(|t| tag_names.contains(t.text.as_str()));
+                && toks.get(i + 3).is_some_and(|t| tag_names.contains(t.text));
             if !is_tag || in_spans(&lx.tests, toks[i].line) {
                 continue;
             }
             let name_tok = &toks[i + 3];
             // The definition site itself (`pub const BOOKMARK…`) has no
             // `tags::` qualifier, so every hit here is a *use*.
-            let entry = uses.entry(
-                tag_names
-                    .get(name_tok.text.as_str())
-                    .copied()
-                    .unwrap_or_default(),
-            );
+            let entry = uses.entry(tag_names.get(name_tok.text).copied().unwrap_or_default());
             let u = entry.or_default();
             match enclosing_call(toks, i) {
-                Some(ref n) if n == "ctrl_send" => u.sends.push((file_idx, name_tok.line)),
-                Some(ref n) if n == "ctrl_recv" => u.recvs.push((file_idx, name_tok.line)),
+                Some("ctrl_send") => u.sends.push((file_idx, name_tok.line)),
+                Some("ctrl_recv") => u.recvs.push((file_idx, name_tok.line)),
                 _ => u.unknown += 1,
             }
         }
@@ -444,20 +436,20 @@ fn p01(
 /// The name of the innermost `name(...)` call enclosing token `at`, if
 /// any, walking outwards through every enclosing argument list until a
 /// statement boundary.
-fn enclosing_call(toks: &[Tok], at: usize) -> Option<String> {
+fn enclosing_call<'a>(toks: &[Tok<'a>], at: usize) -> Option<&'a str> {
     let mut bal = 0i32;
     let mut k = at;
     while k > 0 {
         k -= 1;
-        match toks[k].text.as_str() {
+        match toks[k].text {
             ")" => bal += 1,
             "(" => {
                 if bal > 0 {
                     bal -= 1;
                 } else if k > 0 && toks[k - 1].kind == TokKind::Ident {
-                    let name = &toks[k - 1].text;
-                    if !KEYWORDS.contains(&name.as_str()) {
-                        return Some(name.clone());
+                    let name = toks[k - 1].text;
+                    if !KEYWORDS.contains(&name) {
+                        return Some(name);
                     }
                 }
             }
@@ -477,13 +469,10 @@ fn p02(
     // Protocol enums: defined in the protocol-plane crates (the `json`
     // crate's generic value enum is deliberately out — matching it with
     // a wildcard is ordinary defensive parsing).
-    let mut protocol_enums: BTreeMap<&str, &Vec<String>> = BTreeMap::new();
+    let mut protocol_enums: BTreeMap<&str, &Vec<&str>> = BTreeMap::new();
     for e in &index.enums {
-        if policy::D03T_SCOPE_CRATES.contains(&e.krate.as_str())
-            || e.krate == "group"
-            || e.krate == "mpi"
-        {
-            protocol_enums.insert(e.name.as_str(), &e.variants);
+        if policy::D03T_SCOPE_CRATES.contains(&e.krate) || e.krate == "group" || e.krate == "mpi" {
+            protocol_enums.insert(e.name, &e.variants);
         }
     }
     for (file_idx, (rel, lx)) in files.iter().enumerate() {
@@ -506,7 +495,7 @@ fn p02(
             let mut j = i + 1;
             let mut d = 0i32;
             while j < toks.len() {
-                match toks[j].text.as_str() {
+                match toks[j].text {
                     "(" | "[" => d += 1,
                     ")" | "]" => d -= 1,
                     "{" if d == 0 => break,
@@ -546,7 +535,7 @@ fn scan_arms(
     toks: &[Tok],
     open: usize,
     close: usize,
-    protocol_enums: &BTreeMap<&str, &Vec<String>>,
+    protocol_enums: &BTreeMap<&str, &Vec<&str>>,
 ) -> (bool, bool) {
     let mut wildcard = false;
     let mut protocol = false;
@@ -557,7 +546,7 @@ fn scan_arms(
         }
         for (p, t) in pat.iter().enumerate() {
             if t.kind == TokKind::Ident
-                && protocol_enums.get(t.text.as_str()).is_some_and(|variants| {
+                && protocol_enums.get(t.text).is_some_and(|variants| {
                     pat.get(p + 1).is_some_and(|c| c.text == ":")
                         && pat.get(p + 2).is_some_and(|c| c.text == ":")
                         && pat.get(p + 3).is_some_and(|v| variants.contains(&v.text))

@@ -222,7 +222,7 @@ fn enrollment(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         for v in &e.variants {
             let bound = SESSIONS
                 .iter()
-                .any(|s| s.mode == v.as_str() && fully_live(s, index, views));
+                .any(|s| s.mode == *v && fully_live(s, index, views));
             if !bound {
                 out.push(Finding::new(
                     views[fi].0,

@@ -12,18 +12,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg;
-use crate::lexer::{in_spans, Lexed, TokKind};
+use crate::lexer::{in_spans, Lexed, Tok, TokKind};
 use crate::policy;
 
-/// One indexed function (or method) definition.
+/// One indexed function (or method) definition. Names borrow the source.
 #[derive(Debug, Clone)]
-pub struct FnDef {
+pub struct FnDef<'a> {
     /// Index of the defining file in the workspace file list.
     pub file: usize,
     /// Bare name (`restart_rank`, `ctrl_send`, …).
-    pub name: String,
+    pub name: &'a str,
     /// Enclosing `impl`/`trait` type name, when any.
-    pub owner: Option<String>,
+    pub owner: Option<&'a str>,
     /// Does the parameter list start with a `self` receiver?
     pub is_method: bool,
     /// 1-based line of the `fn` keyword.
@@ -33,31 +33,31 @@ pub struct FnDef {
     /// `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
     /// Return-type tokens (empty for `-> ()` elided returns).
-    pub ret: Vec<String>,
+    pub ret: Vec<&'a str>,
     /// Defining crate (`core`, `mpi`, …; `""` for the root package).
-    pub krate: String,
+    pub krate: &'a str,
 }
 
-impl FnDef {
+impl FnDef<'_> {
     /// `Type::name` or `name`, for witness chains in messages.
     pub fn qualified(&self) -> String {
-        match &self.owner {
+        match self.owner {
             Some(o) => format!("{}::{}", o, self.name),
-            None => self.name.clone(),
+            None => self.name.to_string(),
         }
     }
 
     /// The error-type name if the return type is `Result<_, E>`;
     /// `None` for non-`Result` returns or bare `Result` aliases.
     pub fn result_err(&self) -> Option<&str> {
-        let r = self.ret.iter().position(|t| t == "Result")?;
+        let r = self.ret.iter().position(|&t| t == "Result")?;
         // Walk `Result < ok , err >` at angle depth 1: the error type is
         // the last path segment before the `>` that closes the generics.
         let mut depth = 0usize;
         let mut after_comma = false;
         let mut err: Option<&str> = None;
-        for t in &self.ret[r + 1..] {
-            match t.as_str() {
+        for &t in &self.ret[r + 1..] {
+            match t {
                 "<" => depth += 1,
                 ">" => {
                     if depth == 1 && after_comma {
@@ -82,45 +82,46 @@ impl FnDef {
 
 /// One indexed enum definition.
 #[derive(Debug, Clone)]
-pub struct EnumDef {
+pub struct EnumDef<'a> {
     /// Enum name.
-    pub name: String,
+    pub name: &'a str,
     /// Variant names in declaration order.
-    pub variants: Vec<String>,
+    pub variants: Vec<&'a str>,
     /// Defining crate.
-    pub krate: String,
+    pub krate: &'a str,
 }
 
 /// One indexed const definition.
 #[derive(Debug, Clone)]
-pub struct ConstDef {
+pub struct ConstDef<'a> {
     /// Index of the defining file.
     pub file: usize,
     /// Const name.
-    pub name: String,
+    pub name: &'a str,
     /// Innermost enclosing `mod` name (`""` at file top level).
-    pub module: String,
+    pub module: &'a str,
     /// 1-based line.
     pub line: usize,
     /// Defining crate.
-    pub krate: String,
+    pub krate: &'a str,
 }
 
-/// The whole workspace's symbols.
+/// The whole workspace's symbols, borrowing the sources and paths they
+/// were built from.
 #[derive(Debug, Default)]
-pub struct SymbolIndex {
+pub struct SymbolIndex<'a> {
     /// All indexed functions; ids are indices into this vec.
-    pub fns: Vec<FnDef>,
+    pub fns: Vec<FnDef<'a>>,
     /// All indexed enums.
-    pub enums: Vec<EnumDef>,
+    pub enums: Vec<EnumDef<'a>>,
     /// All indexed consts.
-    pub consts: Vec<ConstDef>,
+    pub consts: Vec<ConstDef<'a>>,
     /// Function ids by bare name.
-    pub by_name: BTreeMap<String, Vec<usize>>,
+    pub by_name: BTreeMap<&'a str, Vec<usize>>,
     /// Every type name the workspace implements something on (impl-block
     /// owners plus enum names). A `Type::assoc()` call whose qualifier is
     /// *not* in this set is a std/external type, not an unresolved one.
-    pub owners: BTreeSet<String>,
+    pub owners: BTreeSet<&'a str>,
 }
 
 /// Keywords that introduce or qualify items — never call or index names.
@@ -132,35 +133,34 @@ pub(crate) const KEYWORDS: &[&str] = &[
 ];
 
 /// Build the index over every workspace file (`(rel, lexed)` pairs).
-pub fn build(files: &[(&str, &Lexed)]) -> SymbolIndex {
+pub fn build<'a>(files: &[(&'a str, &Lexed<'a>)]) -> SymbolIndex<'a> {
     let mut ix = SymbolIndex::default();
-    for (file_idx, (rel, lx)) in files.iter().enumerate() {
+    for (file_idx, &(rel, lx)) in files.iter().enumerate() {
         index_file(&mut ix, file_idx, rel, lx);
     }
     for (id, f) in ix.fns.iter().enumerate() {
-        ix.by_name.entry(f.name.clone()).or_default().push(id);
+        ix.by_name.entry(f.name).or_default().push(id);
     }
-    let owners: BTreeSet<String> = ix
+    ix.owners = ix
         .fns
         .iter()
-        .filter_map(|f| f.owner.clone())
-        .chain(ix.enums.iter().map(|e| e.name.clone()))
+        .filter_map(|f| f.owner)
+        .chain(ix.enums.iter().map(|e| e.name))
         .collect();
-    ix.owners = owners;
     ix
 }
 
-fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
+fn index_file<'a>(ix: &mut SymbolIndex<'a>, file_idx: usize, rel: &'a str, lx: &Lexed<'a>) {
     let toks = &lx.toks;
-    let krate = policy::crate_of(rel).unwrap_or_default().to_string();
+    let krate = policy::crate_of(rel).unwrap_or_default();
     // Owner contexts: (brace depth the block's body lives at, type name).
-    let mut owners: Vec<(usize, String)> = Vec::new();
-    let mut mods: Vec<(usize, String)> = Vec::new();
+    let mut owners: Vec<(usize, &str)> = Vec::new();
+    let mut mods: Vec<(usize, &str)> = Vec::new();
     let mut depth = 0usize;
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
-        match t.text.as_str() {
+        match t.text {
             "{" => {
                 depth += 1;
                 i += 1;
@@ -184,7 +184,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                 // `mod name {` opens a module scope; `mod name;` doesn't.
                 if let (Some(n), Some(b)) = (toks.get(i + 1), toks.get(i + 2)) {
                     if n.kind == TokKind::Ident && b.text == "{" {
-                        mods.push((depth + 1, n.text.clone()));
+                        mods.push((depth + 1, n.text));
                         depth += 1;
                         i += 3;
                         continue;
@@ -199,7 +199,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                 }
                 match parse_fn(toks, i) {
                     Some(parsed) => {
-                        let owner = owners.last().map(|(_, n)| n.clone());
+                        let owner = owners.last().map(|&(_, n)| n);
                         ix.fns.push(FnDef {
                             file: file_idx,
                             name: parsed.name,
@@ -208,7 +208,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                             line: t.line,
                             body: parsed.body,
                             ret: parsed.ret,
-                            krate: krate.clone(),
+                            krate,
                         });
                         // Skip the signature but *enter* the body, so
                         // nested items are still seen; depth tracking
@@ -219,7 +219,7 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                 }
             }
             "enum" if t.kind == TokKind::Ident && !in_spans(&lx.tests, t.line) => {
-                if let Some((def, resume)) = parse_enum(toks, i, &krate) {
+                if let Some((def, resume)) = parse_enum(toks, i, krate) {
                     ix.enums.push(def);
                     i = resume;
                 } else {
@@ -236,10 +236,10 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
                 if named && !raw_ptr {
                     ix.consts.push(ConstDef {
                         file: file_idx,
-                        name: toks[i + 1].text.clone(),
-                        module: mods.last().map(|(_, n)| n.clone()).unwrap_or_default(),
+                        name: toks[i + 1].text,
+                        module: mods.last().map_or("", |&(_, n)| n),
                         line: t.line,
-                        krate: krate.clone(),
+                        krate,
                     });
                 }
                 i += 1;
@@ -253,13 +253,13 @@ fn index_file(ix: &mut SymbolIndex, file_idx: usize, rel: &str, lx: &Lexed) {
 /// the block's opening `{`. For `impl Trait for Type` the owner is
 /// `Type`; for `impl Type` and `trait Name` it is the first identifier
 /// after any generic parameter list.
-fn impl_owner(toks: &[crate::lexer::Tok], at: usize) -> Option<(String, usize)> {
+fn impl_owner<'a>(toks: &[Tok<'a>], at: usize) -> Option<(&'a str, usize)> {
     let mut j = at + 1;
     // Skip `<...>` generic params right after the keyword.
     if toks.get(j).is_some_and(|t| t.text == "<") {
         let mut d = 0i32;
         while j < toks.len() {
-            match toks[j].text.as_str() {
+            match toks[j].text {
                 "<" => d += 1,
                 ">" => {
                     d -= 1;
@@ -273,11 +273,11 @@ fn impl_owner(toks: &[crate::lexer::Tok], at: usize) -> Option<(String, usize)> 
             j += 1;
         }
     }
-    let mut name: Option<String> = None;
+    let mut name: Option<&str> = None;
     let mut after_for = false;
     while j < toks.len() {
         let t = &toks[j];
-        match t.text.as_str() {
+        match t.text {
             "{" => return name.map(|n| (n, j)),
             ";" => return None, // `trait X: Y;`-style or parse confusion
             "for" => {
@@ -285,14 +285,14 @@ fn impl_owner(toks: &[crate::lexer::Tok], at: usize) -> Option<(String, usize)> 
                 name = None;
             }
             _ if t.kind == TokKind::Ident
-                && !KEYWORDS.contains(&t.text.as_str())
+                && !KEYWORDS.contains(&t.text)
                 && (name.is_none() || after_for) =>
             {
                 // Keep the *last* path segment: `impl gc::Store` → Store.
                 let is_path_seg = toks.get(j + 1).is_some_and(|n| n.text == ":")
                     && toks.get(j + 2).is_some_and(|n| n.text == ":");
                 if !is_path_seg {
-                    name = Some(t.text.clone());
+                    name = Some(t.text);
                     after_for = false;
                 }
             }
@@ -303,28 +303,28 @@ fn impl_owner(toks: &[crate::lexer::Tok], at: usize) -> Option<(String, usize)> 
     None
 }
 
-struct ParsedFn {
-    name: String,
+struct ParsedFn<'a> {
+    name: &'a str,
     is_method: bool,
     body: Option<(usize, usize)>,
-    ret: Vec<String>,
+    ret: Vec<&'a str>,
     /// Token index to resume the item scan at (start of the body for
     /// brace-bodied fns, so nested items are indexed too).
     resume: usize,
 }
 
-fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
+fn parse_fn<'a>(toks: &[Tok<'a>], at: usize) -> Option<ParsedFn<'a>> {
     let name_tok = toks.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
         return None; // `fn(u32) -> u32` pointer type
     }
-    let name = name_tok.text.clone();
+    let name = name_tok.text;
     let mut j = at + 2;
     // Generic params.
     if toks.get(j).is_some_and(|t| t.text == "<") {
         let mut d = 0i32;
         while j < toks.len() {
-            match toks[j].text.as_str() {
+            match toks[j].text {
                 "<" => d += 1,
                 ">" => {
                     d -= 1;
@@ -348,7 +348,7 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
     let mut is_method = false;
     let mut seen_comma = false;
     while j < toks.len() {
-        match toks[j].text.as_str() {
+        match toks[j].text {
             "(" => d += 1,
             ")" => {
                 d -= 1;
@@ -371,7 +371,7 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
     let mut in_ret = false;
     while j < toks.len() {
         let t = &toks[j];
-        match t.text.as_str() {
+        match t.text {
             "{" => {
                 let close = Some(cfg::matching(toks, j, toks.len())).filter(|&c| c < toks.len())?;
                 // Resume AT the `{` so the item scan's own brace-depth
@@ -401,7 +401,7 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
             "where" => in_ret = false,
             _ => {
                 if in_ret {
-                    ret.push(t.text.clone());
+                    ret.push(t.text);
                 }
             }
         }
@@ -410,7 +410,7 @@ fn parse_fn(toks: &[crate::lexer::Tok], at: usize) -> Option<ParsedFn> {
     None
 }
 
-fn parse_enum(toks: &[crate::lexer::Tok], at: usize, krate: &str) -> Option<(EnumDef, usize)> {
+fn parse_enum<'a>(toks: &[Tok<'a>], at: usize, krate: &'a str) -> Option<(EnumDef<'a>, usize)> {
     let name_tok = toks.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
         return None;
@@ -431,13 +431,13 @@ fn parse_enum(toks: &[crate::lexer::Tok], at: usize, krate: &str) -> Option<(Enu
     let mut k = open;
     while k <= close {
         let t = &toks[k];
-        match t.text.as_str() {
+        match t.text {
             "{" | "(" | "[" => d += 1,
             "}" | ")" | "]" => d -= 1,
             "," if d == 1 => expect_variant = true,
             "#" => {}
             _ if t.kind == TokKind::Ident && d == 1 && expect_variant => {
-                variants.push(t.text.clone());
+                variants.push(t.text);
                 expect_variant = false;
             }
             _ => {}
@@ -446,9 +446,9 @@ fn parse_enum(toks: &[crate::lexer::Tok], at: usize, krate: &str) -> Option<(Enu
     }
     Some((
         EnumDef {
-            name: name_tok.text.clone(),
+            name: name_tok.text,
             variants,
-            krate: krate.to_string(),
+            krate,
         },
         close + 1,
     ))
@@ -459,7 +459,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn index_one(src: &str) -> SymbolIndex {
+    fn index_one(src: &str) -> SymbolIndex<'_> {
         let lx = lex(src);
         build(&[("crates/core/src/x.rs", &lx)])
     }

@@ -85,8 +85,8 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
 
 /// Ordered field names plus the line they were extracted from.
 #[derive(Debug)]
-struct Shape {
-    fields: Vec<String>,
+struct Shape<'a> {
+    fields: Vec<&'a str>,
     line: usize,
 }
 
@@ -198,7 +198,7 @@ fn related(a: &str, b: &str) -> bool {
 /// The encoder's ordered field writes: the first array-literal group of
 /// ≥2 plain identifiers, else the ordered `name` arguments of ≥2
 /// `.push(…)` calls (a pushed `.len()` reads as the `len` prefix field).
-fn encoder_shape(lx: &Lexed, fd: &FnDef) -> Option<Shape> {
+fn encoder_shape<'a>(lx: &Lexed<'a>, fd: &FnDef) -> Option<Shape<'a>> {
     let (lo, hi) = fd.body?;
     if let Some(s) = bracket_group(lx, lo + 1, hi) {
         return Some(s);
@@ -213,11 +213,11 @@ fn encoder_shape(lx: &Lexed, fd: &FnDef) -> Option<Shape> {
             let name = if (i + 3..close)
                 .any(|k| toks[k].text == "len" && toks.get(k + 1).is_some_and(|n| n.text == "("))
             {
-                Some("len".to_string())
+                Some("len")
             } else {
                 (i + 3..close)
                     .find(|&k| toks[k].kind == TokKind::Ident)
-                    .map(|k| toks[k].text.clone())
+                    .map(|k| toks[k].text)
             };
             if let Some(n) = name {
                 if fields.is_empty() {
@@ -236,7 +236,7 @@ fn encoder_shape(lx: &Lexed, fd: &FnDef) -> Option<Shape> {
 /// The first `[a, b, …]` group of ≥2 plain identifiers in `[lo, hi)` that
 /// is not an index expression (`x[i]`). Serves both array literals on the
 /// encode side and slice patterns (`let [a, b] = …`) on the decode side.
-fn bracket_group(lx: &Lexed, lo: usize, hi: usize) -> Option<Shape> {
+fn bracket_group<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> Option<Shape<'a>> {
     let toks = &lx.toks;
     let hi = hi.min(toks.len());
     let mut i = lo;
@@ -249,7 +249,7 @@ fn bracket_group(lx: &Lexed, lo: usize, hi: usize) -> Option<Shape> {
                 || toks[i - 1].text == "]"
                 || (toks[i - 1].kind == TokKind::Ident
                     && !matches!(
-                        toks[i - 1].text.as_str(),
+                        toks[i - 1].text,
                         "let"
                             | "mut"
                             | "ref"
@@ -281,14 +281,14 @@ fn bracket_group(lx: &Lexed, lo: usize, hi: usize) -> Option<Shape> {
 
 /// Split `[lo, hi)` on top-level commas; every element must reduce to a
 /// single identifier (after stripping `&`/`*`/`mut`), else `None`.
-fn ident_elements(lx: &Lexed, lo: usize, hi: usize) -> Option<Vec<String>> {
+fn ident_elements<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> Option<Vec<&'a str>> {
     let toks = &lx.toks;
     let hi = hi.min(toks.len());
     let mut out = Vec::new();
     let mut elem: Vec<&str> = Vec::new();
     let mut depth = 0i32;
     for t in &toks[lo..hi] {
-        match t.text.as_str() {
+        match t.text {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
             "," if depth == 0 => {
@@ -298,8 +298,8 @@ fn ident_elements(lx: &Lexed, lo: usize, hi: usize) -> Option<Vec<String>> {
             }
             _ => {}
         }
-        if !matches!(t.text.as_str(), "&" | "*" | "mut") {
-            elem.push(t.text.as_str());
+        if !matches!(t.text, "&" | "*" | "mut") {
+            elem.push(t.text);
         }
     }
     if !elem.is_empty() {
@@ -308,15 +308,15 @@ fn ident_elements(lx: &Lexed, lo: usize, hi: usize) -> Option<Vec<String>> {
     Some(out)
 }
 
-fn single_ident(elem: &[&str]) -> Option<String> {
-    match elem {
+fn single_ident<'a>(elem: &[&'a str]) -> Option<&'a str> {
+    match *elem {
         [one]
             if one
                 .chars()
                 .next()
                 .is_some_and(|c| c.is_alphabetic() || c == '_') =>
         {
-            Some((*one).to_string())
+            Some(one)
         }
         _ => None,
     }
@@ -329,7 +329,7 @@ fn chunk_arity(lx: &Lexed, fd: &FnDef) -> Option<(usize, usize)> {
     let toks = &lx.toks;
     let hi = hi.min(toks.len());
     for i in lo + 1..hi {
-        if matches!(toks[i].text.as_str(), "chunks_exact" | "chunks")
+        if matches!(toks[i].text, "chunks_exact" | "chunks")
             && toks.get(i + 1).is_some_and(|n| n.text == "(")
         {
             if let Some(k) = toks.get(i + 2).and_then(|n| n.text.parse::<usize>().ok()) {
@@ -341,20 +341,20 @@ fn chunk_arity(lx: &Lexed, fd: &FnDef) -> Option<(usize, usize)> {
 }
 
 /// The decoder's slice-pattern binder group.
-fn binder_group(lx: &Lexed, fd: &FnDef) -> Option<Shape> {
+fn binder_group<'a>(lx: &Lexed<'a>, fd: &FnDef) -> Option<Shape<'a>> {
     let (lo, hi) = fd.body?;
     bracket_group(lx, lo + 1, hi)
 }
 
 /// Tag → payload type → first site `(file idx, line)`.
-type TagTypes = BTreeMap<String, BTreeMap<String, (usize, usize)>>;
+type TagTypes<'a> = BTreeMap<&'a str, BTreeMap<String, (usize, usize)>>;
 
 /// Per ctrl tag, the payload type sent must match the type decoded.
 fn payload_duality(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
     let mut sent = TagTypes::new();
     let mut decoded = TagTypes::new();
     for fd in &index.fns {
-        if !PAYLOAD_CRATES.contains(&fd.krate.as_str()) {
+        if !PAYLOAD_CRATES.contains(&fd.krate) {
             continue;
         }
         let Some((lo, hi)) = fd.body else { continue };
@@ -362,16 +362,16 @@ fn payload_duality(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding
         let tag_lets = phases::tag_lets(lx, lo, hi);
         let toks = &lx.toks;
         let hi = hi.min(toks.len());
-        let mut last_recv: Option<String> = None;
+        let mut last_recv: Option<&str> = None;
         let mut i = lo + 1;
         while i < hi {
             let t = &toks[i];
             let called = t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.text == "(");
             if !called {
                 if t.text == "payload_as" {
-                    if let (Some(tag), Some(ty)) = (&last_recv, turbofish_type(lx, i + 1)) {
+                    if let (Some(tag), Some(ty)) = (last_recv, turbofish_type(lx, i + 1)) {
                         decoded
-                            .entry(tag.clone())
+                            .entry(tag)
                             .or_default()
                             .entry(ty)
                             .or_insert((fd.file, t.line));
@@ -431,7 +431,7 @@ fn turbofish_type(lx: &Lexed, at: usize) -> Option<String> {
     let mut depth = 0i32;
     let mut ty = String::new();
     for t in &toks[at + 2..] {
-        match t.text.as_str() {
+        match t.text {
             "<" => {
                 depth += 1;
                 if depth == 1 {
@@ -446,7 +446,7 @@ fn turbofish_type(lx: &Lexed, at: usize) -> Option<String> {
             }
             _ => {}
         }
-        ty.push_str(&t.text);
+        ty.push_str(t.text);
     }
     None
 }
@@ -498,7 +498,7 @@ fn expr_type(
     // `… as T` pins the type outright.
     for i in lo..hi {
         if toks[i].text == "as" {
-            return toks.get(i + 1).map(|n| n.text.clone());
+            return toks.get(i + 1).map(|n| n.text.to_string());
         }
     }
     // A bare field access means the type lives outside this expression.
@@ -512,7 +512,7 @@ fn expr_type(
     }
     // A single identifier: resolve its `let` binding within the body.
     if hi - lo == 1 && toks[lo].kind == TokKind::Ident {
-        return binding_type(index, lx, body_lo, body_hi, &toks[lo].text);
+        return binding_type(index, lx, body_lo, body_hi, toks[lo].text);
     }
     // A call: the callee's (unique) workspace return type.
     callee_ret(index, toks, lo, hi)
@@ -549,7 +549,7 @@ fn binding_type(
             let mut ty = String::new();
             let mut k = j + 2;
             while k < hi && toks[k].text != "=" {
-                ty.push_str(&toks[k].text);
+                ty.push_str(toks[k].text);
                 k += 1;
             }
             return (!ty.is_empty()).then_some(ty);
@@ -573,7 +573,7 @@ fn callee_ret(
 ) -> Option<String> {
     for i in lo..hi.min(toks.len()) {
         if toks[i].kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.text == "(") {
-            let ids = index.by_name.get(&toks[i].text)?;
+            let ids = index.by_name.get(toks[i].text)?;
             let rets: BTreeSet<String> = ids
                 .iter()
                 .map(|&id| index.fns[id].ret.join(""))

@@ -95,7 +95,7 @@ fn every_protocol_mode_is_bound_to_a_live_session_table() {
     assert!(!mode.variants.is_empty(), "Mode enum lost its variants");
     for v in &mode.variants {
         assert!(
-            active.contains(&v.as_str()),
+            active.contains(v),
             "protocol mode `{v}` has no fully-live session table — \
              register its entries in crates/lint/src/session.rs"
         );
