@@ -55,22 +55,27 @@ pub struct Lexed<'a> {
     /// `//` comments in source order.
     pub comments: Vec<Comment<'a>>,
     /// The raw source (for human-facing snippets).
-    pub src: &'a str,
+    pub(crate) src: &'a str,
     /// The source with comments, strings and char literals blanked to
     /// spaces, byte for byte the length of `src` so offsets carry over.
     /// Used by substring-style rules (D02).
-    pub code: String,
+    pub(crate) code: String,
     /// Byte offset of the start of each line, one entry per line of
     /// `src.lines()`.
-    pub line_starts: Vec<usize>,
+    pub(crate) line_starts: Vec<usize>,
     /// Line spans of test-only items ([`test_spans`]), computed once here
     /// for every rule and pass that exempts test code.
     pub tests: Vec<(usize, usize)>,
 }
 
 impl Lexed<'_> {
+    /// Number of source lines, as `str::lines` counts them.
+    pub fn line_count(&self) -> usize {
+        self.line_starts.len()
+    }
+
     /// The 1-based line holding byte `offset`.
-    pub fn line_of(&self, offset: usize) -> usize {
+    pub(crate) fn line_of(&self, offset: usize) -> usize {
         self.line_starts.partition_point(|&s| s <= offset)
     }
 

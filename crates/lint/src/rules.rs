@@ -234,27 +234,38 @@ fn chain_root_is_hash(toks: &[Tok], close: usize, bound: &BTreeSet<&str>) -> boo
 }
 
 fn d02(rel: &str, lx: &Lexed, out: &mut Vec<Finding>) {
-    // One search per pattern over the whole blanked text. No pattern holds
-    // a line break, so every hit lies within one line, and a line break
+    // One pass over the whole blanked text, trying the patterns where an
+    // identifier starts with a pattern's first byte. No pattern holds a
+    // line break, so every hit lies within one line, and a line break
     // next to a hit passes the identifier-boundary test as a line edge
     // would. Report at most one finding per line, naming the first
     // pattern that matches: the patterns overlap (`std::time::Instant`
     // and `Instant::now` both match one call).
     let code = lx.code.as_bytes();
-    let is_ident = |k: usize| code[k].is_ascii_alphanumeric() || code[k] == b'_';
-    let mut first: BTreeMap<usize, &str> = BTreeMap::new();
+    let is_ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut lead = [false; 256];
     for pat in D02_PATTERNS {
-        for (at, _) in lx.code.match_indices(pat) {
-            let end = at + pat.len();
-            if (at == 0 || !is_ident(at - 1)) && (end == code.len() || !is_ident(end)) {
-                first.entry(lx.line_of(at)).or_insert(pat);
-            }
+        lead[usize::from(pat.as_bytes()[0])] = true;
+    }
+    let mut first: BTreeMap<usize, usize> = BTreeMap::new();
+    for at in 0..code.len() {
+        if !lead[usize::from(code[at])] || at > 0 && is_ident(code[at - 1]) {
+            continue;
+        }
+        let hit = D02_PATTERNS.iter().position(|pat| {
+            code[at..].starts_with(pat.as_bytes())
+                && code.get(at + pat.len()).is_none_or(|&c| !is_ident(c))
+        });
+        if let Some(p) = hit {
+            let q = first.entry(lx.line_of(at)).or_insert(p);
+            *q = (*q).min(p);
         }
     }
-    for (line, pat) in first {
+    for (line, p) in first {
         if in_spans(&lx.tests, line) {
             continue;
         }
+        let pat = D02_PATTERNS[p];
         out.push(Finding::new(
             rel,
             lx,
