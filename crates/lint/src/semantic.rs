@@ -392,8 +392,7 @@ fn p01(
             let name_tok = &toks[i + 3];
             // The definition site itself (`pub const BOOKMARK…`) has no
             // `tags::` qualifier, so every hit here is a *use*.
-            let entry = uses.entry(tag_names.get(name_tok.text).copied().unwrap_or_default());
-            let u = entry.or_default();
+            let u = uses.entry(name_tok.text).or_default();
             match enclosing_call(toks, i) {
                 Some("ctrl_send") => u.sends.push((file_idx, name_tok.line)),
                 Some("ctrl_recv") => u.recvs.push((file_idx, name_tok.line)),
