@@ -118,14 +118,8 @@ pub fn lex(src: &str) -> Lexed<'_> {
         src,
         // A line starts at 0 and after every `\n`, unless the source
         // ends there: `str::lines` adds no empty last line.
-        line_starts: std::iter::once(0)
-            .chain(
-                b.iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c == b'\n')
-                    .map(|(k, _)| k + 1),
-            )
-            .filter(|&start| start < b.len())
+        line_starts: (0..b.len())
+            .filter(|&k| k == 0 || b[k - 1] == b'\n')
             .collect(),
         ..Lexed::default()
     };
