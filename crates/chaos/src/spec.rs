@@ -229,7 +229,6 @@ pub(crate) fn chaos_world_opts() -> WorldOpts {
     WorldOpts {
         compute_slice: SimDuration::from_millis(100),
         eager_threshold: 128 * 1024,
-        ..WorldOpts::default()
     }
 }
 
@@ -239,7 +238,7 @@ pub(crate) fn chaos_world_opts() -> WorldOpts {
 pub(crate) fn chaos_cluster_spec(n: usize) -> ClusterSpec {
     let mut spec = ClusterSpec::gideon300(n);
     spec.straggler.prob = 0.02;
-    spec.straggler.mean = gcr_net::spec::SimDurationSpec::from_millis(200);
+    spec.straggler.mean = SimDuration::from_millis(200);
     spec
 }
 

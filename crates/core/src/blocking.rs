@@ -17,10 +17,18 @@ use std::rc::Rc;
 use gcr_mpi::Rank;
 use gcr_net::ImageOp;
 use gcr_sim::future::join_all;
+use gcr_sim::SimDuration;
 
 use crate::ctrlplane::{bookmark_drain, ctrl_barrier, tags, CTRL_BYTES};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
+
+/// Fixed cost of locking the MPI layer (signal + quiesce) on the paper's
+/// LAM/MPI + BLCR stack.
+const LOCK_OVERHEAD: SimDuration = SimDuration::from_millis(5);
+
+/// Fixed cost of the finalize step after the barrier.
+const FINALIZE_OVERHEAD: SimDuration = SimDuration::from_millis(5);
 
 /// Execute one blocking coordinated checkpoint wave at one rank.
 pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
@@ -41,7 +49,7 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
         sim.sleep(d).await;
     }
     world.freeze(rank);
-    sim.sleep(p.cfg.lock_overhead).await;
+    sim.sleep(LOCK_OVERHEAD).await;
     let t_lock = ctx.now();
 
     // Phase 2: Coordination.
@@ -116,7 +124,6 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
                 rank: rank.0,
                 bytes: image_bytes,
                 target: p.cfg.storage,
-                policy: p.cfg.retry,
             };
             match backend.write_image(op).await {
                 Ok(_) => store.record_image(gid, wave, rank.0, image_bytes),
@@ -185,7 +192,7 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
     } else {
         p.gp.on_abort(wave);
     }
-    sim.sleep(p.cfg.finalize_overhead).await;
+    sim.sleep(FINALIZE_OVERHEAD).await;
     world.thaw(rank);
     let finished = ctx.now();
 

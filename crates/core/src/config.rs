@@ -1,7 +1,6 @@
 //! Checkpoint-system configuration.
 
-use gcr_net::{RetryPolicy, StorageTarget};
-use gcr_sim::SimDuration;
+use gcr_net::StorageTarget;
 
 /// Which protocol family drives checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,46 +38,17 @@ pub struct CkptConfig {
     /// Per-rank checkpoint image size in bytes (the application's resident
     /// memory; BLCR writes roughly this much).
     pub image_bytes: Vec<u64>,
-    /// Fixed cost of locking the MPI layer (signal + quiesce).
-    pub lock_overhead: SimDuration,
-    /// Fixed cost of the finalize step after the barrier.
-    pub finalize_overhead: SimDuration,
-    /// Fixed restart cost: re-creating process spaces and updating the MPI
-    /// runtime's internal structures.
-    pub restart_init: SimDuration,
-    /// Per-peer processing cost of the restart volume exchange (socket
-    /// setup, request handling) — paid serially for every out-of-group
-    /// peer the rank ever communicated with.
-    pub restart_peer_overhead: SimDuration,
-    /// Serial per-process checkpoint-request propagation cost: `mpirun`
-    /// spawns one child per group, and each child signals its group's
-    /// members one after another. With a single global group (NORM) the
-    /// last rank hears about the checkpoint `n × this` late — the linear
-    /// component of the paper's Figure 1; per-group children parallelize
-    /// it for GP.
-    pub propagation_per_proc: SimDuration,
     /// Apply the cluster's straggler model at coordination points.
     pub stragglers: bool,
     /// Honor `RR` piggybacks for message-log garbage collection
     /// (ablation knob; the paper always GCs).
     pub piggyback_gc: bool,
-    /// Sender-side log copy bandwidth (bytes/s) — the per-message cost of
-    /// asynchronous logging.
-    pub log_copy_bps: f64,
-    /// Fixed per-logged-message overhead.
-    pub log_fixed: SimDuration,
     /// Fault-injection knob: over-GC the sender log by this many extra
     /// bytes past every `RR` piggyback. Zero (the default) is the correct
     /// protocol; nonzero deliberately violates the log-retention invariant
     /// so the chaos harness can prove its oracles and shrinker catch real
     /// bugs.
     pub gc_overshoot: u64,
-    /// Image-size inflation of the VCL baseline relative to BLCR: MPICH-V's
-    /// user-level checkpointer captures the full address space, while BLCR
-    /// dumps resident pages only. Applied to `image_bytes` in VCL waves.
-    pub vcl_image_factor: f64,
-    /// Retry/backoff policy for checkpoint-image storage operations.
-    pub retry: RetryPolicy,
     /// How many committed generations restart selection may fall back
     /// across (retention window `W`). Message-log GC advertises the floor
     /// of the *oldest retained* generation, so a fallback of up to `W − 1`
@@ -89,24 +59,16 @@ pub struct CkptConfig {
 }
 
 impl CkptConfig {
-    /// A config with uniform image sizes and defaults calibrated to the
-    /// paper's testbed software stack.
+    /// A config with uniform image sizes and the paper's protocol
+    /// defaults. The software stack's fixed costs are constants of the
+    /// modules that charge them.
     pub fn uniform(n: usize, image_bytes: u64, storage: StorageTarget) -> Self {
         CkptConfig {
             storage,
             image_bytes: vec![image_bytes; n],
-            lock_overhead: SimDuration::from_millis(5),
-            finalize_overhead: SimDuration::from_millis(5),
-            restart_init: SimDuration::from_millis(150),
-            restart_peer_overhead: SimDuration::from_millis(100),
-            propagation_per_proc: SimDuration::from_millis(20),
             stragglers: true,
             piggyback_gc: true,
-            log_copy_bps: 250e6,
-            log_fixed: SimDuration::from_micros(20),
             gc_overshoot: 0,
-            vcl_image_factor: 2.0,
-            retry: RetryPolicy::default(),
             gc_retention_gens: 2,
             seed: 0x9c27_b0e1,
         }

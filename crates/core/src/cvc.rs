@@ -345,7 +345,6 @@ pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
                 rank: rank.0,
                 bytes: image_bytes,
                 target: p.cfg.storage,
-                policy: p.cfg.retry,
             };
             backend.write_image(op).await.is_ok()
         }
@@ -363,7 +362,7 @@ pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
     let state_bytes = p.cvc.end_wave();
     if state_bytes > 0
         && storage
-            .write_with_retry(rank.idx(), state_bytes, p.cfg.storage, p.cfg.retry)
+            .write_with_retry(rank.idx(), state_bytes, p.cfg.storage)
             .await
             .is_err()
     {

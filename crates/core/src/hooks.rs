@@ -20,6 +20,13 @@ use gcr_sim::SimDuration;
 use crate::msglog::{LogEntry, MsgLog};
 use crate::volume::VolumeCounters;
 
+/// Sender-side log copy bandwidth (bytes/s): the memcpy + bookkeeping cost
+/// of asynchronous sender-based logging, charged per logged message.
+const LOG_COPY_BPS: f64 = 250e6;
+
+/// Fixed per-logged-message overhead.
+const LOG_FIXED: SimDuration = SimDuration::from_micros(20);
+
 /// One generation's volume snapshot: the `RR`/`SS` values a restart from
 /// that generation's image would read back.
 #[derive(Debug, Default, Clone)]
@@ -46,27 +53,14 @@ pub struct GpState {
     /// `W − 1` generations and still find its log intact.
     retention: Cell<usize>,
     piggyback_gc: bool,
-    /// Sender-side log copy bandwidth (bytes/s); models the memcpy +
-    /// bookkeeping cost of asynchronous logging.
-    log_copy_bps: f64,
-    /// Fixed per-logged-message overhead.
-    log_fixed: SimDuration,
     /// Fault-injection knob: GC `piggyback + overshoot` instead of the
     /// piggybacked `RR`. Nonzero deliberately breaks log retention.
     gc_overshoot: Cell<u64>,
 }
 
 impl GpState {
-    /// Create state for one rank. `log_copy_bps` and `log_fixed` model the
-    /// sender-side cost of logging one message.
-    pub fn new(
-        rank: u32,
-        groups: Rc<GroupDef>,
-        piggyback_gc: bool,
-        log_copy_bps: f64,
-        log_fixed: SimDuration,
-    ) -> Rc<Self> {
-        assert!(log_copy_bps > 0.0, "log copy bandwidth must be positive");
+    /// Create state for one rank.
+    pub fn new(rank: u32, groups: Rc<GroupDef>, piggyback_gc: bool) -> Rc<Self> {
         Rc::new(GpState {
             rank,
             groups,
@@ -76,8 +70,6 @@ impl GpState {
             committed: RefCell::new(Vec::new()),
             retention: Cell::new(2),
             piggyback_gc,
-            log_copy_bps,
-            log_fixed,
             gc_overshoot: Cell::new(0),
         })
     }
@@ -181,11 +173,6 @@ impl GpState {
         }
     }
 
-    /// The newest committed generation in this rank's ledger.
-    pub fn newest_gen(&self) -> Option<u64> {
-        self.committed.borrow().last().map(|&(g, _)| g)
-    }
-
     /// `RR_Q` — received-from-Q volume at the newest **committed**
     /// generation (what a restart from that generation reads back).
     pub fn rr(&self, q: u32) -> u64 {
@@ -203,15 +190,6 @@ impl GpState {
             .last()
             .and_then(|(_, s)| s.ss.get(&q).copied())
             .unwrap_or(0)
-    }
-
-    /// `RR_Q` at a specific committed generation, if it is in the ledger.
-    pub fn rr_at(&self, gen: u64, q: u32) -> Option<u64> {
-        self.committed
-            .borrow()
-            .iter()
-            .find(|&&(g, _)| g == gen)
-            .map(|(_, s)| s.rr.get(&q).copied().unwrap_or(0))
     }
 
     /// The GC floor this rank currently advertises toward `q` (lagged by
@@ -296,8 +274,7 @@ impl MpiHook for GpState {
             // the log streams it to disk in the background, and the copy
             // into the log buffer delays the sender.
             self.log.borrow_mut().append(dst, env.bytes, env.id.seq);
-            cost =
-                self.log_fixed + SimDuration::from_secs_f64(env.bytes as f64 / self.log_copy_bps);
+            cost = LOG_FIXED + SimDuration::from_secs_f64(env.bytes as f64 / LOG_COPY_BPS);
             // First message to dst since my last checkpoint: piggyback RR.
             if let Some(rr) = vols.piggyback_for(dst) {
                 env.piggyback_rr = Some(rr);
@@ -532,7 +509,7 @@ mod tests {
     }
 
     fn gp_test(rank: u32, gc: bool) -> Rc<GpState> {
-        GpState::new(rank, groups_2x2(), gc, 250e6, SimDuration::from_micros(20))
+        GpState::new(rank, groups_2x2(), gc)
     }
 
     #[test]
@@ -579,9 +556,11 @@ mod tests {
         gp.on_recv(&env(2, 0, 300, 1));
         gp.on_checkpoint(1);
         gp.on_abort(1);
-        // Restart-visible RR stays at the committed generation.
+        // Restart-visible RR stays at the committed generation, and the
+        // dropped snapshot can no longer commit.
         assert_eq!(gp.rr(2), 500);
-        assert_eq!(gp.newest_gen(), Some(0));
+        gp.on_commit(1);
+        assert_eq!(gp.rr(2), 500);
     }
 
     #[test]
@@ -598,14 +577,13 @@ mod tests {
         // …but the advertised GC floor is the oldest retained one
         // (generation 1, R = 300), so a one-generation fallback replays.
         assert_eq!(gp.gc_floor(2), 300);
-        assert_eq!(gp.rr_at(1, 2), Some(300));
-        // Rollback to generation 0: RR returns to its snapshot.
+        // Rollback to generation 1, then 0: RR returns to each snapshot.
+        gp.rollback_to(Some(1));
+        assert_eq!(gp.rr(2), 300);
         gp.rollback_to(Some(0));
         assert_eq!(gp.rr(2), 100);
-        assert_eq!(gp.newest_gen(), Some(0));
         gp.rollback_to(None);
         assert_eq!(gp.rr(2), 0);
-        assert_eq!(gp.newest_gen(), None);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::rc::Rc;
 
 use gcr_mpi::{Rank, RankCtx};
 use gcr_sim::future::{join2, join_all};
+use gcr_sim::SimDuration;
 
 use gcr_net::{ImageOp, StorageTarget};
 
@@ -30,6 +31,15 @@ use crate::error::RecoveryError;
 use crate::metrics::RestartRecord;
 use crate::msglog::LogEntry;
 use crate::runtime::RankProto;
+
+/// Fixed restart cost: re-creating process spaces and updating the MPI
+/// runtime's internal structures.
+const RESTART_INIT: SimDuration = SimDuration::from_millis(150);
+
+/// Per-peer processing cost of the restart volume exchange (socket setup,
+/// request handling), paid serially for every out-of-group peer the rank
+/// ever communicated with.
+const RESTART_PEER_OVERHEAD: SimDuration = SimDuration::from_millis(100);
 
 /// Execute the restart protocol at one rank against an explicit peer set.
 /// A full restart at quiescence passes the rank's own `comm_peers`, where
@@ -114,22 +124,20 @@ pub(crate) async fn restart_rank_with_peers(
             rank: rank.0,
             bytes: image_bytes,
             target: p.cfg.storage,
-            policy: p.cfg.retry,
         })
         .await
         .map_err(RecoveryError::Storage)?;
     let image_loaded = ctx.now();
 
     // Re-create process spaces / update MPI internal structures.
-    sim.sleep(p.cfg.restart_init).await;
+    sim.sleep(RESTART_INIT).await;
 
     // Pairwise volume exchange + replay — but only with the out-of-group
     // processes this rank communicated with (the paper's "small set of
     // processes" that makes GP restarts cheap relative to GP1).
     // Per-peer request handling is serial work before the exchanges fly.
     if !out.is_empty() {
-        sim.sleep(p.cfg.restart_peer_overhead * out.len() as u64)
-            .await;
+        sim.sleep(RESTART_PEER_OVERHEAD * out.len() as u64).await;
     }
     let mut resend_ops = 0u64;
     let mut resend_bytes = 0u64;

@@ -22,6 +22,13 @@ use crate::metrics::Metrics;
 use crate::restart::{restart_rank_with_peers, serve_peer_recovery};
 use crate::vcl::vcl_wave;
 
+/// Serial per-process checkpoint-request propagation cost: `mpirun`
+/// spawns one child per group, and each child signals its group's members
+/// one after another. With a single global group (NORM) the last rank
+/// hears about the checkpoint `n × this` late, the linear component of
+/// the paper's Figure 1; per-group children parallelize it for GP.
+const PROPAGATION_PER_PROC: SimDuration = SimDuration::from_millis(20);
+
 /// A crash trap armed on a group (fault injection): the group's next
 /// checkpoint wave fails at the given phase — `0` before the image write,
 /// `1` halfway through it, `2` after the writes but before the commit
@@ -137,13 +144,7 @@ impl CkptRuntime {
         let mut cvc_states = Vec::with_capacity(n);
         let mut rb_states = Vec::with_capacity(n);
         for r in 0..n as u32 {
-            let gp = GpState::new(
-                r,
-                Rc::clone(&groups),
-                cfg.piggyback_gc,
-                cfg.log_copy_bps,
-                cfg.log_fixed,
-            );
+            let gp = GpState::new(r, Rc::clone(&groups), cfg.piggyback_gc);
             gp.set_gc_overshoot(cfg.gc_overshoot);
             gp.set_gc_retention(cfg.gc_retention_gens);
             gp.attach_log_disk(Rc::clone(storage), r as usize);
@@ -186,7 +187,7 @@ impl CkptRuntime {
 
         // The per-rank protocol daemons.
         let proto_rng = DetRng::new(inner.cfg.seed).fork("proto");
-        let latency = world.cluster().spec().net.latency.dur();
+        let latency = world.cluster().spec().net.latency;
         for r in 0..n as u32 {
             let proto = inner.rank_proto(r, proto_rng.fork_idx(r as u64));
             let (tx, mut rx) = channel::<Cmd>();
@@ -204,7 +205,7 @@ impl CkptRuntime {
                 .iter()
                 .position(|&m| m == r)
                 .expect("rank in own group") as u64;
-            let propagation = inner.cfg.propagation_per_proc * pos_in_group;
+            let propagation = PROPAGATION_PER_PROC * pos_in_group;
             world.sim().spawn_named(format!("ckptd{r}"), async move {
                 while let Some(cmd) = rx.recv().await {
                     match cmd {

@@ -21,6 +21,12 @@ use crate::ctrlplane::{tags, CTRL_BYTES};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
 
+/// Image-size inflation of the VCL baseline relative to BLCR: MPICH-V's
+/// user-level checkpointer captures the full address space, while BLCR
+/// dumps resident pages only. Applied to the configured image size in
+/// every VCL wave.
+const VCL_IMAGE_FACTOR: f64 = 2.0;
+
 /// Execute one VCL wave at one rank.
 pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
@@ -62,7 +68,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
     let store = world.cluster().ckpt_store().clone();
     store.begin(0, wave);
     // gcr-lint: allow(D03-T) image_bytes is sized to the world when the config is built; the restart side re-reads it with get()+MissingImage
-    let image_bytes = (p.cfg.image_bytes[rank.idx()] as f64 * p.cfg.vcl_image_factor) as u64;
+    let image_bytes = (p.cfg.image_bytes[rank.idx()] as f64 * VCL_IMAGE_FACTOR) as u64;
     let image_ok = std::rc::Rc::new(std::cell::Cell::new(true));
     let work = {
         let ctx = ctx.clone();
@@ -75,7 +81,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
             // Image write proceeds concurrently with the application; only
             // new sends are held back.
             if storage
-                .write_with_retry(rank.idx(), image_bytes, cfg.storage, cfg.retry)
+                .write_with_retry(rank.idx(), image_bytes, cfg.storage)
                 .await
                 .is_err()
             {
@@ -106,7 +112,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
     let mut state_ok = true;
     if state_bytes > 0 {
         state_ok = storage
-            .write_with_retry(rank.idx(), state_bytes, p.cfg.storage, p.cfg.retry)
+            .write_with_retry(rank.idx(), state_bytes, p.cfg.storage)
             .await
             .is_ok();
     }

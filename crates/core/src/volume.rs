@@ -121,16 +121,6 @@ impl VolumeCounters {
         self.epoch += 1;
     }
 
-    /// Checkpoint bookkeeping without durability (legacy single-generation
-    /// flow): snapshot the current `R` per accepted peer and advertise it
-    /// immediately.
-    pub fn record_at_checkpoint(&mut self, out_of_group: impl Iterator<Item = u32>) {
-        let snap: BTreeMap<u32, u64> = out_of_group
-            .filter_map(|q| self.r.get(&q).map(|&v| (q, v)))
-            .collect();
-        self.advertise(&snap);
-    }
-
     /// If this is the first message to `dst` since the latest checkpoint,
     /// return the `RR_dst` value to piggyback and clear the flag.
     pub fn piggyback_for(&mut self, dst: u32) -> Option<u64> {
@@ -141,16 +131,18 @@ impl VolumeCounters {
             None
         }
     }
-
-    /// Whether a piggyback is still pending toward `dst` (diagnostics).
-    pub fn piggyback_pending(&self, dst: u32) -> bool {
-        self.piggybacked.get(&dst).copied().unwrap_or(0) < self.epoch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Snapshot `R` for `peers` and advertise it at once: a checkpoint
+    /// that commits immediately.
+    fn checkpoint(v: &mut VolumeCounters, peers: &[u32]) {
+        let snap = v.snapshot_received(|q| peers.contains(&q));
+        v.advertise(&snap);
+    }
 
     #[test]
     fn volumes_accumulate() {
@@ -168,7 +160,7 @@ mod tests {
         let mut v = VolumeCounters::new();
         v.on_recv(1, 100);
         v.on_recv(2, 200);
-        v.record_at_checkpoint([1, 2].into_iter());
+        checkpoint(&mut v, &[1, 2]);
         // More traffic after the checkpoint must not change RR.
         v.on_recv(1, 999);
         assert_eq!(v.recorded_received(1), 100);
@@ -176,17 +168,16 @@ mod tests {
         // First send to each peer piggybacks once.
         assert_eq!(v.piggyback_for(1), Some(100));
         assert_eq!(v.piggyback_for(1), None);
-        assert!(v.piggyback_pending(2));
         assert_eq!(v.piggyback_for(2), Some(200));
     }
 
     #[test]
     fn second_checkpoint_rearms() {
         let mut v = VolumeCounters::new();
-        v.record_at_checkpoint([7].into_iter());
+        checkpoint(&mut v, &[7]);
         assert_eq!(v.piggyback_for(7), Some(0));
         v.on_recv(7, 42);
-        v.record_at_checkpoint([7].into_iter());
+        checkpoint(&mut v, &[7]);
         assert_eq!(v.piggyback_for(7), Some(42));
     }
 
@@ -209,9 +200,9 @@ mod tests {
 
     #[test]
     fn rr_defaults_to_zero() {
-        let v = VolumeCounters::new();
+        let mut v = VolumeCounters::new();
         assert_eq!(v.recorded_received(5), 0);
-        assert!(!v.piggyback_pending(5));
+        assert_eq!(v.piggyback_for(5), None);
     }
 
     #[test]
@@ -219,7 +210,7 @@ mod tests {
         let mut v = VolumeCounters::new();
         v.on_recv(1, 10);
         v.on_recv(2, 20);
-        v.record_at_checkpoint([1, 2].into_iter());
+        checkpoint(&mut v, &[1, 2]);
         assert_eq!(v.piggyback_for(1), Some(10));
         // Roll back to a ledger that only vouches for peer 2.
         let surviving: BTreeMap<u32, u64> = [(2u32, 20u64)].into_iter().collect();

@@ -382,6 +382,13 @@ fn resolve_bare(index: &SymbolIndex, caller: &FnDef, name: &str) -> (Vec<usize>,
     }
 }
 
+/// Primitive type names: a path call qualified by one (`u64::from`,
+/// `usize::try_from`) is a std associated fn, never a workspace free fn.
+const PRIMITIVES: &[&str] = &[
+    "bool", "char", "f32", "f64", "i8", "i16", "i32", "i64", "i128", "isize", "str", "u8", "u16",
+    "u32", "u64", "u128", "usize",
+];
+
 fn resolve_path(
     index: &SymbolIndex,
     caller: &FnDef,
@@ -403,11 +410,11 @@ fn resolve_path(
         if !owned.is_empty() {
             return (owned, Resolution::Resolved);
         }
-        // A type-like qualifier (CamelCase) that owns nothing by this
-        // name: either a foreign type (`Vec::new`, `u64::from`) or a
-        // derived/trait-provided item on a workspace type. Both are
+        // A type-like qualifier (CamelCase or primitive) that owns nothing
+        // by this name: either a foreign type (`Vec::new`, `u64::from`) or
+        // a derived/trait-provided item on a workspace type. Both are
         // outside the index — External, never a bare-name guess.
-        if qual.chars().next().is_some_and(char::is_uppercase) {
+        if qual.chars().next().is_some_and(char::is_uppercase) || PRIMITIVES.contains(&qual) {
             return (Vec::new(), Resolution::External);
         }
     }

@@ -81,22 +81,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
 /// produced by [`collect_workspace_files`], but any in-memory set works —
 /// the fixture tests feed synthetic workspaces).
 pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
-    lint_files_with_local(files, baseline, &mut |rel, _src, lx| {
-        rules::check(rel, lx, policy_for(rel))
-    })
-}
-
-/// [`lint_files`] with a pluggable per-file local-rule provider — the
-/// seam the incremental cache ([`cache`]) uses to substitute cached raw
-/// findings for unchanged files. The provider receives each file's
-/// workspace-relative path, contents and lexed view and returns the raw
-/// (pre-waiver) local-rule findings; everything downstream (workspace
-/// passes, waivers, baseline) is identical to the uncached path.
-pub fn lint_files_with_local(
-    files: &[(String, String)],
-    baseline: &Baseline,
-    local: &mut dyn FnMut(&str, &str, &lexer::Lexed) -> Vec<Finding>,
-) -> Report {
     let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
     let views: Vec<(&str, &lexer::Lexed)> = files
         .iter()
@@ -113,8 +97,8 @@ pub fn lint_files_with_local(
     // usage marks accumulate across every engine before staleness is
     // judged).
     let mut raw: Vec<Finding> = Vec::new();
-    for ((rel, src), lx) in files.iter().zip(&lexed) {
-        raw.extend(local(rel, src, lx));
+    for (rel, lx) in &views {
+        raw.extend(rules::check(rel, lx, policy_for(rel)));
     }
 
     // Workspace passes. Building the graph consults the waivers (panic

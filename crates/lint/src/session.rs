@@ -1,6 +1,6 @@
 //! P20 — session tag-duality across the protocol zoo.
 //!
-//! Each [`Mode`] of the protocol zoo is a *session*: the set of entry
+//! Each `Mode` of the protocol zoo is a *session*: the set of entry
 //! points the runtime dispatches for it (its wave body, plus the restart
 //! member path and the live-peer serve path every mode shares). The
 //! checked-in [`SESSIONS`] table mirrors the wave dispatch in

@@ -70,6 +70,27 @@ fn d03t_quiet_when_no_callee_panics() {
 }
 
 #[test]
+fn d03t_quiet_on_primitive_qualified_calls() {
+    // `u64::from` is std's conversion, not a workspace `fn from` that
+    // happens to panic in another crate.
+    let rep = run(&[
+        (
+            "crates/core/src/restart.rs",
+            "pub fn restart(r: u32) -> u64 { u64::from(r) }\n",
+        ),
+        (
+            "crates/net/src/rank.rs",
+            "pub struct Rank(u32);\nimpl From<usize> for Rank {\n    fn from(v: usize) -> Rank { Rank(u32::try_from(v).expect(\"rank\")) }\n}\n",
+        ),
+    ]);
+    assert!(
+        rep.findings.iter().all(|f| f.rule != Rule::D03T),
+        "{:?}",
+        rules_of(&rep)
+    );
+}
+
+#[test]
 fn d03t_quiet_when_the_panic_is_outside_the_scope_crates() {
     // `sim` is not in D03T_SCOPE_CRATES: the call is a trusted boundary.
     let rep = run(&[

@@ -131,18 +131,6 @@ impl ChannelCounters {
         self.n
     }
 
-    /// Total bytes `dst` has consumed from `src` — the paper's `R_X`
-    /// counter as seen by `dst` (X = src).
-    pub fn received_volume(&self, dst: Rank, src: Rank) -> u64 {
-        self.pair(src, dst).consumed_bytes
-    }
-
-    /// Total bytes `src` has sent towards `dst` — the paper's `S_X` counter
-    /// as seen by `src` (X = dst).
-    pub fn sent_volume(&self, src: Rank, dst: Rank) -> u64 {
-        self.pair(src, dst).sent_bytes
-    }
-
     /// True when no bytes are in flight anywhere.
     pub fn all_quiescent(&self) -> bool {
         let quiet = |p: &PairStats| p.in_flight_bytes() == 0 && p.in_flight_msgs() == 0;
@@ -150,11 +138,6 @@ impl ChannelCounters {
             Pairs::Dense(v) => v.iter().all(quiet),
             Pairs::Sparse(m) => m.values().all(quiet),
         }
-    }
-
-    /// Sum of in-flight bytes into `dst` from the given sources.
-    pub fn in_flight_into(&self, dst: Rank, srcs: impl Iterator<Item = Rank>) -> u64 {
-        srcs.map(|s| self.pair(s, dst).in_flight_bytes()).sum()
     }
 }
 
@@ -173,21 +156,23 @@ mod tests {
         assert_eq!(c.pair(a, b).in_flight_bytes(), 0);
         assert!(c.all_quiescent());
         c.on_consume(a, b, 100);
-        assert_eq!(c.received_volume(b, a), 100);
-        assert_eq!(c.sent_volume(a, b), 100);
+        assert_eq!(c.pair(a, b).consumed_bytes, 100);
+        assert_eq!(c.pair(a, b).sent_bytes, 100);
         // Reverse channel untouched.
         assert_eq!(c.pair(b, a), PairStats::default());
     }
 
     #[test]
-    fn in_flight_into_sums_sources() {
+    fn in_flight_bytes_are_kept_per_source() {
         let mut c = ChannelCounters::new(4);
         c.on_send(Rank(0), Rank(3), 10);
         c.on_send(Rank(1), Rank(3), 20);
         c.on_send(Rank(2), Rank(3), 30);
         c.on_arrival(Rank(1), Rank(3), 20);
-        let total = c.in_flight_into(Rank(3), (0..3).map(Rank));
-        assert_eq!(total, 40);
+        let in_flight: Vec<u64> = (0..3)
+            .map(|s| c.pair(Rank(s), Rank(3)).in_flight_bytes())
+            .collect();
+        assert_eq!(in_flight, [10, 0, 30]);
     }
 
     #[test]
@@ -204,7 +189,7 @@ mod tests {
         c.on_arrival(a, b, 64);
         c.on_consume(a, b, 64);
         assert!(c.all_quiescent());
-        assert_eq!(c.received_volume(b, a), 64);
+        assert_eq!(c.pair(a, b).consumed_bytes, 64);
         // Untouched pairs read as zeroes without materializing.
         assert_eq!(c.pair(b, a), PairStats::default());
     }

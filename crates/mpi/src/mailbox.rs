@@ -160,16 +160,6 @@ impl Mailbox {
     pub fn push_posted(&mut self, p: Posted) {
         self.posted.push_back(p);
     }
-
-    /// Number of unexpected messages waiting.
-    pub fn unexpected_len(&self) -> usize {
-        self.arrived.len()
-    }
-
-    /// Number of receives waiting.
-    pub fn posted_len(&self) -> usize {
-        self.posted.len()
-    }
 }
 
 /// A broadcast pulse: waiters wake on the next [`Pulse::pulse`] after they
@@ -264,7 +254,11 @@ mod tests {
             Arrival::Ready(e) => assert_eq!(e.id.seq, 0),
             _ => panic!("expected ready"),
         }
-        assert_eq!(mb.unexpected_len(), 1);
+        let rest = mb
+            .take_matching_arrival(SrcSel::From(Rank(1)), Tag::app(5))
+            .unwrap();
+        assert_eq!(rest.env().id.seq, 1);
+        assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(5)).is_none());
     }
 
     #[test]
@@ -300,7 +294,9 @@ mod tests {
         let e = env(3, 1, 0);
         let p = mb.take_matching_posted(&e).unwrap();
         assert!(Rc::ptr_eq(&p.slot, &s1));
-        assert_eq!(mb.posted_len(), 1);
+        let p = mb.take_matching_posted(&e).unwrap();
+        assert!(Rc::ptr_eq(&p.slot, &s2));
+        assert!(mb.take_matching_posted(&e).is_none());
     }
 
     #[test]

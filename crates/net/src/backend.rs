@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use gcr_sim::SimTime;
 
-use crate::ckptstore::{CkptStore, RetryPolicy, StorageError};
+use crate::ckptstore::{CkptStore, StorageError};
 use crate::storage::{Storage, StorageTarget};
 
 /// Boxed image-I/O future returned by [`CkptBackend`] methods.
@@ -51,8 +51,6 @@ pub struct ImageOp {
     /// Disk-path target ([`StorageTarget::Local`] or remote) used by the
     /// primary write and by any peer-memory fallback read.
     pub target: StorageTarget,
-    /// Retry/backoff policy for the underlying storage operations.
-    pub policy: RetryPolicy,
 }
 
 /// Where checkpoint image bytes live and how restart gets them back.
@@ -116,7 +114,7 @@ impl CkptBackend for DiskBackend {
     fn write_image(&self, op: ImageOp) -> ImageFuture<'_> {
         Box::pin(async move {
             self.storage
-                .write_with_retry(op.node, op.bytes, op.target, op.policy)
+                .write_with_retry(op.node, op.bytes, op.target)
                 .await
         })
     }
@@ -124,7 +122,7 @@ impl CkptBackend for DiskBackend {
     fn read_image(&self, op: ImageOp) -> ImageFuture<'_> {
         Box::pin(async move {
             self.storage
-                .read_with_retry(op.node, op.bytes, op.target, op.policy)
+                .read_with_retry(op.node, op.bytes, op.target)
                 .await
         })
     }
@@ -157,7 +155,6 @@ mod tests {
                 rank: 1,
                 bytes: 1 << 20,
                 target: StorageTarget::Remote,
-                policy: RetryPolicy::default(),
             };
             let a = via_backend.backend().write_image(op).await;
             out.borrow_mut().push(a);
@@ -171,7 +168,7 @@ mod tests {
         sim2.spawn(async move {
             let a = cluster2
                 .storage()
-                .write_with_retry(1, 1 << 20, StorageTarget::Remote, RetryPolicy::default())
+                .write_with_retry(1, 1 << 20, StorageTarget::Remote)
                 .await;
             out2.borrow_mut().push(a);
         });

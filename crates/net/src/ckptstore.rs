@@ -148,29 +148,26 @@ impl std::error::Error for StorageError {}
 /// operations: transient faults (timeouts, torn writes, a down server)
 /// are retried with exponential backoff; a retry under server failover
 /// lands on the next live server automatically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). Must be ≥ 1.
-    pub max_attempts: u32,
+pub(crate) struct RetryPolicy {
+    /// Total attempts (first try included).
+    max_attempts: u32,
     /// Backoff slept after the first failed attempt.
-    pub base_backoff: SimDuration,
+    base_backoff: SimDuration,
     /// Backoff multiplier per further attempt.
-    pub multiplier: u32,
+    multiplier: u32,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::from_millis(50),
-            multiplier: 2,
-        }
-    }
-}
+/// The retry policy of every checkpoint-image and replica-push storage
+/// operation: three attempts, backing off 50 ms and then 100 ms.
+pub(crate) const STORAGE_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_backoff: SimDuration::from_millis(50),
+    multiplier: 2,
+};
 
 impl RetryPolicy {
     /// The backoff slept after failed attempt number `attempt` (1-based).
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
+    fn backoff(&self, attempt: u32) -> SimDuration {
         let mut d = self.base_backoff;
         let mut k = 1;
         while k < attempt {
@@ -182,20 +179,19 @@ impl RetryPolicy {
 
     /// Run `op` under this policy: each failed attempt sleeps the
     /// deterministic backoff on `sim`'s clock and tries again, until one
-    /// succeeds or `max_attempts` (at least one) have failed. The error
-    /// is the last attempt's, with the number of attempts made.
-    pub async fn run<T, E, Fut: Future<Output = Result<T, E>>>(
+    /// succeeds or `max_attempts` have failed. The error is the last
+    /// attempt's, with the number of attempts made.
+    pub(crate) async fn run<T, E, Fut: Future<Output = Result<T, E>>>(
         &self,
         sim: &Sim,
         mut op: impl FnMut() -> Fut,
     ) -> Result<T, (E, u32)> {
-        let max = self.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             match op().await {
                 Ok(t) => return Ok(t),
-                Err(e) if attempt >= max => return Err((e, attempt)),
+                Err(e) if attempt >= self.max_attempts => return Err((e, attempt)),
                 Err(_) => sim.sleep(self.backoff(attempt)).await,
             }
         }
@@ -584,7 +580,7 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_is_exponential() {
-        let p = RetryPolicy::default();
+        let p = STORAGE_RETRY;
         assert_eq!(p.backoff(1), SimDuration::from_millis(50));
         assert_eq!(p.backoff(2), SimDuration::from_millis(100));
         assert_eq!(p.backoff(3), SimDuration::from_millis(200));

@@ -122,7 +122,7 @@ impl Cluster {
         let storm = self.storm.get();
         let prob = (s.prob * storm).min(1.0);
         if prob > 0.0 && rng.chance(prob) {
-            SimDuration::from_secs_f64(rng.exp(s.mean.dur().as_secs_f64() * storm))
+            SimDuration::from_secs_f64(rng.exp(s.mean.as_secs_f64() * storm))
         } else {
             SimDuration::ZERO
         }
@@ -184,7 +184,7 @@ mod tests {
         let sim = Sim::new();
         let mut spec = ClusterSpec::test(1);
         spec.straggler.prob = 0.5;
-        spec.straggler.mean = crate::spec::SimDurationSpec::from_millis(100);
+        spec.straggler.mean = SimDuration::from_millis(100);
         let cluster = Cluster::new(&sim, spec);
         let mut rng = DetRng::new(7);
         let delays: Vec<SimDuration> = (0..200)

@@ -22,7 +22,7 @@ pub mod spec;
 pub mod storage;
 
 pub use backend::{CkptBackend, DiskBackend, ImageFuture, ImageOp};
-pub use ckptstore::{CkptStore, GenState, LoadRecord, RetryPolicy, StorageError};
+pub use ckptstore::{CkptStore, GenState, LoadRecord, StorageError};
 pub use cluster::Cluster;
 pub use network::{Network, NodeId, TransferTiming};
 pub use restore::{place_replicas, placement_digest, RebuildStats, ReplicaTable, RestoreBackend};

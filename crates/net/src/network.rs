@@ -64,8 +64,8 @@ impl Network {
         );
         Network {
             sim: sim.clone(),
-            latency: spec.latency.dur(),
-            overhead: spec.per_msg_overhead.dur(),
+            latency: spec.latency,
+            overhead: spec.per_msg_overhead,
             bandwidth_bps: spec.bandwidth_bps,
             loopback_bps: spec.loopback_bps,
             tx: (0..nodes)
@@ -145,11 +145,6 @@ impl Network {
         self.sim.sleep_until(done).await;
         done
     }
-
-    /// Total bytes·time busy accumulated on a node's uplink (diagnostics).
-    pub fn tx_busy(&self, node: NodeId) -> SimDuration {
-        self.tx[node].busy_time()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +156,7 @@ mod tests {
 
     fn net(sim: &Sim, nodes: usize) -> Network {
         let mut spec = ClusterSpec::test(nodes);
-        spec.net.latency = crate::spec::SimDurationSpec::from_micros(100);
+        spec.net.latency = SimDuration::from_micros(100);
         spec.net.bandwidth_bps = 1e6; // 1 MB/s for easy arithmetic
         Network::new(sim, &spec.net, nodes)
     }
@@ -215,7 +210,7 @@ mod tests {
         // 10 MB / 10 GB/s = 1 ms; no latency term beyond overhead (0 here).
         assert_eq!(d.as_nanos(), 1_000_000);
         // Does not occupy the NIC.
-        assert_eq!(n.tx_busy(1), SimDuration::ZERO);
+        assert_eq!(n.tx[1].busy_time(), SimDuration::ZERO);
     }
 
     #[test]
@@ -236,8 +231,8 @@ mod tests {
     fn per_msg_overhead_is_charged_on_wire() {
         let sim = Sim::new();
         let mut spec = ClusterSpec::test(2);
-        spec.net.per_msg_overhead = crate::spec::SimDurationSpec::from_micros(50);
-        spec.net.latency = crate::spec::SimDurationSpec::from_micros(100);
+        spec.net.per_msg_overhead = SimDuration::from_micros(50);
+        spec.net.latency = SimDuration::from_micros(100);
         let n = Network::new(&sim, &spec.net, 2);
         let d = n.reserve_transfer(0, 1, 0);
         assert_eq!(d.as_nanos(), 150_000);

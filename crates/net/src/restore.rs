@@ -35,7 +35,7 @@ use gcr_sim::future::join_all;
 use gcr_sim::{fnv1a_words, Sim};
 
 use crate::backend::{CkptBackend, ImageFuture, ImageOp};
-use crate::ckptstore::{CkptStore, RetryPolicy, StorageError};
+use crate::ckptstore::{CkptStore, StorageError, STORAGE_RETRY};
 use crate::cluster::Cluster;
 use crate::network::Network;
 use crate::storage::{Storage, StorageTarget};
@@ -368,7 +368,6 @@ pub struct RestoreBackend {
     store: Rc<CkptStore>,
     group_of: Vec<usize>,
     k: usize,
-    policy: RetryPolicy,
     replicas: ReplicaTable,
     /// Armed rebuild-push faults: each failing push consumes one.
     rebuild_faults: Cell<u32>,
@@ -396,7 +395,6 @@ impl RestoreBackend {
             store: Rc::clone(cluster.ckpt_store()),
             group_of,
             k: k.max(1),
-            policy: RetryPolicy::default(),
             replicas: ReplicaTable::default(),
             rebuild_faults: Cell::new(0),
             peer_reads: Cell::new(0),
@@ -590,8 +588,7 @@ impl RestoreBackend {
             }
             let mut exhausted = false;
             for dst in targets {
-                let pushed = self
-                    .policy
+                let pushed = STORAGE_RETRY
                     .run(&self.sim, || self.push_copy(src, dst, bytes))
                     .await;
                 if pushed.is_ok() {
@@ -638,7 +635,7 @@ impl CkptBackend for RestoreBackend {
         Box::pin(async move {
             let done = self
                 .storage
-                .write_with_retry(op.node, op.bytes, op.target, op.policy)
+                .write_with_retry(op.node, op.bytes, op.target)
                 .await?;
             let Some(gen) = op.gen else {
                 return Ok(done);
@@ -669,7 +666,7 @@ impl CkptBackend for RestoreBackend {
                 self.fallback_reads.set(self.fallback_reads.get() + 1);
                 return self
                     .storage
-                    .read_with_retry(op.node, op.bytes, op.target, op.policy)
+                    .read_with_retry(op.node, op.bytes, op.target)
                     .await;
             };
             if let Some(holder) = self.nearest_holder(op.group, gen, op.rank, op.node) {
@@ -693,7 +690,7 @@ impl CkptBackend for RestoreBackend {
                         .set(self.remote_fallback_reads.get() + 1);
                 }
                 self.storage
-                    .read_with_retry(op.node, op.bytes, op.target, op.policy)
+                    .read_with_retry(op.node, op.bytes, op.target)
                     .await
             }
         })
@@ -835,7 +832,6 @@ mod tests {
                 rank: 1,
                 bytes: 1 << 20,
                 target: StorageTarget::Local,
-                policy: RetryPolicy::default(),
             };
             b.write_image(op).await.unwrap();
             b.on_commit(0, 1);
@@ -859,7 +855,6 @@ mod tests {
                 rank: 1,
                 bytes: 1 << 16,
                 target: StorageTarget::Local,
-                policy: RetryPolicy::default(),
             };
             b.write_image(op).await.unwrap();
             b.on_commit(0, 1);
@@ -901,7 +896,6 @@ mod tests {
                 rank: 0,
                 bytes: 4096,
                 target: StorageTarget::Local,
-                policy: RetryPolicy::default(),
             };
             b.write_image(op).await.unwrap();
             b.on_commit(0, 1);

@@ -7,17 +7,16 @@
 //! that hardware; absolute seconds are not expected to match the paper, the
 //! *relative* behaviour is.
 
-use gcr_json::{Json, JsonError};
 use gcr_sim::SimDuration;
 
 /// Network parameters for a switched, full-duplex cluster interconnect.
 #[derive(Debug, Clone)]
 pub struct NetSpec {
     /// One-way wire + switch latency.
-    pub latency: SimDurationSpec,
+    pub latency: SimDuration,
     /// Per-message software overhead (MPI stack, TCP), paid once per message
     /// on top of the wire latency.
-    pub per_msg_overhead: SimDurationSpec,
+    pub per_msg_overhead: SimDuration,
     /// Link bandwidth in bytes/second (each direction of each node link).
     pub bandwidth_bps: f64,
     /// Effective memory-copy bandwidth for rank-to-self messages.
@@ -30,13 +29,13 @@ pub struct StorageSpec {
     /// Sustained local-disk write/read bandwidth (bytes/s).
     pub local_disk_bps: f64,
     /// Fixed per-operation overhead on the local disk (seek + fs).
-    pub local_seek: SimDurationSpec,
+    pub local_seek: SimDuration,
     /// Number of remote checkpoint servers (0 = remote storage unavailable).
     pub remote_servers: usize,
     /// Sustained disk bandwidth of each remote server (bytes/s).
     pub remote_disk_bps: f64,
     /// Fixed per-operation overhead on a remote server.
-    pub remote_seek: SimDurationSpec,
+    pub remote_seek: SimDuration,
 }
 
 /// Random per-process delays observed when entering checkpoint coordination
@@ -48,7 +47,7 @@ pub struct StragglerSpec {
     /// point.
     pub prob: f64,
     /// Mean of the exponential delay when it happens.
-    pub mean: SimDurationSpec,
+    pub mean: SimDuration,
 }
 
 impl StragglerSpec {
@@ -56,45 +55,8 @@ impl StragglerSpec {
     pub fn disabled() -> Self {
         StragglerSpec {
             prob: 0.0,
-            mean: SimDurationSpec::from_millis(0),
+            mean: SimDuration::from_millis(0),
         }
-    }
-}
-
-/// A serialization-friendly duration: stored as whole nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimDurationSpec {
-    ns: u64,
-}
-
-impl SimDurationSpec {
-    /// From whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimDurationSpec { ns }
-    }
-    /// From whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDurationSpec { ns: us * 1_000 }
-    }
-    /// From whole milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDurationSpec { ns: ms * 1_000_000 }
-    }
-    /// From whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDurationSpec {
-            ns: s * 1_000_000_000,
-        }
-    }
-    /// Convert to the simulator's duration type.
-    pub const fn dur(self) -> SimDuration {
-        SimDuration::from_nanos(self.ns)
-    }
-}
-
-impl From<SimDurationSpec> for SimDuration {
-    fn from(s: SimDurationSpec) -> SimDuration {
-        s.dur()
     }
 }
 
@@ -132,21 +94,21 @@ impl ClusterSpec {
             flops_per_sec: 1.2e9,
             mem_bytes: 512 * 1024 * 1024,
             net: NetSpec {
-                latency: SimDurationSpec::from_micros(60),
-                per_msg_overhead: SimDurationSpec::from_micros(45),
+                latency: SimDuration::from_micros(60),
+                per_msg_overhead: SimDuration::from_micros(45),
                 bandwidth_bps: 12.5e6,
                 loopback_bps: 400e6,
             },
             storage: StorageSpec {
                 local_disk_bps: 35e6,
-                local_seek: SimDurationSpec::from_millis(6),
+                local_seek: SimDuration::from_millis(6),
                 remote_servers: 4,
                 remote_disk_bps: 28e6,
-                remote_seek: SimDurationSpec::from_millis(8),
+                remote_seek: SimDuration::from_millis(8),
             },
             straggler: StragglerSpec {
                 prob: 0.05,
-                mean: SimDurationSpec::from_millis(1500),
+                mean: SimDuration::from_millis(1500),
             },
         }
     }
@@ -159,17 +121,17 @@ impl ClusterSpec {
             flops_per_sec: 1e9,
             mem_bytes: 1 << 30,
             net: NetSpec {
-                latency: SimDurationSpec::from_micros(10),
-                per_msg_overhead: SimDurationSpec::from_micros(0),
+                latency: SimDuration::from_micros(10),
+                per_msg_overhead: SimDuration::from_micros(0),
                 bandwidth_bps: 1e9,
                 loopback_bps: 10e9,
             },
             storage: StorageSpec {
                 local_disk_bps: 1e9,
-                local_seek: SimDurationSpec::from_millis(0),
+                local_seek: SimDuration::from_millis(0),
                 remote_servers: 2,
                 remote_disk_bps: 1e9,
-                remote_seek: SimDurationSpec::from_millis(0),
+                remote_seek: SimDuration::from_millis(0),
             },
             straggler: StragglerSpec::disabled(),
         }
@@ -179,75 +141,6 @@ impl ClusterSpec {
     pub fn compute_time(&self, flops: f64) -> SimDuration {
         assert!(flops >= 0.0 && flops.is_finite(), "invalid flop count");
         SimDuration::from_secs_f64(flops / self.flops_per_sec)
-    }
-
-    /// The on-disk JSON representation (durations as whole nanoseconds).
-    pub fn to_json(&self) -> Json {
-        let ns = |d: SimDurationSpec| Json::from(d.ns);
-        Json::obj([
-            ("nodes", Json::from(self.nodes)),
-            ("flops_per_sec", Json::from(self.flops_per_sec)),
-            ("mem_bytes", Json::from(self.mem_bytes)),
-            (
-                "net",
-                Json::obj([
-                    ("latency", ns(self.net.latency)),
-                    ("per_msg_overhead", ns(self.net.per_msg_overhead)),
-                    ("bandwidth_bps", Json::from(self.net.bandwidth_bps)),
-                    ("loopback_bps", Json::from(self.net.loopback_bps)),
-                ]),
-            ),
-            (
-                "storage",
-                Json::obj([
-                    ("local_disk_bps", Json::from(self.storage.local_disk_bps)),
-                    ("local_seek", ns(self.storage.local_seek)),
-                    ("remote_servers", Json::from(self.storage.remote_servers)),
-                    ("remote_disk_bps", Json::from(self.storage.remote_disk_bps)),
-                    ("remote_seek", ns(self.storage.remote_seek)),
-                ]),
-            ),
-            (
-                "straggler",
-                Json::obj([
-                    ("prob", Json::from(self.straggler.prob)),
-                    ("mean", ns(self.straggler.mean)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Parse a spec back from its JSON value.
-    ///
-    /// # Errors
-    /// [`JsonError`] on shape mismatches.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let ns = |o: &Json, key: &str| o.u64_field(key).map(SimDurationSpec::from_nanos);
-        let net = v.field("net")?;
-        let storage = v.field("storage")?;
-        let straggler = v.field("straggler")?;
-        Ok(ClusterSpec {
-            nodes: v.usize_field("nodes")?,
-            flops_per_sec: v.f64_field("flops_per_sec")?,
-            mem_bytes: v.u64_field("mem_bytes")?,
-            net: NetSpec {
-                latency: ns(net, "latency")?,
-                per_msg_overhead: ns(net, "per_msg_overhead")?,
-                bandwidth_bps: net.f64_field("bandwidth_bps")?,
-                loopback_bps: net.f64_field("loopback_bps")?,
-            },
-            storage: StorageSpec {
-                local_disk_bps: storage.f64_field("local_disk_bps")?,
-                local_seek: ns(storage, "local_seek")?,
-                remote_servers: storage.usize_field("remote_servers")?,
-                remote_disk_bps: storage.f64_field("remote_disk_bps")?,
-                remote_seek: ns(storage, "remote_seek")?,
-            },
-            straggler: StragglerSpec {
-                prob: straggler.f64_field("prob")?,
-                mean: ns(straggler, "mean")?,
-            },
-        })
     }
 }
 
@@ -271,16 +164,5 @@ mod tests {
         let t2 = spec.compute_time(2e9);
         assert_eq!(t1.as_secs_f64(), 1.0);
         assert_eq!(t2, t1 * 2);
-    }
-
-    #[test]
-    fn duration_spec_roundtrips_through_json() {
-        let spec = ClusterSpec::gideon300(8);
-        let json = spec.to_json().dump();
-        let back = ClusterSpec::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(back.nodes, 8);
-        assert_eq!(back.net.latency, spec.net.latency);
-        assert_eq!(back.net.bandwidth_bps, spec.net.bandwidth_bps);
-        assert_eq!(back.straggler.mean, spec.straggler.mean);
     }
 }

@@ -15,8 +15,8 @@
 //! [`Storage::inject_write_timeouts`], [`Storage::set_server_down`]) let the
 //! chaos harness trigger each mode deterministically. The
 //! [`Storage::write_with_retry`] / [`Storage::read_with_retry`] wrappers
-//! run the bounded, sim-clock-driven backoff loop ([`RetryPolicy::run`])
-//! the protocol layer uses: transient faults are retried, a retry under an
+//! run the one bounded, sim-clock-driven backoff policy the protocol
+//! layer uses: transient faults are retried, a retry under an
 //! outage fails over to the next live server, and exhaustion degrades to a
 //! typed error.
 
@@ -28,7 +28,7 @@ use std::rc::Rc;
 use gcr_sim::resource::FifoResource;
 use gcr_sim::{Sim, SimDuration, SimTime};
 
-use crate::ckptstore::{RetryPolicy, StorageError};
+use crate::ckptstore::{StorageError, STORAGE_RETRY};
 use crate::network::{Network, NodeId};
 use crate::spec::StorageSpec;
 
@@ -114,9 +114,9 @@ impl Storage {
         Storage {
             sim: sim.clone(),
             local_bps: spec.local_disk_bps,
-            local_seek: spec.local_seek.dur(),
+            local_seek: spec.local_seek,
             remote_bps: spec.remote_disk_bps,
-            remote_seek: spec.remote_seek.dur(),
+            remote_seek: spec.remote_seek,
             local_disks: (0..compute_nodes)
                 .map(|i| FifoResource::new(sim, format!("disk{i}")))
                 .collect(),
@@ -305,28 +305,27 @@ impl Storage {
         }
     }
 
-    /// [`Storage::write`] under the bounded retry/backoff `policy`:
-    /// transient faults sleep the deterministic backoff and retry (a retry
-    /// under an outage fails over via [`Storage::server_for`]).
+    /// [`Storage::write`] under the storage retry policy: transient faults
+    /// sleep the deterministic backoff and retry (a retry under an outage
+    /// fails over via [`Storage::server_for`]).
     ///
     /// # Errors
-    /// [`StorageError::RetriesExhausted`] once `policy.max_attempts` writes
-    /// have failed; [`StorageError::AllServersDown`] passes through
-    /// unmasked (retrying cannot help until a server returns).
+    /// [`StorageError::RetriesExhausted`] once every attempt has failed;
+    /// [`StorageError::AllServersDown`] passes through unmasked (retrying
+    /// cannot help until a server returns).
     pub async fn write_with_retry(
         &self,
         node: NodeId,
         bytes: u64,
         target: StorageTarget,
-        policy: RetryPolicy,
     ) -> Result<SimTime, StorageError> {
-        policy
+        STORAGE_RETRY
             .run(&self.sim, || self.write(node, bytes, target))
             .await
             .map_err(|e| exhausted(node, e))
     }
 
-    /// [`Storage::read`] under the bounded retry/backoff `policy`.
+    /// [`Storage::read`] under the storage retry policy.
     ///
     /// # Errors
     /// As [`Storage::write_with_retry`].
@@ -335,9 +334,8 @@ impl Storage {
         node: NodeId,
         bytes: u64,
         target: StorageTarget,
-        policy: RetryPolicy,
     ) -> Result<SimTime, StorageError> {
-        policy
+        STORAGE_RETRY
             .run(&self.sim, || self.read(node, bytes, target))
             .await
             .map_err(|e| exhausted(node, e))
@@ -360,27 +358,22 @@ impl Storage {
         self.sim.sleep_until(t).await;
         self.sim.now()
     }
-
-    /// Busy time accumulated on a remote server's disk (diagnostics).
-    pub fn remote_busy(&self, server: usize) -> SimDuration {
-        self.remote_disks[server].busy_time()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ClusterSpec, SimDurationSpec};
+    use crate::spec::ClusterSpec;
     use std::cell::Cell;
 
     fn setup(nodes: usize) -> (Sim, Rc<Storage>) {
         let sim = Sim::new();
         let mut spec = ClusterSpec::test(nodes);
         spec.storage.local_disk_bps = 1e6;
-        spec.storage.local_seek = SimDurationSpec::from_millis(10);
+        spec.storage.local_seek = SimDuration::from_millis(10);
         spec.storage.remote_disk_bps = 1e6;
-        spec.storage.remote_seek = SimDurationSpec::from_millis(0);
-        spec.net.latency = SimDurationSpec::from_micros(0);
+        spec.storage.remote_seek = SimDuration::from_millis(0);
+        spec.net.latency = SimDuration::from_micros(0);
         spec.net.bandwidth_bps = 1e8; // network much faster than server disks
         let network = Rc::new(Network::new(
             &sim,
@@ -491,9 +484,7 @@ mod tests {
         sim.spawn(async move {
             // Retrying cannot help while every server is down: the error
             // passes through the retry wrapper unmasked.
-            let r = st
-                .write_with_retry(0, 1_000, StorageTarget::Remote, RetryPolicy::default())
-                .await;
+            let r = st.write_with_retry(0, 1_000, StorageTarget::Remote).await;
             *g.borrow_mut() = Some(r);
         });
         sim.run().unwrap();
@@ -514,7 +505,7 @@ mod tests {
         let d = Rc::clone(&done);
         sim.spawn(async move {
             let r = st
-                .write_with_retry(0, 1_000_000, StorageTarget::Remote, RetryPolicy::default())
+                .write_with_retry(0, 1_000_000, StorageTarget::Remote)
                 .await;
             *d.borrow_mut() = Some(r);
         });
@@ -531,8 +522,8 @@ mod tests {
         // First attempt pays its full 1 s service, then 50 ms backoff,
         // then ~1 s on server 1.
         assert!(t > 2.0, "t {t}");
-        assert!(storage.remote_busy(1).as_secs_f64() > 0.9);
-        assert!(storage.remote_busy(0).as_secs_f64() > 0.9);
+        assert!(storage.remote_disks[1].busy_time().as_secs_f64() > 0.9);
+        assert!(storage.remote_disks[0].busy_time().as_secs_f64() > 0.9);
     }
 
     #[test]
@@ -577,7 +568,7 @@ mod tests {
         let d = Rc::clone(&done);
         sim.spawn(async move {
             let r = st
-                .write_with_retry(0, 1_000_000, StorageTarget::Local, RetryPolicy::default())
+                .write_with_retry(0, 1_000_000, StorageTarget::Local)
                 .await;
             *d.borrow_mut() = Some(r);
         });
@@ -616,9 +607,7 @@ mod tests {
         let st = Rc::clone(&storage);
         let d = Rc::clone(&done);
         sim.spawn(async move {
-            let r = st
-                .read_with_retry(0, 1_000_000, StorageTarget::Local, RetryPolicy::default())
-                .await;
+            let r = st.read_with_retry(0, 1_000_000, StorageTarget::Local).await;
             *d.borrow_mut() = Some(r);
         });
         sim.run().unwrap();
@@ -639,9 +628,7 @@ mod tests {
         let st = Rc::clone(&storage);
         let d = Rc::clone(&done);
         sim.spawn(async move {
-            let r = st
-                .read_with_retry(0, 1_000, StorageTarget::Local, RetryPolicy::default())
-                .await;
+            let r = st.read_with_retry(0, 1_000, StorageTarget::Local).await;
             *d.borrow_mut() = Some(r);
         });
         sim.run().unwrap();
@@ -662,9 +649,7 @@ mod tests {
         let st = Rc::clone(&storage);
         let d = Rc::clone(&done);
         sim.spawn(async move {
-            let r = st
-                .write_with_retry(0, 1_000, StorageTarget::Local, RetryPolicy::default())
-                .await;
+            let r = st.write_with_retry(0, 1_000, StorageTarget::Local).await;
             *d.borrow_mut() = Some(r);
         });
         sim.run().unwrap();

@@ -82,16 +82,6 @@ impl FifoResource {
         self.inner.borrow().ops
     }
 
-    /// Utilization in `[0, 1]` relative to the current simulated time
-    /// (may exceed 1 if reservations extend past "now").
-    pub fn utilization(&self) -> f64 {
-        let now = self.sim.now();
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.inner.borrow().busy.as_secs_f64() / now.as_secs_f64()
-    }
-
     /// The resource's diagnostic name.
     pub fn name(&self) -> String {
         self.inner.borrow().name.clone()
@@ -156,7 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_busy_fraction() {
+    fn busy_time_excludes_idle_time() {
         let sim = Sim::new();
         let r = FifoResource::new(&sim, "disk");
         let r2 = r.clone();
@@ -166,6 +156,7 @@ mod tests {
             s.sleep(SimDuration::from_secs(1)).await;
         });
         sim.run().unwrap();
-        assert!((r.utilization() - 0.5).abs() < 1e-9);
+        assert_eq!(sim.now(), SimTime::from_secs(2));
+        assert_eq!(r.busy_time(), SimDuration::from_secs(1));
     }
 }

@@ -19,7 +19,7 @@
 //! same-instant merge.
 //!
 //! A shard's heap holds *instant runs*, not single events. A run is a FIFO
-//! of event slots sharing one deadline, linked through [`EventSlot::next`];
+//! of event slots sharing one deadline, linked through `EventSlot::next`;
 //! it sits in the heap once, keyed by the `(at, seq)` of its head. A push
 //! at the deadline of the run most recently pushed onto the heap (the
 //! shard's `open` run) is appended to that run without touching the heap,
@@ -28,9 +28,9 @@
 //! current heads and events still fire in exact `(at, seq)` order. A run
 //! of length one is a plain heap entry.
 //!
-//! Events live in an arena owned by the executor core ([`EventSlot`]);
-//! heaps store only 24-byte [`HeapEntry`] keys. Slot lifetime rules are
-//! documented on [`EventSlot`].
+//! Events live in an arena owned by the executor core (`EventSlot`);
+//! heaps store only 24-byte `HeapEntry` keys. Slot lifetime rules are
+//! documented on `EventSlot`.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;

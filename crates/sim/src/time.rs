@@ -77,12 +77,6 @@ impl SimTime {
             ns: self.ns.saturating_sub(earlier.ns),
         }
     }
-
-    /// Checked difference between two instants.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.ns.checked_sub(earlier.ns).map(|ns| SimDuration { ns })
-    }
 }
 
 impl SimDuration {
@@ -163,18 +157,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration {
             ns: self.ns.saturating_sub(rhs.ns),
-        }
-    }
-
-    /// Multiply by an `f64` scale factor (rounds to nearest nanosecond).
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(
-            k >= 0.0 && k.is_finite(),
-            "scale must be non-negative and finite"
-        );
-        SimDuration {
-            ns: (self.ns as f64 * k).round() as u64,
         }
     }
 }
@@ -329,7 +311,6 @@ mod tests {
         assert_eq!(((t + d) - t).as_nanos(), d.as_nanos());
         assert_eq!((d * 3).as_nanos(), 12_000_000_000);
         assert_eq!((d / 2).as_nanos(), 2_000_000_000);
-        assert_eq!(d.mul_f64(0.5).as_nanos(), 2_000_000_000);
     }
 
     #[test]
@@ -338,7 +319,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
-        assert_eq!(early.checked_since(late), None);
         assert_eq!(
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO

@@ -20,6 +20,7 @@ use gcr_chaos::{
 };
 use gcr_group::{detect_phases, form_groups};
 use gcr_net::StorageTarget;
+use gcr_sim::SimDuration;
 use gcr_trace::io as trace_io;
 use gcr_workloads::{CgConfig, HplConfig, RingConfig, SpConfig};
 
@@ -262,6 +263,36 @@ impl<'a> Flags<'a> {
                 .map_err(|_| err(format!("{name} expects a number"))),
         }
     }
+
+    /// A required count that must be at least 1 (a group or window size).
+    fn parse_count(&self, name: &str) -> Result<usize, CliError> {
+        match self.parse_num(name)? {
+            0 => Err(err(format!("{name} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+}
+
+/// Parse a simulated instant or duration in seconds: finite and not
+/// negative, as the simulator's clock requires.
+fn parse_seconds(v: &str, flag: &str) -> Result<f64, CliError> {
+    match v.parse::<f64>() {
+        Ok(s) if s.is_finite() && s >= 0.0 => Ok(s),
+        _ => Err(err(format!(
+            "{flag} expects a finite, non-negative number of seconds"
+        ))),
+    }
+}
+
+/// Parse a positive millisecond count whose nanosecond value fits the
+/// simulator's 64-bit clock.
+fn parse_millis(v: &str, flag: &str) -> Result<u64, CliError> {
+    match v.parse::<u64>() {
+        Ok(ms) if ms > 0 && ms.checked_mul(1_000_000).is_some() => Ok(ms),
+        _ => Err(err(format!(
+            "{flag} expects a positive number of milliseconds"
+        ))),
+    }
 }
 
 /// Parse a comma-separated list of positive integers (`1000,10000`).
@@ -336,6 +367,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "run" => {
             let workload = parse_workload(&f)?;
             let g: usize = f.parse_num_or("--g", 8)?;
+            if g == 0 {
+                return Err(err("--g must be at least 1"));
+            }
             let proto = match f.require("--proto")? {
                 "gp" => Proto::Gp { max_size: g },
                 "gp1" => Proto::Gp1,
@@ -348,11 +382,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 (Some(_), Some(_)) => {
                     return Err(err("--ckpt-at and --interval are mutually exclusive"))
                 }
-                (Some(t), None) => {
-                    Schedule::SingleAt(t.parse().map_err(|_| err("--ckpt-at expects seconds"))?)
-                }
+                (Some(t), None) => Schedule::SingleAt(parse_seconds(t, "--ckpt-at")?),
                 (None, Some(iv)) => {
-                    let iv: f64 = iv.parse().map_err(|_| err("--interval expects seconds"))?;
+                    let iv = parse_seconds(iv, "--interval")?;
+                    if SimDuration::from_secs_f64(iv).is_zero() {
+                        return Err(err("--interval must be at least one nanosecond"));
+                    }
                     Schedule::Interval {
                         start_s: iv,
                         every_s: iv,
@@ -376,7 +411,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }),
         "groups" => Ok(Command::Groups {
             trace: f.require("--trace")?.to_string(),
-            max_size: f.parse_num("--max-size")?,
+            max_size: f.parse_count("--max-size")?,
             out: f.get("--out").map(str::to_string),
         }),
         "stats" => Ok(Command::Stats {
@@ -384,8 +419,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }),
         "phases" => Ok(Command::Phases {
             trace: f.require("--trace")?.to_string(),
-            window_ms: f.parse_num("--window-ms")?,
-            max_size: f.parse_num("--max-size")?,
+            window_ms: parse_millis(f.require("--window-ms")?, "--window-ms")?,
+            max_size: f.parse_count("--max-size")?,
         }),
         "chaos" => {
             let workload = f
@@ -406,13 +441,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     return Err(err(format!("unknown storage '{other}' (local|remote)")))
                 }
             };
-            let interval_ms = match f.get("--interval-ms") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| err("--interval-ms expects milliseconds"))?,
-                ),
-            };
+            let interval_ms = f
+                .get("--interval-ms")
+                .map(|v| parse_millis(v, "--interval-ms"))
+                .transpose()?;
             let gc_overshoot = match f.get("--gc-overshoot") {
                 None => None,
                 Some(v) => Some(v.parse().map_err(|_| err("--gc-overshoot expects bytes"))?),
@@ -864,6 +896,57 @@ mod tests {
         ))
         .unwrap_err();
         assert!(e.0.contains("mutually exclusive"));
+    }
+
+    #[test]
+    fn rejects_hostile_numeric_arguments() {
+        let run = "run --workload ring --procs 4 --proto gp";
+        let cases = [
+            ("--interval", format!("{run} --interval 0")),
+            ("--interval", format!("{run} --interval 1e-12")),
+            ("--interval", format!("{run} --interval -1")),
+            ("--interval", format!("{run} --interval nan")),
+            ("--interval", format!("{run} --interval inf")),
+            ("--ckpt-at", format!("{run} --ckpt-at -1")),
+            ("--ckpt-at", format!("{run} --ckpt-at inf")),
+            ("--ckpt-at", format!("{run} --ckpt-at nan")),
+            ("--g", format!("{run} --g 0")),
+            (
+                "--interval-ms",
+                "chaos --seed 1 --interval-ms 0".to_string(),
+            ),
+            (
+                "--interval-ms",
+                "chaos --seed 1 --interval-ms 18446744073710".to_string(),
+            ),
+            (
+                "--max-size",
+                "groups --trace t.json --max-size 0".to_string(),
+            ),
+            (
+                "--max-size",
+                "phases --trace t.json --window-ms 100 --max-size 0".to_string(),
+            ),
+            (
+                "--window-ms",
+                "phases --trace t.json --window-ms 0 --max-size 4".to_string(),
+            ),
+            (
+                "--window-ms",
+                "phases --trace t.json --window-ms 18446744073710 --max-size 4".to_string(),
+            ),
+        ];
+        for (flag, line) in cases {
+            let parsed = parse(&argv(&line));
+            assert!(parsed.is_err(), "{line} must be rejected");
+            if let Err(e) = parsed {
+                assert!(
+                    e.0.contains(flag),
+                    "{line}: error must name {flag}: {}",
+                    e.0
+                );
+            }
+        }
     }
 
     #[test]

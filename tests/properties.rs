@@ -158,7 +158,6 @@ fn msg_log_tallies_close_under_random_appends_and_gcs() {
 fn gp_log_tallies_close_under_piggyback_and_ack_gc() {
     use gcr::ckpt::{GpState, RbState};
     use gcr::mpi::{Envelope, MpiHook, MsgId, MsgKind, Rank, Tag};
-    use gcr::sim::SimDuration;
 
     fn env(src: u32, dst: u32, bytes: u64, seq: u64) -> Envelope {
         Envelope {
@@ -185,15 +184,7 @@ fn gp_log_tallies_close_under_piggyback_and_ack_gc() {
         let mut rng = DetRng::new(0xA160_000B).fork_idx(case);
         let groups = Rc::new(GroupDef::new(4, vec![vec![0, 1], vec![2, 3]]).unwrap());
         let gps: Vec<_> = (0..4)
-            .map(|r| {
-                GpState::new(
-                    r,
-                    Rc::clone(&groups),
-                    true,
-                    250e6,
-                    SimDuration::from_micros(20),
-                )
-            })
+            .map(|r| GpState::new(r, Rc::clone(&groups), true))
             .collect();
         // Half the cases add receiver-based logging, whose sends carry
         // the acknowledgement piggyback.
@@ -346,7 +337,6 @@ fn random_runs_leave_consistent_recovery_lines() {
 fn piggyback_gc_never_outruns_committed_generations() {
     use gcr::ckpt::GpState;
     use gcr::mpi::{Envelope, MpiHook, MsgId, MsgKind, Rank, Tag};
-    use gcr::sim::SimDuration;
 
     fn env(src: u32, dst: u32, bytes: u64, seq: u64) -> Envelope {
         Envelope {
@@ -372,15 +362,7 @@ fn piggyback_gc_never_outruns_committed_generations() {
         let mut rng = DetRng::new(0xA160_0006).fork_idx(case);
         let groups = Rc::new(gcr::group::GroupDef::new(4, vec![vec![0, 1], vec![2, 3]]).unwrap());
         let retention = 1 + rng.index(3); // W ∈ {1, 2, 3}
-        let mk = |rank| {
-            GpState::new(
-                rank,
-                Rc::clone(&groups),
-                true,
-                250e6,
-                SimDuration::from_micros(20),
-            )
-        };
+        let mk = |rank| GpState::new(rank, Rc::clone(&groups), true);
         // Rank 2 (group 1) streams data to rank 0 (group 0); rank 0's
         // occasional replies carry the piggybacked GC floor back.
         let sender = mk(2);
@@ -767,7 +749,6 @@ fn cvc_piggybacked_epochs_keep_every_cut_consistent() {
 fn rblog_restart_replays_a_byte_identical_receive_stream() {
     use gcr::ckpt::{digest_of, GpState, RbState};
     use gcr::mpi::{Envelope, MpiHook, MsgId, MsgKind, Rank, Tag};
-    use gcr::sim::SimDuration;
     use std::collections::VecDeque;
 
     fn env(src: u32, dst: u32, bytes: u64, seq: u64) -> Envelope {
@@ -794,15 +775,7 @@ fn rblog_restart_replays_a_byte_identical_receive_stream() {
         let mut rng = DetRng::new(0xA160_0009).fork_idx(case);
         let groups = Rc::new(GroupDef::new(2, vec![vec![0], vec![1]]).unwrap());
         let retention = 1 + rng.index(3);
-        let mk = |rank| {
-            GpState::new(
-                rank,
-                Rc::clone(&groups),
-                true,
-                250e6,
-                SimDuration::from_micros(20),
-            )
-        };
+        let mk = |rank| GpState::new(rank, Rc::clone(&groups), true);
         let gp_r = mk(0);
         let gp_s = mk(1);
         gp_r.set_gc_retention(retention);
