@@ -19,6 +19,7 @@ fn world_opts() -> WorldOpts {
         // eagerly and can sit unconsumed in the receiver's MPI layer — the
         // source of restart replay volume when checkpoints catch them.
         eager_threshold: 128 * 1024,
+        ..WorldOpts::default()
     }
 }
 

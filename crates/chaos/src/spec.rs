@@ -229,6 +229,7 @@ pub(crate) fn chaos_world_opts() -> WorldOpts {
     WorldOpts {
         compute_slice: SimDuration::from_millis(100),
         eager_threshold: 128 * 1024,
+        ..WorldOpts::default()
     }
 }
 

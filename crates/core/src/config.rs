@@ -49,11 +49,6 @@ pub struct CkptConfig {
     /// so the chaos harness can prove its oracles and shrinker catch real
     /// bugs.
     pub gc_overshoot: u64,
-    /// How many committed generations restart selection may fall back
-    /// across (retention window `W`). Message-log GC advertises the floor
-    /// of the *oldest retained* generation, so a fallback of up to `W − 1`
-    /// generations stays replayable. Must be ≥ 1.
-    pub gc_retention_gens: usize,
     /// Root seed for the protocol's random substreams.
     pub seed: u64,
 }
@@ -69,7 +64,6 @@ impl CkptConfig {
             stragglers: true,
             piggyback_gc: true,
             gc_overshoot: 0,
-            gc_retention_gens: 2,
             seed: 0x9c27_b0e1,
         }
     }

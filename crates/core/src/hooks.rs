@@ -18,6 +18,7 @@ use gcr_net::Storage;
 use gcr_sim::SimDuration;
 
 use crate::msglog::{LogEntry, MsgLog};
+use crate::runtime::GC_RETENTION_GENS;
 use crate::volume::VolumeCounters;
 
 /// Sender-side log copy bandwidth (bytes/s): the memcpy + bookkeeping cost
@@ -68,7 +69,7 @@ impl GpState {
             vols: RefCell::new(VolumeCounters::new()),
             pending: RefCell::new(Default::default()),
             committed: RefCell::new(Vec::new()),
-            retention: Cell::new(2),
+            retention: Cell::new(GC_RETENTION_GENS),
             piggyback_gc,
             gc_overshoot: Cell::new(0),
         })
@@ -79,8 +80,8 @@ impl GpState {
         self.gc_overshoot.set(bytes);
     }
 
-    /// Set the generation-retention window `W`
-    /// (see [`crate::CkptConfig::gc_retention_gens`]). Clamped to ≥ 1.
+    /// Set the generation-retention window `W` (the runtime's is the
+    /// constant `GC_RETENTION_GENS`, 2). Clamped to ≥ 1.
     pub fn set_gc_retention(&self, gens: usize) {
         self.retention.set(gens.max(1));
     }

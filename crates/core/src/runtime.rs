@@ -29,6 +29,13 @@ use crate::vcl::vcl_wave;
 /// the paper's Figure 1; per-group children parallelize it for GP.
 const PROPAGATION_PER_PROC: SimDuration = SimDuration::from_millis(20);
 
+/// How many committed generations restart selection may fall back across
+/// (retention window `W`). Message-log GC advertises the floor of the
+/// *oldest retained* generation, so a fallback of up to `W − 1`
+/// generations stays replayable; every rank's [`GpState`] starts with
+/// this window.
+pub(crate) const GC_RETENTION_GENS: usize = 2;
+
 /// A crash trap armed on a group (fault injection): the group's next
 /// checkpoint wave fails at the given phase — `0` before the image write,
 /// `1` halfway through it, `2` after the writes but before the commit
@@ -146,7 +153,6 @@ impl CkptRuntime {
         for r in 0..n as u32 {
             let gp = GpState::new(r, Rc::clone(&groups), cfg.piggyback_gc);
             gp.set_gc_overshoot(cfg.gc_overshoot);
-            gp.set_gc_retention(cfg.gc_retention_gens);
             gp.attach_log_disk(Rc::clone(storage), r as usize);
             let vcl = VclState::new(r, n);
             let cvc = CvcState::new();
@@ -467,7 +473,7 @@ impl CkptRuntime {
         let mut gen_of_rank: Vec<Option<u64>> = vec![None; n];
         for gid in 0..self.inner.groups.group_count() {
             let members = self.inner.groups.members(gid);
-            let gen = store.select_restart(gid, members, self.inner.cfg.gc_retention_gens);
+            let gen = store.select_restart(gid, members, GC_RETENTION_GENS);
             for &m in members {
                 self.inner.gp[m as usize].rollback_to(gen);
                 gen_of_rank[m as usize] = gen;
@@ -522,7 +528,7 @@ impl CkptRuntime {
         // aborted or corrupt newest generation deterministically falls
         // back; `None` restarts the group from its initial state.
         let store = self.inner.world.cluster().ckpt_store().clone();
-        let generation = store.select_restart(gid, &members, self.inner.cfg.gc_retention_gens);
+        let generation = store.select_restart(gid, &members, GC_RETENTION_GENS);
         let fell_back = generation != store.newest_attempted(gid);
         for &m in &members {
             self.inner.gp[m as usize].rollback_to(generation);

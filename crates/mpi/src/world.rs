@@ -32,18 +32,17 @@ macro_rules! wait_app_gates {
     }};
 }
 
-/// Wire header added to every message's on-wire size.
-const HEADER_BYTES: u64 = 64;
-
-/// Wire size of a rendezvous RTS or CTS control message (before its
-/// header).
-const HANDSHAKE_BYTES: u64 = 64;
-
 /// Tunables of the MPI runtime model.
 #[derive(Debug, Clone)]
 pub struct WorldOpts {
     /// Messages larger than this use the rendezvous protocol.
     pub eager_threshold: u64,
+    /// Wire header added to every message's on-wire size.
+    pub header_bytes: u64,
+    /// Wire size of a rendezvous RTS.
+    pub rts_bytes: u64,
+    /// Wire size of a rendezvous CTS.
+    pub cts_bytes: u64,
     /// Granularity at which compute can be interrupted by a freeze.
     pub compute_slice: SimDuration,
 }
@@ -52,6 +51,9 @@ impl Default for WorldOpts {
     fn default() -> Self {
         WorldOpts {
             eager_threshold: 64 * 1024,
+            header_bytes: 64,
+            rts_bytes: 64,
+            cts_bytes: 64,
             compute_slice: SimDuration::from_millis(50),
         }
     }
@@ -375,7 +377,11 @@ impl World {
         slot: Rc<RefCell<RecvSlot>>,
     ) {
         let net = self.inner.cluster.network();
-        let cts_arrive = net.reserve_transfer(dst.idx(), src.idx(), HANDSHAKE_BYTES + HEADER_BYTES);
+        let cts_arrive = net.reserve_transfer(
+            dst.idx(),
+            src.idx(),
+            self.inner.opts.cts_bytes + self.inner.opts.header_bytes,
+        );
         let p = &self.inner.pending_grants[src.idx()];
         p.set(p.get() + 1);
         grant.send((cts_arrive, slot));
@@ -444,8 +450,8 @@ impl World {
         }
         let mut env = self.envelope(src, dst, tag, bytes, kind, payload);
         let net = Rc::clone(self.inner.cluster.network());
-        let rendezvous =
-            kind == MsgKind::App && bytes > self.inner.opts.eager_threshold && src != dst;
+        let opts = &self.inner.opts;
+        let rendezvous = kind == MsgKind::App && bytes > opts.eager_threshold && src != dst;
         if !rendezvous {
             // Eager: data goes on the wire after any hook-charged cost.
             let cost = self.run_send_hooks(&mut env);
@@ -456,7 +462,7 @@ impl World {
             if kind == MsgKind::App {
                 self.inner.counters.borrow_mut().on_send(src, dst, bytes);
             }
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + HEADER_BYTES);
+            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
             let world = self.clone();
             // In-flight message: an arena-allocated scheduled call on the
             // destination's shard, replacing a task spawn per message.
@@ -470,7 +476,7 @@ impl World {
             // Rendezvous: RTS → (match) → CTS → data.
             let (grant_tx, grant_rx) = oneshot();
             let rts_timing =
-                net.reserve_transfer_full(src.idx(), dst.idx(), HANDSHAKE_BYTES + HEADER_BYTES);
+                net.reserve_transfer_full(src.idx(), dst.idx(), opts.rts_bytes + opts.header_bytes);
             {
                 let world = self.clone();
                 let rts_env = env.clone();
@@ -494,7 +500,7 @@ impl World {
             let p = &self.inner.pending_grants[src.idx()];
             p.set(p.get() - 1);
             self.inner.grant_pulses[src.idx()].pulse();
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + HEADER_BYTES);
+            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
             {
                 let world = self.clone();
                 self.inner
@@ -521,6 +527,7 @@ impl World {
         }
         wait_app_gates!(self.inner, src, send);
         let net = Rc::clone(self.inner.cluster.network());
+        let opts = &self.inner.opts;
         let shard = self.shard_of(dst);
         let mut envs = Vec::with_capacity(count as usize);
         let mut cost = SimDuration::ZERO;
@@ -540,7 +547,7 @@ impl World {
                 .counters
                 .borrow_mut()
                 .on_send(env.src, env.dst, env.bytes);
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + HEADER_BYTES);
+            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
             last_tx_done = timing.tx_done;
             let world = self.clone();
             self.inner

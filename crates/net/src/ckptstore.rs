@@ -144,56 +144,36 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// Deterministic, sim-clock-driven retry/backoff policy for storage
-/// operations: transient faults (timeouts, torn writes, a down server)
-/// are retried with exponential backoff; a retry under server failover
-/// lands on the next live server automatically.
-pub(crate) struct RetryPolicy {
-    /// Total attempts (first try included).
-    max_attempts: u32,
-    /// Backoff slept after the first failed attempt.
-    base_backoff: SimDuration,
-    /// Backoff multiplier per further attempt.
-    multiplier: u32,
+/// Attempts every checkpoint-image and replica-push storage operation
+/// makes (first try included) before it reports its last error.
+const RETRY_ATTEMPTS: u32 = 3;
+
+/// Backoff slept after the first failed attempt; it doubles after each
+/// further one (50 ms, then 100 ms).
+const RETRY_BASE_BACKOFF: SimDuration = SimDuration::from_millis(50);
+
+/// The backoff slept after failed attempt number `attempt` (1-based).
+fn retry_backoff(attempt: u32) -> SimDuration {
+    RETRY_BASE_BACKOFF * (1u64 << (attempt - 1))
 }
 
-/// The retry policy of every checkpoint-image and replica-push storage
-/// operation: three attempts, backing off 50 ms and then 100 ms.
-pub(crate) const STORAGE_RETRY: RetryPolicy = RetryPolicy {
-    max_attempts: 3,
-    base_backoff: SimDuration::from_millis(50),
-    multiplier: 2,
-};
-
-impl RetryPolicy {
-    /// The backoff slept after failed attempt number `attempt` (1-based).
-    fn backoff(&self, attempt: u32) -> SimDuration {
-        let mut d = self.base_backoff;
-        let mut k = 1;
-        while k < attempt {
-            d = d * self.multiplier as u64;
-            k += 1;
-        }
-        d
-    }
-
-    /// Run `op` under this policy: each failed attempt sleeps the
-    /// deterministic backoff on `sim`'s clock and tries again, until one
-    /// succeeds or `max_attempts` have failed. The error is the last
-    /// attempt's, with the number of attempts made.
-    pub(crate) async fn run<T, E, Fut: Future<Output = Result<T, E>>>(
-        &self,
-        sim: &Sim,
-        mut op: impl FnMut() -> Fut,
-    ) -> Result<T, (E, u32)> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match op().await {
-                Ok(t) => return Ok(t),
-                Err(e) if attempt >= self.max_attempts => return Err((e, attempt)),
-                Err(_) => sim.sleep(self.backoff(attempt)).await,
-            }
+/// Run storage operation `op` under the deterministic, sim-clock-driven
+/// retry policy: transient faults (timeouts, torn writes, a down server)
+/// are retried after an exponential backoff on `sim`'s clock, and a retry
+/// under server failover lands on the next live server automatically.
+/// Stops at the first success or after [`RETRY_ATTEMPTS`] failures; the
+/// error is the last attempt's, with the number of attempts made.
+pub(crate) async fn retry<T, E, Fut: Future<Output = Result<T, E>>>(
+    sim: &Sim,
+    mut op: impl FnMut() -> Fut,
+) -> Result<T, (E, u32)> {
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        match op().await {
+            Ok(t) => return Ok(t),
+            Err(e) if attempt >= RETRY_ATTEMPTS => return Err((e, attempt)),
+            Err(_) => sim.sleep(retry_backoff(attempt)).await,
         }
     }
 }
@@ -580,9 +560,8 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_is_exponential() {
-        let p = STORAGE_RETRY;
-        assert_eq!(p.backoff(1), SimDuration::from_millis(50));
-        assert_eq!(p.backoff(2), SimDuration::from_millis(100));
-        assert_eq!(p.backoff(3), SimDuration::from_millis(200));
+        assert_eq!(retry_backoff(1), SimDuration::from_millis(50));
+        assert_eq!(retry_backoff(2), SimDuration::from_millis(100));
+        assert_eq!(retry_backoff(3), SimDuration::from_millis(200));
     }
 }

@@ -35,7 +35,7 @@ use gcr_sim::future::join_all;
 use gcr_sim::{fnv1a_words, Sim};
 
 use crate::backend::{CkptBackend, ImageFuture, ImageOp};
-use crate::ckptstore::{CkptStore, StorageError, STORAGE_RETRY};
+use crate::ckptstore::{retry, CkptStore, StorageError};
 use crate::cluster::Cluster;
 use crate::network::Network;
 use crate::storage::{Storage, StorageTarget};
@@ -588,9 +588,7 @@ impl RestoreBackend {
             }
             let mut exhausted = false;
             for dst in targets {
-                let pushed = STORAGE_RETRY
-                    .run(&self.sim, || self.push_copy(src, dst, bytes))
-                    .await;
+                let pushed = retry(&self.sim, || self.push_copy(src, dst, bytes)).await;
                 if pushed.is_ok() {
                     replicas.push_block(group, gen, rank, bytes, dst);
                     stats.repushed += 1;

@@ -28,7 +28,7 @@ use std::rc::Rc;
 use gcr_sim::resource::FifoResource;
 use gcr_sim::{Sim, SimDuration, SimTime};
 
-use crate::ckptstore::{StorageError, STORAGE_RETRY};
+use crate::ckptstore::{retry, StorageError};
 use crate::network::{Network, NodeId};
 use crate::spec::StorageSpec;
 
@@ -319,8 +319,7 @@ impl Storage {
         bytes: u64,
         target: StorageTarget,
     ) -> Result<SimTime, StorageError> {
-        STORAGE_RETRY
-            .run(&self.sim, || self.write(node, bytes, target))
+        retry(&self.sim, || self.write(node, bytes, target))
             .await
             .map_err(|e| exhausted(node, e))
     }
@@ -335,8 +334,7 @@ impl Storage {
         bytes: u64,
         target: StorageTarget,
     ) -> Result<SimTime, StorageError> {
-        STORAGE_RETRY
-            .run(&self.sim, || self.read(node, bytes, target))
+        retry(&self.sim, || self.read(node, bytes, target))
             .await
             .map_err(|e| exhausted(node, e))
     }
