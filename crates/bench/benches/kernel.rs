@@ -1,21 +1,10 @@
-//! Microbenchmarks of the simulation kernel itself, plus the sharded
-//! throughput grid that produces `BENCH_kernel.json`.
+//! Microbenchmarks of the simulation kernel itself.
 //!
 //! Plain timing harness (`cargo bench -p gcr-bench --bench kernel`):
-//! each micro case is warmed up once, then timed over a fixed iteration
-//! count and reported as mean wall-clock per iteration. The grid then
-//! runs every `(rank count × shard count)` point and writes the JSON
-//! trajectory file at the repo root.
-//!
-//! Flags (after `--`):
-//! * `--ranks 1000,10000,100000` — world sizes (default shown),
-//! * `--shards 1,4,16`           — shard counts (default shown),
-//! * `--seed N`                  — payload seed (default 49297),
-//! * `--out PATH`                — output file (default
-//!   `<repo>/BENCH_kernel.json`),
-//! * `--skip-micro`              — grid only (used by CI).
+//! each case is warmed up once, then timed over a fixed iteration count
+//! and reported as mean wall-clock per iteration. The sharded throughput
+//! grid that writes `BENCH_kernel.json` is `gcrsim bench`.
 
-use gcr_bench::kernel::{report_json, run_kernel, KernelSpec};
 use gcr_mpi::{Comm, Rank, World, WorldOpts};
 use gcr_net::{Cluster, ClusterSpec};
 use gcr_sim::{Sim, SimDuration};
@@ -30,7 +19,7 @@ fn time_case(name: &str, iters: u32, mut f: impl FnMut()) {
     println!("{name:<28} {per:>12.2?}/iter  ({iters} iters)");
 }
 
-fn micro() {
+fn main() {
     println!("kernel microbenchmarks");
     time_case("spawn_sleep_100_tasks", 50, || {
         let sim = Sim::new();
@@ -72,87 +61,4 @@ fn micro() {
         }
         sim.run().unwrap();
     });
-}
-
-fn parse_list(s: &str, flag: &str) -> Vec<usize> {
-    s.split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag}: bad number {part:?}"))
-        })
-        .collect()
-}
-
-fn main() {
-    let mut ranks = vec![1_000usize, 10_000, 100_000];
-    let mut shards = vec![1usize, 4, 16];
-    let mut seed = 49_297u64;
-    let mut out = format!("{}/../../BENCH_kernel.json", env!("CARGO_MANIFEST_DIR"));
-    let mut skip_micro = false;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--ranks" => {
-                ranks = parse_list(need(i), "--ranks");
-                i += 2;
-            }
-            "--shards" => {
-                shards = parse_list(need(i), "--shards");
-                i += 2;
-            }
-            "--seed" => {
-                seed = need(i).parse().expect("--seed: bad number");
-                i += 2;
-            }
-            "--out" => {
-                out = need(i).clone();
-                i += 2;
-            }
-            "--skip-micro" => {
-                skip_micro = true;
-                i += 1;
-            }
-            // cargo-bench passes --bench through to the harness.
-            "--bench" => i += 1,
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-
-    if !skip_micro {
-        micro();
-    }
-
-    println!("\nsharded throughput grid (seed {seed})");
-    println!(
-        "{:>8} {:>7} {:>7} {:>12} {:>9} {:>14}  digest",
-        "ranks", "shards", "iters", "events", "wall_s", "events/sec"
-    );
-    let mut points = Vec::new();
-    for &r in &ranks {
-        let iters = KernelSpec::default_iters(r);
-        for &s in &shards {
-            let p = run_kernel(&KernelSpec {
-                ranks: r,
-                shards: s,
-                iters,
-                seed,
-            });
-            println!(
-                "{:>8} {:>7} {:>7} {:>12} {:>9.3} {:>14.0}  {:#018x}",
-                r, s, iters, p.events, p.wall_s, p.events_per_sec, p.digest
-            );
-            points.push(p);
-        }
-    }
-
-    let doc = report_json(seed, &points);
-    std::fs::write(&out, doc.pretty() + "\n").expect("write BENCH_kernel.json");
-    println!("\nwrote {} point(s) to {out}", points.len());
 }

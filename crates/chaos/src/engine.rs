@@ -45,7 +45,7 @@ use gcr_mpi::{Rank, World};
 use gcr_net::{Cluster, GenState, RestoreBackend, StorageTarget};
 use gcr_sim::{fnv1a, Sim, SimDuration, SimTime};
 
-use crate::schedule::ChaosEvent;
+use crate::schedule::{ChaosEvent, Fault};
 use crate::spec::{chaos_cluster_spec, chaos_world_opts, ChaosBackend, ChaosProto, ChaosSpec};
 
 /// Injector poll cadence while waiting for wave-idle or recovery turns.
@@ -240,277 +240,91 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     cfg.gc_overshoot = spec.gc_overshoot;
     let rt = CkptRuntime::install(&world, Rc::clone(&groups), mode, cfg);
 
-    let violations: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let recoveries: Rc<RefCell<Vec<RecoverySummary>>> = Rc::new(RefCell::new(Vec::new()));
-    let applied = Rc::new(Cell::new(0u64));
-    let skipped = Rc::new(Cell::new(0u64));
-    // Crash injections serialize on this flag; other faults fire freely.
-    let recovering = Rc::new(Cell::new(false));
-    let app_done_at = Rc::new(Cell::new(SimTime::ZERO));
+    let cx = Rc::new(Injector {
+        sim: sim.clone(),
+        world,
+        cluster,
+        rt,
+        groups,
+        restore,
+        n,
+        applied: Cell::new(0),
+        skipped: Cell::new(0),
+        violations: RefCell::new(Vec::new()),
+        recoveries: RefCell::new(Vec::new()),
+        recovering: Cell::new(false),
+        app_done_at: Cell::new(SimTime::ZERO),
+    });
 
     {
-        let (world, sim2, t) = (world.clone(), sim.clone(), Rc::clone(&app_done_at));
+        let cx = Rc::clone(&cx);
         sim.spawn_named("chaos-exec-timer", async move {
-            world.wait_all_ranks().await;
-            t.set(sim2.now());
+            cx.world.wait_all_ranks().await;
+            cx.app_done_at.set(cx.sim.now());
         });
     }
     {
-        let (rt, world) = (rt.clone(), world.clone());
+        let cx = Rc::clone(&cx);
         let interval = SimDuration::from_millis(spec.interval_ms);
         sim.spawn_named("chaos-controller", async move {
-            rt.interval_schedule(interval, interval).await;
-            world.wait_all_ranks().await;
-            rt.shutdown();
+            cx.rt.interval_schedule(interval, interval).await;
+            cx.world.wait_all_ranks().await;
+            cx.rt.shutdown();
         });
     }
-
     for (i, ev) in spec.schedule.iter().copied().enumerate() {
-        let sim2 = sim.clone();
-        let world = world.clone();
-        let cluster = cluster.clone();
-        let rt = rt.clone();
-        let groups = Rc::clone(&groups);
-        let violations = Rc::clone(&violations);
-        let recoveries = Rc::clone(&recoveries);
-        let applied = Rc::clone(&applied);
-        let skipped = Rc::clone(&skipped);
-        let recovering = Rc::clone(&recovering);
-        let restore = restore.clone();
-        let n_u = n;
-        sim.spawn_named(format!("chaos-inject{i}"), async move {
-            sim2.sleep_until(SimTime::ZERO + SimDuration::from_millis(ev.at_ms()))
-                .await;
-            match ev {
-                ChaosEvent::Crash { at_ms, group } => {
-                    // One recovery at a time; a crash that queues behind an
-                    // ongoing one models back-to-back group failures.
-                    while recovering.get() {
-                        sim2.sleep(POLL).await;
-                    }
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    recovering.set(true);
-                    let gid = (group as usize) % groups.group_count();
-                    crash_and_recover(
-                        &sim2,
-                        &world,
-                        &cluster,
-                        &rt,
-                        &groups,
-                        n_u,
-                        gid,
-                        at_ms,
-                        false,
-                        restore.as_ref(),
-                        &violations,
-                        &recoveries,
-                    )
-                    .await;
-                    recovering.set(false);
-                    applied.set(applied.get() + 1);
-                }
-                ChaosEvent::CorruptImage { at_ms, group } => {
-                    while recovering.get() {
-                        sim2.sleep(POLL).await;
-                    }
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    recovering.set(true);
-                    let gid = (group as usize) % groups.group_count();
-                    crash_and_recover(
-                        &sim2,
-                        &world,
-                        &cluster,
-                        &rt,
-                        &groups,
-                        n_u,
-                        gid,
-                        at_ms,
-                        true,
-                        restore.as_ref(),
-                        &violations,
-                        &recoveries,
-                    )
-                    .await;
-                    recovering.set(false);
-                    applied.set(applied.get() + 1);
-                }
-                ChaosEvent::CrashCkpt {
-                    at_ms,
-                    group,
-                    phase,
-                } => {
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    let gid = (group as usize) % groups.group_count();
-                    rt.arm_crash_trap(gid, phase as u8);
-                    // The trap fires inside the group's next blocking wave;
-                    // if the application finishes first (or the protocol
-                    // takes no further wave — e.g. VCL has no group-scoped
-                    // waves), the fault never lands.
-                    while !rt.crash_trap_fired(gid) && world.ranks_finished() < n_u {
-                        sim2.sleep(POLL).await;
-                    }
-                    if !rt.crash_trap_fired(gid) {
-                        rt.clear_crash_trap(gid);
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    // The wave aborted its pending generation; now the
-                    // group actually dies and recovery must restart it
-                    // from the last *committed* generation.
-                    while recovering.get() {
-                        sim2.sleep(POLL).await;
-                    }
-                    if world.ranks_finished() < n_u {
-                        recovering.set(true);
-                        crash_and_recover(
-                            &sim2,
-                            &world,
-                            &cluster,
-                            &rt,
-                            &groups,
-                            n_u,
-                            gid,
-                            at_ms,
-                            false,
-                            restore.as_ref(),
-                            &violations,
-                            &recoveries,
-                        )
-                        .await;
-                        recovering.set(false);
-                    }
-                    rt.clear_crash_trap(gid);
-                    applied.set(applied.get() + 1);
-                }
-                ChaosEvent::TornWrite { node, count, .. } => {
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    // Arm the per-node counter; the node's next `count`
-                    // image writes tear mid-transfer as they happen.
-                    cluster.storage().inject_torn_writes(
-                        (node as usize) % n_u,
-                        u32::try_from(count).unwrap_or(u32::MAX),
-                    );
-                    applied.set(applied.get() + 1);
-                }
-                ChaosEvent::Storm { dur_ms, factor, .. } => {
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    cluster.set_straggler_storm(factor as f64);
-                    applied.set(applied.get() + 1);
-                    sim2.sleep(SimDuration::from_millis(dur_ms)).await;
-                    cluster.set_straggler_storm(1.0);
-                }
-                ChaosEvent::Outage { dur_ms, server, .. } => {
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    let storage = cluster.storage();
-                    let srv = (server as usize) % storage.remote_servers();
-                    storage.set_server_down(srv, true);
-                    applied.set(applied.get() + 1);
-                    sim2.sleep(SimDuration::from_millis(dur_ms)).await;
-                    storage.set_server_down(srv, false);
-                }
-                ChaosEvent::Replica {
-                    group, crash_phase, ..
-                } => {
-                    // Replica loss only means something when replicas
-                    // exist; under the disk backend the event is a no-op.
-                    let Some(rb) = restore.as_ref() else {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    };
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    let gid = (group as usize) % groups.group_count();
-                    rb.drop_group_holders(gid);
-                    match crash_phase {
-                        // Phase 0: one transient push fault — the bounded
-                        // retry must absorb it. Phase 1: every push fails —
-                        // the pass must degrade typed, never abort.
-                        Some(0) => rb.inject_rebuild_faults(1),
-                        Some(_) => rb.inject_rebuild_faults(u32::MAX),
-                        None => {}
-                    }
-                    rb.rebuild().await;
-                    rb.clear_rebuild_faults();
-                    applied.set(applied.get() + 1);
-                }
-                ChaosEvent::Slow {
-                    dur_ms,
-                    node,
-                    factor,
-                    ..
-                } => {
-                    if world.ranks_finished() >= n_u {
-                        skipped.set(skipped.get() + 1);
-                        return;
-                    }
-                    let network = cluster.network();
-                    let node = (node as usize) % network.nodes();
-                    network.set_node_slowdown(node, factor as f64);
-                    applied.set(applied.get() + 1);
-                    sim2.sleep(SimDuration::from_millis(dur_ms)).await;
-                    network.set_node_slowdown(node, 1.0);
-                }
-            }
-        });
+        let cx = Rc::clone(&cx);
+        sim.spawn_named(
+            format!("chaos-inject{i}"),
+            async move { cx.inject(ev).await },
+        );
     }
 
     if let Err(d) = sim.run() {
-        violations.borrow_mut().push(format!("deadlock: {d}"));
+        cx.violate(format!("deadlock: {d}"));
     }
 
     // End-of-run oracles.
+    let Injector {
+        world,
+        cluster,
+        rt,
+        groups,
+        restore,
+        ..
+    } = &*cx;
     if world.ranks_finished() < n {
-        violations.borrow_mut().push(format!(
+        cx.violate(format!(
             "completion: {}/{n} ranks finished",
             world.ranks_finished()
         ));
     }
-    if let Err(v) = check_quiescent(&world) {
+    if let Err(v) = check_quiescent(world) {
         for v in v {
-            violations.borrow_mut().push(format!("quiescence: {v}"));
+            cx.violate(format!("quiescence: {v}"));
         }
     }
     if mode == Mode::Blocking && rt.metrics().waves() > 0 {
-        if let Err(vs) = check_recovery_line(&world, &rt) {
+        if let Err(vs) = check_recovery_line(world, rt) {
             for v in vs {
-                violations.borrow_mut().push(format!("end-of-run {v}"));
+                cx.violate(format!("end-of-run {v}"));
             }
         }
-        for v in stream_closure_violations(n, &groups, &rt) {
-            violations.borrow_mut().push(format!("end-of-run {v}"));
+        for v in stream_closure_violations(n, groups, rt) {
+            cx.violate(format!("end-of-run {v}"));
         }
     }
     // CVC's consistency argument is orphan-freedom: no rank may consume a
     // message stamped with a cut epoch its own cut has not reached. The
     // runtime counts such receives; any nonzero count is a protocol bug.
     if mode == Mode::Cvc && rt.cvc_orphans() > 0 {
-        violations.borrow_mut().push(format!(
+        cx.violate(format!(
             "cvc: {} orphaned receive(s) consumed ahead of the cut epoch",
             rt.cvc_orphans()
         ));
     }
-    for v in store_load_violations(&cluster) {
-        violations.borrow_mut().push(format!("end-of-run {v}"));
+    for v in store_load_violations(cluster) {
+        cx.violate(format!("end-of-run {v}"));
     }
     // Survivability oracle (restore backend): unless the backend itself
     // reported degraded redundancy (too few groups for k, replica loss
@@ -526,7 +340,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
                 let members = groups.members(gid);
                 for gen in store.committed_gens(gid) {
                     if !rb.replicas().reconstructible(gid, gen, members) {
-                        violations.borrow_mut().push(format!(
+                        cx.violate(format!(
                             "restore: committed g{gid}/gen{gen} not reconstructible \
                              from peer memory (no degraded-redundancy report)"
                         ));
@@ -534,7 +348,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
                 }
             }
             if rb.remote_fallback_reads() > 0 {
-                violations.borrow_mut().push(format!(
+                cx.violate(format!(
                     "restore: {} restart read(s) hit the remote servers with no \
                      degraded-redundancy report",
                     rb.remote_fallback_reads()
@@ -543,8 +357,8 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
         }
     }
 
-    let violations = violations.borrow().clone();
-    let recoveries = recoveries.borrow().clone();
+    let violations = cx.violations.borrow().clone();
+    let recoveries = cx.recoveries.borrow().clone();
     ChaosReport {
         seed: spec.seed,
         workload: spec.workload.label().to_string(),
@@ -556,15 +370,15 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
         interval_ms: spec.interval_ms,
         gc_overshoot: spec.gc_overshoot,
         schedule: spec.schedule_string(),
-        exec_s: app_done_at.get().as_secs_f64(),
+        exec_s: cx.app_done_at.get().as_secs_f64(),
         waves: rt.metrics().waves(),
-        events_applied: applied.get(),
-        events_skipped: skipped.get(),
+        events_applied: cx.applied.get(),
+        events_skipped: cx.skipped.get(),
         recoveries,
         violations,
         metrics_digest: rt.metrics().digest(),
         backend: spec.backend.label().to_string(),
-        replication: match &restore {
+        replication: match restore {
             Some(rb) => rb.replication(),
             None => 0,
         },
@@ -594,110 +408,248 @@ pub fn run_chaos_verified(spec: &ChaosSpec) -> ChaosReport {
     first
 }
 
-/// The shared crash path: halt every member of the group, wait for any
-/// in-flight checkpoint wave to drain (`recover_group` needs a
-/// protocol-quiescent point; the halted ranks still execute protocol
-/// code — only the application plane is dead), run the group-local
-/// recovery, check the post-recovery oracles, and resume the group. The
-/// caller must already hold the `recovering` flag.
-///
-/// A recovery error is a scenario violation, not an abort: the sweep
-/// keeps running and the oracle report carries the failure (the whole
-/// point of D03).
-#[allow(clippy::too_many_arguments)]
-async fn crash_and_recover(
-    sim: &Sim,
-    world: &World,
-    cluster: &Cluster,
-    rt: &CkptRuntime,
-    groups: &GroupDef,
+/// Everything the injector tasks of one run share: the simulated system,
+/// the event tallies, the oracle findings and the crash-turn flag.
+struct Injector {
+    sim: Sim,
+    world: World,
+    cluster: Cluster,
+    rt: CkptRuntime,
+    groups: Rc<GroupDef>,
+    /// The concrete restore backend (`None` under the disk backend).
+    restore: Option<Rc<RestoreBackend>>,
+    /// Rank count.
     n: usize,
-    gid: usize,
-    at_ms: u64,
-    corrupt_image: bool,
-    restore: Option<&Rc<RestoreBackend>>,
-    violations: &RefCell<Vec<String>>,
-    recoveries: &RefCell<Vec<RecoverySummary>>,
-) {
-    for &m in groups.members(gid) {
-        world.halt(Rank(m));
+    applied: Cell<u64>,
+    skipped: Cell<u64>,
+    violations: RefCell<Vec<String>>,
+    recoveries: RefCell<Vec<RecoverySummary>>,
+    /// Crash injections serialize on this flag; other faults fire freely.
+    recovering: Cell<bool>,
+    /// When every rank finished (zero until then).
+    app_done_at: Cell<SimTime>,
+}
+
+impl Injector {
+    fn violate(&self, v: String) {
+        self.violations.borrow_mut().push(v);
     }
-    while rt.waves_in_flight() > 0 {
-        sim.sleep(POLL).await;
+
+    fn app_finished(&self) -> bool {
+        self.world.ranks_finished() >= self.n
     }
-    // A whole-group crash evaporates the replica copies its members were
-    // *holding* for other groups (its own images' replicas live elsewhere
-    // by placement). Restart reads below must still be servable from the
-    // surviving peers; the post-recovery rebuild restores redundancy.
-    let degraded_before = if let Some(rb) = restore {
-        rb.drop_group_holders(gid);
-        // Other groups keep committing (and may trigger commit-hook
-        // rebuilds) while this one recovers; mark its nodes down so
-        // those passes defer pushes aimed at them rather than recording
-        // a degradation the post-recovery pass heals anyway.
-        rb.set_down(groups.members(gid));
-        rb.degraded_events().len()
-    } else {
-        0
-    };
-    // Corruption is injected at the protocol-quiescent point (after the
-    // drain), so it hits the generation restart would otherwise select —
-    // but only when an older committed generation is still inside the
-    // retention window. The durable store guarantees fallback by up to
-    // `W − 1` generations; corrupting the *only* committed generation
-    // would demand an initial-state restart the (already trimmed) peer
-    // logs no longer cover. In that case the event degrades to a plain
-    // crash of the group.
-    if corrupt_image {
-        let store = cluster.ckpt_store();
-        if store.committed_gens(gid).len() >= 2 {
-            store.corrupt_newest_committed(gid);
-        }
+
+    /// The target group of a `g<group>` field.
+    fn gid(&self, group: u64) -> usize {
+        (group as usize) % self.groups.group_count()
     }
-    match rt.recover_group(gid).await {
-        Ok(stats) => {
-            recoveries.borrow_mut().push(RecoverySummary {
-                group: gid,
-                ranks: stats.ranks_restarted,
-                at_ms,
-                downtime_s: stats.downtime.as_secs_f64(),
-                replayed_bytes: stats.replayed_into_group_bytes,
-                generation: stats.generation,
-                fell_back: stats.fell_back,
-                degraded: restore
-                    .map(|rb| rb.degraded_events().len() > degraded_before)
-                    .unwrap_or(false),
-            });
-            // Post-recovery oracles, before the group resumes.
-            if rt.mode() == Mode::Blocking {
-                if let Err(vs) = check_recovery_line(world, rt) {
-                    for v in vs {
-                        violations
-                            .borrow_mut()
-                            .push(format!("post-recovery(g{gid}) {v}"));
+
+    /// One injector task: sleep to the event's instant, inject the fault,
+    /// and count it as applied, or as skipped when it could not land.
+    async fn inject(&self, ev: ChaosEvent) {
+        self.sim
+            .sleep_until(SimTime::ZERO + SimDuration::from_millis(ev.at_ms))
+            .await;
+        let applied = match ev.fault {
+            Fault::Crash { group } | Fault::CorruptImage { group } => {
+                let corrupt = matches!(ev.fault, Fault::CorruptImage { .. });
+                self.crash_turn(self.gid(group), ev.at_ms, corrupt).await
+            }
+            _ if self.app_finished() => false,
+            Fault::CrashCkpt { group, phase } => {
+                let gid = self.gid(group);
+                self.rt.arm_crash_trap(gid, phase as u8);
+                // The trap fires inside the group's next blocking wave;
+                // if the application finishes first (or the protocol
+                // takes no further wave — e.g. VCL has no group-scoped
+                // waves), the fault never lands.
+                while !self.rt.crash_trap_fired(gid) && !self.app_finished() {
+                    self.sim.sleep(POLL).await;
+                }
+                let fired = self.rt.crash_trap_fired(gid);
+                if fired {
+                    // The wave aborted its pending generation; now the
+                    // group actually dies and recovery must restart it
+                    // from the last *committed* generation.
+                    self.crash_turn(gid, ev.at_ms, false).await;
+                }
+                self.rt.clear_crash_trap(gid);
+                fired
+            }
+            Fault::TornWrite { node, count } => {
+                // Arm the per-node counter; the node's next `count`
+                // image writes tear mid-transfer as they happen.
+                self.cluster.storage().inject_torn_writes(
+                    (node as usize) % self.n,
+                    u32::try_from(count).unwrap_or(u32::MAX),
+                );
+                true
+            }
+            Fault::Storm { dur_ms, factor } => {
+                self.cluster.set_straggler_storm(factor as f64);
+                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                self.cluster.set_straggler_storm(1.0);
+                true
+            }
+            Fault::Outage { dur_ms, server } => {
+                let storage = self.cluster.storage();
+                let srv = (server as usize) % storage.remote_servers();
+                storage.set_server_down(srv, true);
+                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                storage.set_server_down(srv, false);
+                true
+            }
+            Fault::Slow {
+                dur_ms,
+                node,
+                factor,
+            } => {
+                let network = self.cluster.network();
+                let node = (node as usize) % network.nodes();
+                network.set_node_slowdown(node, factor as f64);
+                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                network.set_node_slowdown(node, 1.0);
+                true
+            }
+            // Replica loss only means something when replicas exist;
+            // under the disk backend the event is a no-op.
+            Fault::Replica { group, crash_phase } => match &self.restore {
+                None => false,
+                Some(rb) => {
+                    rb.drop_group_holders(self.gid(group));
+                    match crash_phase {
+                        // Phase 0: one transient push fault — the bounded
+                        // retry must absorb it. Phase 1: every push fails —
+                        // the pass must degrade typed, never abort.
+                        Some(0) => rb.inject_rebuild_faults(1),
+                        Some(_) => rb.inject_rebuild_faults(u32::MAX),
+                        None => {}
                     }
+                    rb.rebuild().await;
+                    rb.clear_rebuild_faults();
+                    true
                 }
-                for v in stream_closure_violations(n, groups, rt) {
-                    violations
-                        .borrow_mut()
-                        .push(format!("post-recovery(g{gid}) {v}"));
-                }
+            },
+        };
+        let tally = if applied {
+            &self.applied
+        } else {
+            &self.skipped
+        };
+        tally.set(tally.get() + 1);
+    }
+
+    /// The crash turn: wait until no other recovery runs (a crash that
+    /// queues behind an ongoing one models back-to-back group failures),
+    /// then, unless the application has finished, crash group `gid` and
+    /// recover it. Returns whether the crash ran.
+    async fn crash_turn(&self, gid: usize, at_ms: u64, corrupt_image: bool) -> bool {
+        while self.recovering.get() {
+            self.sim.sleep(POLL).await;
+        }
+        if self.app_finished() {
+            return false;
+        }
+        self.recovering.set(true);
+        self.crash_and_recover(gid, at_ms, corrupt_image).await;
+        self.recovering.set(false);
+        true
+    }
+
+    /// The shared crash path: halt every member of the group, wait for
+    /// any in-flight checkpoint wave to drain (`recover_group` needs a
+    /// protocol-quiescent point; the halted ranks still execute protocol
+    /// code — only the application plane is dead), run the group-local
+    /// recovery, check the post-recovery oracles, and resume the group.
+    /// The caller must already hold the `recovering` flag.
+    ///
+    /// A recovery error is a scenario violation, not an abort: the sweep
+    /// keeps running and the oracle report carries the failure (the whole
+    /// point of D03).
+    async fn crash_and_recover(&self, gid: usize, at_ms: u64, corrupt_image: bool) {
+        let Injector {
+            sim,
+            world,
+            cluster,
+            rt,
+            groups,
+            restore,
+            ..
+        } = self;
+        for &m in groups.members(gid) {
+            world.halt(Rank(m));
+        }
+        while rt.waves_in_flight() > 0 {
+            sim.sleep(POLL).await;
+        }
+        // A whole-group crash evaporates the replica copies its members
+        // were *holding* for other groups (its own images' replicas live
+        // elsewhere by placement). Restart reads below must still be
+        // servable from the surviving peers; the post-recovery rebuild
+        // restores redundancy.
+        let degraded_before = if let Some(rb) = restore {
+            rb.drop_group_holders(gid);
+            // Other groups keep committing (and may trigger commit-hook
+            // rebuilds) while this one recovers; mark its nodes down so
+            // those passes defer pushes aimed at them rather than
+            // recording a degradation the post-recovery pass heals anyway.
+            rb.set_down(groups.members(gid));
+            rb.degraded_events().len()
+        } else {
+            0
+        };
+        // Corruption is injected at the protocol-quiescent point (after
+        // the drain), so it hits the generation restart would otherwise
+        // select — but only when an older committed generation is still
+        // inside the retention window. The durable store guarantees
+        // fallback by up to `W − 1` generations; corrupting the *only*
+        // committed generation would demand an initial-state restart the
+        // (already trimmed) peer logs no longer cover. In that case the
+        // event degrades to a plain crash of the group.
+        if corrupt_image {
+            let store = cluster.ckpt_store();
+            if store.committed_gens(gid).len() >= 2 {
+                store.corrupt_newest_committed(gid);
             }
         }
-        Err(e) => {
-            violations
-                .borrow_mut()
-                .push(format!("recovery(g{gid}) error: {e}"));
+        match rt.recover_group(gid).await {
+            Ok(stats) => {
+                self.recoveries.borrow_mut().push(RecoverySummary {
+                    group: gid,
+                    ranks: stats.ranks_restarted,
+                    at_ms,
+                    downtime_s: stats.downtime.as_secs_f64(),
+                    replayed_bytes: stats.replayed_into_group_bytes,
+                    generation: stats.generation,
+                    fell_back: stats.fell_back,
+                    degraded: restore
+                        .as_ref()
+                        .is_some_and(|rb| rb.degraded_events().len() > degraded_before),
+                });
+                // Post-recovery oracles, before the group resumes.
+                if rt.mode() == Mode::Blocking {
+                    if let Err(vs) = check_recovery_line(world, rt) {
+                        for v in vs {
+                            self.violate(format!("post-recovery(g{gid}) {v}"));
+                        }
+                    }
+                    for v in stream_closure_violations(self.n, groups, rt) {
+                        self.violate(format!("post-recovery(g{gid}) {v}"));
+                    }
+                }
+            }
+            Err(e) => self.violate(format!("recovery(g{gid}) error: {e}")),
         }
-    }
-    for &m in groups.members(gid) {
-        world.resume(Rank(m));
-    }
-    // Re-replicate everything the crashed group was holding, now that its
-    // members are back. A failure here degrades typed inside the pass.
-    if let Some(rb) = restore {
-        rb.clear_down();
-        rb.rebuild().await;
+        for &m in groups.members(gid) {
+            world.resume(Rank(m));
+        }
+        // Re-replicate everything the crashed group was holding, now that
+        // its members are back. A failure here degrades typed inside the
+        // pass.
+        if let Some(rb) = restore {
+            rb.clear_down();
+            rb.rebuild().await;
+        }
     }
 }
 

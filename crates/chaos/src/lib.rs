@@ -15,9 +15,10 @@
 //! * **bit-determinism** — the same seed yields an identical report
 //!   digest on a second run ([`run_chaos_verified`]).
 //!
-//! Injected faults ([`ChaosEvent`]): rank-group crashes at any protocol
-//! phase (the engine halts the group, waits for in-flight waves to drain,
-//! runs group recovery, and resumes), straggler storms, storage-server
+//! Injected faults ([`Fault`], each at a [`ChaosEvent`]'s instant):
+//! rank-group crashes at any protocol phase (the engine halts the group,
+//! waits for in-flight waves to drain, runs group recovery, and
+//! resumes), straggler storms, storage-server
 //! outages, per-node link degradation, torn image writes, corruption of
 //! the newest committed image (restart must fall back a generation), and
 //! crash-during-checkpoint traps that abort a pending generation before /
@@ -45,6 +46,6 @@ mod shrink;
 mod spec;
 
 pub use engine::{run_chaos, run_chaos_verified, ChaosReport, RecoverySummary};
-pub use schedule::{format_schedule, parse_schedule, ChaosEvent};
+pub use schedule::{format_schedule, parse_schedule, ChaosEvent, Fault};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use spec::{repro_command, ChaosBackend, ChaosProto, ChaosSpec, ChaosWorkload};

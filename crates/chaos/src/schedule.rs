@@ -22,33 +22,39 @@
 //! The string form is what `gcrsim chaos --schedule` accepts, so a
 //! shrunken failing schedule is directly replayable.
 
-/// One injected fault.
+/// The largest instant, in ms, whose nanosecond value fits the 64-bit
+/// simulated clock.
+const MAX_MS: u64 = u64::MAX / 1_000_000;
+
+/// One scheduled fault: what is injected, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEvent {
-    /// All ranks of a group fail at `at_ms` and are recovered via the
-    /// group-local restart protocol. `group` is reduced modulo the run's
-    /// group count.
+pub struct ChaosEvent {
+    /// Injection instant (simulated ms); a windowed fault starts here.
+    pub at_ms: u64,
+    /// The injected fault.
+    pub fault: Fault,
+}
+
+/// The fault a [`ChaosEvent`] injects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// All ranks of a group fail and are recovered via the group-local
+    /// restart protocol. `group` is reduced modulo the run's group count.
     Crash {
-        /// Injection instant (simulated ms).
-        at_ms: u64,
         /// Target group (mod group count).
         group: u64,
     },
     /// Straggler storm: coordination stragglers become `factor`× more
     /// likely and `factor`× longer for `dur_ms`.
     Storm {
-        /// Start instant (simulated ms).
-        at_ms: u64,
         /// Duration (ms).
         dur_ms: u64,
-        /// Multiplier (≥ 2).
+        /// Multiplier (≥ 1; generated schedules draw 2–8).
         factor: u64,
     },
     /// A remote checkpoint server is unreachable for `dur_ms`; clients
     /// fail over deterministically to the next live server.
     Outage {
-        /// Start instant (simulated ms).
-        at_ms: u64,
         /// Duration (ms).
         dur_ms: u64,
         /// Target server (mod server count).
@@ -57,21 +63,17 @@ pub enum ChaosEvent {
     /// A node's links degrade by `factor`× for `dur_ms` (delayed/burst
     /// link behaviour).
     Slow {
-        /// Start instant (simulated ms).
-        at_ms: u64,
         /// Duration (ms).
         dur_ms: u64,
         /// Target node (mod endpoint count).
         node: u64,
-        /// Slowdown multiplier (≥ 2).
+        /// Slowdown multiplier (≥ 1; generated schedules draw 2–6).
         factor: u64,
     },
     /// A node's next `count` checkpoint-image writes tear: half the bytes
     /// reach the server, then the transfer dies. The durable store must
     /// record the failure and abort (or retry past) the generation.
     TornWrite {
-        /// Injection instant (simulated ms).
-        at_ms: u64,
         /// Target node (mod endpoint count).
         node: u64,
         /// How many consecutive writes tear (consumed as writes happen).
@@ -81,8 +83,6 @@ pub enum ChaosEvent {
     /// generation, then crash the group: restart must detect the digest
     /// mismatch and fall back to an older committed generation.
     CorruptImage {
-        /// Injection instant (simulated ms).
-        at_ms: u64,
         /// Target group (mod group count).
         group: u64,
     },
@@ -90,11 +90,9 @@ pub enum ChaosEvent {
     /// given phase: `0` before the image write, `1` halfway through it,
     /// `2` after every write but before the commit record. The pending
     /// generation must abort and recovery must restart from the last
-    /// committed one.
+    /// committed one. The trap arms at the event's instant and fires at
+    /// the group's next wave.
     CrashCkpt {
-        /// Injection instant (simulated ms; the trap arms here and fires
-        /// at the group's next wave).
-        at_ms: u64,
         /// Target group (mod group count).
         group: u64,
         /// Crash phase (0, 1 or 2).
@@ -102,14 +100,12 @@ pub enum ChaosEvent {
     },
     /// Replica loss (restore backend only; a no-op under the disk
     /// backend): every replica copy held in the target group's peer
-    /// memory evaporates at `at_ms`, then a re-replication (rebuild)
-    /// pass runs. With `crash_phase` set, rebuild pushes are sabotaged:
-    /// phase 0 injects one transient push fault (the bounded retry must
-    /// recover), phase 1 fails every push (the pass must degrade to the
-    /// typed `DegradedRedundancy`, never abort).
+    /// memory evaporates, then a re-replication (rebuild) pass runs.
+    /// With `crash_phase` set, rebuild pushes are sabotaged: phase 0
+    /// injects one transient push fault (the bounded retry must recover),
+    /// phase 1 fails every push (the pass must degrade to the typed
+    /// `DegradedRedundancy`, never abort).
     Replica {
-        /// Injection instant (simulated ms).
-        at_ms: u64,
         /// Target group (mod group count).
         group: u64,
         /// Rebuild-phase crash trap (`None`, or 0|1).
@@ -117,81 +113,40 @@ pub enum ChaosEvent {
     },
 }
 
-impl ChaosEvent {
-    /// The injection instant in simulated milliseconds.
-    pub fn at_ms(&self) -> u64 {
+impl Fault {
+    /// The kind, the head and the window of the compact form
+    /// `kind:head@at[+dur]`.
+    fn parts(&self) -> (&'static str, String, Option<u64>) {
         match *self {
-            ChaosEvent::Crash { at_ms, .. }
-            | ChaosEvent::Storm { at_ms, .. }
-            | ChaosEvent::Outage { at_ms, .. }
-            | ChaosEvent::Slow { at_ms, .. }
-            | ChaosEvent::TornWrite { at_ms, .. }
-            | ChaosEvent::CorruptImage { at_ms, .. }
-            | ChaosEvent::CrashCkpt { at_ms, .. }
-            | ChaosEvent::Replica { at_ms, .. } => at_ms,
-        }
-    }
-
-    /// Postpone the injection instant by `ms` (shrinking toward "fails as
-    /// late as possible").
-    pub fn delay(&mut self, ms: u64) {
-        match self {
-            ChaosEvent::Crash { at_ms, .. }
-            | ChaosEvent::Storm { at_ms, .. }
-            | ChaosEvent::Outage { at_ms, .. }
-            | ChaosEvent::Slow { at_ms, .. }
-            | ChaosEvent::TornWrite { at_ms, .. }
-            | ChaosEvent::CorruptImage { at_ms, .. }
-            | ChaosEvent::CrashCkpt { at_ms, .. }
-            | ChaosEvent::Replica { at_ms, .. } => *at_ms += ms,
-        }
-    }
-
-    /// The compact string form of this event.
-    pub fn format(&self) -> String {
-        match *self {
-            ChaosEvent::Crash { at_ms, group } => format!("crash:g{group}@{at_ms}"),
-            ChaosEvent::Storm {
-                at_ms,
-                dur_ms,
-                factor,
-            } => {
-                format!("storm:x{factor}@{at_ms}+{dur_ms}")
-            }
-            ChaosEvent::Outage {
-                at_ms,
-                dur_ms,
-                server,
-            } => {
-                format!("outage:s{server}@{at_ms}+{dur_ms}")
-            }
-            ChaosEvent::Slow {
-                at_ms,
+            Fault::Crash { group } => ("crash", format!("g{group}"), None),
+            Fault::Storm { dur_ms, factor } => ("storm", format!("x{factor}"), Some(dur_ms)),
+            Fault::Outage { dur_ms, server } => ("outage", format!("s{server}"), Some(dur_ms)),
+            Fault::Slow {
                 dur_ms,
                 node,
                 factor,
-            } => {
-                format!("slow:n{node}x{factor}@{at_ms}+{dur_ms}")
-            }
-            ChaosEvent::TornWrite { at_ms, node, count } => {
-                format!("torn:n{node}x{count}@{at_ms}")
-            }
-            ChaosEvent::CorruptImage { at_ms, group } => format!("corrupt:g{group}@{at_ms}"),
-            ChaosEvent::CrashCkpt {
-                at_ms,
+            } => ("slow", format!("n{node}x{factor}"), Some(dur_ms)),
+            Fault::TornWrite { node, count } => ("torn", format!("n{node}x{count}"), None),
+            Fault::CorruptImage { group } => ("corrupt", format!("g{group}"), None),
+            Fault::CrashCkpt { group, phase } => ("crashckpt", format!("g{group}p{phase}"), None),
+            Fault::Replica {
                 group,
-                phase,
-            } => {
-                format!("crashckpt:g{group}p{phase}@{at_ms}")
-            }
-            ChaosEvent::Replica {
-                at_ms,
+                crash_phase: None,
+            } => ("replica", format!("g{group}"), None),
+            Fault::Replica {
                 group,
-                crash_phase,
-            } => match crash_phase {
-                Some(p) => format!("replica:g{group}p{p}@{at_ms}"),
-                None => format!("replica:g{group}@{at_ms}"),
-            },
+                crash_phase: Some(p),
+            } => ("replica", format!("g{group}p{p}"), None),
+        }
+    }
+}
+
+impl ChaosEvent {
+    /// The compact string form of this event.
+    pub fn format(&self) -> String {
+        match self.fault.parts() {
+            (kind, head, Some(dur_ms)) => format!("{kind}:{head}@{}+{dur_ms}", self.at_ms),
+            (kind, head, None) => format!("{kind}:{head}@{}", self.at_ms),
         }
     }
 }
@@ -206,7 +161,10 @@ pub fn format_schedule(events: &[ChaosEvent]) -> String {
 }
 
 /// Parse the compact schedule form; the inverse of [`format_schedule`].
-/// An empty string parses to an empty schedule.
+/// An empty string parses to an empty schedule. Hostile numbers are
+/// rejected here rather than at injection: a storm or slowdown factor
+/// below 1, and an instant or window end past the 64-bit nanosecond
+/// clock.
 pub fn parse_schedule(s: &str) -> Result<Vec<ChaosEvent>, String> {
     let mut out = Vec::new();
     for part in s.split(';') {
@@ -220,183 +178,155 @@ pub fn parse_schedule(s: &str) -> Result<Vec<ChaosEvent>, String> {
 }
 
 fn parse_event(s: &str) -> Result<ChaosEvent, String> {
+    let bad = |what: &str| format!("event `{s}`: {what}");
     let (kind, rest) = s
         .split_once(':')
-        .ok_or_else(|| format!("event `{s}`: expected `kind:...`"))?;
+        .ok_or_else(|| bad("expected `kind:...`"))?;
     let (head, times) = rest
         .split_once('@')
-        .ok_or_else(|| format!("event `{s}`: expected `...@time`"))?;
+        .ok_or_else(|| bad("expected `...@time`"))?;
     let num = |txt: &str| -> Result<u64, String> {
         txt.parse::<u64>()
-            .map_err(|_| format!("event `{s}`: bad number `{txt}`"))
+            .map_err(|_| bad(&format!("bad number `{txt}`")))
     };
-    let window = |txt: &str| -> Result<(u64, u64), String> {
-        let (at, dur) = txt
-            .split_once('+')
-            .ok_or_else(|| format!("event `{s}`: expected `@start+dur`"))?;
-        Ok((num(at)?, num(dur)?))
+    let (at, dur) = match times.split_once('+') {
+        Some((at, dur)) => (at, Some(num(dur)?)),
+        None => (times, None),
     };
-    match kind {
-        "crash" => {
-            let group = num(head
-                .strip_prefix('g')
-                .ok_or_else(|| format!("event `{s}`: expected `crash:g<group>@<ms>`"))?)?;
-            Ok(ChaosEvent::Crash {
-                at_ms: num(times)?,
-                group,
-            })
+    let at_ms = num(at)?;
+    let window = || dur.ok_or_else(|| bad("expected `@start+dur`"));
+    let factor = |f: u64| {
+        if f >= 1 {
+            Ok(f)
+        } else {
+            Err(bad("factor must be at least 1"))
         }
-        "storm" => {
-            let factor = num(head
-                .strip_prefix('x')
-                .ok_or_else(|| format!("event `{s}`: expected `storm:x<factor>@<ms>+<dur>`"))?)?;
-            let (at_ms, dur_ms) = window(times)?;
-            Ok(ChaosEvent::Storm {
-                at_ms,
-                dur_ms,
-                factor,
-            })
-        }
-        "outage" => {
-            let server = num(head
-                .strip_prefix('s')
-                .ok_or_else(|| format!("event `{s}`: expected `outage:s<server>@<ms>+<dur>`"))?)?;
-            let (at_ms, dur_ms) = window(times)?;
-            Ok(ChaosEvent::Outage {
-                at_ms,
-                dur_ms,
-                server,
-            })
-        }
+    };
+    // `<prefix><a>` and `<prefix><a><sep><b>` heads.
+    let one = |prefix: char, shape: &str| -> Result<u64, String> {
+        num(head
+            .strip_prefix(prefix)
+            .ok_or_else(|| bad(&format!("expected `{shape}`")))?)
+    };
+    let two = |prefix: char, sep: char, shape: &str| -> Result<(u64, u64), String> {
+        let (a, b) = head
+            .strip_prefix(prefix)
+            .and_then(|body| body.split_once(sep))
+            .ok_or_else(|| bad(&format!("expected `{shape}`")))?;
+        Ok((num(a)?, num(b)?))
+    };
+    let fault = match kind {
+        "crash" => Fault::Crash {
+            group: one('g', "crash:g<group>@<ms>")?,
+        },
+        "storm" => Fault::Storm {
+            factor: factor(one('x', "storm:x<factor>@<ms>+<dur>")?)?,
+            dur_ms: window()?,
+        },
+        "outage" => Fault::Outage {
+            server: one('s', "outage:s<server>@<ms>+<dur>")?,
+            dur_ms: window()?,
+        },
         "slow" => {
-            let body = head.strip_prefix('n').ok_or_else(|| {
-                format!("event `{s}`: expected `slow:n<node>x<factor>@<ms>+<dur>`")
-            })?;
-            let (node, factor) = body
-                .split_once('x')
-                .ok_or_else(|| format!("event `{s}`: expected `n<node>x<factor>`"))?;
-            let (at_ms, dur_ms) = window(times)?;
-            Ok(ChaosEvent::Slow {
-                at_ms,
-                dur_ms,
-                node: num(node)?,
-                factor: num(factor)?,
-            })
+            let (node, f) = two('n', 'x', "slow:n<node>x<factor>@<ms>+<dur>")?;
+            Fault::Slow {
+                dur_ms: window()?,
+                node,
+                factor: factor(f)?,
+            }
         }
         "torn" => {
-            let body = head
-                .strip_prefix('n')
-                .ok_or_else(|| format!("event `{s}`: expected `torn:n<node>x<count>@<ms>`"))?;
-            let (node, count) = body
-                .split_once('x')
-                .ok_or_else(|| format!("event `{s}`: expected `n<node>x<count>`"))?;
-            Ok(ChaosEvent::TornWrite {
-                at_ms: num(times)?,
-                node: num(node)?,
-                count: num(count)?,
-            })
+            let (node, count) = two('n', 'x', "torn:n<node>x<count>@<ms>")?;
+            Fault::TornWrite { node, count }
         }
-        "corrupt" => {
-            let group = num(head
-                .strip_prefix('g')
-                .ok_or_else(|| format!("event `{s}`: expected `corrupt:g<group>@<ms>`"))?)?;
-            Ok(ChaosEvent::CorruptImage {
-                at_ms: num(times)?,
-                group,
-            })
-        }
+        "corrupt" => Fault::CorruptImage {
+            group: one('g', "corrupt:g<group>@<ms>")?,
+        },
         "crashckpt" => {
-            let body = head.strip_prefix('g').ok_or_else(|| {
-                format!("event `{s}`: expected `crashckpt:g<group>p<phase>@<ms>`")
-            })?;
-            let (group, phase) = body
-                .split_once('p')
-                .ok_or_else(|| format!("event `{s}`: expected `g<group>p<phase>`"))?;
-            let phase = num(phase)?;
+            let (group, phase) = two('g', 'p', "crashckpt:g<group>p<phase>@<ms>")?;
             if phase > 2 {
-                return Err(format!("event `{s}`: phase must be 0, 1 or 2"));
+                return Err(bad("phase must be 0, 1 or 2"));
             }
-            Ok(ChaosEvent::CrashCkpt {
-                at_ms: num(times)?,
-                group: num(group)?,
-                phase,
-            })
+            Fault::CrashCkpt { group, phase }
         }
         "replica" => {
-            let body = head.strip_prefix('g').ok_or_else(|| {
-                format!("event `{s}`: expected `replica:g<group>[p<phase>]@<ms>`")
-            })?;
-            let (group, crash_phase) = match body.split_once('p') {
-                Some((g, p)) => {
-                    let phase = num(p)?;
-                    if phase > 1 {
-                        return Err(format!("event `{s}`: rebuild phase must be 0 or 1"));
-                    }
-                    (num(g)?, Some(phase))
+            let shape = "replica:g<group>[p<phase>]@<ms>";
+            let (group, crash_phase) = if head.contains('p') {
+                let (group, phase) = two('g', 'p', shape)?;
+                if phase > 1 {
+                    return Err(bad("rebuild phase must be 0 or 1"));
                 }
-                None => (num(body)?, None),
+                (group, Some(phase))
+            } else {
+                (one('g', shape)?, None)
             };
-            Ok(ChaosEvent::Replica {
-                at_ms: num(times)?,
-                group,
-                crash_phase,
-            })
+            Fault::Replica { group, crash_phase }
         }
-        other => Err(format!("unknown event kind `{other}` in `{s}`")),
+        other => return Err(format!("unknown event kind `{other}` in `{s}`")),
+    };
+    if dur.is_some() && fault.parts().2.is_none() {
+        return Err(bad("this kind takes no `+dur` window"));
     }
+    if at_ms
+        .checked_add(dur.unwrap_or(0))
+        .is_none_or(|end| end > MAX_MS)
+    {
+        return Err(bad("instant or window end overflows the nanosecond clock"));
+    }
+    Ok(ChaosEvent { at_ms, fault })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ev(at_ms: u64, fault: Fault) -> ChaosEvent {
+        ChaosEvent { at_ms, fault }
+    }
+
     #[test]
     fn roundtrip_all_kinds() {
         let sched = vec![
-            ChaosEvent::Crash {
-                at_ms: 2500,
-                group: 1,
-            },
-            ChaosEvent::Storm {
-                at_ms: 1000,
-                dur_ms: 4000,
-                factor: 8,
-            },
-            ChaosEvent::Outage {
-                at_ms: 2000,
-                dur_ms: 3000,
-                server: 0,
-            },
-            ChaosEvent::Slow {
-                at_ms: 1500,
-                dur_ms: 2500,
-                node: 3,
-                factor: 4,
-            },
-            ChaosEvent::TornWrite {
-                at_ms: 1800,
-                node: 2,
-                count: 3,
-            },
-            ChaosEvent::CorruptImage {
-                at_ms: 2500,
-                group: 1,
-            },
-            ChaosEvent::CrashCkpt {
-                at_ms: 2000,
-                group: 1,
-                phase: 1,
-            },
-            ChaosEvent::Replica {
-                at_ms: 1500,
-                group: 2,
-                crash_phase: None,
-            },
-            ChaosEvent::Replica {
-                at_ms: 1700,
-                group: 0,
-                crash_phase: Some(1),
-            },
+            ev(2500, Fault::Crash { group: 1 }),
+            ev(
+                1000,
+                Fault::Storm {
+                    dur_ms: 4000,
+                    factor: 8,
+                },
+            ),
+            ev(
+                2000,
+                Fault::Outage {
+                    dur_ms: 3000,
+                    server: 0,
+                },
+            ),
+            ev(
+                1500,
+                Fault::Slow {
+                    dur_ms: 2500,
+                    node: 3,
+                    factor: 4,
+                },
+            ),
+            ev(1800, Fault::TornWrite { node: 2, count: 3 }),
+            ev(2500, Fault::CorruptImage { group: 1 }),
+            ev(2000, Fault::CrashCkpt { group: 1, phase: 1 }),
+            ev(
+                1500,
+                Fault::Replica {
+                    group: 2,
+                    crash_phase: None,
+                },
+            ),
+            ev(
+                1700,
+                Fault::Replica {
+                    group: 0,
+                    crash_phase: Some(1),
+                },
+            ),
         ];
         let s = format_schedule(&sched);
         assert_eq!(
@@ -420,6 +350,7 @@ mod tests {
         assert!(parse_schedule("storm:x8@1000").is_err());
         assert!(parse_schedule("boom:g1@1").is_err());
         assert!(parse_schedule("crash:g1").is_err());
+        assert!(parse_schedule("crash:g1@2500+100").is_err());
         assert!(parse_schedule("torn:2x3@1800").is_err());
         assert!(parse_schedule("torn:n2@1800").is_err());
         assert!(parse_schedule("corrupt:1@2500").is_err());
@@ -431,12 +362,21 @@ mod tests {
     }
 
     #[test]
-    fn delay_moves_injection_later() {
-        let mut e = ChaosEvent::Crash {
-            at_ms: 100,
-            group: 0,
-        };
-        e.delay(400);
-        assert_eq!(e.at_ms(), 500);
+    fn rejects_hostile_numbers_naming_the_event() {
+        for s in [
+            "storm:x0@500+100",
+            "slow:n1x0@500+100",
+            "storm:x8@500+18446744073709",
+            "crash:g0@18446744073710",
+            "outage:s0@18446744073709+1",
+            "torn:n0x1@18446744073709551615",
+        ] {
+            let err = parse_schedule(&format!("crash:g0@100;{s}")).unwrap_err();
+            assert!(err.contains(s), "{s}: {err}");
+        }
+        // The last instant the clock holds is still accepted.
+        let edge = parse_schedule("crash:g0@18446744073709").unwrap();
+        assert_eq!(edge[0].at_ms, MAX_MS);
+        assert!(parse_schedule("storm:x1@18446744073000+709").is_ok());
     }
 }

@@ -73,7 +73,7 @@ pub fn shrink(spec: &ChaosSpec) -> Option<ShrinkOutcome> {
                     break 'outer;
                 }
                 let mut cand = best.clone();
-                cand.schedule[i].delay(d);
+                cand.schedule[i].at_ms += d;
                 let v = check(&cand, &mut runs);
                 if !v.is_empty() {
                     best = cand;

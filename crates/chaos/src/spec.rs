@@ -7,7 +7,7 @@ use gcr_sim::{DetRng, Sim, SimDuration};
 use gcr_trace::Tracer;
 use gcr_workloads::{Cg, CgConfig, Hpl, HplConfig, Ring, RingConfig, Sp, SpConfig, Workload};
 
-use crate::schedule::{format_schedule, ChaosEvent};
+use crate::schedule::{format_schedule, ChaosEvent, Fault};
 
 /// Which workload skeleton a chaos run exercises. The scales are fixed
 /// small-but-nontrivial configurations (seconds of simulated time) so a
@@ -326,39 +326,32 @@ impl ChaosSpec {
             let at_ms = rng.range_u64(300, 3501);
             // The first event is always a crash — recovery is the point.
             let kind = if i == 0 { 0 } else { rng.index(kinds) };
-            schedule.push(match kind {
-                0 => ChaosEvent::Crash {
-                    at_ms,
+            let fault = match kind {
+                0 => Fault::Crash {
                     group: rng.range_u64(0, 64),
                 },
-                1 => ChaosEvent::Storm {
-                    at_ms,
+                1 => Fault::Storm {
                     dur_ms: rng.range_u64(300, 1501),
                     factor: rng.range_u64(2, 9),
                 },
-                2 if storage == StorageTarget::Remote => ChaosEvent::Outage {
-                    at_ms,
+                2 if storage == StorageTarget::Remote => Fault::Outage {
                     dur_ms: rng.range_u64(300, 1501),
                     server: rng.range_u64(0, 8),
                 },
-                4 => ChaosEvent::TornWrite {
-                    at_ms,
+                4 => Fault::TornWrite {
                     node: rng.range_u64(0, workload.n() as u64),
                     count: rng.range_u64(1, 4),
                 },
-                5 => ChaosEvent::CorruptImage {
-                    at_ms,
+                5 => Fault::CorruptImage {
                     group: rng.range_u64(0, 64),
                 },
-                6 => ChaosEvent::CrashCkpt {
-                    at_ms,
+                6 => Fault::CrashCkpt {
                     group: rng.range_u64(0, 64),
                     phase: rng.range_u64(0, 3),
                 },
                 // Restore backend only: replica loss, 1-in-3 with a
                 // rebuild-phase sabotage trap.
-                7 => ChaosEvent::Replica {
-                    at_ms,
+                7 => Fault::Replica {
                     group: rng.range_u64(0, 64),
                     crash_phase: match rng.index(3) {
                         0 => None,
@@ -367,15 +360,15 @@ impl ChaosSpec {
                     },
                 },
                 // Kind 3, and 2 when the run uses local storage.
-                _ => ChaosEvent::Slow {
-                    at_ms,
+                _ => Fault::Slow {
                     dur_ms: rng.range_u64(300, 1501),
                     node: rng.range_u64(0, workload.n() as u64),
                     factor: rng.range_u64(2, 7),
                 },
-            });
+            };
+            schedule.push(ChaosEvent { at_ms, fault });
         }
-        schedule.sort_by_key(|e| e.at_ms());
+        schedule.sort_by_key(|e| e.at_ms);
         ChaosSpec {
             seed,
             workload,
@@ -449,7 +442,7 @@ mod tests {
             assert!(
                 spec.schedule
                     .iter()
-                    .any(|e| matches!(e, ChaosEvent::Crash { .. })),
+                    .any(|e| matches!(e.fault, Fault::Crash { .. })),
                 "seed {seed}"
             );
             assert!(
@@ -484,7 +477,7 @@ mod tests {
             saw_replica |= a
                 .schedule
                 .iter()
-                .any(|e| matches!(e, ChaosEvent::Replica { .. }));
+                .any(|e| matches!(e.fault, Fault::Replica { .. }));
         }
         assert!(saw_replica, "replica events never generated in 200 seeds");
     }
@@ -498,7 +491,7 @@ mod tests {
             assert!(
                 !a.schedule
                     .iter()
-                    .any(|e| matches!(e, ChaosEvent::Replica { .. })),
+                    .any(|e| matches!(e.fault, Fault::Replica { .. })),
                 "seed {seed}"
             );
         }

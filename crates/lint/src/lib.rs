@@ -102,11 +102,11 @@ pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
     }
 
     // Workspace passes. Building the graph consults the waivers (panic
-    // sites excluded by line waivers / trust directives); the semantic
-    // passes mark call-site and finding-site waivers themselves.
+    // sites excluded by line waivers / trust directives change what
+    // propagates); the semantic passes' findings are waived below.
     let index = symbols::build(&views);
     let graph = callgraph::build(&index, &views, &mut waivers);
-    raw.extend(semantic::check(&index, &graph, &views, &mut waivers));
+    raw.extend(semantic::check(&index, &graph, &views));
 
     // Flow-sensitive passes: protocol phase-order model checking (P10),
     // determinism taint dataflow (D10) and shard isolation (S01). Their
@@ -122,9 +122,8 @@ pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
     raw.extend(wire::check(&index, &views));
     raw.extend(dataflow::gc_floor(&index, &views));
 
-    // Apply line waivers to everything that is still unwaived (the
-    // semantic passes pre-filter, but the local rules have not), then
-    // collect stale/reasonless waiver findings.
+    // Apply line waivers to every engine's findings, then collect
+    // stale/reasonless waiver findings.
     let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
         let fi = views

@@ -21,22 +21,17 @@ use crate::cfg;
 use crate::lexer::{in_spans, Lexed, Tok, TokKind};
 use crate::policy::{self, PROTOCOL_CRATES, PROTOCOL_ERROR_TYPES, RECOVERY_CRITICAL};
 use crate::report::{Finding, Rule};
-use crate::suppress::FileWaivers;
 use crate::symbols::{FnDef, SymbolIndex, KEYWORDS};
 
 /// Run every semantic pass. `files` pairs workspace-relative paths with
-/// lexer output; `waivers` (parallel to `files`) is consulted and marked.
-pub fn check(
-    index: &SymbolIndex,
-    graph: &CallGraph,
-    files: &[(&str, &Lexed)],
-    waivers: &mut [FileWaivers],
-) -> Vec<Finding> {
+/// lexer output. Line waivers are applied to the findings afterwards, by
+/// the same step that applies them to every other engine's findings.
+pub fn check(index: &SymbolIndex, graph: &CallGraph, files: &[(&str, &Lexed)]) -> Vec<Finding> {
     let mut out = Vec::new();
-    d03t(index, graph, files, waivers, &mut out);
-    e_rules(index, files, waivers, &mut out);
-    p01(index, files, waivers, &mut out);
-    p02(index, files, waivers, &mut out);
+    d03t(index, graph, files, &mut out);
+    e_rules(index, files, &mut out);
+    p01(index, files, &mut out);
+    p02(index, files, &mut out);
     // Nested fns are walked by both their own body scan and their
     // enclosing fn's, so identical findings can be produced twice.
     out.sort_by(|a, b| {
@@ -53,13 +48,7 @@ pub fn check(
 
 // ---------------------------------------------------------------- D03-T
 
-fn d03t(
-    index: &SymbolIndex,
-    graph: &CallGraph,
-    files: &[(&str, &Lexed)],
-    waivers: &mut [FileWaivers],
-    out: &mut Vec<Finding>,
-) {
+fn d03t(index: &SymbolIndex, graph: &CallGraph, files: &[(&str, &Lexed)], out: &mut Vec<Finding>) {
     let scope = callgraph::crate_scope(index, policy::D03T_SCOPE_CRATES);
     let reach = graph.reaches_panic(&scope);
     for (id, f) in index.fns.iter().enumerate() {
@@ -77,9 +66,6 @@ fn d03t(
                 continue;
             };
             if !seen_lines.insert(cs.line) {
-                continue;
-            }
-            if waivers[f.file].waives(cs.line, Rule::D03T) {
                 continue;
             }
             let msg = match graph.witness(bad, &scope) {
@@ -130,12 +116,7 @@ fn protocol_result(fd: &FnDef) -> Option<String> {
         .then(|| format!("protocol crate `{}`", fd.krate))
 }
 
-fn e_rules(
-    index: &SymbolIndex,
-    files: &[(&str, &Lexed)],
-    waivers: &mut [FileWaivers],
-    out: &mut Vec<Finding>,
-) {
+fn e_rules(index: &SymbolIndex, files: &[(&str, &Lexed)], out: &mut Vec<Finding>) {
     for f in &index.fns {
         let rel = files[f.file].0;
         if !policy::policy_for(rel).e {
@@ -156,19 +137,16 @@ fn e_rules(
             {
                 let stmt_end = cfg::scan_to(toks, i + 3, end, ";");
                 if let Some((name, why)) = first_protocol_call(index, f, toks, i + 3, stmt_end) {
-                    let line = toks[i].line;
-                    if !waivers[f.file].waives(line, Rule::E01) {
-                        out.push(Finding::new(
-                            rel,
-                            lx,
-                            line,
-                            Rule::E01,
-                            format!(
-                                "`let _ =` discards the `Result` of `{name}` ({why}) — \
-                                 propagate with `?`/`map_err` or handle the error"
-                            ),
-                        ));
-                    }
+                    out.push(Finding::new(
+                        rel,
+                        lx,
+                        toks[i].line,
+                        Rule::E01,
+                        format!(
+                            "`let _ =` discards the `Result` of `{name}` ({why}) — \
+                             propagate with `?`/`map_err` or handle the error"
+                        ),
+                    ));
                 }
                 i = stmt_end;
                 continue;
@@ -186,19 +164,16 @@ fn e_rules(
                     chain_start <= start || matches!(toks[chain_start - 1].text, ";" | "{" | "}");
                 if at_stmt_start {
                     if let Some((name, why)) = chain_protocol_call(index, &names) {
-                        let line = toks[i].line;
-                        if !waivers[f.file].waives(line, Rule::E02) {
-                            out.push(Finding::new(
-                                rel,
-                                lx,
-                                line,
-                                Rule::E02,
-                                format!(
-                                    "`.ok()` throws away the error of `{name}` ({why}) — \
-                                     propagate it or match on the `Err`"
-                                ),
-                            ));
-                        }
+                        out.push(Finding::new(
+                            rel,
+                            lx,
+                            toks[i].line,
+                            Rule::E02,
+                            format!(
+                                "`.ok()` throws away the error of `{name}` ({why}) — \
+                                 propagate it or match on the `Err`"
+                            ),
+                        ));
                     }
                 }
             }
@@ -212,19 +187,16 @@ fn e_rules(
             {
                 let (names, _) = chain_callees(toks, i - 1, start);
                 if let Some((name, why)) = chain_protocol_call(index, &names) {
-                    let line = toks[i + 1].line;
-                    if !waivers[f.file].waives(line, Rule::E03) {
-                        out.push(Finding::new(
-                            rel,
-                            lx,
-                            line,
-                            Rule::E03,
-                            format!(
-                                "`.unwrap_or_default()` swallows the error of `{name}` \
-                                 ({why}) — a silent default hides an injected fault"
-                            ),
-                        ));
-                    }
+                    out.push(Finding::new(
+                        rel,
+                        lx,
+                        toks[i + 1].line,
+                        Rule::E03,
+                        format!(
+                            "`.unwrap_or_default()` swallows the error of `{name}` \
+                             ({why}) — a silent default hides an injected fault"
+                        ),
+                    ));
                 }
             }
             i += 1;
@@ -362,12 +334,7 @@ struct TagUses {
     unknown: usize,
 }
 
-fn p01(
-    index: &SymbolIndex,
-    files: &[(&str, &Lexed)],
-    waivers: &mut [FileWaivers],
-    out: &mut Vec<Finding>,
-) {
+fn p01(index: &SymbolIndex, files: &[(&str, &Lexed)], out: &mut Vec<Finding>) {
     // The tag universe: consts defined in a module literally named `tags`.
     let tag_names: BTreeSet<&str> = index
         .consts
@@ -415,12 +382,8 @@ fn p01(
             continue;
         };
         let (file_idx, line) = witness;
-        if waivers[file_idx].waives(line, Rule::P01) {
-            continue;
-        }
-        let rel = files[file_idx].0;
         out.push(Finding::new(
-            rel,
+            files[file_idx].0,
             files[file_idx].1,
             line,
             Rule::P01,
@@ -459,12 +422,7 @@ fn enclosing_call<'a>(toks: &[Tok<'a>], at: usize) -> Option<&'a str> {
     None
 }
 
-fn p02(
-    index: &SymbolIndex,
-    files: &[(&str, &Lexed)],
-    waivers: &mut [FileWaivers],
-    out: &mut Vec<Finding>,
-) {
+fn p02(index: &SymbolIndex, files: &[(&str, &Lexed)], out: &mut Vec<Finding>) {
     // Protocol enums: defined in the protocol-plane crates (the `json`
     // crate's generic value enum is deliberately out — matching it with
     // a wildcard is ordinary defensive parsing).
@@ -474,7 +432,7 @@ fn p02(
             protocol_enums.insert(e.name, &e.variants);
         }
     }
-    for (file_idx, (rel, lx)) in files.iter().enumerate() {
+    for (rel, lx) in files {
         if !RECOVERY_CRITICAL.contains(rel) {
             continue;
         }
@@ -509,19 +467,16 @@ fn p02(
             }
             let (wildcard, protocol) = scan_arms(toks, j, close, &protocol_enums);
             if wildcard && protocol {
-                let line = toks[i].line;
-                if !waivers[file_idx].waives(line, Rule::P02) {
-                    out.push(Finding::new(
-                        rel,
-                        lx,
-                        line,
-                        Rule::P02,
-                        "wildcard `_ =>` over a protocol enum in a recovery-critical \
-                         module — name every variant so new protocol states cannot be \
-                         silently ignored"
-                            .to_string(),
-                    ));
-                }
+                out.push(Finding::new(
+                    rel,
+                    lx,
+                    toks[i].line,
+                    Rule::P02,
+                    "wildcard `_ =>` over a protocol enum in a recovery-critical \
+                     module — name every variant so new protocol states cannot be \
+                     silently ignored"
+                        .to_string(),
+                ));
             }
             i = j + 1;
         }

@@ -856,6 +856,7 @@ fn execute_chaos(a: ChaosArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcr_chaos::Fault;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1015,9 +1016,9 @@ mod tests {
                 assert_eq!(a.gc_overshoot, Some(65536));
                 assert_eq!(
                     a.schedule,
-                    Some(vec![ChaosEvent::Crash {
+                    Some(vec![ChaosEvent {
                         at_ms: 2500,
-                        group: 1
+                        fault: Fault::Crash { group: 1 }
                     }])
                 );
                 assert_eq!(a.shards, Some(4));
