@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gcr_bench::table::{f1, f2, Table};
-use gcr_bench::{resolve_groups, Proto, RunSpec, Schedule, WorkloadSpec};
+use gcr_bench::{Proto, WorkloadSpec};
 use gcr_ckpt::{analyze_schedule, optimal_interval, CkptConfig, CkptRuntime, Mode, RecoveryStats};
 use gcr_mpi::{World, WorldOpts};
 use gcr_net::{Cluster, ClusterSpec, StorageTarget};
@@ -21,8 +21,7 @@ use gcr_workloads::HplConfig;
 
 fn run(n: usize, proto: Proto) -> (RecoveryStats, usize, f64, CkptRuntime) {
     let wl_spec = WorkloadSpec::Hpl(HplConfig::paper(n));
-    let groups =
-        resolve_groups(&RunSpec::new(wl_spec.clone(), proto, Schedule::None).with_remote_storage());
+    let groups = proto.groups(&wl_spec);
     let sim = Sim::new();
     let cluster = Cluster::new(&sim, ClusterSpec::gideon300(n));
     let world = World::new(cluster, WorldOpts::default());
@@ -61,7 +60,7 @@ fn main() {
     for proto in [Proto::Gp { max_size: 8 }, Proto::Norm] {
         let (stats, rolled, _exec, _rt) = run(n, proto);
         t.row(vec![
-            proto.label().to_string(),
+            proto.label().to_uppercase(),
             rolled.to_string(),
             f1(stats.downtime.as_secs_f64()),
             f1(stats.replayed_into_group_bytes as f64 / 1024.0),

@@ -18,7 +18,7 @@ fn main() {
             let r = run_one(&spec);
             println!(
                 "n={n:3} {:5} exec={:7.1}s agg_ckpt={:7.1}s agg_coord={:6.1}s agg_restart={:6.1}s resend={:8}B/{:3}ops groups={:3} wall={:.1}s",
-                proto.label(), r.exec_s, r.agg_ckpt_s, r.agg_coord_s, r.agg_restart_s,
+                proto.label().to_uppercase(), r.exec_s, r.agg_ckpt_s, r.agg_coord_s, r.agg_restart_s,
                 r.resend_bytes, r.resend_ops, r.group_count, t0.elapsed().as_secs_f64()
             );
         }

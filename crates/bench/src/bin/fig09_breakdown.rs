@@ -43,7 +43,7 @@ fn main() {
             let (lock, coord, ckpt, fin) = r.phases;
             t.row(vec![
                 n.to_string(),
-                p.label().to_string(),
+                p.label().to_uppercase(),
                 f2(lock),
                 f2(coord),
                 f2(ckpt),

@@ -19,21 +19,16 @@
 //! ```
 
 use gcr_bench::table::{f1, f2, Table};
-use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosProto, ChaosSpec, ChaosWorkload};
+use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
 use gcr_json::Json;
 use gcr_net::StorageTarget;
 
 /// Protocols in the sweep: the blocking baseline, both logging designs,
 /// and the collective-clock coordinated protocol.
-const PROTOCOLS: [ChaosProto; 4] = [
-    ChaosProto::Gp4,
-    ChaosProto::Vcl,
-    ChaosProto::Cvc,
-    ChaosProto::Rblog,
-];
+const PROTOCOLS: [Proto; 4] = [Proto::GpK { k: 4 }, Proto::Vcl, Proto::Cvc, Proto::Rblog];
 
 /// Workloads in the sweep (ring is bandwidth-bound, CG compute-bound).
-const WORKLOADS: [ChaosWorkload; 2] = [ChaosWorkload::Ring, ChaosWorkload::Cg];
+const WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::Ring, WorkloadKind::Cg];
 
 /// Failure rates as crash counts with their schedules. Crashes target
 /// group 0, which exists under every protocol's group shape (CVC runs a

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gcr_bench::table::{f1, f2, Table};
-use gcr_bench::{resolve_groups, Proto, RunSpec, Schedule, WorkloadSpec};
+use gcr_bench::{Proto, WorkloadSpec};
 use gcr_ckpt::{CkptConfig, CkptRuntime, Mode, RecoveryStats};
 use gcr_json::Json;
 use gcr_mpi::{World, WorldOpts};
@@ -38,10 +38,7 @@ struct Point {
 
 fn run(n: usize, restore_k: Option<usize>) -> (RecoveryStats, u64) {
     let wl_spec = WorkloadSpec::Cg(CgConfig::class_c(n));
-    let groups = resolve_groups(
-        &RunSpec::new(wl_spec.clone(), Proto::Gp { max_size: 4 }, Schedule::None)
-            .with_remote_storage(),
-    );
+    let groups = Proto::Gp { max_size: 4 }.groups(&wl_spec);
     let sim = Sim::new();
     let cluster = Cluster::new(&sim, ClusterSpec::gideon300(n));
     let world = World::new(cluster, WorldOpts::default());

@@ -2,8 +2,9 @@
 //! 16–128 processes in steps of 8, one checkpoint at t = 60 s, protocols
 //! GP / GP1 / GP4 / NORM.
 
-use crate::spec::{Proto, RunResult, RunSpec, Schedule, WorkloadSpec};
+use crate::spec::{RunResult, RunSpec, Schedule};
 use crate::sweep::run_averaged;
+use crate::{Proto, WorkloadSpec};
 use gcr_workloads::HplConfig;
 
 /// Process counts of the paper's §5.1 sweep.

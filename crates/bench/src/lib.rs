@@ -16,11 +16,10 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
+pub use gcr_chaos::{profile_trace, Proto, WorkloadSpec};
 pub use hpl_paper::{hpl_paper_sweep, HplSweep};
 pub use kernel::{run_kernel, KernelPoint, KernelSpec};
-pub use runner::{profile_trace, resolve_groups, run_one, run_traced, TracedRun};
-pub use spec::{
-    average, hpl_grid_for, with_trials, Proto, RunResult, RunSpec, Schedule, WorkloadSpec,
-};
+pub use runner::{resolve_groups, run_one, run_traced, TracedRun};
+pub use spec::{average, hpl_grid_for, with_trials, RunResult, RunSpec, Schedule};
 pub use sweep::{run_all, run_all_with, run_averaged};
 pub use table::Table;

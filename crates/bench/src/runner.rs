@@ -3,68 +3,21 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use gcr_ckpt::{check_recovery_line, CkptConfig, CkptRuntime, Mode};
-use gcr_group::{contiguous, form_groups, single, singletons, GroupDef};
-use gcr_mpi::{World, WorldOpts};
-use gcr_net::{Cluster, ClusterSpec};
-use gcr_sim::{Sim, SimDuration, SimTime};
+use gcr_chaos::{Built, ChaosBackend, Scenario};
+use gcr_ckpt::{check_recovery_line, Mode};
+use gcr_group::GroupDef;
+use gcr_net::ClusterSpec;
+use gcr_sim::{SimDuration, SimTime};
 use gcr_trace::{Trace, Tracer, Window};
 
-use crate::spec::{Proto, RunResult, RunSpec, Schedule, WorkloadSpec};
-
-fn world_opts() -> WorldOpts {
-    WorldOpts {
-        compute_slice: SimDuration::from_millis(100),
-        // LAM/MPI-era rendezvous threshold: messages up to 128 KB are sent
-        // eagerly and can sit unconsumed in the receiver's MPI layer — the
-        // source of restart replay volume when checkpoints catch them.
-        eager_threshold: 128 * 1024,
-        ..WorldOpts::default()
-    }
-}
-
-fn cluster_spec(n: usize, stragglers: bool) -> ClusterSpec {
-    let mut spec = ClusterSpec::gideon300(n);
-    if !stragglers {
-        spec.straggler = gcr_net::StragglerSpec::disabled();
-    }
-    spec
-}
-
-fn cluster_spec_for(spec: &RunSpec) -> ClusterSpec {
-    let mut c = cluster_spec(spec.workload.n(), spec.stragglers);
-    if let Some(p) = spec.straggler_prob {
-        c.straggler.prob = p;
-    }
-    c
-}
-
-/// Run the truncated profiling workload under a tracer and return the
-/// captured trace (the paper's preparatory tracing run).
-pub fn profile_trace(workload: &WorkloadSpec) -> Trace {
-    let profile = workload.profile();
-    let wl = profile.build();
-    let sim = Sim::new();
-    let cluster = Cluster::new(&sim, cluster_spec(wl.n(), false));
-    let world = World::new(cluster, world_opts());
-    let tracer = Tracer::install(&world, wl.name());
-    wl.launch(&world);
-    sim.run().expect("profiling run deadlocked");
-    tracer.take()
-}
+use crate::spec::{RunResult, RunSpec, Schedule};
 
 /// Resolve the group definition for a spec (profiling run for `Proto::Gp`
 /// when no precomputed groups were supplied).
 pub fn resolve_groups(spec: &RunSpec) -> GroupDef {
-    if let Some(g) = &spec.groups {
-        return g.clone();
-    }
-    let n = spec.workload.n();
-    match spec.proto {
-        Proto::Gp { max_size } => form_groups(&profile_trace(&spec.workload), max_size),
-        Proto::Gp1 => singletons(n),
-        Proto::GpK { k } => contiguous(n, k),
-        Proto::Norm | Proto::Vcl => single(n),
+    match &spec.groups {
+        Some(g) => g.clone(),
+        None => spec.proto.groups(&spec.workload),
     }
 }
 
@@ -89,31 +42,41 @@ pub fn run_traced(spec: &RunSpec) -> TracedRun {
 }
 
 fn run_inner(spec: &RunSpec, capture_trace: bool) -> TracedRun {
-    let wl = spec.workload.build();
-    let n = wl.n();
-    let sim = Sim::new();
-    let cluster = Cluster::new(&sim, cluster_spec_for(spec));
-    let world = World::new(cluster, world_opts());
-    let tracer = if capture_trace {
-        Some(Tracer::install(&world, wl.name()))
-    } else {
-        None
+    let mut cluster = ClusterSpec::gideon300(spec.workload.n());
+    if !spec.stragglers {
+        cluster.straggler = gcr_net::StragglerSpec::disabled();
+    }
+    if let Some(p) = spec.straggler_prob {
+        cluster.straggler.prob = p;
+    }
+    let scenario = Scenario {
+        workload: spec.workload.clone(),
+        proto: spec.proto,
+        storage: spec.storage,
+        backend: ChaosBackend::Disk,
+        replication: 1,
+        cluster,
+        groups: spec.groups.clone(),
+        seed: spec.seed,
+        shards: 1,
+        stragglers: spec.stragglers,
+        piggyback_gc: spec.piggyback_gc,
+        gc_overshoot: 0,
     };
-    wl.launch(&world);
-
-    let groups = Rc::new(resolve_groups(spec));
+    let mut tracer = None;
+    let Built {
+        sim,
+        world,
+        rt,
+        groups,
+        ..
+    } = scenario.build_with(|world, wl| {
+        if capture_trace {
+            tracer = Some(Tracer::install(world, wl.name()));
+        }
+    });
+    let n = world.n();
     let group_count = groups.group_count();
-    let mode = if spec.proto == Proto::Vcl {
-        Mode::Vcl
-    } else {
-        Mode::Blocking
-    };
-    let mut cfg = CkptConfig::uniform(n, 0, spec.storage);
-    cfg.image_bytes = wl.image_bytes();
-    cfg.stragglers = spec.stragglers;
-    cfg.piggyback_gc = spec.piggyback_gc;
-    cfg.seed = spec.seed;
-    let rt = CkptRuntime::install(&world, groups, mode, cfg);
 
     let app_done_at = Rc::new(Cell::new(SimTime::ZERO));
     {
@@ -166,7 +129,7 @@ fn run_inner(spec: &RunSpec, capture_trace: bool) -> TracedRun {
         .unwrap_or_else(|d| panic!("experiment deadlocked: {d}"));
 
     // The recovery line left by the final wave must be consistent.
-    if mode == Mode::Blocking && rt.metrics().waves() > 0 {
+    if rt.mode() == Mode::Blocking && rt.metrics().waves() > 0 {
         if let Err(v) = check_recovery_line(&world, &rt) {
             panic!("recovery-line violation: {}", v[0]);
         }

@@ -1,107 +1,8 @@
 //! Experiment specifications: workload × protocol × schedule × storage.
 
+use gcr_chaos::{Proto, WorkloadSpec};
 use gcr_group::GroupDef;
 use gcr_net::StorageTarget;
-use gcr_workloads::{Cg, CgConfig, Hpl, HplConfig, Ring, RingConfig, Sp, SpConfig, Workload};
-
-/// Which application model to run.
-#[derive(Debug, Clone)]
-pub enum WorkloadSpec {
-    /// High Performance Linpack.
-    Hpl(HplConfig),
-    /// NPB CG.
-    Cg(CgConfig),
-    /// NPB SP.
-    Sp(SpConfig),
-    /// Synthetic ring.
-    Ring(RingConfig),
-}
-
-impl WorkloadSpec {
-    /// Materialize the workload.
-    pub fn build(&self) -> Box<dyn Workload> {
-        match self {
-            WorkloadSpec::Hpl(c) => Box::new(Hpl::new(c.clone())),
-            WorkloadSpec::Cg(c) => Box::new(Cg::new(c.clone())),
-            WorkloadSpec::Sp(c) => Box::new(Sp::new(c.clone())),
-            WorkloadSpec::Ring(c) => Box::new(Ring::new(c.clone())),
-        }
-    }
-
-    /// Rank count.
-    pub fn n(&self) -> usize {
-        match self {
-            WorkloadSpec::Hpl(c) => c.nprocs(),
-            WorkloadSpec::Cg(c) => c.nprocs,
-            WorkloadSpec::Sp(c) => c.nprocs,
-            WorkloadSpec::Ring(c) => c.nprocs,
-        }
-    }
-
-    /// A truncated variant used for the profiling (tracing) run that feeds
-    /// group formation — the communication pattern of all four workloads is
-    /// stationary, so a short prefix suffices (paper §4: the tracer is only
-    /// linked for a preparatory run).
-    pub fn profile(&self) -> WorkloadSpec {
-        match self {
-            WorkloadSpec::Hpl(c) => {
-                let mut p = c.clone();
-                p.n_matrix = c.nb * (2 * c.p.max(c.q) as u64).max(8);
-                WorkloadSpec::Hpl(p)
-            }
-            WorkloadSpec::Cg(c) => {
-                let mut p = c.clone();
-                p.niter = 1;
-                p.inner = 5;
-                WorkloadSpec::Cg(p)
-            }
-            WorkloadSpec::Sp(c) => {
-                let mut p = c.clone();
-                p.niter = 3;
-                WorkloadSpec::Sp(p)
-            }
-            WorkloadSpec::Ring(c) => {
-                let mut p = c.clone();
-                p.iters = 3;
-                WorkloadSpec::Ring(p)
-            }
-        }
-    }
-}
-
-/// The protocols compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Proto {
-    /// Trace-assisted group-based checkpointing (the contribution).
-    Gp {
-        /// Maximum group size for Algorithm 2.
-        max_size: usize,
-    },
-    /// Singleton groups: uncoordinated + full logging.
-    Gp1,
-    /// `k` contiguous ad-hoc groups (the paper's GP4 with `k = 4`).
-    GpK {
-        /// Number of groups.
-        k: usize,
-    },
-    /// Global blocking coordinated checkpointing (stock LAM/MPI).
-    Norm,
-    /// Non-blocking Chandy–Lamport with remote servers (MPICH-VCL).
-    Vcl,
-}
-
-impl Proto {
-    /// Figure label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Proto::Gp { .. } => "GP",
-            Proto::Gp1 => "GP1",
-            Proto::GpK { .. } => "GP4",
-            Proto::Norm => "NORM",
-            Proto::Vcl => "VCL",
-        }
-    }
-}
 
 /// When checkpoints are taken.
 #[derive(Debug, Clone, Copy, PartialEq)]

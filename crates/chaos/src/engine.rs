@@ -38,15 +38,16 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use gcr_ckpt::{check_quiescent, check_recovery_line, CkptConfig, CkptRuntime, Mode};
+use gcr_ckpt::{check_quiescent, check_recovery_line, CkptRuntime, Mode};
 use gcr_group::GroupDef;
 use gcr_json::Json;
-use gcr_mpi::{Rank, World};
-use gcr_net::{Cluster, GenState, RestoreBackend, StorageTarget};
-use gcr_sim::{fnv1a, Sim, SimDuration, SimTime};
+use gcr_mpi::Rank;
+use gcr_net::{Cluster, GenState};
+use gcr_sim::{fnv1a, SimDuration, SimTime};
 
+use crate::scenario::Built;
 use crate::schedule::{ChaosEvent, Fault};
-use crate::spec::{chaos_cluster_spec, chaos_world_opts, ChaosBackend, ChaosProto, ChaosSpec};
+use crate::spec::ChaosSpec;
 
 /// Injector poll cadence while waiting for wave-idle or recovery turns.
 const POLL: SimDuration = SimDuration::from_millis(1);
@@ -203,51 +204,11 @@ impl ChaosReport {
 
 /// Execute one chaos run. Deterministic given the spec.
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
-    let wl = spec.workload.build();
-    let n = wl.n();
-    let sim = Sim::with_shards(spec.shards.max(1));
-    let cluster = Cluster::new(&sim, chaos_cluster_spec(n));
-    let world = World::new(cluster.clone(), chaos_world_opts());
-    // Groups are resolved before launch (the profile trace runs on its own
-    // private Sim) so each rank's events can be attributed to its group's
-    // shard. Attribution never affects event order — see tests/determinism.rs.
-    let groups = Rc::new(spec.proto.resolve_groups(spec.workload));
-    world.set_shard_map((0..n as u32).map(|r| groups.group_of(r) as u32).collect());
-    // The restore backend is installed before launch so every wave and
-    // restart routes its image I/O through it. The engine keeps the
-    // concrete handle: injectors and oracles need the replica table.
-    let restore: Option<Rc<RestoreBackend>> = if spec.backend == ChaosBackend::Restore {
-        let group_of: Vec<usize> = (0..n as u32).map(|r| groups.group_of(r)).collect();
-        Some(RestoreBackend::install(
-            &cluster,
-            group_of,
-            spec.replication.max(1),
-        ))
-    } else {
-        None
-    };
-    wl.launch(&world);
-
-    let mode = match spec.proto {
-        ChaosProto::Norm | ChaosProto::Gp | ChaosProto::Gp1 | ChaosProto::Gp4 => Mode::Blocking,
-        ChaosProto::Vcl => Mode::Vcl,
-        ChaosProto::Cvc => Mode::Cvc,
-        ChaosProto::Rblog => Mode::RbLog,
-    };
-    let mut cfg = CkptConfig::uniform(n, 0, spec.storage);
-    cfg.image_bytes = wl.image_bytes();
-    cfg.seed = spec.seed;
-    cfg.gc_overshoot = spec.gc_overshoot;
-    let rt = CkptRuntime::install(&world, Rc::clone(&groups), mode, cfg);
-
+    let run = spec.scenario().build();
+    let n = run.world.n();
+    let sim = run.sim.clone();
     let cx = Rc::new(Injector {
-        sim: sim.clone(),
-        world,
-        cluster,
-        rt,
-        groups,
-        restore,
-        n,
+        run,
         applied: Cell::new(0),
         skipped: Cell::new(0),
         violations: RefCell::new(Vec::new()),
@@ -259,17 +220,17 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     {
         let cx = Rc::clone(&cx);
         sim.spawn_named("chaos-exec-timer", async move {
-            cx.world.wait_all_ranks().await;
-            cx.app_done_at.set(cx.sim.now());
+            cx.run.world.wait_all_ranks().await;
+            cx.app_done_at.set(cx.run.sim.now());
         });
     }
     {
         let cx = Rc::clone(&cx);
         let interval = SimDuration::from_millis(spec.interval_ms);
         sim.spawn_named("chaos-controller", async move {
-            cx.rt.interval_schedule(interval, interval).await;
-            cx.world.wait_all_ranks().await;
-            cx.rt.shutdown();
+            cx.run.rt.interval_schedule(interval, interval).await;
+            cx.run.world.wait_all_ranks().await;
+            cx.run.rt.shutdown();
         });
     }
     for (i, ev) in spec.schedule.iter().copied().enumerate() {
@@ -285,14 +246,15 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     }
 
     // End-of-run oracles.
-    let Injector {
+    let Built {
         world,
         cluster,
         rt,
         groups,
         restore,
         ..
-    } = &*cx;
+    } = &cx.run;
+    let mode = rt.mode();
     if world.ranks_finished() < n {
         cx.violate(format!(
             "completion: {}/{n} ranks finished",
@@ -363,10 +325,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
         seed: spec.seed,
         workload: spec.workload.label().to_string(),
         proto: spec.proto.label().to_string(),
-        storage: match spec.storage {
-            StorageTarget::Local => "local".to_string(),
-            StorageTarget::Remote => "remote".to_string(),
-        },
+        storage: spec.storage.label().to_string(),
         interval_ms: spec.interval_ms,
         gc_overshoot: spec.gc_overshoot,
         schedule: spec.schedule_string(),
@@ -411,15 +370,7 @@ pub fn run_chaos_verified(spec: &ChaosSpec) -> ChaosReport {
 /// Everything the injector tasks of one run share: the simulated system,
 /// the event tallies, the oracle findings and the crash-turn flag.
 struct Injector {
-    sim: Sim,
-    world: World,
-    cluster: Cluster,
-    rt: CkptRuntime,
-    groups: Rc<GroupDef>,
-    /// The concrete restore backend (`None` under the disk backend).
-    restore: Option<Rc<RestoreBackend>>,
-    /// Rank count.
-    n: usize,
+    run: Built,
     applied: Cell<u64>,
     skipped: Cell<u64>,
     violations: RefCell<Vec<String>>,
@@ -436,18 +387,19 @@ impl Injector {
     }
 
     fn app_finished(&self) -> bool {
-        self.world.ranks_finished() >= self.n
+        self.run.world.ranks_finished() >= self.run.world.n()
     }
 
     /// The target group of a `g<group>` field.
     fn gid(&self, group: u64) -> usize {
-        (group as usize) % self.groups.group_count()
+        (group as usize) % self.run.groups.group_count()
     }
 
     /// One injector task: sleep to the event's instant, inject the fault,
     /// and count it as applied, or as skipped when it could not land.
     async fn inject(&self, ev: ChaosEvent) {
-        self.sim
+        self.run
+            .sim
             .sleep_until(SimTime::ZERO + SimDuration::from_millis(ev.at_ms))
             .await;
         let applied = match ev.fault {
@@ -458,44 +410,44 @@ impl Injector {
             _ if self.app_finished() => false,
             Fault::CrashCkpt { group, phase } => {
                 let gid = self.gid(group);
-                self.rt.arm_crash_trap(gid, phase as u8);
+                self.run.rt.arm_crash_trap(gid, phase as u8);
                 // The trap fires inside the group's next blocking wave;
                 // if the application finishes first (or the protocol
                 // takes no further wave — e.g. VCL has no group-scoped
                 // waves), the fault never lands.
-                while !self.rt.crash_trap_fired(gid) && !self.app_finished() {
-                    self.sim.sleep(POLL).await;
+                while !self.run.rt.crash_trap_fired(gid) && !self.app_finished() {
+                    self.run.sim.sleep(POLL).await;
                 }
-                let fired = self.rt.crash_trap_fired(gid);
+                let fired = self.run.rt.crash_trap_fired(gid);
                 if fired {
                     // The wave aborted its pending generation; now the
                     // group actually dies and recovery must restart it
                     // from the last *committed* generation.
                     self.crash_turn(gid, ev.at_ms, false).await;
                 }
-                self.rt.clear_crash_trap(gid);
+                self.run.rt.clear_crash_trap(gid);
                 fired
             }
             Fault::TornWrite { node, count } => {
                 // Arm the per-node counter; the node's next `count`
                 // image writes tear mid-transfer as they happen.
-                self.cluster.storage().inject_torn_writes(
-                    (node as usize) % self.n,
+                self.run.cluster.storage().inject_torn_writes(
+                    (node as usize) % self.run.world.n(),
                     u32::try_from(count).unwrap_or(u32::MAX),
                 );
                 true
             }
             Fault::Storm { dur_ms, factor } => {
-                self.cluster.set_straggler_storm(factor as f64);
-                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
-                self.cluster.set_straggler_storm(1.0);
+                self.run.cluster.set_straggler_storm(factor as f64);
+                self.run.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                self.run.cluster.set_straggler_storm(1.0);
                 true
             }
             Fault::Outage { dur_ms, server } => {
-                let storage = self.cluster.storage();
+                let storage = self.run.cluster.storage();
                 let srv = (server as usize) % storage.remote_servers();
                 storage.set_server_down(srv, true);
-                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                self.run.sim.sleep(SimDuration::from_millis(dur_ms)).await;
                 storage.set_server_down(srv, false);
                 true
             }
@@ -504,16 +456,16 @@ impl Injector {
                 node,
                 factor,
             } => {
-                let network = self.cluster.network();
+                let network = self.run.cluster.network();
                 let node = (node as usize) % network.nodes();
                 network.set_node_slowdown(node, factor as f64);
-                self.sim.sleep(SimDuration::from_millis(dur_ms)).await;
+                self.run.sim.sleep(SimDuration::from_millis(dur_ms)).await;
                 network.set_node_slowdown(node, 1.0);
                 true
             }
             // Replica loss only means something when replicas exist;
             // under the disk backend the event is a no-op.
-            Fault::Replica { group, crash_phase } => match &self.restore {
+            Fault::Replica { group, crash_phase } => match &self.run.restore {
                 None => false,
                 Some(rb) => {
                     rb.drop_group_holders(self.gid(group));
@@ -545,7 +497,7 @@ impl Injector {
     /// recover it. Returns whether the crash ran.
     async fn crash_turn(&self, gid: usize, at_ms: u64, corrupt_image: bool) -> bool {
         while self.recovering.get() {
-            self.sim.sleep(POLL).await;
+            self.run.sim.sleep(POLL).await;
         }
         if self.app_finished() {
             return false;
@@ -567,15 +519,14 @@ impl Injector {
     /// keeps running and the oracle report carries the failure (the whole
     /// point of D03).
     async fn crash_and_recover(&self, gid: usize, at_ms: u64, corrupt_image: bool) {
-        let Injector {
+        let Built {
             sim,
             world,
             cluster,
             rt,
             groups,
             restore,
-            ..
-        } = self;
+        } = &self.run;
         for &m in groups.members(gid) {
             world.halt(Rank(m));
         }
@@ -633,7 +584,7 @@ impl Injector {
                             self.violate(format!("post-recovery(g{gid}) {v}"));
                         }
                     }
-                    for v in stream_closure_violations(self.n, groups, rt) {
+                    for v in stream_closure_violations(world.n(), groups, rt) {
                         self.violate(format!("post-recovery(g{gid}) {v}"));
                     }
                 }

@@ -1,9 +1,14 @@
-//! # gcr-chaos — deterministic fault-injection harness
+//! # gcr-chaos — the run set-up and the deterministic fault-injection harness
 //!
-//! Drives seeded-random failure schedules against every checkpoint
-//! protocol (NORM / GP / GP1 / GP4 / VCL) over every workload skeleton,
-//! then checks invariant oracles after each recovery and at the end of
-//! the run:
+//! The crate names a run once for every caller: [`WorkloadKind`] and
+//! [`WorkloadSpec`] for the application, [`Proto`] for the protocol
+//! (NORM / GP / GP1 / GP4 / VCL / CVC / rblog), and [`Scenario`], whose
+//! [`Scenario::build`] is the one place a simulation is assembled — for
+//! [`run_chaos`], for `gcr-bench`'s `run_one` and so for `gcrsim run`.
+//!
+//! On top of it, the harness drives seeded-random failure schedules
+//! against every protocol over every workload skeleton, then checks
+//! invariant oracles after each recovery and at the end of the run:
 //!
 //! * **recovery line** — [`gcr_ckpt::check_recovery_line`],
 //! * **quiescence** — [`gcr_ckpt::check_quiescent`],
@@ -41,11 +46,13 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod scenario;
 mod schedule;
 mod shrink;
 mod spec;
 
 pub use engine::{run_chaos, run_chaos_verified, ChaosReport, RecoverySummary};
+pub use scenario::{profile_trace, world_opts, Built, Proto, Scenario, WorkloadKind, WorkloadSpec};
 pub use schedule::{format_schedule, parse_schedule, ChaosEvent, Fault};
 pub use shrink::{shrink, ShrinkOutcome};
-pub use spec::{repro_command, ChaosBackend, ChaosProto, ChaosSpec, ChaosWorkload};
+pub use spec::{repro_command, ChaosBackend, ChaosSpec};

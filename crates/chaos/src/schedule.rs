@@ -26,6 +26,11 @@
 /// simulated clock.
 const MAX_MS: u64 = u64::MAX / 1_000_000;
 
+/// The largest storm or slowdown factor: one that stretches 1,000 s of
+/// simulated work to the end of the clock. A larger factor overflows the
+/// clock once the stretched operations of a window queue on one link.
+const MAX_FACTOR: u64 = MAX_MS / 1_000_000;
+
 /// One scheduled fault: what is injected, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosEvent {
@@ -163,8 +168,8 @@ pub fn format_schedule(events: &[ChaosEvent]) -> String {
 /// Parse the compact schedule form; the inverse of [`format_schedule`].
 /// An empty string parses to an empty schedule. Hostile numbers are
 /// rejected here rather than at injection: a storm or slowdown factor
-/// below 1, and an instant or window end past the 64-bit nanosecond
-/// clock.
+/// below 1 or above 18,446,744 (`MAX_FACTOR`), and an instant or window
+/// end past the 64-bit nanosecond clock.
 pub fn parse_schedule(s: &str) -> Result<Vec<ChaosEvent>, String> {
     let mut out = Vec::new();
     for part in s.split(';') {
@@ -196,10 +201,10 @@ fn parse_event(s: &str) -> Result<ChaosEvent, String> {
     let at_ms = num(at)?;
     let window = || dur.ok_or_else(|| bad("expected `@start+dur`"));
     let factor = |f: u64| {
-        if f >= 1 {
+        if (1..=MAX_FACTOR).contains(&f) {
             Ok(f)
         } else {
-            Err(bad("factor must be at least 1"))
+            Err(bad(&format!("factor must be between 1 and {MAX_FACTOR}")))
         }
     };
     // `<prefix><a>` and `<prefix><a><sep><b>` heads.
@@ -378,5 +383,14 @@ mod tests {
         let edge = parse_schedule("crash:g0@18446744073709").unwrap();
         assert_eq!(edge[0].at_ms, MAX_MS);
         assert!(parse_schedule("storm:x1@18446744073000+709").is_ok());
+    }
+
+    #[test]
+    fn caps_factors_at_the_clock() {
+        for s in ["storm:x18446745@500+1000", "slow:n1x18446745@500+1000"] {
+            let err = parse_schedule(s).unwrap_err();
+            assert!(err.contains(s) && err.contains("factor"), "{s}: {err}");
+        }
+        assert!(parse_schedule("storm:x18446744@500+1000;slow:n1x18446744@500+1000").is_ok());
     }
 }

@@ -1,198 +1,10 @@
 //! Chaos run specifications and seeded generation.
 
-use gcr_group::{contiguous, form_groups, single, singletons, GroupDef};
-use gcr_mpi::{World, WorldOpts};
-use gcr_net::{Cluster, ClusterSpec, StorageTarget};
-use gcr_sim::{DetRng, Sim, SimDuration};
-use gcr_trace::Tracer;
-use gcr_workloads::{Cg, CgConfig, Hpl, HplConfig, Ring, RingConfig, Sp, SpConfig, Workload};
+use gcr_net::{ClusterSpec, StorageTarget};
+use gcr_sim::{DetRng, SimDuration};
 
+use crate::scenario::{Proto, Scenario, WorkloadKind};
 use crate::schedule::{format_schedule, ChaosEvent, Fault};
-
-/// Which workload skeleton a chaos run exercises. The scales are fixed
-/// small-but-nontrivial configurations (seconds of simulated time) so a
-/// generated schedule's injection instants land mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosWorkload {
-    /// Synthetic ring exchange, 8 ranks.
-    Ring,
-    /// NPB CG skeleton, 8 ranks.
-    Cg,
-    /// NPB SP skeleton, 9 ranks.
-    Sp,
-    /// HPL skeleton, 8 ranks.
-    Hpl,
-}
-
-impl ChaosWorkload {
-    /// All skeletons, in generation order.
-    pub const ALL: [ChaosWorkload; 4] = [
-        ChaosWorkload::Ring,
-        ChaosWorkload::Cg,
-        ChaosWorkload::Sp,
-        ChaosWorkload::Hpl,
-    ];
-
-    /// CLI / report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosWorkload::Ring => "ring",
-            ChaosWorkload::Cg => "cg",
-            ChaosWorkload::Sp => "sp",
-            ChaosWorkload::Hpl => "hpl",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "ring" => Ok(ChaosWorkload::Ring),
-            "cg" => Ok(ChaosWorkload::Cg),
-            "sp" => Ok(ChaosWorkload::Sp),
-            "hpl" => Ok(ChaosWorkload::Hpl),
-            other => Err(format!("unknown chaos workload `{other}` (ring|cg|sp|hpl)")),
-        }
-    }
-
-    /// Rank count of the skeleton.
-    pub fn n(&self) -> usize {
-        match self {
-            ChaosWorkload::Ring | ChaosWorkload::Cg | ChaosWorkload::Hpl => 8,
-            ChaosWorkload::Sp => 9,
-        }
-    }
-
-    /// Materialize the workload.
-    pub fn build(&self) -> Box<dyn Workload> {
-        match self {
-            ChaosWorkload::Ring => Box::new(Ring::new(RingConfig {
-                nprocs: 8,
-                iters: 400,
-                bytes: 48 * 1024,
-                compute_ms: 8,
-                image_bytes: 24 << 20,
-            })),
-            ChaosWorkload::Cg => Box::new(Cg::new(CgConfig {
-                niter: 3,
-                ..CgConfig::class_c(8)
-            })),
-            ChaosWorkload::Sp => Box::new(Sp::new(SpConfig {
-                niter: 20,
-                ..SpConfig::class_c(9)
-            })),
-            ChaosWorkload::Hpl => Box::new(Hpl::new(HplConfig {
-                n_matrix: 2_000,
-                ..HplConfig::paper(8)
-            })),
-        }
-    }
-
-    /// A truncated variant for the profiling (tracing) run that feeds
-    /// trace-based group formation.
-    fn build_profile(&self) -> Box<dyn Workload> {
-        match self {
-            ChaosWorkload::Ring => Box::new(Ring::new(RingConfig {
-                nprocs: 8,
-                iters: 3,
-                bytes: 48 * 1024,
-                compute_ms: 8,
-                image_bytes: 24 << 20,
-            })),
-            ChaosWorkload::Cg => Box::new(Cg::new(CgConfig {
-                niter: 1,
-                inner: 5,
-                ..CgConfig::class_c(8)
-            })),
-            ChaosWorkload::Sp => Box::new(Sp::new(SpConfig {
-                niter: 3,
-                ..SpConfig::class_c(9)
-            })),
-            ChaosWorkload::Hpl => Box::new(Hpl::new(HplConfig {
-                n_matrix: 16 * HplConfig::paper(8).nb,
-                ..HplConfig::paper(8)
-            })),
-        }
-    }
-}
-
-/// Which protocol a chaos run exercises (fixed parameterizations of the
-/// benchmark suite's protocol set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosProto {
-    /// Global blocking coordinated checkpointing (stock LAM/MPI).
-    Norm,
-    /// Trace-assisted groups (Algorithm 2, max size 4).
-    Gp,
-    /// Singleton groups: uncoordinated + full logging.
-    Gp1,
-    /// Four contiguous ad-hoc groups.
-    Gp4,
-    /// Non-blocking Chandy–Lamport (MPICH-VCL), remote servers.
-    Vcl,
-    /// Non-blocking collective-vector-clock checkpointing
-    /// (Xu & Cooperman), global cut, epoch piggybacks.
-    Cvc,
-    /// Blocking singleton groups with receiver-based logging
-    /// (Dichev & Nikolopoulos): restart replays from local receiver
-    /// logs, ack piggybacks trim sender logs to the unacked tail.
-    Rblog,
-}
-
-impl ChaosProto {
-    /// All protocols. The first five are the original generation set —
-    /// [`ChaosSpec::generate_for`] keeps drawing from that prefix so
-    /// every historical seed resolves to the same scenario; the matrix
-    /// harness and explicit `--proto` runs cover the full list.
-    pub const ALL: [ChaosProto; 7] = [
-        ChaosProto::Norm,
-        ChaosProto::Gp,
-        ChaosProto::Gp1,
-        ChaosProto::Gp4,
-        ChaosProto::Vcl,
-        ChaosProto::Cvc,
-        ChaosProto::Rblog,
-    ];
-
-    /// CLI / report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosProto::Norm => "norm",
-            ChaosProto::Gp => "gp",
-            ChaosProto::Gp1 => "gp1",
-            ChaosProto::Gp4 => "gp4",
-            ChaosProto::Vcl => "vcl",
-            ChaosProto::Cvc => "cvc",
-            ChaosProto::Rblog => "rblog",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "norm" => Ok(ChaosProto::Norm),
-            "gp" => Ok(ChaosProto::Gp),
-            "gp1" => Ok(ChaosProto::Gp1),
-            "gp4" => Ok(ChaosProto::Gp4),
-            "vcl" => Ok(ChaosProto::Vcl),
-            "cvc" => Ok(ChaosProto::Cvc),
-            "rblog" => Ok(ChaosProto::Rblog),
-            other => Err(format!(
-                "unknown chaos proto `{other}` (norm|gp|gp1|gp4|vcl|cvc|rblog)"
-            )),
-        }
-    }
-
-    /// Resolve the group definition (profiling run for [`ChaosProto::Gp`]).
-    pub fn resolve_groups(&self, workload: ChaosWorkload) -> GroupDef {
-        let n = workload.n();
-        match self {
-            ChaosProto::Gp => form_groups(&profile_trace(workload), 4),
-            ChaosProto::Gp1 | ChaosProto::Rblog => singletons(n),
-            ChaosProto::Gp4 => contiguous(n, 4),
-            ChaosProto::Norm | ChaosProto::Vcl | ChaosProto::Cvc => single(n),
-        }
-    }
-}
 
 /// Which checkpoint image backend a chaos run installs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,48 +27,11 @@ impl ChaosBackend {
 
     /// Parse a CLI label.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "disk" => Ok(ChaosBackend::Disk),
-            "restore" => Ok(ChaosBackend::Restore),
-            other => Err(format!("unknown chaos backend `{other}` (disk|restore)")),
-        }
+        [ChaosBackend::Disk, ChaosBackend::Restore]
+            .into_iter()
+            .find(|b| b.label() == s)
+            .ok_or_else(|| format!("unknown chaos backend `{s}` (disk|restore)"))
     }
-}
-
-/// World options shared by every chaos run (mirrors the benchmark
-/// runner's LAM/MPI-era settings).
-pub(crate) fn chaos_world_opts() -> WorldOpts {
-    WorldOpts {
-        compute_slice: SimDuration::from_millis(100),
-        eager_threshold: 128 * 1024,
-        ..WorldOpts::default()
-    }
-}
-
-/// The cluster a chaos run uses: Gideon-300 calibration with a milder
-/// base straggler model (prob 2%, mean 200 ms) so storm multipliers have
-/// headroom and bounded runtimes.
-pub(crate) fn chaos_cluster_spec(n: usize) -> ClusterSpec {
-    let mut spec = ClusterSpec::gideon300(n);
-    spec.straggler.prob = 0.02;
-    spec.straggler.mean = SimDuration::from_millis(200);
-    spec
-}
-
-/// Run the truncated profiling workload under a tracer (the paper's
-/// preparatory run) and return the trace for group formation.
-fn profile_trace(workload: ChaosWorkload) -> gcr_trace::Trace {
-    let wl = workload.build_profile();
-    let sim = Sim::new();
-    let mut spec = chaos_cluster_spec(wl.n());
-    spec.straggler = gcr_net::StragglerSpec::disabled();
-    let cluster = Cluster::new(&sim, spec);
-    let world = World::new(cluster, chaos_world_opts());
-    let tracer = Tracer::install(&world, wl.name());
-    wl.launch(&world);
-    // gcr-lint: allow(D03-T) the profiling pre-run injects no faults; a deadlock here is a workload bug the harness must fail loudly on
-    sim.run().expect("profiling run deadlocked");
-    tracer.take()
 }
 
 /// A complete chaos scenario: everything [`crate::run_chaos`] needs, and
@@ -266,10 +41,10 @@ pub struct ChaosSpec {
     /// Root seed: drives the simulation's random substreams (and, via
     /// [`ChaosSpec::generate`], the scenario itself).
     pub seed: u64,
-    /// The application skeleton.
-    pub workload: ChaosWorkload,
+    /// The application skeleton (its [`WorkloadKind::chaos`] set-up).
+    pub workload: WorkloadKind,
     /// The protocol under test.
-    pub proto: ChaosProto,
+    pub proto: Proto,
     /// Image/log storage target.
     pub storage: StorageTarget,
     /// Checkpoint interval (first wave at this offset, then periodic).
@@ -306,10 +81,11 @@ impl ChaosSpec {
     /// include replica loss (kind modulus 8) and defaults to k = 2.
     pub fn generate_for(seed: u64, backend: ChaosBackend) -> Self {
         let mut rng = DetRng::new(seed).fork("chaos-spec");
-        let workload = ChaosWorkload::ALL[rng.index(4)];
-        let proto = ChaosProto::ALL[rng.index(5)];
+        let workload = WorkloadKind::ALL[rng.index(4)];
+        let proto = Proto::ALL[rng.index(5)];
+        let n = || workload.chaos().n() as u64;
         // VCL is the remote-server baseline; others go remote 30% of runs.
-        let storage = if proto == ChaosProto::Vcl || rng.chance(0.3) {
+        let storage = if proto == Proto::Vcl || rng.chance(0.3) {
             StorageTarget::Remote
         } else {
             StorageTarget::Local
@@ -339,7 +115,7 @@ impl ChaosSpec {
                     server: rng.range_u64(0, 8),
                 },
                 4 => Fault::TornWrite {
-                    node: rng.range_u64(0, workload.n() as u64),
+                    node: rng.range_u64(0, n()),
                     count: rng.range_u64(1, 4),
                 },
                 5 => Fault::CorruptImage {
@@ -362,7 +138,7 @@ impl ChaosSpec {
                 // Kind 3, and 2 when the run uses local storage.
                 _ => Fault::Slow {
                     dur_ms: rng.range_u64(300, 1501),
-                    node: rng.range_u64(0, workload.n() as u64),
+                    node: rng.range_u64(0, n()),
                     factor: rng.range_u64(2, 7),
                 },
             };
@@ -383,6 +159,30 @@ impl ChaosSpec {
         }
     }
 
+    /// The scenario the spec runs: the workload's chaos skeleton on
+    /// Gideon-300 with a milder base straggler model (prob 2%, mean
+    /// 200 ms) so storm multipliers have headroom and bounded runtimes.
+    pub fn scenario(&self) -> Scenario {
+        let workload = self.workload.chaos();
+        let mut cluster = ClusterSpec::gideon300(workload.n());
+        cluster.straggler.prob = 0.02;
+        cluster.straggler.mean = SimDuration::from_millis(200);
+        Scenario {
+            workload,
+            proto: self.proto,
+            storage: self.storage,
+            backend: self.backend,
+            replication: self.replication,
+            cluster,
+            groups: None,
+            seed: self.seed,
+            shards: self.shards,
+            stragglers: true,
+            piggyback_gc: true,
+            gc_overshoot: self.gc_overshoot,
+        }
+    }
+
     /// The schedule in its compact replayable string form.
     pub fn schedule_string(&self) -> String {
         format_schedule(&self.schedule)
@@ -391,16 +191,12 @@ impl ChaosSpec {
 
 /// The one-line command that reproduces this exact scenario.
 pub fn repro_command(spec: &ChaosSpec) -> String {
-    let storage = match spec.storage {
-        StorageTarget::Local => "local",
-        StorageTarget::Remote => "remote",
-    };
     let mut cmd = format!(
         "gcrsim chaos --seed {} --workload {} --proto {} --storage {} --interval-ms {}",
         spec.seed,
         spec.workload.label(),
         spec.proto.label(),
-        storage,
+        spec.storage.label(),
         spec.interval_ms,
     );
     if spec.gc_overshoot > 0 {

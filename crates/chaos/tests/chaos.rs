@@ -4,16 +4,16 @@
 //! and seeded sweeps.
 
 use gcr_chaos::{
-    parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosProto, ChaosSpec,
-    ChaosWorkload,
+    parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosSpec, Proto,
+    WorkloadKind,
 };
 use gcr_net::StorageTarget;
 
 /// Hand-built spec: one place to keep the field defaults.
 fn spec(
     seed: u64,
-    workload: ChaosWorkload,
-    proto: ChaosProto,
+    workload: WorkloadKind,
+    proto: Proto,
     storage: StorageTarget,
     interval_ms: u64,
     schedule: &str,
@@ -36,20 +36,13 @@ fn spec(
 /// crash (and hence a full group recovery) inside the run.
 #[test]
 fn determinism_per_protocol() {
-    for proto in ChaosProto::ALL {
-        let storage = if proto == ChaosProto::Vcl {
+    for proto in Proto::ALL {
+        let storage = if proto == Proto::Vcl {
             StorageTarget::Remote
         } else {
             StorageTarget::Local
         };
-        let s = spec(
-            42,
-            ChaosWorkload::Ring,
-            proto,
-            storage,
-            700,
-            "crash:g1@2000",
-        );
+        let s = spec(42, WorkloadKind::Ring, proto, storage, 700, "crash:g1@2000");
         let a = run_chaos(&s);
         let b = run_chaos(&s);
         assert!(a.passed(), "{}: {:?}", proto.label(), a.violations);
@@ -68,8 +61,8 @@ fn determinism_per_protocol() {
 fn verified_run_detects_no_spurious_nondeterminism() {
     let s = spec(
         7,
-        ChaosWorkload::Hpl,
-        ChaosProto::Gp,
+        WorkloadKind::Hpl,
+        Proto::Gp { max_size: 4 },
         StorageTarget::Local,
         900,
         "crash:g0@1500",
@@ -97,8 +90,8 @@ fn gc_piggyback_never_discards_needed_bytes_across_waves() {
     {
         let s = spec(
             100 + case as u64,
-            ChaosWorkload::Cg,
-            ChaosProto::Gp4,
+            WorkloadKind::Cg,
+            Proto::GpK { k: 4 },
             StorageTarget::Local,
             600,
             schedule,
@@ -126,8 +119,8 @@ fn gc_piggyback_never_discards_needed_bytes_across_waves() {
 fn back_to_back_failures_of_two_groups() {
     let s = spec(
         55,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Local,
         700,
         "crash:g0@2500;crash:g1@2550",
@@ -153,8 +146,8 @@ fn back_to_back_failures_of_two_groups() {
 fn crash_during_storm_and_slow_links() {
     let s = spec(
         9,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Remote,
         500,
         "storm:x6@1000+4000;slow:n2x5@1500+4000;crash:g1@2600;outage:s1@2000+2500",
@@ -174,8 +167,8 @@ fn shrinker_minimizes_broken_gc_config() {
     // Seed 3 generates a 4-event schedule; force the bidirectional
     // inter-group configuration where piggyback GC actually runs.
     let mut broken = ChaosSpec::generate(3);
-    broken.workload = ChaosWorkload::Cg;
-    broken.proto = ChaosProto::Gp4;
+    broken.workload = WorkloadKind::Cg;
+    broken.proto = Proto::GpK { k: 4 };
     broken.storage = StorageTarget::Local;
     broken.gc_overshoot = 1 << 16;
     assert_eq!(broken.schedule.len(), 4);
@@ -220,8 +213,8 @@ fn crash_during_checkpoint_falls_back_to_committed_generation() {
     for phase in 0..3u64 {
         let s = spec(
             60 + phase,
-            ChaosWorkload::Cg,
-            ChaosProto::Gp4,
+            WorkloadKind::Cg,
+            Proto::GpK { k: 4 },
             StorageTarget::Local,
             600,
             &format!("crashckpt:g1p{phase}@2000"),
@@ -251,8 +244,8 @@ fn crash_during_checkpoint_falls_back_to_committed_generation() {
 fn corrupt_newest_image_falls_back_a_generation() {
     let s = spec(
         70,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Local,
         600,
         "corrupt:g1@2500",
@@ -281,8 +274,8 @@ fn torn_writes_never_break_recovery() {
     {
         let s = spec(
             80 + case as u64,
-            ChaosWorkload::Cg,
-            ChaosProto::Gp4,
+            WorkloadKind::Cg,
+            Proto::GpK { k: 4 },
             StorageTarget::Local,
             600,
             schedule,
@@ -302,8 +295,8 @@ fn torn_write_counts_saturate_instead_of_wrapping() {
     let run = |schedule: &str| {
         let r = run_chaos_verified(&spec(
             70,
-            ChaosWorkload::Cg,
-            ChaosProto::Gp4,
+            WorkloadKind::Cg,
+            Proto::GpK { k: 4 },
             StorageTarget::Local,
             600,
             schedule,
@@ -322,8 +315,8 @@ fn torn_write_counts_saturate_instead_of_wrapping() {
 fn shrink_returns_none_for_passing_spec() {
     let s = spec(
         1,
-        ChaosWorkload::Ring,
-        ChaosProto::Norm,
+        WorkloadKind::Ring,
+        Proto::Norm,
         StorageTarget::Local,
         700,
         "crash:g0@2000",

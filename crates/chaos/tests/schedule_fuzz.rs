@@ -2,8 +2,9 @@
 //! built from valid event pieces, hostile numbers, the grammar's
 //! separators and multi-byte characters must parse without panicking;
 //! every accepted schedule must survive a format/parse round trip, and
-//! every accepted event must be one the engine can inject (factors at
-//! least 1, instant and window end inside the 64-bit nanosecond clock).
+//! every accepted event must be one the engine can inject (factors from
+//! 1 to the clock-derived cap, instant and window end inside the 64-bit
+//! nanosecond clock).
 
 use gcr_chaos::{format_schedule, parse_schedule, ChaosEvent, Fault};
 
@@ -143,7 +144,9 @@ fn injectable(ev: &ChaosEvent) -> bool {
         _ => (0, 1),
     };
     let fits = |ms: u64| ms.checked_mul(1_000_000).is_some();
-    factor >= 1 && fits(ev.at_ms) && ev.at_ms.checked_add(dur_ms).is_some_and(fits)
+    (1..=18_446_744).contains(&factor)
+        && fits(ev.at_ms)
+        && ev.at_ms.checked_add(dur_ms).is_some_and(fits)
 }
 
 #[test]

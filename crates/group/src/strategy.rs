@@ -1,65 +1,9 @@
-//! The grouping strategies compared in the paper's evaluation (§5.1).
-
-use gcr_trace::Trace;
+//! The fixed group shapes of the paper's evaluation (§5.1): one group
+//! per process (`GP1`), one global group (`NORM`) and `k` contiguous
+//! groups (`GP4`). `GP`'s trace-assisted groups come from
+//! [`crate::form_groups`].
 
 use crate::def::GroupDef;
-use crate::formation::form_groups;
-
-/// The four grouping modes of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// `GP` — trace-assisted formation (Algorithm 2) with max group size.
-    Trace {
-        /// Maximum group size `G`.
-        max_size: usize,
-    },
-    /// `GP1` — one process per group: uncoordinated checkpointing with
-    /// full message logging.
-    Singletons,
-    /// `GP4`-style ad-hoc grouping: `k` groups of sequential ranks.
-    Contiguous {
-        /// Number of groups.
-        groups: usize,
-    },
-    /// `NORM` — one global group: plain coordinated checkpointing.
-    Single,
-}
-
-impl Strategy {
-    /// The paper's `GP4` (four contiguous groups).
-    pub fn gp4() -> Strategy {
-        Strategy::Contiguous { groups: 4 }
-    }
-
-    /// Display label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::Trace { .. } => "GP",
-            Strategy::Singletons => "GP1",
-            Strategy::Contiguous { .. } => "GP4",
-            Strategy::Single => "NORM",
-        }
-    }
-
-    /// Materialize the strategy into a [`GroupDef`]. `trace` is only
-    /// required for [`Strategy::Trace`].
-    ///
-    /// # Panics
-    /// Panics if `Strategy::Trace` is used without a trace, or parameters
-    /// are degenerate (0 groups, contiguous groups > n).
-    pub fn build(&self, n: usize, trace: Option<&Trace>) -> GroupDef {
-        match *self {
-            Strategy::Trace { max_size } => {
-                let tr = trace.expect("Strategy::Trace requires a communication trace");
-                assert_eq!(tr.meta.n, n, "trace world size mismatch");
-                form_groups(tr, max_size)
-            }
-            Strategy::Singletons => singletons(n),
-            Strategy::Contiguous { groups } => contiguous(n, groups),
-            Strategy::Single => single(n),
-        }
-    }
-}
 
 /// One group per process (`GP1`).
 pub fn singletons(n: usize) -> GroupDef {
@@ -122,26 +66,5 @@ mod tests {
         let sizes: Vec<usize> = def.groups().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         assert_eq!(def.members(0), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn labels_match_paper() {
-        assert_eq!(Strategy::Trace { max_size: 8 }.label(), "GP");
-        assert_eq!(Strategy::Singletons.label(), "GP1");
-        assert_eq!(Strategy::gp4().label(), "GP4");
-        assert_eq!(Strategy::Single.label(), "NORM");
-    }
-
-    #[test]
-    fn build_dispatches() {
-        assert_eq!(Strategy::Singletons.build(4, None).group_count(), 4);
-        assert_eq!(Strategy::Single.build(4, None).group_count(), 1);
-        assert_eq!(Strategy::gp4().build(8, None).group_count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a communication trace")]
-    fn trace_strategy_needs_trace() {
-        let _ = Strategy::Trace { max_size: 4 }.build(4, None);
     }
 }

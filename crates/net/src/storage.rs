@@ -41,6 +41,24 @@ pub enum StorageTarget {
     Remote,
 }
 
+impl StorageTarget {
+    /// CLI / report label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            StorageTarget::Local => "local",
+            StorageTarget::Remote => "remote",
+        }
+    }
+
+    /// Parse a CLI label.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        [StorageTarget::Local, StorageTarget::Remote]
+            .into_iter()
+            .find(|t| t.label() == s)
+            .ok_or_else(|| format!("unknown storage '{s}' (local|remote)"))
+    }
+}
+
 /// The cluster's storage subsystem.
 pub struct Storage {
     sim: Sim,

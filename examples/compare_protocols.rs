@@ -9,45 +9,34 @@
 use std::rc::Rc;
 
 use gcr::prelude::*;
-use gcr_group::Strategy;
 
-fn run(strategy: Strategy) -> (f64, f64, f64, u64) {
+fn run(proto: Proto) -> (f64, f64, f64, u64) {
     let n = 16;
     let sim = Sim::new();
     let cluster = Cluster::new(&sim, ClusterSpec::gideon300(n));
     let world = World::new(cluster, WorldOpts::default());
 
-    let app = Stencil::new(StencilConfig {
-        rows: 4,
-        cols: 4,
-        iters: 400,
-        ew_bytes: 96 * 1024, // heavy east–west → rows are the natural groups
-        ns_bytes: 8 * 1024,
-        compute_ms: 40,
-        image_bytes: 96 << 20,
-    });
+    // Heavy east–west traffic → rows are the natural groups.
+    let app = Stencil::new(app_config());
 
-    // Trace-based strategies need a short profiling run.
-    let groups = match strategy {
-        Strategy::Trace { .. } => {
-            let psim = Sim::new();
-            let pcluster = Cluster::new(&psim, ClusterSpec::gideon300(n));
-            let pworld = World::new(pcluster, WorldOpts::default());
-            let tracer = Tracer::install(&pworld, "stencil-profile");
-            Stencil::new(StencilConfig {
-                iters: 5,
-                ..app_config()
-            })
-            .launch(&pworld);
-            psim.run().unwrap();
-            strategy.build(n, Some(&tracer.take()))
-        }
-        _ => strategy.build(n, None),
-    };
+    // Trace-based groups need a short profiling run.
+    let groups = proto.groups_with(n, || {
+        let psim = Sim::new();
+        let pcluster = Cluster::new(&psim, ClusterSpec::gideon300(n));
+        let pworld = World::new(pcluster, WorldOpts::default());
+        let tracer = Tracer::install(&pworld, "stencil-profile");
+        Stencil::new(StencilConfig {
+            iters: 5,
+            ..app_config()
+        })
+        .launch(&pworld);
+        psim.run().unwrap();
+        tracer.take()
+    });
 
     app.launch(&world);
     let cfg = CkptConfig::uniform(n, 96 << 20, StorageTarget::Local);
-    let rt = CkptRuntime::install(&world, Rc::new(groups), Mode::Blocking, cfg);
+    let rt = CkptRuntime::install(&world, Rc::new(groups), proto.mode(), cfg);
     {
         let (rt, world) = (rt.clone(), world.clone());
         sim.spawn(async move {
@@ -86,16 +75,16 @@ fn main() {
         "{:<6} {:>10} {:>14} {:>14} {:>12}",
         "mode", "exec (s)", "agg ckpt (s)", "agg restart", "resend (B)"
     );
-    for strategy in [
-        Strategy::Trace { max_size: 4 },
-        Strategy::Singletons,
-        Strategy::gp4(),
-        Strategy::Single,
+    for proto in [
+        Proto::Gp { max_size: 4 },
+        Proto::Gp1,
+        Proto::GpK { k: 4 },
+        Proto::Norm,
     ] {
-        let (exec, ckpt, restart, resend) = run(strategy);
+        let (exec, ckpt, restart, resend) = run(proto);
         println!(
             "{:<6} {:>10.1} {:>14.1} {:>14.1} {:>12}",
-            strategy.label(),
+            proto.label().to_uppercase(),
             exec,
             ckpt,
             restart,

@@ -13,16 +13,15 @@
 //! ```
 
 use gcr_bench::kernel::{report_json, run_kernel, KernelSpec};
-use gcr_bench::{profile_trace, run_one, Proto, RunSpec, Schedule, WorkloadSpec};
+use gcr_bench::{profile_trace, run_one, RunSpec, Schedule};
 use gcr_chaos::{
-    parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosEvent, ChaosProto,
-    ChaosSpec, ChaosWorkload,
+    parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosEvent, ChaosSpec,
+    Proto, WorkloadKind,
 };
 use gcr_group::{detect_phases, form_groups};
 use gcr_net::StorageTarget;
 use gcr_sim::SimDuration;
 use gcr_trace::io as trace_io;
-use gcr_workloads::{CgConfig, HplConfig, RingConfig, SpConfig};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,9 +110,9 @@ pub struct ChaosArgs {
     /// Number of consecutive seeds to sweep.
     pub runs: u64,
     /// Workload override.
-    pub workload: Option<ChaosWorkload>,
+    pub workload: Option<WorkloadKind>,
     /// Protocol override.
-    pub proto: Option<ChaosProto>,
+    pub proto: Option<Proto>,
     /// Storage override.
     pub storage: Option<StorageTarget>,
     /// Checkpoint interval override (ms).
@@ -145,19 +144,6 @@ pub struct WorkloadArg {
     pub kind: WorkloadKind,
     /// Process count.
     pub procs: usize,
-}
-
-/// Supported workload families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// High Performance Linpack (paper §5.1 config).
-    Hpl,
-    /// NPB CG class C.
-    Cg,
-    /// NPB SP class C.
-    Sp,
-    /// Synthetic ring.
-    Ring,
 }
 
 /// Arguments of the `run` subcommand.
@@ -200,7 +186,8 @@ pub const USAGE: &str = "\
 gcrsim — group-based checkpoint/restart simulator (IPDPS 2008 reproduction)
 
 USAGE:
-  gcrsim run    --workload <hpl|cg|sp|ring> --procs N --proto <gp|gp1|gp4|norm|vcl>
+  gcrsim run    --workload <hpl|cg|sp|ring> --procs N
+                --proto <norm|gp|gp1|gp4|vcl|cvc|rblog>
                 [--g G] [--ckpt-at S | --interval S] [--remote] [--restart]
                 [--seed X] [--json]
   gcrsim trace  --workload <hpl|cg|sp|ring> --procs N --out FILE
@@ -307,13 +294,7 @@ fn parse_list(v: &str, flag: &str) -> Result<Vec<usize>, CliError> {
 }
 
 fn parse_workload(f: &Flags) -> Result<WorkloadArg, CliError> {
-    let kind = match f.require("--workload")? {
-        "hpl" => WorkloadKind::Hpl,
-        "cg" => WorkloadKind::Cg,
-        "sp" => WorkloadKind::Sp,
-        "ring" => WorkloadKind::Ring,
-        other => return Err(err(format!("unknown workload '{other}'"))),
-    };
+    let kind = WorkloadKind::parse(f.require("--workload")?).map_err(err)?;
     let procs: usize = f.parse_num("--procs")?;
     validate_procs(kind, procs)?;
     Ok(WorkloadArg { kind, procs })
@@ -340,22 +321,6 @@ fn validate_procs(kind: WorkloadKind, procs: usize) -> Result<(), CliError> {
     }
 }
 
-/// Materialize a [`WorkloadSpec`] from the CLI selector.
-pub fn workload_spec(w: WorkloadArg) -> WorkloadSpec {
-    match w.kind {
-        WorkloadKind::Hpl => WorkloadSpec::Hpl(HplConfig::paper(w.procs)),
-        WorkloadKind::Cg => WorkloadSpec::Cg(CgConfig::class_c(w.procs)),
-        WorkloadKind::Sp => WorkloadSpec::Sp(SpConfig::class_c(w.procs)),
-        WorkloadKind::Ring => WorkloadSpec::Ring(RingConfig {
-            nprocs: w.procs,
-            iters: 200,
-            bytes: 32 * 1024,
-            compute_ms: 10,
-            image_bytes: 64 << 20,
-        }),
-    }
-}
-
 /// Parse a full command line (without argv\[0\]).
 ///
 /// # Errors
@@ -370,13 +335,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if g == 0 {
                 return Err(err("--g must be at least 1"));
             }
-            let proto = match f.require("--proto")? {
-                "gp" => Proto::Gp { max_size: g },
-                "gp1" => Proto::Gp1,
-                "gp4" => Proto::GpK { k: 4 },
-                "norm" => Proto::Norm,
-                "vcl" => Proto::Vcl,
-                other => return Err(err(format!("unknown protocol '{other}'"))),
+            let proto = match Proto::parse(f.require("--proto")?).map_err(err)? {
+                Proto::Gp { .. } => Proto::Gp { max_size: g },
+                p => p,
             };
             let schedule = match (f.get("--ckpt-at"), f.get("--interval")) {
                 (Some(_), Some(_)) => {
@@ -425,22 +386,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "chaos" => {
             let workload = f
                 .get("--workload")
-                .map(ChaosWorkload::parse)
+                .map(WorkloadKind::parse)
                 .transpose()
                 .map_err(err)?;
             let proto = f
                 .get("--proto")
-                .map(ChaosProto::parse)
+                .map(Proto::parse)
                 .transpose()
                 .map_err(err)?;
-            let storage = match f.get("--storage") {
-                None => None,
-                Some("local") => Some(StorageTarget::Local),
-                Some("remote") => Some(StorageTarget::Remote),
-                Some(other) => {
-                    return Err(err(format!("unknown storage '{other}' (local|remote)")))
-                }
-            };
+            let storage = f
+                .get("--storage")
+                .map(StorageTarget::parse)
+                .transpose()
+                .map_err(err)?;
             let interval_ms = f
                 .get("--interval-ms")
                 .map(|v| parse_millis(v, "--interval-ms"))
@@ -546,8 +504,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 pub fn execute(cmd: Command) -> Result<String, CliError> {
     match cmd {
         Command::Run(args) => {
-            let mut spec = RunSpec::new(workload_spec(args.workload), args.proto, args.schedule)
-                .with_seed(args.seed);
+            let workload = args.workload.kind.paper(args.workload.procs);
+            let mut spec = RunSpec::new(workload, args.proto, args.schedule).with_seed(args.seed);
             if args.remote {
                 spec = spec.with_remote_storage();
             }
@@ -572,7 +530,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 Ok(format!(
                     "proto {:>4}: exec {:.1}s, {} ckpt wave(s), agg ckpt {:.1}s, \
                      agg coord {:.1}s, agg restart {:.1}s, resend {} B / {} ops, {} group(s)",
-                    args.proto.label(),
+                    args.proto.label().to_uppercase(),
                     r.exec_s,
                     r.waves,
                     r.agg_ckpt_s,
@@ -585,7 +543,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             }
         }
         Command::Trace { workload, out } => {
-            let trace = profile_trace(&workload_spec(workload));
+            let trace = profile_trace(&workload.kind.paper(workload.procs));
             trace_io::save_json(&trace, &out).map_err(|e| err(e.to_string()))?;
             Ok(format!(
                 "wrote {} send records to {out}",
@@ -951,6 +909,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_stretch_factors_that_overflow_the_clock() {
+        // Both used to pass the grammar and panic mid-run with a
+        // `SimTime` overflow.
+        for event in [
+            "storm:x1000000000000000@500+1000",
+            "slow:n1x1000000000000000@500+1000",
+        ] {
+            let line = format!("chaos --seed 1 --no-shrink --schedule {event}");
+            let e = parse(&argv(&line)).unwrap_err();
+            assert!(e.0.contains(event) && e.0.contains("factor"), "{line}: {e}");
+        }
+    }
+
+    #[test]
     fn unknown_subcommand_shows_usage() {
         let e = parse(&argv("frobnicate")).unwrap_err();
         assert!(e.0.contains("USAGE"));
@@ -1009,8 +981,8 @@ mod tests {
             Command::Chaos(a) => {
                 assert_eq!(a.seed, 3);
                 assert_eq!(a.runs, 1);
-                assert_eq!(a.workload, Some(ChaosWorkload::Cg));
-                assert_eq!(a.proto, Some(ChaosProto::Gp4));
+                assert_eq!(a.workload, Some(WorkloadKind::Cg));
+                assert_eq!(a.proto, Some(Proto::GpK { k: 4 }));
                 assert_eq!(a.storage, Some(StorageTarget::Local));
                 assert_eq!(a.interval_ms, Some(800));
                 assert_eq!(a.gc_overshoot, Some(65536));

@@ -61,8 +61,9 @@ pub use gcr_workloads as workloads;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
+    pub use gcr_chaos::Proto;
     pub use gcr_ckpt::{CkptConfig, CkptRuntime, Metrics, Mode};
-    pub use gcr_group::{form_groups, GroupDef, Strategy};
+    pub use gcr_group::{form_groups, GroupDef};
     pub use gcr_mpi::{Comm, Rank, RankCtx, SrcSel, World, WorldOpts};
     pub use gcr_net::{Cluster, ClusterSpec, StorageTarget};
     pub use gcr_sim::{DetRng, Sim, SimDuration, SimTime};

@@ -7,9 +7,11 @@
 //! count reproduces the original single-heap executor bit-for-bit.
 
 use gcr_bench::kernel::{report_json, run_kernel, validate_report, KernelSpec};
-use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosProto, ChaosSpec, ChaosWorkload};
+use gcr_bench::{run_one, RunSpec, Schedule, WorkloadSpec};
+use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
 use gcr_json::Json;
 use gcr_net::StorageTarget;
+use gcr_workloads::RingConfig;
 
 /// Digests of the pinned scenario (seed 0xD1CE, ring workload, local
 /// storage, 700 ms interval, `crash:g1@2500`). The first five were
@@ -17,14 +19,14 @@ use gcr_net::StorageTarget;
 /// refactor. The `Cvc` and `Rblog` pins were captured later, on the
 /// sharded executor just before the sender- and receiver-based restart
 /// paths were merged into one, so they guard that merge.
-const PINNED: [(ChaosProto, u64); 7] = [
-    (ChaosProto::Norm, 0xaa0753172d701950),
-    (ChaosProto::Gp, 0x3638182098136693),
-    (ChaosProto::Gp1, 0x85db100133b6753e),
-    (ChaosProto::Gp4, 0x994ab282c0502e59),
-    (ChaosProto::Vcl, 0x3b1eea16a89df404),
-    (ChaosProto::Cvc, 0x63bd4fee771a7ce2),
-    (ChaosProto::Rblog, 0x7530a15a2a6cc0e0),
+const PINNED: [(Proto, u64); 7] = [
+    (Proto::Norm, 0xaa0753172d701950),
+    (Proto::Gp { max_size: 4 }, 0x3638182098136693),
+    (Proto::Gp1, 0x85db100133b6753e),
+    (Proto::GpK { k: 4 }, 0x994ab282c0502e59),
+    (Proto::Vcl, 0x3b1eea16a89df404),
+    (Proto::Cvc, 0x63bd4fee771a7ce2),
+    (Proto::Rblog, 0x7530a15a2a6cc0e0),
 ];
 
 #[test]
@@ -32,7 +34,7 @@ fn one_shard_digests_match_the_pre_refactor_pins() {
     for (proto, want) in PINNED {
         let spec = ChaosSpec {
             seed: 0xD1CE,
-            workload: ChaosWorkload::Ring,
+            workload: WorkloadKind::Ring,
             proto,
             storage: StorageTarget::Local,
             interval_ms: 700,
@@ -48,6 +50,46 @@ fn one_shard_digests_match_the_pre_refactor_pins() {
             want,
             "{}: 1-shard digest {got:#018x} != pin {want:#018x} — \
              observable behavior changed",
+            proto.label()
+        );
+    }
+}
+
+/// Digests (FNV-1a of the `Debug` form) of `run_one`'s `RunResult` for a
+/// small ring under each protocol: waves every 0.5 s, then a full
+/// restart. The five paper protocols were captured on `run_one`'s own
+/// set-up code, before it was shared with `run_chaos`; the CVC and
+/// receiver-based logging rows were added once `RunSpec` could name them.
+const RUN_ONE_PINNED: [(Proto, u64); 7] = [
+    (Proto::Norm, 0xb8a51f771a0e9cf4),
+    (Proto::Gp { max_size: 4 }, 0x69fd3b6d53055096),
+    (Proto::Gp1, 0x124d4fa6884ee5df),
+    (Proto::GpK { k: 4 }, 0x3377c96cde42d1cf),
+    (Proto::Vcl, 0x4ca77cc9242a7b40),
+    (Proto::Cvc, 0xd26678a9833704c7),
+    (Proto::Rblog, 0x76b99ceeebc1e90d),
+];
+
+#[test]
+fn run_one_digests_match_the_pins() {
+    for (proto, want) in RUN_ONE_PINNED {
+        let workload = WorkloadSpec::Ring(RingConfig {
+            nprocs: 8,
+            iters: 120,
+            bytes: 32 * 1024,
+            compute_ms: 10,
+            image_bytes: 16 << 20,
+        });
+        let every = Schedule::Interval {
+            start_s: 0.5,
+            every_s: 0.5,
+        };
+        let r = run_one(&RunSpec::new(workload, proto, every).with_restart());
+        let got = gcr_sim::fnv1a(format!("{r:?}").as_bytes());
+        assert_eq!(
+            got,
+            want,
+            "{}: run_one digest {got:#018x} != pin {want:#018x} — {r:?}",
             proto.label()
         );
     }

@@ -8,7 +8,7 @@
 //! half is the contract that makes the sharded kernel a refactor rather
 //! than a semantics change: shard count is a layout knob, never an input.
 
-use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosProto, ChaosSpec};
+use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
 use gcr_net::StorageTarget;
 
 /// Shard counts exercised by the matrix.
@@ -17,10 +17,10 @@ const SHARD_MATRIX: [usize; 3] = [1, 4, 16];
 /// A fixed scenario per protocol: ring workload (fast), one mid-run group
 /// crash, local storage. The schedule exercises the full recovery path —
 /// halt, volume exchange, replay — where nondeterminism likes to hide.
-fn spec_for(proto: ChaosProto, shards: usize) -> ChaosSpec {
+fn spec_for(proto: Proto, shards: usize) -> ChaosSpec {
     ChaosSpec {
         seed: 0xD1CE,
-        workload: gcr_chaos::ChaosWorkload::Ring,
+        workload: WorkloadKind::Ring,
         proto,
         storage: StorageTarget::Local,
         interval_ms: 700,
@@ -36,10 +36,10 @@ fn spec_for(proto: ChaosProto, shards: usize) -> ChaosSpec {
 /// protocol's fixed scenario twice at the given shard count, require the
 /// oracles to hold, and require the two reports to be bit-identical.
 /// Returns the digest and the dumped report for cross-shard comparison.
-/// Iterating [`ChaosProto::ALL`] means a protocol added to the chaos
+/// Iterating [`Proto::ALL`] means a protocol added to the chaos
 /// vocabulary is enrolled here automatically — there is no separate
 /// registration step to forget.
-fn assert_conformant(proto: ChaosProto, shards: usize) -> (u64, String) {
+fn assert_conformant(proto: Proto, shards: usize) -> (u64, String) {
     let spec = spec_for(proto, shards);
     let a = run_chaos(&spec);
     let b = run_chaos(&spec);
@@ -69,7 +69,7 @@ fn assert_conformant(proto: ChaosProto, shards: usize) -> (u64, String) {
 
 #[test]
 fn every_protocol_is_bit_deterministic_under_chaos() {
-    for proto in ChaosProto::ALL {
+    for proto in Proto::ALL {
         assert_conformant(proto, 1);
     }
 }
@@ -79,7 +79,7 @@ fn every_protocol_is_bit_deterministic_under_chaos() {
 /// each count AND identical across counts for the same seed.
 #[test]
 fn shard_count_matrix_is_bit_identical() {
-    for proto in ChaosProto::ALL {
+    for proto in Proto::ALL {
         let mut baseline: Option<(u64, String)> = None;
         for &shards in &SHARD_MATRIX {
             let (digest, dump) = assert_conformant(proto, shards);

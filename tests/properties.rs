@@ -710,15 +710,15 @@ fn cvc_piggybacked_epochs_keep_every_cut_consistent() {
 
     // Whole-system half: a mid-run group crash under Mode::Cvc must
     // leave every oracle green — including the engine's orphan oracle.
-    use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosProto, ChaosSpec};
+    use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
     use gcr_net::StorageTarget as ChaosStorage;
     for case in 0..6u64 {
         let mut rng = DetRng::new(0xA160_0008).fork("chaos").fork_idx(case);
         let at_ms = rng.range_u64(1500, 3500);
         let spec = ChaosSpec {
             seed: 0xC0C0 + case,
-            workload: gcr_chaos::ChaosWorkload::Ring,
-            proto: ChaosProto::Cvc,
+            workload: WorkloadKind::Ring,
+            proto: Proto::Cvc,
             storage: ChaosStorage::Local,
             interval_ms: rng.range_u64(500, 900),
             gc_overshoot: 0,

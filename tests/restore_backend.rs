@@ -13,16 +13,15 @@
 //! loss during rebuild, and determinism of the replicated plane.
 
 use gcr_chaos::{
-    parse_schedule, run_chaos, run_chaos_verified, ChaosBackend, ChaosProto, ChaosSpec,
-    ChaosWorkload,
+    parse_schedule, run_chaos, run_chaos_verified, ChaosBackend, ChaosSpec, Proto, WorkloadKind,
 };
 use gcr_net::StorageTarget;
 
 /// A restore-backend spec with replication k over an explicit schedule.
 fn restore_spec(
     seed: u64,
-    workload: ChaosWorkload,
-    proto: ChaosProto,
+    workload: WorkloadKind,
+    proto: Proto,
     storage: StorageTarget,
     interval_ms: u64,
     k: usize,
@@ -51,10 +50,10 @@ fn restore_spec(
 /// required three-plus groups.
 #[test]
 fn single_group_crash_recovers_from_peer_memory_across_protocols() {
-    for proto in [ChaosProto::Gp1, ChaosProto::Gp4] {
+    for proto in [Proto::Gp1, Proto::GpK { k: 4 }] {
         let s = restore_spec(
             0xBEE5,
-            ChaosWorkload::Cg,
+            WorkloadKind::Cg,
             proto,
             StorageTarget::Remote,
             600,
@@ -106,8 +105,8 @@ fn single_group_topology_degrades_typed_and_falls_back_to_disk() {
     // ≤ k − 1 bound (zero failures for k = 1) is legitimately exceeded.
     let s = restore_spec(
         0xBEE5,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp,
+        WorkloadKind::Cg,
+        Proto::Gp { max_size: 4 },
         StorageTarget::Remote,
         600,
         1,
@@ -120,8 +119,8 @@ fn single_group_topology_degrades_typed_and_falls_back_to_disk() {
 
     let s = restore_spec(
         0xBEE5,
-        ChaosWorkload::Cg,
-        ChaosProto::Norm,
+        WorkloadKind::Cg,
+        Proto::Norm,
         StorageTarget::Remote,
         600,
         2,
@@ -145,8 +144,8 @@ fn single_group_topology_degrades_typed_and_falls_back_to_disk() {
 fn replica_loss_is_repaired_before_the_next_crash() {
     let s = restore_spec(
         0xCAFE,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Remote,
         600,
         2,
@@ -171,8 +170,8 @@ fn rebuild_faults_retry_or_degrade_typed_never_abort() {
     // Phase 0: transient — healed by retry.
     let s = restore_spec(
         0xD00D,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Remote,
         600,
         2,
@@ -191,8 +190,8 @@ fn rebuild_faults_retry_or_degrade_typed_never_abort() {
     // later restart is allowed to fall back to the remote servers.
     let s = restore_spec(
         0xD00D,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Remote,
         600,
         2,
@@ -214,8 +213,8 @@ fn rebuild_faults_retry_or_degrade_typed_never_abort() {
 fn serialized_crashes_of_two_groups_stay_within_k_minus_1() {
     let s = restore_spec(
         0xFEED,
-        ChaosWorkload::Cg,
-        ChaosProto::Gp4,
+        WorkloadKind::Cg,
+        Proto::GpK { k: 4 },
         StorageTarget::Remote,
         600,
         2,
@@ -242,8 +241,8 @@ fn replication_factor_sweep_degrades_typed_when_k_exceeds_groups() {
     for (k, expect_degraded) in [(1usize, true), (3, false), (4, true)] {
         let s = restore_spec(
             0xABBA,
-            ChaosWorkload::Cg,
-            ChaosProto::Gp4,
+            WorkloadKind::Cg,
+            Proto::GpK { k: 4 },
             StorageTarget::Remote,
             600,
             k,
