@@ -93,39 +93,30 @@ pub async fn bookmark_drain(
     wave: u64,
 ) -> Result<(), RecoveryError> {
     let me = ctx.rank();
-    let world = ctx.world().clone();
+    let world = ctx.world();
     // A rendezvous send that was granted its CTS will put data on the wire
     // without further application involvement; wait for those so the
     // bookmark snapshot is complete.
     world.wait_no_pending_grants(me).await;
     let tag = tags::BOOKMARK + wave;
-    let peers: Vec<Rank> = members
-        .iter()
-        .filter(|&&r| r != me.0)
-        .map(|&r| Rank(r))
-        .collect();
-    let futs: Vec<_> = peers
-        .iter()
-        .map(|&peer| {
-            let ctx = ctx.clone();
-            let world = world.clone();
-            async move {
-                let my_sent = world.pair_stats(me, peer).sent_bytes;
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new(my_sent))),
-                    ctx.ctrl_recv(peer, tag),
-                )
-                .await;
-                let their_sent = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: me.0,
-                    from: peer.0,
-                    what: "bookmark",
-                })?;
-                world.wait_arrived(peer, me, their_sent).await;
-                Ok::<(), RecoveryError>(())
-            }
-        })
-        .collect();
+    // One future per peer, borrowing `ctx` and `world` rather than owning
+    // handles: at scale these are the bulk of a wave's live state.
+    let futs = members.iter().filter(|&&r| r != me.0).map(|&r| async move {
+        let peer = Rank(r);
+        let my_sent = world.pair_stats(me, peer).sent_bytes;
+        let (_, env) = join2(
+            ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new(my_sent))),
+            ctx.ctrl_recv(peer, tag),
+        )
+        .await;
+        let their_sent = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+            at: me.0,
+            from: peer.0,
+            what: "bookmark",
+        })?;
+        world.wait_arrived(peer, me, their_sent).await;
+        Ok::<(), RecoveryError>(())
+    });
     for r in join_all(futs).await {
         r?;
     }

@@ -307,19 +307,35 @@ impl World {
         }
     }
 
-    /// Run send hooks; returns the summed sender-side cost to charge
-    /// before the data is committed to the network.
+    /// Run an application send's hooks and trace; returns the summed
+    /// sender-side cost to charge before the data is committed to the
+    /// network.
     fn run_send_hooks(&self, env: &mut Envelope) -> SimDuration {
         let mut cost = SimDuration::ZERO;
-        if env.kind == MsgKind::App {
-            for h in self.inner.hooks[env.src.idx()].borrow().iter() {
-                cost += h.on_send(env);
-            }
-            if let Some(t) = self.inner.trace.borrow().as_ref() {
-                t.trace_send(env);
-            }
+        for h in self.inner.hooks[env.src.idx()].borrow().iter() {
+            cost += h.on_send(env);
+        }
+        if let Some(t) = self.inner.trace.borrow().as_ref() {
+            t.trace_send(env);
         }
         cost
+    }
+
+    /// Put an eager message on the wire: reserve the links and schedule
+    /// its delivery on the destination's shard. Returns the instant the
+    /// sender's uplink is free.
+    fn post_eager(&self, env: Envelope) -> SimTime {
+        let net = self.inner.cluster.network();
+        let wire = env.bytes + self.inner.opts.header_bytes;
+        let timing = net.reserve_transfer_full(env.src.idx(), env.dst.idx(), wire);
+        let world = self.clone();
+        // In-flight message: an arena-allocated scheduled call on the
+        // destination's shard, replacing a task spawn per message.
+        let shard = self.shard_of(env.dst);
+        self.inner
+            .sim
+            .schedule_call_on(shard, timing.delivered, move || world.deliver(env));
+        timing.tx_done
     }
 
     /// Deliver a fully-arrived envelope into `dst`'s mailbox, matching a
@@ -420,58 +436,35 @@ impl World {
     /// the delivery time, on the destination's shard.
     fn deliver_rendezvous_data(&self, mut env: Envelope, slot: Rc<RefCell<RecvSlot>>) {
         env.arrived_at = self.inner.sim.now();
-        if env.kind == MsgKind::App {
-            self.inner
-                .counters
-                .borrow_mut()
-                .on_arrival(env.src, env.dst, env.bytes);
-            for h in self.inner.hooks[env.dst.idx()].borrow().iter() {
-                h.on_arrival(&env);
-            }
+        self.inner
+            .counters
+            .borrow_mut()
+            .on_arrival(env.src, env.dst, env.bytes);
+        for h in self.inner.hooks[env.dst.idx()].borrow().iter() {
+            h.on_arrival(&env);
         }
         let dst = env.dst;
         self.complete_recv(slot, env);
         self.inner.arrival_pulses[dst.idx()].pulse();
     }
 
-    /// Engine behind all sends. Returns when the sender's uplink is free
-    /// (eager) or when the rendezvous data transfer has left (rendezvous).
-    async fn send_impl(
-        &self,
-        src: Rank,
-        dst: Rank,
-        tag: Tag,
-        bytes: u64,
-        kind: MsgKind,
-        payload: Payload,
-    ) {
-        if kind == MsgKind::App {
-            wait_app_gates!(self.inner, src, send);
-        }
-        let mut env = self.envelope(src, dst, tag, bytes, kind, payload);
+    /// Engine behind all application sends. Returns when the sender's
+    /// uplink is free (eager) or when the rendezvous data transfer has left
+    /// (rendezvous).
+    async fn send_impl(&self, src: Rank, dst: Rank, tag: Tag, bytes: u64) {
+        wait_app_gates!(self.inner, src, send);
+        let mut env = self.envelope(src, dst, tag, bytes, MsgKind::App, None);
         let net = Rc::clone(self.inner.cluster.network());
         let opts = &self.inner.opts;
-        let rendezvous = kind == MsgKind::App && bytes > opts.eager_threshold && src != dst;
-        if !rendezvous {
+        if bytes <= opts.eager_threshold || src == dst {
             // Eager: data goes on the wire after any hook-charged cost.
             let cost = self.run_send_hooks(&mut env);
             if !cost.is_zero() {
                 self.inner.sim.sleep(cost).await;
             }
             env.sent_at = self.inner.sim.now();
-            if kind == MsgKind::App {
-                self.inner.counters.borrow_mut().on_send(src, dst, bytes);
-            }
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
-            let world = self.clone();
-            // In-flight message: an arena-allocated scheduled call on the
-            // destination's shard, replacing a task spawn per message.
-            self.inner
-                .sim
-                .schedule_call_on(self.shard_of(dst), timing.delivered, move || {
-                    world.deliver(env);
-                });
-            self.inner.sim.sleep_until(timing.tx_done).await;
+            self.inner.counters.borrow_mut().on_send(src, dst, bytes);
+            self.inner.sim.sleep_until(self.post_eager(env)).await;
         } else {
             // Rendezvous: RTS → (match) → CTS → data.
             let (grant_tx, grant_rx) = oneshot();
@@ -526,9 +519,6 @@ impl World {
             return;
         }
         wait_app_gates!(self.inner, src, send);
-        let net = Rc::clone(self.inner.cluster.network());
-        let opts = &self.inner.opts;
-        let shard = self.shard_of(dst);
         let mut envs = Vec::with_capacity(count as usize);
         let mut cost = SimDuration::ZERO;
         for _ in 0..count {
@@ -547,12 +537,7 @@ impl World {
                 .counters
                 .borrow_mut()
                 .on_send(env.src, env.dst, env.bytes);
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
-            last_tx_done = timing.tx_done;
-            let world = self.clone();
-            self.inner
-                .sim
-                .schedule_call_on(shard, timing.delivered, move || world.deliver(env));
+            last_tx_done = self.post_eager(env);
         }
         self.inner.sim.sleep_until(last_tx_done).await;
     }
@@ -617,7 +602,7 @@ impl RankCtx {
     /// transfer has been handed to the wire (rendezvous).
     pub async fn send(&self, dst: Rank, tag: u64, bytes: u64) {
         self.world
-            .send_impl(self.rank, dst, Tag::app(tag), bytes, MsgKind::App, None)
+            .send_impl(self.rank, dst, Tag::app(tag), bytes)
             .await;
     }
 
@@ -673,18 +658,19 @@ impl RankCtx {
 
     // -- protocol-control plane (bypasses gates, uncounted, untraced) ------
 
-    /// Send a protocol control message.
+    /// Send a protocol control message. It is posted (always eager) at the
+    /// first poll; the future then only waits for the uplink to free.
     pub async fn ctrl_send(&self, dst: Rank, ctrl_tag: u64, bytes: u64, payload: Payload) {
-        self.world
-            .send_impl(
-                self.rank,
-                dst,
-                Tag::ctrl(ctrl_tag),
-                bytes,
-                MsgKind::Ctrl,
-                payload,
-            )
-            .await;
+        let env = self.world.envelope(
+            self.rank,
+            dst,
+            Tag::ctrl(ctrl_tag),
+            bytes,
+            MsgKind::Ctrl,
+            payload,
+        );
+        let tx_done = self.world.post_eager(env);
+        self.world.sim().sleep_until(tx_done).await;
     }
 
     /// Receive a protocol control message.
@@ -701,7 +687,7 @@ impl RankCtx {
     /// other application message.
     pub(crate) async fn coll_send(&self, dst: Rank, seq: u64, bytes: u64) {
         self.world
-            .send_impl(self.rank, dst, Tag::coll(seq), bytes, MsgKind::App, None)
+            .send_impl(self.rank, dst, Tag::coll(seq), bytes)
             .await;
     }
 
@@ -875,6 +861,23 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(got.get(), 123);
         assert_eq!(world.pair_stats(Rank(0), Rank(1)).sent_msgs, 0);
+    }
+
+    #[test]
+    fn ctrl_send_future_holds_only_its_arguments_and_a_sleep() {
+        use gcr_sim::executor::Sleep;
+        use std::mem::{size_of, size_of_val};
+        let (_sim, world) = make_world(2);
+        let ctx = world.ctx(Rank(0));
+        let fut = ctx.ctrl_send(Rank(1), 4, 32, Some(Rc::new(1u64)));
+        let args = size_of::<&RankCtx>() + size_of::<Rank>() + 2 * size_of::<u64>();
+        let bound = size_of::<Sleep>() + args + size_of::<Payload>() + 16;
+        let size = size_of_val(&fut);
+        // An `Envelope` held across the await would not fit.
+        assert!(
+            size <= bound,
+            "ctrl_send future is {size} bytes, over {bound}"
+        );
     }
 
     #[test]

@@ -68,12 +68,8 @@ impl Network {
             overhead: spec.per_msg_overhead,
             bandwidth_bps: spec.bandwidth_bps,
             loopback_bps: spec.loopback_bps,
-            tx: (0..nodes)
-                .map(|i| FifoResource::new(sim, format!("tx{i}")))
-                .collect(),
-            rx: (0..nodes)
-                .map(|i| FifoResource::new(sim, format!("rx{i}")))
-                .collect(),
+            tx: (0..nodes).map(|_| FifoResource::new(sim)).collect(),
+            rx: (0..nodes).map(|_| FifoResource::new(sim)).collect(),
             slow: (0..nodes).map(|_| Cell::new(1.0)).collect(),
         }
     }

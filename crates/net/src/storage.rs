@@ -135,11 +135,9 @@ impl Storage {
             local_seek: spec.local_seek,
             remote_bps: spec.remote_disk_bps,
             remote_seek: spec.remote_seek,
-            local_disks: (0..compute_nodes)
-                .map(|i| FifoResource::new(sim, format!("disk{i}")))
-                .collect(),
+            local_disks: (0..compute_nodes).map(|_| FifoResource::new(sim)).collect(),
             remote_disks: (0..spec.remote_servers)
-                .map(|i| FifoResource::new(sim, format!("ckpt-server{i}")))
+                .map(|_| FifoResource::new(sim))
                 .collect(),
             remote_down: (0..spec.remote_servers).map(|_| Cell::new(false)).collect(),
             torn_writes: (0..compute_nodes).map(|_| Cell::new(0)).collect(),

@@ -77,34 +77,35 @@ impl<A: Future, B: Future> Future for Join2<A, B> {
 }
 
 /// Await a dynamic set of futures, returning outputs in input order.
-pub async fn join_all<F: Future>(futs: Vec<F>) -> Vec<F::Output> {
-    let mut all = JoinAll {
-        futs: futs
-            .into_iter()
-            .map(|f| MaybeDone::Pending(f))
-            .map(Box::pin)
-            .collect(),
-    };
-    (&mut all).await
+/// The futures live once, in one pinned boxed slice; every wake polls the
+/// unfinished ones in index order.
+pub fn join_all<F: Future>(futs: impl IntoIterator<Item = F>) -> JoinAll<F> {
+    JoinAll {
+        futs: Box::into_pin(futs.into_iter().map(MaybeDone::Pending).collect()),
+    }
 }
 
-struct JoinAll<F: Future> {
-    futs: Vec<Pin<Box<MaybeDone<F>>>>,
+/// Future returned by [`join_all`].
+pub struct JoinAll<F: Future> {
+    futs: Pin<Box<[MaybeDone<F>]>>,
 }
 
-impl<F: Future> Future for &mut JoinAll<F> {
+impl<F: Future> Future for JoinAll<F> {
     type Output = Vec<F::Output>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: the boxed slice is never moved or reallocated, so each
+        // element stays where it was first polled.
+        let futs = unsafe { self.get_mut().futs.as_mut().get_unchecked_mut() };
         let mut all_done = true;
-        for f in &mut this.futs {
-            if !f.as_mut().poll_done(cx) {
-                all_done = false;
-            }
+        for f in futs.iter_mut() {
+            // SAFETY: `f` is an element of the pinned slice above.
+            all_done &= unsafe { Pin::new_unchecked(f) }.poll_done(cx);
         }
         if all_done {
-            Poll::Ready(this.futs.iter_mut().map(|f| f.as_mut().take()).collect())
+            // SAFETY: as above; `take` only moves out a finished output.
+            let take = |f: &mut MaybeDone<F>| unsafe { Pin::new_unchecked(f) }.take();
+            Poll::Ready(futs.iter_mut().map(take).collect())
         } else {
             Poll::Pending
         }
@@ -156,8 +157,11 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::{SimDuration, SimTime};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+    use std::marker::PhantomPinned;
+    use std::pin::pin;
     use std::rc::Rc;
+    use std::task::Waker;
 
     #[test]
     fn join2_runs_concurrently() {
@@ -207,6 +211,63 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(out.get(), SimTime::from_secs(4));
+    }
+
+    /// Completes on its `idx + 1`-th poll, logging `(idx, own address)`
+    /// on every poll.
+    struct Probe {
+        idx: usize,
+        polls: usize,
+        log: Rc<RefCell<Vec<(usize, usize)>>>,
+        _pinned: PhantomPinned,
+    }
+
+    impl Future for Probe {
+        type Output = usize;
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<usize> {
+            // SAFETY: only plain fields are touched; nothing is moved out.
+            let this = unsafe { self.get_unchecked_mut() };
+            this.log
+                .borrow_mut()
+                .push((this.idx, this as *const Probe as usize));
+            this.polls += 1;
+            if this.polls > this.idx {
+                Poll::Ready(this.idx * 10)
+            } else {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+    }
+
+    #[test]
+    fn join_all_keeps_each_future_in_place_and_polls_in_index_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let probes = (0..4).map(|idx| Probe {
+            idx,
+            polls: 0,
+            log: Rc::clone(&log),
+            _pinned: PhantomPinned,
+        });
+        let mut all = pin!(join_all(probes));
+        let mut cx = Context::from_waker(Waker::noop());
+        let out = loop {
+            if let Poll::Ready(out) = all.as_mut().poll(&mut cx) {
+                break out;
+            }
+        };
+        assert_eq!(out, vec![0, 10, 20, 30]);
+        let log = log.borrow();
+        // Every wake polls the unfinished futures in index order.
+        let order: Vec<usize> = log.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 1, 2, 3, 2, 3, 3]);
+        // No future moves between its first poll and its completion.
+        for idx in 0..4 {
+            let mut addrs = log.iter().filter(|&&(i, _)| i == idx).map(|&(_, a)| a);
+            let first = addrs.next().unwrap();
+            assert!(addrs.all(|a| a == first), "future {idx} moved while pinned");
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::executor::Sim;
 use crate::time::{SimDuration, SimTime};
 
 struct Inner {
-    name: String,
     next_free: SimTime,
     busy: SimDuration,
     ops: u64,
@@ -28,11 +27,10 @@ pub struct FifoResource {
 
 impl FifoResource {
     /// Create a resource that is free from t = 0.
-    pub fn new(sim: &Sim, name: impl Into<String>) -> Self {
+    pub fn new(sim: &Sim) -> Self {
         FifoResource {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(Inner {
-                name: name.into(),
                 next_free: SimTime::ZERO,
                 busy: SimDuration::ZERO,
                 ops: 0,
@@ -81,11 +79,6 @@ impl FifoResource {
     pub fn ops(&self) -> u64 {
         self.inner.borrow().ops
     }
-
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +89,7 @@ mod tests {
     #[test]
     fn uncontended_reservation_starts_now() {
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "disk");
+        let r = FifoResource::new(&sim);
         let done = r.reserve(SimDuration::from_secs(2));
         assert_eq!(done, SimTime::from_secs(2));
         assert_eq!(r.ops(), 1);
@@ -105,7 +98,7 @@ mod tests {
     #[test]
     fn contended_reservations_queue_fifo() {
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "disk");
+        let r = FifoResource::new(&sim);
         let a = r.reserve(SimDuration::from_secs(1));
         let b = r.reserve(SimDuration::from_secs(1));
         let c = r.reserve(SimDuration::from_secs(1));
@@ -118,7 +111,7 @@ mod tests {
     #[test]
     fn reserve_from_respects_earliest() {
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "rx-link");
+        let r = FifoResource::new(&sim);
         let done = r.reserve_from(SimTime::from_secs(10), SimDuration::from_secs(1));
         assert_eq!(done, SimTime::from_secs(11));
         // A second reservation with an earlier "earliest" still queues after.
@@ -129,7 +122,7 @@ mod tests {
     #[test]
     fn access_waits_for_completion() {
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "disk");
+        let r = FifoResource::new(&sim);
         let finished_at = Rc::new(Cell::new(SimTime::ZERO));
         for _ in 0..3 {
             let r = r.clone();
@@ -148,7 +141,7 @@ mod tests {
     #[test]
     fn busy_time_excludes_idle_time() {
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "disk");
+        let r = FifoResource::new(&sim);
         let r2 = r.clone();
         let s = sim.clone();
         sim.spawn(async move {

@@ -82,7 +82,7 @@ fn fifo_resource_work_conserving() {
         let mut rng = DetRng::new(0x51B0_0003).fork_idx(case);
         let services = vec_u64(&mut rng, 1, 500, 1, 40);
         let sim = Sim::new();
-        let r = FifoResource::new(&sim, "r");
+        let r = FifoResource::new(&sim);
         let mut expected_end = 0u64;
         for &s in &services {
             expected_end += s;

@@ -110,4 +110,28 @@ fn hundred_thousand_ranks_survive_a_group_failure() {
         st.merges > 0 && st.events_fired > st.merges,
         "the cross-shard merge must actually have run: {st:?}"
     );
+
+    // The 100k-rank footprint, in optimised builds (a debug build's frames
+    // and futures are larger).
+    #[cfg(not(debug_assertions))]
+    if let Some(hwm) = peak_rss_mib() {
+        assert!(
+            hwm <= PEAK_RSS_LIMIT_MIB,
+            "100k-rank run peaked at VmHWM {hwm} MiB, over {PEAK_RSS_LIMIT_MIB} MiB"
+        );
+    }
+}
+
+/// Release-build ceiling on the run's peak resident set.
+#[cfg(not(debug_assertions))]
+const PEAK_RSS_LIMIT_MIB: u64 = 1024;
+
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// MiB, or `None` where that file cannot be read (not Linux).
+#[cfg(not(debug_assertions))]
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024)
 }
