@@ -8,18 +8,18 @@
 //! 2. **Coordination** — synchronize (flush) message logs, record the
 //!    `RR`/`S` snapshots for out-of-group peers, run the bookmark drain so
 //!    no intra-group bytes remain in flight, and barrier with the group.
-//! 3. **Checkpoint** — write the image through the storage model.
-//! 4. **Finalize** — barrier again, then resume execution regardless of
-//!    other groups' progress.
+//! 3. **Checkpoint** — open the generation and write the image under it
+//!    (phase 1 of the group two-phase commit, shared with CVC in
+//!    [`crate::ctrlplane`]).
+//! 4. **Finalize** — barrier again and resolve the generation (phase 2 of
+//!    the two-phase commit), then resume execution regardless of other
+//!    groups' progress.
 
-use std::rc::Rc;
-
-use gcr_mpi::Rank;
-use gcr_net::ImageOp;
-use gcr_sim::future::join_all;
 use gcr_sim::SimDuration;
 
-use crate::ctrlplane::{bookmark_drain, ctrl_barrier, tags, CTRL_BYTES};
+use crate::ctrlplane::{
+    bookmark_drain, ctrl_barrier, prepare_generation, resolve_generation, tags,
+};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
 
@@ -33,10 +33,9 @@ const FINALIZE_OVERHEAD: SimDuration = SimDuration::from_millis(5);
 /// Execute one blocking coordinated checkpoint wave at one rank.
 pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
-    let world = ctx.world().clone();
-    let sim = world.sim().clone();
+    let world = ctx.world();
+    let sim = world.sim();
     let rank = ctx.rank();
-    let storage = world.cluster().storage().clone();
     let started = ctx.now();
 
     // Phase 1: Lock MPI. The checkpoint signal is handled only when the
@@ -64,124 +63,43 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
         log_flushed_bytes += rb.take_recv_flush();
     }
     if log_flushed_bytes > 0 {
-        storage.drain_local(rank.idx()).await;
+        world.cluster().storage().drain_local(rank.idx()).await;
     }
-    let members = p.groups.members(p.groups.group_of(rank.0)).to_vec();
+    let gid = p.groups.group_of(rank.0);
+    let members = p.groups.members(gid);
     // Checkpoint-side callers may expect(): member sets come straight from
     // the validated group definition, and blocking.rs is outside the
     // D03 recovery-critical set.
-    bookmark_drain(ctx, &members, wave)
+    bookmark_drain(ctx, members, wave)
         .await
         // gcr-lint: allow(D03-T) bookmark payloads are built by our own protocol code — a malformed one is a simulator bug, not an injectable fault
         .expect("bookmark payloads carry byte counters");
-    ctrl_barrier(ctx, &members, tags::BARRIER1 + wave)
+    ctrl_barrier(ctx, members, tags::BARRIER1 + wave)
         .await
         // gcr-lint: allow(D03-T) membership comes from the validated group definition, fixed before any fault fires
         .expect("barrier membership comes from the validated group definition");
     let t_coord = ctx.now();
 
     // Phase 3: write the checkpoint image as a *pending* generation of
-    // the durable store. The rank always reaches the barriers below even
+    // the durable store. The rank always goes on to phase 4's barrier even
     // when its write fails — a member that bailed out early would hang
     // the rest of the group; the failure is carried in the catalog and
     // decided at commit time.
-    let gid = p.groups.group_of(rank.0);
-    let store = world.cluster().ckpt_store().clone();
-    let backend = world.cluster().backend();
-    store.begin(gid, wave);
-    // gcr-lint: allow(D03-T) image_bytes is sized to the world when the config is built; the restart side re-reads it with get()+MissingImage
-    let image_bytes = p.cfg.image_bytes[rank.idx()];
+    let image_bytes = p.cfg.image_bytes.get(rank.idx()).copied().unwrap_or(0);
     let trap = p.crash_trap(gid);
-    let is_coord = members.first() == Some(&rank.0);
-    match trap
-        .as_ref()
-        .filter(|t| is_coord && !t.fired.get() && t.phase < 2)
-    {
-        Some(t) if t.phase == 0 => {
-            // Crash before the image write: nothing reaches the store.
-            t.fired.set(true);
-            store.record_failure(gid, wave, rank.0);
-        }
-        Some(t) => {
-            // Crash halfway through the write: half the service time was
-            // spent, but the image never completes.
-            t.fired.set(true);
-            // gcr-lint: allow(E01) deliberate torn write — the injected crash abandons this I/O mid-flight, so its outcome must never reach the protocol
-            let _ = storage
-                .write(rank.idx(), image_bytes / 2, p.cfg.storage)
-                .await;
-            store.record_failure(gid, wave, rank.0);
-        }
-        None => {
-            // The image goes through the cluster's checkpoint backend:
-            // the disk path writes it to the configured target, the
-            // restore path additionally pushes staged replica copies to
-            // peer memory during this post-write phase.
-            let op = ImageOp {
-                node: rank.idx(),
-                group: gid,
-                gen: Some(wave),
-                rank: rank.0,
-                bytes: image_bytes,
-                target: p.cfg.storage,
-            };
-            match backend.write_image(op).await {
-                Ok(_) => store.record_image(gid, wave, rank.0, image_bytes),
-                Err(_) => store.record_failure(gid, wave, rank.0),
-            }
-        }
+    let acked = prepare_generation(p, gid, wave, image_bytes, trap.as_deref()).await;
+    let store = world.cluster().ckpt_store();
+    if acked {
+        store.record_image(gid, wave, rank.0, image_bytes);
+    } else {
+        store.record_failure(gid, wave, rank.0);
     }
     let t_img = ctx.now();
 
-    // Phase 4: finalize and resume, independent of other groups. After the
-    // post-image barrier every member's write outcome is in the catalog;
-    // the group coordinator decides commit vs. abort and broadcasts it.
-    ctrl_barrier(ctx, &members, tags::BARRIER2 + wave)
-        .await
-        // gcr-lint: allow(D03-T) membership comes from the validated group definition, fixed before any fault fires
-        .expect("barrier membership comes from the validated group definition");
-    let committed = if is_coord {
-        let decision = if trap
-            .as_ref()
-            .is_some_and(|t| t.phase == 2 && !t.fired.get())
-        {
-            // Crash between the last write ack and the commit record: the
-            // images are all on disk, but the generation never commits.
-            if let Some(t) = trap.as_ref() {
-                t.fired.set(true);
-            }
-            store.abort(gid, wave);
-            false
-        } else {
-            store.commit(gid, wave, &members)
-        };
-        // The backend rides the commit broadcast: a commit flips the
-        // wave's staged replica copies servable, an abort discards them.
-        if decision {
-            backend.on_commit(gid, wave);
-        } else {
-            backend.on_abort(gid, wave);
-        }
-        let futs: Vec<_> = members
-            .iter()
-            .filter(|&&m| m != rank.0)
-            .map(|&m| {
-                ctx.ctrl_send(
-                    Rank(m),
-                    tags::COMMIT + wave,
-                    CTRL_BYTES,
-                    Some(Rc::new(decision as u64)),
-                )
-            })
-            .collect();
-        join_all(futs).await;
-        decision
-    } else {
-        // gcr-lint: allow(D03-T) members contains this rank, so it is never empty
-        let coord = Rank(members[0]);
-        let env = ctx.ctrl_recv(coord, tags::COMMIT + wave).await;
-        env.payload_as::<u64>().map(|v| *v != 0).unwrap_or(false)
-    };
+    // Phase 4: finalize and resume, independent of other groups. The
+    // coordinator decides commit vs. abort once every member's write
+    // outcome is in the catalog.
+    let committed = resolve_generation(p, gid, wave, trap.as_deref()).await;
     if committed {
         p.gp.on_commit(wave);
         if let Some(rb) = &p.rb {

@@ -1,5 +1,7 @@
 //! Control-plane primitives shared by the protocol engines: tag layout,
-//! group barriers over control messages, and the bookmark drain.
+//! group barriers over control messages, the bookmark drain, and the two
+//! phases of the group two-phase commit that the blocking and CVC waves
+//! share (`prepare_generation`, `resolve_generation`).
 //!
 //! Everything here rides on [`gcr_mpi`]'s control message class — it costs
 //! real network time but is invisible to tracing, the app-volume counters,
@@ -9,9 +11,11 @@
 use std::rc::Rc;
 
 use gcr_mpi::{Rank, RankCtx};
+use gcr_net::ImageOp;
 use gcr_sim::future::{join2, join_all};
 
 use crate::error::RecoveryError;
+use crate::runtime::{CrashTrap, RankProto};
 
 /// Control-tag namespaces (each offset by the wave / phase id).
 pub mod tags {
@@ -121,6 +125,123 @@ pub async fn bookmark_drain(
         r?;
     }
     Ok(())
+}
+
+/// Phase 1 of the group two-phase commit at one member of group `gid`:
+/// open generation `wave` in the durable catalog and write the member's
+/// `image_bytes` under it through the cluster's checkpoint backend. Every
+/// member opens the generation (`CkptStore::begin` is idempotent). A
+/// crash `trap` armed on the group fires here at its coordinator for
+/// phase 0 (before the write: nothing reaches storage) and phase 1
+/// (halfway through it: a torn write). Returns whether the image was
+/// acknowledged; the caller records the outcome in the catalog.
+pub(crate) async fn prepare_generation(
+    p: &RankProto,
+    gid: usize,
+    wave: u64,
+    image_bytes: u64,
+    trap: Option<&CrashTrap>,
+) -> bool {
+    let rank = p.ctx.rank();
+    let cluster = p.ctx.world().cluster();
+    let store = cluster.ckpt_store();
+    store.begin(gid, wave);
+    let is_coord = p.groups.members(gid).first() == Some(&rank.0);
+    match trap.filter(|t| is_coord && !t.fired.get() && t.phase < 2) {
+        Some(t) if t.phase == 0 => {
+            t.fired.set(true);
+            false
+        }
+        Some(t) => {
+            // Half the service time is spent and the image never
+            // completes. Whether the torn half-write itself errors
+            // changes nothing: the member failed mid-image either way.
+            t.fired.set(true);
+            let storage = cluster.storage();
+            match storage
+                .write(rank.idx(), image_bytes / 2, p.cfg.storage)
+                .await
+            {
+                Ok(_) | Err(_) => false,
+            }
+        }
+        None => {
+            // The disk backend writes the image to the configured target;
+            // the restore backend also stages replica copies in peer
+            // memory, which the decision in phase 2 makes servable or
+            // discards.
+            let backend = cluster.backend();
+            let op = ImageOp {
+                node: rank.idx(),
+                group: gid,
+                gen: Some(wave),
+                rank: rank.0,
+                bytes: image_bytes,
+                target: p.cfg.storage,
+            };
+            backend.write_image(op).await.is_ok()
+        }
+    }
+}
+
+/// Phase 2 of the group two-phase commit at one member of group `gid`:
+/// seal generation `wave` with the post-record barrier, after which every
+/// member's outcome is in the catalog, then resolve it. The coordinator
+/// (the group's first member) decides: abort on a failed seal or on a
+/// phase-2 crash `trap` (the images are written but the commit record
+/// never lands), otherwise commit iff every member's image is
+/// acknowledged. It passes the decision to the backend and sends it to
+/// every other member, which waits for it. Returns whether the
+/// generation committed.
+pub(crate) async fn resolve_generation(
+    p: &RankProto,
+    gid: usize,
+    wave: u64,
+    trap: Option<&CrashTrap>,
+) -> bool {
+    let ctx = &p.ctx;
+    let me = ctx.rank().0;
+    let members = p.groups.members(gid);
+    let sealed = ctrl_barrier(ctx, members, tags::BARRIER2 + wave)
+        .await
+        .is_ok();
+    match members.first() {
+        Some(&coord) if coord == me => {
+            let cluster = ctx.world().cluster();
+            let store = cluster.ckpt_store();
+            let decision = if !sealed {
+                store.abort(gid, wave);
+                false
+            } else if let Some(t) = trap.filter(|t| t.phase == 2 && !t.fired.get()) {
+                t.fired.set(true);
+                store.abort(gid, wave);
+                false
+            } else {
+                store.commit(gid, wave, members)
+            };
+            let backend = cluster.backend();
+            if decision {
+                backend.on_commit(gid, wave);
+            } else {
+                backend.on_abort(gid, wave);
+            }
+            let sends = members.iter().filter(|&&m| m != me).map(|&m| {
+                ctx.ctrl_send(
+                    Rank(m),
+                    tags::COMMIT + wave,
+                    CTRL_BYTES,
+                    Some(Rc::new(decision as u64)),
+                )
+            });
+            join_all(sends).await;
+            decision
+        }
+        Some(&coord) => {
+            let env = ctx.ctrl_recv(Rank(coord), tags::COMMIT + wave).await;
+            sealed && env.payload_as::<u64>().is_some_and(|v| *v != 0)
+        }
+        None => false,
+    }
 }
 
 #[cfg(test)]

@@ -25,10 +25,11 @@
 //!    message sent after the sender's cut is ever consumed by a rank
 //!    that has not cut — so no receive is recorded without its send.
 //! 3. **Record** — the image is written concurrently with execution
-//!    under the group two-phase-commit catalog (begin / record /
-//!    barrier / coordinator decision, exactly like the blocking plane),
-//!    and messages that arrive after the cut but were sent before it
-//!    are charged as Chandy–Lamport channel state.
+//!    under the group two-phase commit the blocking plane uses (the same
+//!    [`crate::ctrlplane`] helpers open the generation, write the image
+//!    and resolve the generation), and messages that arrive after the cut
+//!    but were sent before it are charged as Chandy–Lamport channel
+//!    state, persisted between the two phases.
 //!
 //! The [`CvcState::orphans`] counter is the protocol's own oracle: it
 //! increments only if a post-cut message would be consumed by a rank
@@ -40,12 +41,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use gcr_mpi::{Envelope, MpiHook, Rank, Tag};
-use gcr_net::ImageOp;
 use gcr_sim::future::join2;
 use gcr_sim::sync::WaitGroup;
 use gcr_sim::SimDuration;
 
-use crate::ctrlplane::{ctrl_barrier, tags, CTRL_BYTES};
+use crate::ctrlplane::{ctrl_barrier, prepare_generation, resolve_generation, tags, CTRL_BYTES};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
 
@@ -264,10 +264,9 @@ fn merge_max(target: &mut BTreeMap<u64, u64>, flat: &[u64]) {
 /// two-phase commit concurrently with execution.
 pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
-    let world = ctx.world().clone();
-    let sim = world.sim().clone();
+    let world = ctx.world();
+    let sim = world.sim();
     let rank = ctx.rank();
-    let storage = world.cluster().storage().clone();
     let started = ctx.now();
 
     if p.cfg.stragglers {
@@ -307,59 +306,22 @@ pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
 
     // Step 3: image write + group 2PC, concurrent with execution.
     let gid = p.groups.group_of(rank.0);
-    let members = p.groups.members(gid).to_vec();
-    let store = world.cluster().ckpt_store().clone();
-    let backend = world.cluster().backend();
-    store.begin(gid, wave);
+    let members = p.groups.members(gid);
     let image_bytes = p.cfg.image_bytes.get(rank.idx()).copied().unwrap_or(0);
     let trap = p.crash_trap(gid);
-    let coord = members.first().copied();
-    let is_coord = coord == Some(rank.0);
-    let mut member_ok = match trap
-        .as_ref()
-        .filter(|t| is_coord && !t.fired.get() && t.phase < 2)
-    {
-        Some(t) if t.phase == 0 => {
-            // Crash before the image write: nothing reaches storage.
-            t.fired.set(true);
-            false
-        }
-        Some(t) => {
-            // Crash halfway through the write: half the service time is
-            // spent and the image never completes. Whether the torn
-            // half-write itself errors changes nothing — the member
-            // failed mid-image either way.
-            t.fired.set(true);
-            match storage
-                .write(rank.idx(), image_bytes / 2, p.cfg.storage)
-                .await
-            {
-                Ok(_) | Err(_) => false,
-            }
-        }
-        None => {
-            let op = ImageOp {
-                node: rank.idx(),
-                group: gid,
-                gen: Some(wave),
-                rank: rank.0,
-                bytes: image_bytes,
-                target: p.cfg.storage,
-            };
-            backend.write_image(op).await.is_ok()
-        }
-    };
+    let mut member_ok = prepare_generation(p, gid, wave, image_bytes, trap.as_deref()).await;
     let t_img = ctx.now();
 
     // Every member has cut and attempted its image once the pre-record
     // barrier completes; close the channel-state window and persist it.
-    if ctrl_barrier(ctx, &members, tags::BARRIER1 + wave)
+    if ctrl_barrier(ctx, members, tags::BARRIER1 + wave)
         .await
         .is_err()
     {
         member_ok = false;
     }
     let state_bytes = p.cvc.end_wave();
+    let storage = world.cluster().storage();
     if state_bytes > 0
         && storage
             .write_with_retry(rank.idx(), state_bytes, p.cfg.storage)
@@ -368,61 +330,13 @@ pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
     {
         member_ok = false;
     }
+    let store = world.cluster().ckpt_store();
     if member_ok {
         store.record_image(gid, wave, rank.0, image_bytes);
     } else {
         store.record_failure(gid, wave, rank.0);
     }
-
-    // Post-record barrier: the coordinator must see every member's
-    // outcome in the catalog before deciding.
-    let post = ctrl_barrier(ctx, &members, tags::BARRIER2 + wave).await;
-    let committed = match coord {
-        Some(c) if c == rank.0 => {
-            let decision = if post.is_err() {
-                store.abort(gid, wave);
-                false
-            } else if trap
-                .as_ref()
-                .is_some_and(|t| t.phase == 2 && !t.fired.get())
-            {
-                // Crash between the last write ack and the commit
-                // record: images are on disk, the generation never
-                // commits.
-                if let Some(t) = trap.as_ref() {
-                    t.fired.set(true);
-                }
-                store.abort(gid, wave);
-                false
-            } else {
-                store.commit(gid, wave, &members)
-            };
-            if decision {
-                backend.on_commit(gid, wave);
-            } else {
-                backend.on_abort(gid, wave);
-            }
-            let futs: Vec<_> = members
-                .iter()
-                .filter(|&&m| m != rank.0)
-                .map(|&m| {
-                    ctx.ctrl_send(
-                        Rank(m),
-                        tags::COMMIT + wave,
-                        CTRL_BYTES,
-                        Some(Rc::new(decision as u64)),
-                    )
-                })
-                .collect();
-            gcr_sim::future::join_all(futs).await;
-            decision
-        }
-        Some(c) => {
-            let env = ctx.ctrl_recv(Rank(c), tags::COMMIT + wave).await;
-            post.is_ok() && env.payload_as::<u64>().map(|v| *v != 0).unwrap_or(false)
-        }
-        None => false,
-    };
+    let committed = resolve_generation(p, gid, wave, trap.as_deref()).await;
     let finished = ctx.now();
 
     p.metrics.push_ckpt(CkptRecord {

@@ -142,50 +142,43 @@ pub(crate) async fn restart_rank_with_peers(
     let mut resend_ops = 0u64;
     let mut resend_bytes = 0u64;
     let mut skip_bytes = 0u64;
-    let futs: Vec<_> = out
-        .iter()
-        .map(|&q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            let rb = p.rb.clone();
-            async move {
-                let peer = Rank(q);
-                // The point up to which I can rebuild Q's stream without
-                // Q: my checkpoint-time RR_Q, or my receiver log's
-                // high-water mark once its entries above RR_Q are read
-                // back from this node's own disk.
-                let my_mark = match &rb {
-                    None => gp.rr(q),
-                    Some(rb) => {
-                        let local_bytes: u64 =
-                            rb.replay_local(q, gp.rr(q)).iter().map(|e| e.bytes).sum();
-                        if local_bytes > 0 {
-                            let storage = ctx.world().cluster().storage().clone();
-                            storage
-                                .read(ctx.rank().idx(), local_bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        rb.logged_end(q)
-                    }
-                };
-                // Exchange: I tell Q my mark; Q tells me how much of my
-                // stream it holds (its own mark, or its consumed bytes).
-                let q_received = exchange_volume(&ctx, peer, my_mark).await?;
-
-                // Replay: messages I sent before my checkpoint that Q had
-                // not received at its checkpoint.
-                let entries = gp.replay_entries(q, q_received);
-                let ops = entries.len() as u64;
-                // Replay is per-message: whole log entries go back on the
-                // wire (the receiver discards any already-consumed prefix).
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                // Skip: bytes Q already consumed beyond my rolled-back S.
-                let skip = q_received.saturating_sub(gp.ss(q));
-                replay_with(&ctx, peer, entries, bytes).await?;
-                Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
+    // One future per peer, borrowing `ctx` and the rank's state rather
+    // than owning handles: a recovery holds all of them at once.
+    let (gp, rb) = (&p.gp, p.rb.as_deref());
+    let futs = out.iter().map(|&q| async move {
+        let peer = Rank(q);
+        // The point up to which I can rebuild Q's stream without Q: my
+        // checkpoint-time RR_Q, or my receiver log's high-water mark once
+        // its entries above RR_Q are read back from this node's own disk.
+        let my_mark = match rb {
+            None => gp.rr(q),
+            Some(rb) => {
+                let local_bytes: u64 = rb.replay_local(q, gp.rr(q)).iter().map(|e| e.bytes).sum();
+                if local_bytes > 0 {
+                    let storage = ctx.world().cluster().storage();
+                    storage
+                        .read(rank.idx(), local_bytes, StorageTarget::Local)
+                        .await?;
+                }
+                rb.logged_end(q)
             }
-        })
-        .collect();
+        };
+        // Exchange: I tell Q my mark; Q tells me how much of my stream it
+        // holds (its own mark, or its consumed bytes).
+        let q_received = exchange_volume(ctx, peer, my_mark).await?;
+
+        // Replay: messages I sent before my checkpoint that Q had not
+        // received at its checkpoint.
+        let entries = gp.replay_entries(q, q_received);
+        let ops = entries.len() as u64;
+        // Replay is per-message: whole log entries go back on the wire
+        // (the receiver discards any already-consumed prefix).
+        let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+        // Skip: bytes Q already consumed beyond my rolled-back S.
+        let skip = q_received.saturating_sub(gp.ss(q));
+        replay_with(ctx, peer, entries, bytes).await?;
+        Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
+    });
     for r in join_all(futs).await {
         let (ops, bytes, skip) = r?;
         resend_ops += ops;
@@ -228,29 +221,20 @@ pub(crate) async fn serve_peer_recovery(
     p: &RankProto,
     restarting: &[u32],
 ) -> Result<u64, RecoveryError> {
-    let ctx = &p.ctx;
-    let futs: Vec<_> = restarting
-        .iter()
-        .copied()
-        .map(|q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            async move {
-                let peer = Rank(q);
-                // I am live: my "received from q" is current, not a snapshot.
-                let q_mark = exchange_volume(&ctx, peer, gp.received_from(q)).await?;
-                // Replay everything retained beyond the peer's mark — the
-                // peer lost all of it in the rollback. GC safety (commit-
-                // or ack-gated) guarantees the retained log still covers
-                // [q_mark, S).
-                let to = gp.sent_to(q);
-                let entries = gp.replay_entries_live(q, q_mark, to);
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                replay_with(&ctx, peer, entries, bytes).await?;
-                Ok::<u64, RecoveryError>(bytes)
-            }
-        })
-        .collect();
+    let (ctx, gp) = (&p.ctx, &p.gp);
+    let futs = restarting.iter().map(|&q| async move {
+        let peer = Rank(q);
+        // I am live: my "received from q" is current, not a snapshot.
+        let q_mark = exchange_volume(ctx, peer, gp.received_from(q)).await?;
+        // Replay everything retained beyond the peer's mark — the peer
+        // lost all of it in the rollback. GC safety (commit- or
+        // ack-gated) guarantees the retained log still covers [q_mark, S).
+        let to = gp.sent_to(q);
+        let entries = gp.replay_entries_live(q, q_mark, to);
+        let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+        replay_with(ctx, peer, entries, bytes).await?;
+        Ok::<u64, RecoveryError>(bytes)
+    });
     let mut total = 0u64;
     for r in join_all(futs).await {
         total += r?;

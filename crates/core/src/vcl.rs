@@ -16,6 +16,7 @@
 
 use gcr_mpi::Rank;
 use gcr_sim::future::{join2, join_all};
+use gcr_sim::SimDuration;
 
 use crate::ctrlplane::{tags, CTRL_BYTES};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
@@ -30,82 +31,52 @@ const VCL_IMAGE_FACTOR: f64 = 2.0;
 /// Execute one VCL wave at one rank.
 pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
-    let world = ctx.world().clone();
+    let world = ctx.world();
     let rank = ctx.rank();
-    let storage = world.cluster().storage().clone();
-    let n = world.n();
+    let storage = world.cluster().storage();
+    let n = world.n() as u32;
     let started = ctx.now();
 
     world.block_sends(rank);
     p.vcl.start_wave();
 
-    let peers: Vec<Rank> = (0..n as u32).filter(|&r| r != rank.0).map(Rank).collect();
+    // Every other rank, in rank order. The per-peer marker futures below
+    // borrow `ctx` and `p` rather than owning handles: VCL's one global
+    // group gives each rank n − 1 of them per wave.
+    let peers = || (0..n).filter(move |&r| r != rank.0).map(Rank);
 
     // Marker collection starts immediately so channel-state recording stops
     // at marker arrival, concurrently with the image write.
-    let collect = {
-        let ctx = ctx.clone();
-        let vcl = std::rc::Rc::clone(&p.vcl);
-        let peers = peers.clone();
-        async move {
-            let futs: Vec<_> = peers
-                .iter()
-                .map(|&peer| {
-                    let ctx = ctx.clone();
-                    let vcl = std::rc::Rc::clone(&vcl);
-                    async move {
-                        ctx.ctrl_recv(peer, tags::MARKER + wave).await;
-                        vcl.marker_from(peer.0);
-                    }
-                })
-                .collect();
-            join_all(futs).await;
-        }
-    };
+    let collect = join_all(peers().map(|peer| async move {
+        ctx.ctrl_recv(peer, tags::MARKER + wave).await;
+        p.vcl.marker_from(peer.0);
+    }));
 
     // VCL's single global group is catalog group 0; the commit decision is
     // made centrally by the runtime once every rank's wave completes.
-    let store = world.cluster().ckpt_store().clone();
+    let store = world.cluster().ckpt_store();
     store.begin(0, wave);
-    // gcr-lint: allow(D03-T) image_bytes is sized to the world when the config is built; the restart side re-reads it with get()+MissingImage
-    let image_bytes = (p.cfg.image_bytes[rank.idx()] as f64 * VCL_IMAGE_FACTOR) as u64;
-    let image_ok = std::rc::Rc::new(std::cell::Cell::new(true));
-    let work = {
-        let ctx = ctx.clone();
-        let world = world.clone();
-        let storage = storage.clone();
-        let peers = peers.clone();
-        let cfg = std::rc::Rc::clone(&p.cfg);
-        let image_ok = std::rc::Rc::clone(&image_ok);
-        async move {
-            // Image write proceeds concurrently with the application; only
-            // new sends are held back.
-            if storage
-                .write_with_retry(rank.idx(), image_bytes, cfg.storage)
-                .await
-                .is_err()
-            {
-                image_ok.set(false);
-            }
-            let t_img = ctx.now();
-            // Flood markers, then reopen the send window.
-            let sends: Vec<_> = peers
-                .iter()
-                .map(|&peer| {
-                    let ctx = ctx.clone();
-                    async move {
-                        ctx.ctrl_send(peer, tags::MARKER + wave, CTRL_BYTES, None)
-                            .await;
-                    }
-                })
-                .collect();
-            join_all(sends).await;
-            world.unblock_sends(rank);
-            t_img
-        }
+    // The restart-relevant image is the BLCR-sized resident set (what
+    // `restart_all` reloads); the inflated VCL write below is a transfer
+    // cost, not a catalog size.
+    let resident = p.cfg.image_bytes.get(rank.idx()).copied().unwrap_or(0);
+    let image_bytes = (resident as f64 * VCL_IMAGE_FACTOR) as u64;
+    let work = async {
+        // Image write proceeds concurrently with the application; only
+        // new sends are held back.
+        let image_ok = storage
+            .write_with_retry(rank.idx(), image_bytes, p.cfg.storage)
+            .await
+            .is_ok();
+        let t_img = ctx.now();
+        // Flood markers, then reopen the send window.
+        join_all(peers().map(|peer| ctx.ctrl_send(peer, tags::MARKER + wave, CTRL_BYTES, None)))
+            .await;
+        world.unblock_sends(rank);
+        (t_img, image_ok)
     };
 
-    let (t_img, ()) = join2(work, collect).await;
+    let ((t_img, image_ok), _) = join2(work, collect).await;
 
     // Persist the recorded channel state alongside the image.
     let state_bytes = p.vcl.take_state_bytes();
@@ -116,13 +87,9 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
             .await
             .is_ok();
     }
-    // The restart-relevant image is the BLCR-sized resident set (what
-    // `restart_all` reloads); the inflated VCL write above is a transfer
-    // cost, not a catalog size.
-    let committed = image_ok.get() && state_ok;
+    let committed = image_ok && state_ok;
     if committed {
-        // gcr-lint: allow(D03-T) image_bytes is sized to the world when the config is built
-        store.record_image(0, wave, rank.0, p.cfg.image_bytes[rank.idx()]);
+        store.record_image(0, wave, rank.0, resident);
     } else {
         store.record_failure(0, wave, rank.0);
     }
@@ -134,10 +101,10 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
         started,
         finished,
         phases: PhaseBreakdown {
-            lock: gcr_sim::SimDuration::ZERO,
+            lock: SimDuration::ZERO,
             checkpoint: t_img.saturating_since(started),
             coordination: finished.saturating_since(t_img),
-            finalize: gcr_sim::SimDuration::ZERO,
+            finalize: SimDuration::ZERO,
         },
         log_flushed_bytes: state_bytes,
         image_bytes,

@@ -111,14 +111,16 @@ pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
     // Flow-sensitive passes: protocol phase-order model checking (P10),
     // determinism taint dataflow (D10) and shard isolation (S01). Their
     // findings go through the same waiver/baseline machinery below.
-    raw.extend(phases::check(&index, &views));
+    let extracted = phases::extract(&index, &views);
+    raw.extend(phases::check(&extracted, &index, &views));
     raw.extend(dataflow::check(&index, &graph, &views));
     raw.extend(dataflow::shard_isolation(&views));
 
     // Conformance passes: session tag-duality per protocol mode (P20),
     // wire-shape encode/decode pairing (W10) and GC-floor soundness
-    // (P21). Same extraction substrate, same waiver/baseline machinery.
-    raw.extend(session::check(&index, &views));
+    // (P21). P20 reads P10's extracted trees; same waiver/baseline
+    // machinery.
+    raw.extend(session::check(&extracted, &index, &views));
     raw.extend(wire::check(&index, &views));
     raw.extend(dataflow::gc_floor(&index, &views));
 

@@ -340,32 +340,67 @@ type States = BTreeMap<&'static str, Trail>;
 pub fn active_specs(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<&'static str> {
     SPECS
         .iter()
-        .filter(|s| find_entry(index, views, s).is_some())
+        .filter(|s| find_fn(index, views, s.entry, s.entry_file).is_some())
         .map(|s| s.protocol)
         .collect()
 }
 
-/// Run every active spec; returns P10 findings.
-pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for spec in SPECS {
-        let Some(f) = find_entry(index, views, spec) else {
-            continue;
-        };
-        let ex = Extractor {
-            index,
-            views,
-            entry_file: spec.entry_file,
-        };
-        let tree = ex.extract_fn(f, &mut Vec::new());
-        out.extend(simulate(spec, &tree, index, views, f));
-    }
-    sort_dedup(&mut out);
-    out
+/// One active spec's interprocedural event tree, extracted once per lint
+/// run: P10 runs it through the spec's automaton, P20 reads its events.
+pub struct Extracted {
+    pub(crate) spec: &'static PhaseSpec,
+    entry: usize,
+    tree: Tree,
 }
 
-fn find_entry(index: &SymbolIndex, views: &[(&str, &Lexed)], spec: &PhaseSpec) -> Option<usize> {
-    find_fn(index, views, spec.entry, spec.entry_file)
+impl Extracted {
+    /// Every event site in source order: each branch of each `Alt` counts
+    /// as reachable and loops contribute their body once. Duality (P20)
+    /// asks about event *sets*, so the tree's order is dropped here.
+    pub(crate) fn events(&self) -> Vec<&Ev> {
+        fn walk<'t>(t: &'t Tree, out: &mut Vec<&'t Ev>) {
+            match t {
+                Tree::Seq(v) | Tree::Alt(v) => v.iter().for_each(|n| walk(n, out)),
+                Tree::Loop(b) => walk(b, out),
+                Tree::Ev(ev) => out.push(ev),
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.tree, &mut out);
+        out
+    }
+}
+
+/// Extract the event tree of every active spec (entry found), in
+/// [`SPECS`] order.
+pub fn extract(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Extracted> {
+    SPECS
+        .iter()
+        .filter_map(|spec| {
+            let entry = find_fn(index, views, spec.entry, spec.entry_file)?;
+            let ex = Extractor {
+                index,
+                views,
+                entry_file: spec.entry_file,
+            };
+            let tree = ex.extract_fn(entry, &mut Vec::new());
+            Some(Extracted { spec, entry, tree })
+        })
+        .collect()
+}
+
+/// Run every extracted spec through its automaton; returns P10 findings.
+pub fn check(
+    extracted: &[Extracted],
+    index: &SymbolIndex,
+    views: &[(&str, &Lexed)],
+) -> Vec<Finding> {
+    let mut out: Vec<Finding> = extracted
+        .iter()
+        .flat_map(|x| simulate(x.spec, &x.tree, index, views, x.entry))
+        .collect();
+    sort_dedup(&mut out);
+    out
 }
 
 /// The id of the fn named `name` with a body in `file`, if indexed.
@@ -379,37 +414,6 @@ pub(crate) fn find_fn(
         .fns
         .iter()
         .position(|f| f.name == name && f.body.is_some() && views[f.file].0 == file)
-}
-
-/// Flatten the interprocedural event tree of fn `f` into the list of
-/// event sites in deterministic source order — every branch of every
-/// `Alt` counts as reachable, loops contribute their body once. This is
-/// the session pass's (P20) view of a protocol entry: duality is a
-/// question about event *sets*, not orders, so the tree structure the
-/// phase simulation needs is deliberately discarded here.
-pub(crate) fn flat_events(
-    index: &SymbolIndex,
-    views: &[(&str, &Lexed)],
-    entry_file: &str,
-    f: usize,
-) -> Vec<Ev> {
-    let ex = Extractor {
-        index,
-        views,
-        entry_file,
-    };
-    let tree = ex.extract_fn(f, &mut Vec::new());
-    let mut out = Vec::new();
-    flatten_tree(&tree, &mut out);
-    out
-}
-
-fn flatten_tree(t: &Tree, out: &mut Vec<Ev>) {
-    match t {
-        Tree::Seq(v) | Tree::Alt(v) => v.iter().for_each(|n| flatten_tree(n, out)),
-        Tree::Loop(b) => flatten_tree(b, out),
-        Tree::Ev(ev) => out.push(ev.clone()),
-    }
 }
 
 struct Extractor<'a> {

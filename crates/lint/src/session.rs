@@ -4,10 +4,11 @@
 //! points the runtime dispatches for it (its wave body, plus the restart
 //! member path and the live-peer serve path every mode shares). The
 //! checked-in [`SESSIONS`] table mirrors the wave dispatch in
-//! `crates/core/src/runtime.rs`; this pass extracts, per mode, the ctrl
-//! tags emitted on any reachable path (reusing P10's interprocedural
-//! extraction with `ctrlplane.rs` inlining) and the tags its reachable
-//! receive sites can handle, then fires on three duality breaks:
+//! `crates/core/src/runtime.rs` and names each entry by its P10 spec;
+//! this pass reads, per mode, the ctrl tags emitted on any reachable path
+//! (from the event trees P10 already extracted, with `ctrlplane.rs`
+//! inlining) and the tags its reachable receive sites can handle, then
+//! fires on three duality breaks:
 //!
 //! * **emitted-but-unhandled** — a `ctrl_send` whose tag no reachable
 //!   `ctrl_recv` in the same session matches: the rendezvous blocks the
@@ -28,32 +29,36 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::{in_spans, Lexed};
-use crate::phases;
+use crate::phases::{self, Extracted};
 use crate::report::{sort_dedup, Finding, Rule};
 use crate::symbols::SymbolIndex;
 
-/// One protocol mode's session: its wave entry point plus the shared
-/// [`RECOVERY_ENTRIES`], as `(fn name, workspace-relative file)` pairs.
+/// One protocol mode's session: its wave plus the shared
+/// [`RECOVERY_ENTRIES`], each named by its P10 spec's `protocol`, so
+/// P20 reads the trees P10 already extracted.
 #[derive(Debug)]
 pub struct SessionSpec {
     /// The `Mode` enum variant this session implements.
     pub mode: &'static str,
-    /// The wave body the runtime's checkpoint daemon runs for this mode.
-    pub wave: (&'static str, &'static str),
+    /// The P10 spec of the wave body the runtime's checkpoint daemon runs
+    /// for this mode.
+    pub wave: &'static str,
 }
 
-/// The restart-member and live-peer serve paths. Every mode recovers
-/// through these two; receiver-based logging only changes the state
-/// they read.
-pub const RECOVERY_ENTRIES: &[(&str, &str)] = &[
-    ("restart_rank_with_peers", "crates/core/src/restart.rs"),
-    ("serve_peer_recovery", "crates/core/src/restart.rs"),
-];
+/// The P10 specs of the restart-member and live-peer serve paths. Every
+/// mode recovers through these two; receiver-based logging only changes
+/// the state they read.
+pub const RECOVERY_ENTRIES: &[&str] = &["restart", "restart-serve"];
 
 impl SessionSpec {
-    /// Entry functions whose reachable ctrl traffic forms the session.
-    fn entries(&self) -> impl Iterator<Item = &(&'static str, &'static str)> {
-        std::iter::once(&self.wave).chain(RECOVERY_ENTRIES)
+    /// P10 specs whose reachable ctrl traffic forms the session.
+    fn entries(&self) -> impl Iterator<Item = &'static str> {
+        std::iter::once(self.wave).chain(RECOVERY_ENTRIES.iter().copied())
+    }
+
+    /// Whether every entry's spec is active (one of `active`).
+    fn fully_live(&self, active: &[&str]) -> bool {
+        self.entries().all(|e| active.contains(&e))
     }
 }
 
@@ -63,45 +68,46 @@ impl SessionSpec {
 pub const SESSIONS: &[SessionSpec] = &[
     SessionSpec {
         mode: "Blocking",
-        wave: ("blocking_wave", "crates/core/src/blocking.rs"),
+        wave: "blocking-2pc",
     },
     SessionSpec {
         mode: "Vcl",
-        wave: ("vcl_wave", "crates/core/src/vcl.rs"),
+        wave: "vcl",
     },
     SessionSpec {
         mode: "Cvc",
-        wave: ("cvc_wave", "crates/core/src/cvc.rs"),
+        wave: "cvc",
     },
     SessionSpec {
         mode: "RbLog",
-        wave: ("blocking_wave", "crates/core/src/blocking.rs"),
+        wave: "blocking-2pc",
     },
 ];
 
 /// Tag → first emit/handle site `(file idx, line)`.
 type Sites = BTreeMap<String, (usize, usize)>;
 
-/// Modes whose session table is fully live (every entry resolved) in
-/// this workspace. Used by the tier-1 coverage test: the live workspace
-/// must keep every `Mode` variant bound.
+/// Modes whose session table is fully live (every entry's P10 spec
+/// active) in this workspace. Used by the tier-1 coverage test: the live
+/// workspace must keep every `Mode` variant bound.
 pub fn active_modes(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<&'static str> {
+    let active = phases::active_specs(index, views);
     SESSIONS
         .iter()
-        .filter(|s| fully_live(s, index, views))
+        .filter(|s| s.fully_live(&active))
         .map(|s| s.mode)
         .collect()
 }
 
-fn fully_live(spec: &SessionSpec, index: &SymbolIndex, views: &[(&str, &Lexed)]) -> bool {
-    spec.entries()
-        .all(|(name, file)| phases::find_fn(index, views, name, file).is_some())
-}
-
-/// Run the P20 session tag-duality pass.
-pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
+/// Run the P20 session tag-duality pass over the trees P10 extracted.
+pub fn check(
+    extracted: &[Extracted],
+    index: &SymbolIndex,
+    views: &[(&str, &Lexed)],
+) -> Vec<Finding> {
+    let active: Vec<&str> = extracted.iter().map(|x| x.spec.protocol).collect();
     // Per mode: the tags its reachable paths emit and handle, with the
-    // first witness site of each. A spec with no resolved entry is
+    // first witness site of each. A session with no active entry is
     // inactive (synthetic fixture workspaces stay quiet).
     let sides: Vec<(&'static str, Sites, Sites)> = SESSIONS
         .iter()
@@ -109,12 +115,12 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
             let mut emits = Sites::new();
             let mut handles = Sites::new();
             let mut any = false;
-            for (name, file) in spec.entries() {
-                let Some(f) = phases::find_fn(index, views, name, file) else {
+            for entry in spec.entries() {
+                let Some(x) = extracted.iter().find(|x| x.spec.protocol == entry) else {
                     continue;
                 };
                 any = true;
-                for ev in phases::flat_events(index, views, file, f) {
+                for ev in x.events() {
                     let site = (ev.file, ev.line);
                     if let Some(tag) = ev.name.strip_prefix("send:") {
                         emits.entry(tag.to_string()).or_insert(site);
@@ -189,7 +195,7 @@ pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         }
     }
 
-    out.extend(enrollment(index, views));
+    out.extend(enrollment(&active, index, views));
     sort_dedup(&mut out);
     out
 }
@@ -210,7 +216,7 @@ fn modes_with<'a>(
 
 /// Every `Mode` variant in the core crate must be bound to a fully-live
 /// session table — protocol #8 enrolls itself by failing this check.
-fn enrollment(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
+fn enrollment(active: &[&str], index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
     let mut out = Vec::new();
     for e in &index.enums {
         if e.name != "Mode" || e.krate != "core" {
@@ -222,7 +228,7 @@ fn enrollment(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
         for v in &e.variants {
             let bound = SESSIONS
                 .iter()
-                .any(|s| s.mode == *v && fully_live(s, index, views));
+                .any(|s| s.mode == *v && s.fully_live(active));
             if !bound {
                 out.push(Finding::new(
                     views[fi].0,

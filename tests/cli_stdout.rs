@@ -1,0 +1,45 @@
+//! The `gcrsim` binary's output boundary: a reader that closes its end of
+//! the pipe early (`gcrsim … | head`, `… | true`) must not turn a
+//! finished run into a panic.
+
+use std::process::{Command, Stdio};
+
+#[test]
+fn gcrsim_exits_quietly_when_its_stdout_is_closed() {
+    let (reader, writer) = std::io::pipe().expect("the OS hands out a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_gcrsim"))
+        .args(["lint", "--explain", "D01"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("gcrsim starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a closed stdout must end gcrsim with status 0; stderr: {stderr}"
+    );
+    assert!(stderr.is_empty(), "gcrsim wrote to stderr: {stderr}");
+}
+
+#[test]
+fn gcrsim_reports_other_stdout_errors_with_status_2() {
+    // Writes to /dev/full fail with "no space left on device".
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_gcrsim"))
+        .args(["lint", "--explain", "D01"])
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("gcrsim starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot write the output"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
