@@ -109,11 +109,11 @@ pub async fn bookmark_drain(
         let peer = Rank(r);
         let my_sent = world.pair_stats(me, peer).sent_bytes;
         let (_, env) = join2(
-            ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new(my_sent))),
+            ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new([my_sent]))),
             ctx.ctrl_recv(peer, tag),
         )
         .await;
-        let their_sent = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+        let their_sent = env.word().ok_or(RecoveryError::BadPayload {
             at: me.0,
             from: peer.0,
             what: "bookmark",
@@ -230,7 +230,7 @@ pub(crate) async fn resolve_generation(
                     Rank(m),
                     tags::COMMIT + wave,
                     CTRL_BYTES,
-                    Some(Rc::new(decision as u64)),
+                    Some(Rc::new([u64::from(decision)])),
                 )
             });
             join_all(sends).await;
@@ -238,7 +238,7 @@ pub(crate) async fn resolve_generation(
         }
         Some(&coord) => {
             let env = ctx.ctrl_recv(Rank(coord), tags::COMMIT + wave).await;
-            sealed && env.payload_as::<u64>().is_some_and(|v| *v != 0)
+            sealed && env.word().is_some_and(|v| v != 0)
         }
         None => false,
     }

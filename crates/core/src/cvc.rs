@@ -242,7 +242,7 @@ impl MpiHook for CvcState {
 }
 
 /// Flatten a clock vector for the wire: `[comm, value, comm, value, …]`.
-fn flatten(clock: &BTreeMap<u64, u64>) -> Vec<u64> {
+fn flatten(clock: &BTreeMap<u64, u64>) -> Rc<[u64]> {
     clock.iter().flat_map(|(&c, &v)| [c, v]).collect()
 }
 
@@ -289,13 +289,11 @@ pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
         let flat = flatten(&target);
         let bytes = CTRL_BYTES + 8 * flat.len() as u64;
         let (_, env) = join2(
-            ctx.ctrl_send(dst, tags::CVC_CLOCK + wave, bytes, Some(Rc::new(flat))),
+            ctx.ctrl_send(dst, tags::CVC_CLOCK + wave, bytes, Some(flat)),
             ctx.ctrl_recv(src, tags::CVC_CLOCK + wave),
         )
         .await;
-        if let Some(theirs) = env.payload_as::<Vec<u64>>() {
-            merge_max(&mut target, theirs);
-        }
+        merge_max(&mut target, env.words());
         k <<= 1;
     }
 

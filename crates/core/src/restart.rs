@@ -245,17 +245,15 @@ pub(crate) async fn serve_peer_recovery(
 /// Swap volume marks with `peer`: send `mine`, return the peer's.
 async fn exchange_volume(ctx: &RankCtx, peer: Rank, mine: u64) -> Result<u64, RecoveryError> {
     let (_, env) = join2(
-        ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(mine))),
+        ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new([mine]))),
         ctx.ctrl_recv(peer, tags::RESTART_VOL),
     )
     .await;
-    env.payload_as::<u64>()
-        .copied()
-        .ok_or(RecoveryError::BadPayload {
-            at: ctx.rank().0,
-            from: peer.0,
-            what: "volume",
-        })
+    env.word().ok_or(RecoveryError::BadPayload {
+        at: ctx.rank().0,
+        from: peer.0,
+        what: "volume",
+    })
 }
 
 /// Send my replay plan and the `entries` (`bytes` in total) to `peer`,
@@ -281,7 +279,7 @@ async fn replay_with(
             peer,
             tags::RESTART_PLAN,
             CTRL_BYTES,
-            Some(Rc::new(entries.len() as u64)),
+            Some(Rc::new([entries.len() as u64])),
         )
         .await;
         for e in entries {
@@ -291,7 +289,7 @@ async fn replay_with(
     };
     let recv_side = async {
         let plan = ctx.ctrl_recv(peer, tags::RESTART_PLAN).await;
-        let m = *plan.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+        let m = plan.word().ok_or(RecoveryError::BadPayload {
             at: ctx.rank().0,
             from: peer.0,
             what: "plan",

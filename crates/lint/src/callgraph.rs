@@ -16,8 +16,6 @@
 //! "not a workspace function". The resolution rate the report carries is
 //! `(resolved + external) / call_sites`.
 
-use std::collections::BTreeMap;
-
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::report::GraphStats;
 use crate::rules::NON_INDEX_KEYWORDS;
@@ -480,22 +478,15 @@ pub fn crate_scope(index: &SymbolIndex, crates: &[&str]) -> Vec<bool> {
         .collect()
 }
 
-/// Resolve-by-qualified-name helper for tests and messages.
-pub fn fn_named(index: &SymbolIndex, qualified: &str) -> Option<usize> {
-    let map: BTreeMap<String, usize> = index
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(id, f)| (f.qualified(), id))
-        .collect();
-    map.get(qualified).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::symbols;
+
+    fn fn_named(index: &SymbolIndex, qualified: &str) -> Option<usize> {
+        index.fns.iter().position(|f| f.qualified() == qualified)
+    }
 
     fn graph_of<'a>(files: &[(&'a str, &'a str)]) -> (SymbolIndex<'a>, CallGraph<'a>) {
         let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lex(s)).collect();

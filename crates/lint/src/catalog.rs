@@ -203,21 +203,19 @@ pub const CATALOG: &[RuleDoc] = &[
     RuleDoc {
         rule: Rule::W10,
         summary: "encoder field writes and decoder field reads must agree in arity and order",
-        rationale: "Hand-rolled wire formats (the CVC flattened clock, ctrl payloads) \
-                    pair an encoder with a decoder by convention only. A field-order \
-                    swap or arity drift between them corrupts state silently — the \
-                    dynamic FNV digest oracle catches it only on paths chaos happens \
-                    to schedule. W10 statically extracts the encoder's ordered field \
+        rationale: "A hand-rolled record stream (the CVC flattened clock) pairs an \
+                    encoder with a decoder by convention only. Ctrl payloads are \
+                    `u64` words, so the compiler checks their type, but not what \
+                    each word means: a field-order swap or arity drift between \
+                    encoder and decoder corrupts state silently — the dynamic FNV \
+                    digest oracle catches it only on paths chaos happens to \
+                    schedule. W10 statically extracts the encoder's ordered field \
                     writes (array-literal groups, `push` sequences) and the decoder's \
                     reads (`chunks_exact(k)` arity, slice-pattern binders) for every \
-                    checked-in pair, and also checks, per ctrl tag, that the payload \
-                    type sent (`Rc::new(expr)`) matches the type decoded \
-                    (`payload_as::<T>()`).",
+                    checked-in pair.",
         example: "encoder writes `[comm, val]`; decoder destructures `[val, comm]`",
-        fix: "Make the decoder consume fields in the encoder's order (and width); for \
-              payload mismatches, align the `Rc::new(…)` value type with the \
-              `payload_as::<T>()` at every handler of that tag. New encode/decode \
-              pairs register in `crates/lint/src/wire.rs`.",
+        fix: "Make the decoder consume fields in the encoder's order (and width). \
+              New encode/decode pairs register in `crates/lint/src/wire.rs`.",
     },
     RuleDoc {
         rule: Rule::W00,

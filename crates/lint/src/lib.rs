@@ -27,8 +27,8 @@
 //! Each mechanism exists once and the engines share it: the lexer
 //! computes test spans, one `Finding` constructor builds every finding,
 //! D03 and D03-T read one panic-site scan, D10 and P21 run one taint
-//! walker, P10 and W10 classify ctrl calls with one helper, and the
-//! cache stores reports in the report's own JSON form.
+//! walker, P20 reads the event trees P10 extracts, and the cache stores
+//! reports in the report's own JSON form.
 //!
 //! Run it as `gcrsim lint`; CI runs it with `--json` and fails on any
 //! non-baseline finding.

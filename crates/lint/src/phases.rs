@@ -537,7 +537,7 @@ impl Extractor<'_> {
 
 /// `let IDENT = tags::NAME …` aliases within a body — `bookmark_drain`
 /// binds its tag once and reuses it.
-pub(crate) fn tag_lets<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> BTreeMap<&'a str, &'a str> {
+fn tag_lets<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> BTreeMap<&'a str, &'a str> {
     let toks = &lx.toks;
     let mut map = BTreeMap::new();
     let hi = hi.min(toks.len());
@@ -562,7 +562,7 @@ pub(crate) fn tag_lets<'a>(lx: &Lexed<'a>, lo: usize, hi: usize) -> BTreeMap<&'a
 /// `i` (already known to be followed by `(`): its event kind (`send`,
 /// `recv`, `barrier`), the index of its closing paren, and the tag its
 /// arguments name, if any.
-pub(crate) fn ctrl_call<'a>(
+fn ctrl_call<'a>(
     lx: &Lexed<'a>,
     i: usize,
     tag_lets: &BTreeMap<&str, &'a str>,

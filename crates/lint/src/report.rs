@@ -45,7 +45,7 @@ pub enum Rule {
     /// merge/global-sequence boundary.
     S01,
     /// Wire-shape pairing: an encoder's ordered field writes diverge from
-    /// its decoder's field reads (arity, order, or payload type).
+    /// its decoder's field reads (arity or order).
     W10,
     /// Stale waiver: it matches no finding on its target line.
     W00,

@@ -3,25 +3,23 @@
 //! Hand-rolled wire formats pair an encoder with a decoder by convention
 //! only; a field-order swap or arity drift between them corrupts state
 //! silently, on paths the chaos harness only schedules probabilistically.
-//! This pass is the static analogue of the FNV digest oracle, in two
-//! halves:
+//! This pass is the static analogue of the FNV digest oracle: for every
+//! checked-in [`WireSpec`] pair, extract the encoder's ordered field
+//! writes (the first array-literal group of plain identifiers, falling
+//! back to an ordered `.push(…)` sequence) and the decoder's reads
+//! (`chunks_exact(k)` / `chunks(k)` record arity plus the first
+//! slice-pattern binder group), then compare: arity against arity, and
+//! field order via prefix-related name pairing (`c` ↔ `comm`). A
+//! resolvable pairing that is a non-identity permutation is a field-order
+//! swap; unresolvable names stay quiet — the pass is conservative by
+//! design.
 //!
-//! * **Record shapes** — for every checked-in [`WireSpec`] pair, extract
-//!   the encoder's ordered field writes (the first array-literal group of
-//!   plain identifiers, falling back to an ordered `.push(…)` sequence)
-//!   and the decoder's reads (`chunks_exact(k)` / `chunks(k)` record
-//!   arity plus the first slice-pattern binder group), then compare:
-//!   arity against arity, and field order via prefix-related name pairing
-//!   (`c` ↔ `comm`). A resolvable pairing that is a non-identity
-//!   permutation is a field-order swap; unresolvable names stay quiet —
-//!   the pass is conservative by design.
-//! * **Payload types** — per ctrl tag, the payload type constructed on
-//!   the send side (`Some(Rc::new(expr))`, inferred from `as` casts,
-//!   local `let` bindings and workspace return types) must agree with
-//!   every `payload_as::<T>()` decode associated with that tag. Unknown
-//!   types are skipped, disagreement between *known* types fires.
+//! Ctrl payloads need no such check: a payload is a slice of `u64` words
+//! (`gcr_mpi::Payload`), so the type sent and the type read cannot
+//! differ. What the words *mean* — the order of a record's fields — is
+//! what this pass pairs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::cfg;
 use crate::lexer::{Lexed, TokKind};
@@ -44,19 +42,15 @@ pub struct WireSpec {
 }
 
 /// The checked-in encoder/decoder pairs. The CVC flattened clock is the
-/// one true record stream in the tree today; the ctrl payload plane is
-/// covered pair-free by the payload-type half of this pass, and the
-/// msglog / ckptstore digests recompute through a single shared function,
-/// which needs no pairing check.
+/// one record stream in the tree today; every other ctrl payload is a
+/// single word, and the msglog / ckptstore digests recompute through a
+/// single shared function, which needs no pairing check.
 pub const WIRE_SPECS: &[WireSpec] = &[WireSpec {
     name: "cvc-clock",
     file: "crates/core/src/cvc.rs",
     encoder: "flatten",
     decoder: "merge_max",
 }];
-
-/// Crates whose ctrl traffic is audited for payload-type duality.
-const PAYLOAD_CRATES: &[&str] = &["core", "mpi"];
 
 /// Wire pairs whose encoder and decoder both resolve in this workspace.
 /// Used by the tier-1 coverage test: zero W10 findings is only
@@ -74,11 +68,10 @@ pub fn active_pairs(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<&'stat
 
 /// Run the W10 wire-shape pass.
 pub fn check(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for spec in WIRE_SPECS {
-        out.extend(check_pair(spec, index, views));
-    }
-    out.extend(payload_duality(index, views));
+    let mut out: Vec<Finding> = WIRE_SPECS
+        .iter()
+        .flat_map(|spec| check_pair(spec, index, views))
+        .collect();
     sort_dedup(&mut out);
     out
 }
@@ -344,246 +337,4 @@ fn chunk_arity(lx: &Lexed, fd: &FnDef) -> Option<(usize, usize)> {
 fn binder_group<'a>(lx: &Lexed<'a>, fd: &FnDef) -> Option<Shape<'a>> {
     let (lo, hi) = fd.body?;
     bracket_group(lx, lo + 1, hi)
-}
-
-/// Tag → payload type → first site `(file idx, line)`.
-type TagTypes<'a> = BTreeMap<&'a str, BTreeMap<String, (usize, usize)>>;
-
-/// Per ctrl tag, the payload type sent must match the type decoded.
-fn payload_duality(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
-    let mut sent = TagTypes::new();
-    let mut decoded = TagTypes::new();
-    for fd in &index.fns {
-        if !PAYLOAD_CRATES.contains(&fd.krate) {
-            continue;
-        }
-        let Some((lo, hi)) = fd.body else { continue };
-        let lx = views[fd.file].1;
-        let tag_lets = phases::tag_lets(lx, lo, hi);
-        let toks = &lx.toks;
-        let hi = hi.min(toks.len());
-        let mut last_recv: Option<&str> = None;
-        let mut i = lo + 1;
-        while i < hi {
-            let t = &toks[i];
-            let called = t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.text == "(");
-            if !called {
-                if t.text == "payload_as" {
-                    if let (Some(tag), Some(ty)) = (last_recv, turbofish_type(lx, i + 1)) {
-                        decoded
-                            .entry(tag)
-                            .or_default()
-                            .entry(ty)
-                            .or_insert((fd.file, t.line));
-                    }
-                }
-                i += 1;
-                continue;
-            }
-            match phases::ctrl_call(lx, i, &tag_lets) {
-                Some(("send", close, Some(tag))) => {
-                    if let Some(ty) = sent_payload_type(index, lx, lo, hi, i + 2, close) {
-                        sent.entry(tag)
-                            .or_default()
-                            .entry(ty)
-                            .or_insert((fd.file, t.line));
-                    }
-                }
-                Some(("recv", _, Some(tag))) => last_recv = Some(tag),
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-
-    let mut out = Vec::new();
-    for (tag, dec_types) in &decoded {
-        let Some(sent_types) = sent.get(tag) else {
-            continue; // no send-side type inferred: inconclusive
-        };
-        if sent_types.keys().eq(dec_types.keys()) {
-            continue;
-        }
-        let &(fi, line) = dec_types.values().next().expect("non-empty type map");
-        out.push(Finding::new(
-            views[fi].0,
-            views[fi].1,
-            line,
-            Rule::W10,
-            format!(
-                "ctrl tag `{tag}`: payload is sent as [{}] but decoded as \
-                 [{}] — the `Rc<dyn Any>` downcast returns None at runtime \
-                 and the handler misreads the wave",
-                sent_types.keys().cloned().collect::<Vec<_>>().join(", "),
-                dec_types.keys().cloned().collect::<Vec<_>>().join(", "),
-            ),
-        ));
-    }
-    out
-}
-
-/// The `T` of a `::<T>` turbofish starting at token `at` (expected `:`).
-fn turbofish_type(lx: &Lexed, at: usize) -> Option<String> {
-    let toks = &lx.toks;
-    if toks.get(at)?.text != ":" || toks.get(at + 1)?.text != ":" || toks.get(at + 2)?.text != "<" {
-        return None;
-    }
-    let mut depth = 0i32;
-    let mut ty = String::new();
-    for t in &toks[at + 2..] {
-        match t.text {
-            "<" => {
-                depth += 1;
-                if depth == 1 {
-                    continue;
-                }
-            }
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(ty);
-                }
-            }
-            _ => {}
-        }
-        ty.push_str(t.text);
-    }
-    None
-}
-
-/// The payload type a `ctrl_send` argument list constructs: the `expr` of
-/// `Some(Rc::new(expr))`, typed by an `as` cast, a local `let` binding,
-/// or a workspace callee's return type. `None` when inference would have
-/// to guess.
-fn sent_payload_type(
-    index: &SymbolIndex,
-    lx: &Lexed,
-    body_lo: usize,
-    body_hi: usize,
-    lo: usize,
-    hi: usize,
-) -> Option<String> {
-    let toks = &lx.toks;
-    let hi = hi.min(toks.len());
-    let mut i = lo;
-    while i + 4 < hi {
-        if toks[i].text == "Rc"
-            && toks[i + 1].text == ":"
-            && toks[i + 2].text == ":"
-            && toks[i + 3].text == "new"
-            && toks[i + 4].text == "("
-        {
-            let close = cfg::matching(toks, i + 4, toks.len());
-            return expr_type(index, lx, body_lo, body_hi, i + 5, close);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// The type of the expression in `[lo, hi)`, conservatively.
-fn expr_type(
-    index: &SymbolIndex,
-    lx: &Lexed,
-    body_lo: usize,
-    body_hi: usize,
-    lo: usize,
-    hi: usize,
-) -> Option<String> {
-    let toks = &lx.toks;
-    let hi = hi.min(toks.len());
-    if hi <= lo {
-        return None;
-    }
-    // `… as T` pins the type outright.
-    for i in lo..hi {
-        if toks[i].text == "as" {
-            return toks.get(i + 1).map(|n| n.text.to_string());
-        }
-    }
-    // A bare field access means the type lives outside this expression.
-    for i in lo..hi.saturating_sub(1) {
-        if toks[i].text == "."
-            && toks[i + 1].kind == TokKind::Ident
-            && toks.get(i + 2).is_none_or(|n| n.text != "(")
-        {
-            return None;
-        }
-    }
-    // A single identifier: resolve its `let` binding within the body.
-    if hi - lo == 1 && toks[lo].kind == TokKind::Ident {
-        return binding_type(index, lx, body_lo, body_hi, toks[lo].text);
-    }
-    // A call: the callee's (unique) workspace return type.
-    callee_ret(index, toks, lo, hi)
-}
-
-/// The declared or inferred type of `let [mut] name [: T] = rhs;`.
-fn binding_type(
-    index: &SymbolIndex,
-    lx: &Lexed,
-    lo: usize,
-    hi: usize,
-    name: &str,
-) -> Option<String> {
-    let toks = &lx.toks;
-    let hi = hi.min(toks.len());
-    let mut i = lo;
-    while i + 2 < hi {
-        if toks[i].text != "let" {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if toks[j].text == "mut" {
-            j += 1;
-        }
-        if toks[j].text != name {
-            i += 1;
-            continue;
-        }
-        // `let name: T = …` — the annotation wins.
-        if toks.get(j + 1).is_some_and(|n| n.text == ":")
-            && toks.get(j + 2).is_none_or(|n| n.text != ":")
-        {
-            let mut ty = String::new();
-            let mut k = j + 2;
-            while k < hi && toks[k].text != "=" {
-                ty.push_str(toks[k].text);
-                k += 1;
-            }
-            return (!ty.is_empty()).then_some(ty);
-        }
-        if toks.get(j + 1).is_some_and(|n| n.text == "=") {
-            // RHS runs to the statement's `;` at bracket depth 0.
-            let k = cfg::scan_to(toks, j + 2, hi, ";");
-            return expr_type(index, lx, lo, hi, j + 2, k);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// The unique return type of the first called workspace fn in `[lo, hi)`.
-fn callee_ret(
-    index: &SymbolIndex,
-    toks: &[crate::lexer::Tok],
-    lo: usize,
-    hi: usize,
-) -> Option<String> {
-    for i in lo..hi.min(toks.len()) {
-        if toks[i].kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.text == "(") {
-            let ids = index.by_name.get(toks[i].text)?;
-            let rets: BTreeSet<String> = ids
-                .iter()
-                .map(|&id| index.fns[id].ret.join(""))
-                .filter(|r| !r.is_empty())
-                .collect();
-            return match rets.len() {
-                1 => rets.into_iter().next(),
-                _ => None,
-            };
-        }
-    }
-    None
 }

@@ -9,7 +9,7 @@
 use gcr_lint::{lint_files, lint_source, Baseline, Report};
 
 /// Digest of every case below, rendered with `Report::to_json().pretty()`.
-const PINNED: u64 = 0x2458_5103_3e82_0f67;
+const PINNED: u64 = 0x27da_d7fe_f781_b3dd;
 
 const BLOCKING: &str = "crates/core/src/blocking.rs";
 const RESTART: &str = "crates/core/src/restart.rs";
@@ -133,8 +133,6 @@ const WORKSPACES: &[&[(&str, &str)]] = &[
     &[(CVC, include_str!("fixtures/w10_swap.rs"))],
     &[(CVC, include_str!("fixtures/w10_arity.rs"))],
     &[(CVC, include_str!("fixtures/w10_quiet.rs"))],
-    &[(BLOCKING, include_str!("fixtures/w10_payload_fire.rs"))],
-    &[(BLOCKING, include_str!("fixtures/w10_payload_quiet.rs"))],
     &[(HOOKS, include_str!("fixtures/p21_fire.rs"))],
     &[(HOOKS, include_str!("fixtures/p21_quiet.rs"))],
 ];

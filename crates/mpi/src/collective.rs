@@ -6,7 +6,7 @@
 //! checkpoint layer sits below the collective algorithms.
 //!
 //! Algorithms follow the classic MPICH shapes: dissemination barrier,
-//! binomial-tree broadcast/reduce, ring allgather, pairwise all-to-all.
+//! binomial-tree broadcast/reduce, ring allgather.
 
 // gcr-lint: trust(D03-T) Comm::new's panics are documented constructor preconditions (membership fixed at build time); rank tables are sized to the communicator
 
@@ -243,21 +243,6 @@ impl Comm {
             self.ctx.coll_send(self.ranks[root_pos], seq, bytes).await;
         }
     }
-
-    /// Pairwise all-to-all: n−1 rounds of symmetric exchanges of
-    /// `bytes_per_pair`.
-    pub async fn alltoall(&self, bytes_per_pair: u64) {
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        let seq = self.next_seq();
-        for r in 1..n {
-            let dst = (self.pos + r) % n;
-            let src = (self.pos + n - r) % n;
-            self.exchange(dst, src, seq, bytes_per_pair).await;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -363,21 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_exchanges_all_pairs() {
-        let (world, _) = run_collective(4, |comm, _ctx| async move {
-            comm.alltoall(100).await;
-        });
-        let c = world.counters();
-        for s in 0..4u32 {
-            for d in 0..4u32 {
-                if s != d {
-                    assert_eq!(c.pair(Rank(s), Rank(d)).consumed_bytes, 100, "{s}->{d}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn subgroup_comm_works() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::test(6));
@@ -413,7 +383,6 @@ mod tests {
             comm.bcast(0, 100).await;
             comm.reduce(1, 100).await;
             comm.allgather(50).await;
-            comm.alltoall(25).await;
         });
     }
 

@@ -1,6 +1,5 @@
 //! Message envelopes, tags, and payloads.
 
-use std::any::Any;
 use std::fmt;
 use std::rc::Rc;
 
@@ -40,11 +39,6 @@ impl Tag {
     pub fn ctrl(v: u64) -> Tag {
         Tag(Tag::CTRL_BASE | v)
     }
-
-    /// Whether this is a protocol control tag.
-    pub fn is_ctrl(self) -> bool {
-        self.0 >= Tag::CTRL_BASE
-    }
 }
 
 impl fmt::Debug for Tag {
@@ -81,11 +75,12 @@ pub enum MsgKind {
     Ctrl,
 }
 
-/// An optional typed payload. The simulator does not move real data; small
-/// control payloads (bookmark values, volume vectors) ride along as
-/// `Rc<dyn Any>` and are downcast by the receiver. `bytes` on the envelope
+/// An optional control payload of integer words. The simulator does not
+/// move real data; the few values a protocol exchanges (bookmark byte
+/// counts, volume marks, replay-plan counts, the commit decision, a
+/// flattened clock vector) ride along as words. `bytes` on the envelope
 /// is what costs network time, independent of the payload.
-pub type Payload = Option<Rc<dyn Any>>;
+pub type Payload = Option<Rc<[u64]>>;
 
 /// A message as seen by the receiver.
 #[derive(Clone)]
@@ -118,7 +113,7 @@ pub struct Envelope {
     /// sender-side log up to this offset — only the unacked tail must be
     /// retained for in-transit replay.
     pub piggyback_ack: Option<u64>,
-    /// Optional typed control payload.
+    /// Optional control payload words.
     pub payload: Payload,
     /// When the send was initiated.
     pub sent_at: SimTime,
@@ -127,9 +122,14 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Downcast the control payload to a concrete type.
-    pub fn payload_as<T: 'static>(&self) -> Option<&T> {
-        self.payload.as_ref().and_then(|p| p.downcast_ref::<T>())
+    /// The control payload's words; empty when the message carries none.
+    pub fn words(&self) -> &[u64] {
+        self.payload.as_deref().unwrap_or(&[])
+    }
+
+    /// The first payload word, if any.
+    pub fn word(&self) -> Option<u64> {
+        self.words().first().copied()
     }
 }
 
@@ -154,9 +154,6 @@ mod tests {
         let ctrl = Tag::ctrl(77);
         assert_ne!(app, coll);
         assert_ne!(coll, ctrl);
-        assert!(ctrl.is_ctrl());
-        assert!(!app.is_ctrl());
-        assert!(!coll.is_ctrl());
     }
 
     #[test]
@@ -166,8 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn payload_downcast() {
-        let env = Envelope {
+    fn payload_reads_as_words() {
+        let mut env = Envelope {
             src: Rank(0),
             dst: Rank(1),
             tag: Tag::app(0),
@@ -180,11 +177,14 @@ mod tests {
             piggyback_rr: None,
             piggyback_epoch: None,
             piggyback_ack: None,
-            payload: Some(Rc::new(42u64)),
+            payload: Some(Rc::new([42, 7])),
             sent_at: SimTime::ZERO,
             arrived_at: SimTime::ZERO,
         };
-        assert_eq!(env.payload_as::<u64>(), Some(&42));
-        assert_eq!(env.payload_as::<u32>(), None);
+        assert_eq!(env.words(), &[42, 7]);
+        assert_eq!(env.word(), Some(42));
+        env.payload = None;
+        assert!(env.words().is_empty());
+        assert_eq!(env.word(), None);
     }
 }

@@ -848,19 +848,41 @@ mod tests {
     fn ctrl_traffic_is_not_counted() {
         let (sim, world) = make_world(2);
         world.launch(Rank(0), |ctx| async move {
-            ctx.ctrl_send(Rank(1), 4, 999, Some(Rc::new(123u64))).await;
+            ctx.ctrl_send(Rank(1), 4, 999, Some(Rc::new([123]))).await;
         });
-        let got = Rc::new(Cell::new(0u64));
+        let got = Rc::new(Cell::new(None));
         {
             let got = Rc::clone(&got);
             world.launch(Rank(1), |ctx| async move {
                 let env = ctx.ctrl_recv(Rank(0), 4).await;
-                got.set(*env.payload_as::<u64>().unwrap());
+                got.set(env.word());
             });
         }
         sim.run().unwrap();
-        assert_eq!(got.get(), 123);
+        assert_eq!(got.get(), Some(123));
         assert_eq!(world.pair_stats(Rank(0), Rank(1)).sent_msgs, 0);
+    }
+
+    #[test]
+    fn multi_word_ctrl_payloads_arrive_intact_and_in_order() {
+        let (sim, world) = make_world(2);
+        world.launch(Rank(0), |ctx| async move {
+            ctx.ctrl_send(Rank(1), 4, 40, Some(Rc::new([7, 0, u64::MAX])))
+                .await;
+            ctx.ctrl_send(Rank(1), 4, 24, Some(Rc::new([1, 2]))).await;
+        });
+        let got = Rc::new(RefCell::new(Vec::new()));
+        {
+            let got = Rc::clone(&got);
+            world.launch(Rank(1), |ctx| async move {
+                for _ in 0..2 {
+                    let env = ctx.ctrl_recv(Rank(0), 4).await;
+                    got.borrow_mut().push(env.words().to_vec());
+                }
+            });
+        }
+        sim.run().unwrap();
+        assert_eq!(*got.borrow(), [vec![7, 0, u64::MAX], vec![1, 2]]);
     }
 
     #[test]
@@ -869,7 +891,7 @@ mod tests {
         use std::mem::{size_of, size_of_val};
         let (_sim, world) = make_world(2);
         let ctx = world.ctx(Rank(0));
-        let fut = ctx.ctrl_send(Rank(1), 4, 32, Some(Rc::new(1u64)));
+        let fut = ctx.ctrl_send(Rank(1), 4, 32, Some(Rc::new([1u64])));
         let args = size_of::<&RankCtx>() + size_of::<Rank>() + 2 * size_of::<u64>();
         let bound = size_of::<Sleep>() + args + size_of::<Payload>() + 16;
         let size = size_of_val(&fut);

@@ -326,16 +326,6 @@ impl CkptStore {
         }
     }
 
-    /// Whether the store holds any generation (whatever its state) for
-    /// `group`.
-    pub fn has_any(&self, group: usize) -> bool {
-        self.catalog
-            .borrow()
-            .range((group, 0)..=(group, u64::MAX))
-            .next()
-            .is_some()
-    }
-
     /// The newest generation ever begun for `group`, whatever its state.
     /// Compared against the selected restart generation to detect
     /// fallback.
@@ -539,8 +529,6 @@ mod tests {
         assert_eq!(store.select_restart(0, &members, 2), Some(1));
         // A window of 1 only sees the corrupt gen 2 → nothing usable.
         assert_eq!(store.select_restart(0, &members, 1), None);
-        assert!(store.has_any(0));
-        assert!(!store.has_any(9));
     }
 
     #[test]

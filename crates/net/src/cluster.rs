@@ -7,7 +7,7 @@ use gcr_sim::{DetRng, Sim, SimDuration};
 
 use crate::backend::{CkptBackend, DiskBackend};
 use crate::ckptstore::CkptStore;
-use crate::network::{Network, NodeId};
+use crate::network::Network;
 use crate::spec::ClusterSpec;
 use crate::storage::Storage;
 
@@ -127,15 +127,6 @@ impl Cluster {
             SimDuration::ZERO
         }
     }
-
-    /// Validate that `node` is a compute node.
-    pub fn check_node(&self, node: NodeId) {
-        assert!(
-            node < self.spec.nodes,
-            "node {node} out of range (cluster has {})",
-            self.spec.nodes
-        );
-    }
 }
 
 #[cfg(test)]
@@ -194,13 +185,5 @@ mod tests {
         assert!(nonzero > 50 && nonzero < 150, "nonzero {nonzero}");
         let max = delays.iter().max().unwrap();
         assert!(max.as_secs_f64() > 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn check_node_rejects_servers() {
-        let sim = Sim::new();
-        let cluster = Cluster::new(&sim, ClusterSpec::test(4));
-        cluster.check_node(4);
     }
 }

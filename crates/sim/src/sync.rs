@@ -132,11 +132,6 @@ impl Event {
         }
     }
 
-    /// Whether the event has fired.
-    pub fn is_set(&self) -> bool {
-        self.inner.borrow().set
-    }
-
     /// Completes once the event has fired.
     pub fn wait(&self) -> EventWait {
         EventWait {

@@ -1,4 +1,4 @@
-//! Trace analysis: pair-flow aggregation and per-rank summaries.
+//! Trace analysis: pair-flow aggregation.
 //!
 //! [`pair_flows`] produces exactly the preprocessed input of the paper's
 //! Algorithm 2: send records collapsed by *unordered* source/destination
@@ -49,43 +49,6 @@ pub fn pair_flows(trace: &Trace) -> Vec<PairFlow> {
             .then((x.a, x.b).cmp(&(y.a, y.b)))
     });
     flows
-}
-
-/// Per-rank traffic summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RankTraffic {
-    /// Bytes sent by the rank.
-    pub sent_bytes: u64,
-    /// Messages sent by the rank.
-    pub sent_msgs: u64,
-}
-
-/// Per-rank send totals, indexed by rank.
-pub fn rank_traffic(trace: &Trace) -> Vec<RankTraffic> {
-    let mut v = vec![RankTraffic::default(); trace.meta.n];
-    for (src, _dst, bytes) in trace.sends() {
-        let r = &mut v[src as usize];
-        r.sent_bytes += bytes;
-        r.sent_msgs += 1;
-    }
-    v
-}
-
-/// Total bytes sent in the trace.
-pub fn total_bytes(trace: &Trace) -> u64 {
-    trace.sends().map(|(_, _, b)| b).sum()
-}
-
-/// Fraction of total traffic covered by the heaviest `k` pair flows
-/// (diagnostic for "is this workload groupable?").
-pub fn concentration(trace: &Trace, k: usize) -> f64 {
-    let flows = pair_flows(trace);
-    let total: u64 = flows.iter().map(|f| f.bytes).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let top: u64 = flows.iter().take(k).map(|f| f.bytes).sum();
-    top as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -152,23 +115,5 @@ mod tests {
         let flows = pair_flows(&tr);
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].a, 0);
-    }
-
-    #[test]
-    fn rank_traffic_totals() {
-        let tr = trace_with(&[(0, 1, 100), (0, 2, 200), (1, 0, 50)]);
-        let rt = rank_traffic(&tr);
-        assert_eq!(rt[0].sent_bytes, 300);
-        assert_eq!(rt[0].sent_msgs, 2);
-        assert_eq!(rt[1].sent_bytes, 50);
-        assert_eq!(rt[7].sent_msgs, 0);
-        assert_eq!(total_bytes(&tr), 350);
-    }
-
-    #[test]
-    fn concentration_of_heavy_pairs() {
-        let tr = trace_with(&[(0, 1, 900), (2, 3, 100)]);
-        assert!((concentration(&tr, 1) - 0.9).abs() < 1e-12);
-        assert!((concentration(&tr, 2) - 1.0).abs() < 1e-12);
     }
 }

@@ -191,17 +191,29 @@ impl Trace {
     /// Parse a trace from its JSON value.
     ///
     /// # Errors
-    /// [`JsonError`] on shape mismatches.
+    /// [`JsonError`] on shape mismatches, or naming the first event whose
+    /// source or destination rank is not below `meta.n`.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
         let meta = v.field("meta")?;
+        let n = meta.usize_field("n")?;
         let events = v
             .arr_field("events")?
             .iter()
-            .map(TraceEvent::from_json)
+            .enumerate()
+            .map(|(i, e)| {
+                let ev = TraceEvent::from_json(e)?;
+                let (TraceEvent::Send { src, dst, .. } | TraceEvent::Recv { src, dst, .. }) = ev;
+                match [src, dst].into_iter().find(|&r| r as usize >= n) {
+                    Some(r) => Err(JsonError::msg(format!(
+                        "event {i}: rank {r} is outside the trace's {n}-rank world"
+                    ))),
+                    None => Ok(ev),
+                }
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Trace {
             meta: TraceMeta {
-                n: meta.usize_field("n")?,
+                n,
                 workload: meta.str_field("workload")?.to_string(),
             },
             events,

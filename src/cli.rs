@@ -971,6 +971,27 @@ mod tests {
     }
 
     #[test]
+    fn trace_commands_reject_an_event_outside_the_world() {
+        let dir = std::env::temp_dir().join("gcr-cli-rank-range-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tpath = dir.join("t.json").to_string_lossy().into_owned();
+        std::fs::write(
+            &tpath,
+            r#"{"meta":{"n":2,"workload":"x"},"events":[{"ev":"send","t":0,"src":0,"dst":1,"tag":1,"bytes":10},{"ev":"send","t":0,"src":0,"dst":5,"tag":1,"bytes":10}]}"#,
+        )
+        .unwrap();
+        for cmd in [
+            "groups --max-size 2",
+            "phases --window-ms 10 --max-size 2",
+            "stats",
+        ] {
+            let e = execute(parse(&argv(&format!("{cmd} --trace {tpath}"))).unwrap()).unwrap_err();
+            assert!(e.0.contains("event 1: rank 5"), "{cmd}: {}", e.0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn parses_a_chaos_command_with_overrides() {
         let cmd = parse(&argv(
             "chaos --seed 3 --workload cg --proto gp4 --storage local --interval-ms 800 \
