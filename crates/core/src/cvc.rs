@@ -381,6 +381,23 @@ mod tests {
     }
 
     #[test]
+    fn flattened_clock_round_trips_through_merge_max() {
+        // Keys differ from values, so a `[value, comm]` record or a
+        // drifted record width cannot rebuild the clock.
+        let clock = BTreeMap::from([(1u64, 5u64), (7, 2), (9, 0)]);
+        let flat = flatten(&clock);
+        // Two words per entry: the wave charges `CTRL_BYTES + 8 × words`.
+        assert_eq!(flat.len(), 2 * clock.len());
+        let mut rebuilt = BTreeMap::new();
+        merge_max(&mut rebuilt, &flat);
+        assert_eq!(rebuilt, clock);
+        // The merge keeps the larger value on either side.
+        let mut target = BTreeMap::from([(1u64, 8u64), (7, 1)]);
+        merge_max(&mut target, &flat);
+        assert_eq!(target, BTreeMap::from([(1, 8), (7, 2), (9, 0)]));
+    }
+
+    #[test]
     fn clock_advances_per_communicator() {
         let cvc = CvcState::new();
         let mut e = coll_env(0, 1, 3, 7, None);

@@ -81,6 +81,7 @@ impl Json {
         let mut p = Parser {
             b: input.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -362,9 +363,16 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so without a bound a
+/// hostile file of `[[[[…` overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -405,8 +413,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(JsonError::parse(
                 format!("unexpected '{}'", c as char),
@@ -414,6 +422,20 @@ impl Parser<'_> {
             )),
             None => Err(JsonError::parse("unexpected end of input", self.i)),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::parse(
+                format!("nested deeper than {MAX_DEPTH} levels"),
+                self.i,
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -649,6 +671,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_an_error_not_a_stack_overflow() {
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(e.to_string().contains("nested deeper than 128"), "{e}");
+        // The bound itself still parses, arrays and objects alike.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        assert!(Json::parse(&format!("[{deepest}]")).is_err());
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objs).is_ok());
+        assert!(Json::parse(&format!("[{objs}]")).is_err());
     }
 
     #[test]

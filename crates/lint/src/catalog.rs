@@ -186,38 +186,6 @@ pub const CATALOG: &[RuleDoc] = &[
               from the (retention-lagged) committed entry, as `on_commit` does.",
     },
     RuleDoc {
-        rule: Rule::S01,
-        summary: "shard-local kernel state must stay behind the merge boundary",
-        rationale: "The sharded DES kernel is bit-identical across shard counts only \
-                    because every cross-shard interaction goes through the \
-                    merge/global-sequence path in `crates/sim/src/shard.rs` + \
-                    `executor.rs`. Any other `sim`/`mpi` file naming a shard-local \
-                    type, reaching into the `.shards` arena, or the boundary file \
-                    exporting one as bare `pub`, opens a side channel that breaks \
-                    digest invariance.",
-        example: "sh.push(HeapEntry { at, seq, slot })   // outside executor.rs",
-        fix: "Route the interaction through the executor's merge API \
-              (`spawn_on`/`schedule_call_on`); keep shard types `pub(crate)`. Only \
-              `SimStats` (merged read-only counters) is exported.",
-    },
-    RuleDoc {
-        rule: Rule::W10,
-        summary: "encoder field writes and decoder field reads must agree in arity and order",
-        rationale: "A hand-rolled record stream (the CVC flattened clock) pairs an \
-                    encoder with a decoder by convention only. Ctrl payloads are \
-                    `u64` words, so the compiler checks their type, but not what \
-                    each word means: a field-order swap or arity drift between \
-                    encoder and decoder corrupts state silently — the dynamic FNV \
-                    digest oracle catches it only on paths chaos happens to \
-                    schedule. W10 statically extracts the encoder's ordered field \
-                    writes (array-literal groups, `push` sequences) and the decoder's \
-                    reads (`chunks_exact(k)` arity, slice-pattern binders) for every \
-                    checked-in pair.",
-        example: "encoder writes `[comm, val]`; decoder destructures `[val, comm]`",
-        fix: "Make the decoder consume fields in the encoder's order (and width). \
-              New encode/decode pairs register in `crates/lint/src/wire.rs`.",
-    },
-    RuleDoc {
         rule: Rule::W00,
         summary: "stale or malformed waiver",
         rationale: "A waiver that waives nothing (or does not parse) is debt pretending \

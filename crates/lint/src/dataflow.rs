@@ -1,5 +1,4 @@
-//! D10 — determinism taint dataflow; P21 — GC-floor soundness; S01 —
-//! shard isolation.
+//! D10 — determinism taint dataflow; P21 — GC-floor soundness.
 //!
 //! **D10** upgrades D01/D02's "any use anywhere" syntactic net into a
 //! flow-sensitive question: does a nondeterministic *value* actually
@@ -26,22 +25,12 @@
 //! is exactly what the flow-sensitive kill expresses. Trimming to an uncommitted floor destroys log bytes a
 //! fallback restart still needs; the survivability oracle only catches
 //! it when chaos happens to schedule the crash inside the window.
-//!
-//! **S01** protects the sharded kernel's bit-identical-digest invariant:
-//! per-shard timer state (the types defined in
-//! [`crate::policy::SHARD_BOUNDARY`]) must be reachable from another
-//! shard only through the merge/global-sequence boundary. Inside the
-//! scope crates (`sim`, `mpi`), any file outside the allow-listed merge
-//! boundary that names a shard-local type, or reaches into the `.shards`
-//! arena, is a finding — as is the boundary file itself exporting a
-//! shard-local item as bare `pub`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
 use crate::cfg::{self, Cfg};
-use crate::lexer::{in_spans, Lexed, Tok, TokKind};
-use crate::policy;
+use crate::lexer::{Lexed, Tok, TokKind};
 use crate::report::{sort_dedup, Finding, Rule};
 use crate::rules;
 use crate::symbols::SymbolIndex;
@@ -448,121 +437,6 @@ pub fn gc_floor(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
             continue;
         }
         Flow::new(&taint, index, views[fd.file], &mut out).run(lo, hi);
-    }
-    sort_dedup(&mut out);
-    out
-}
-
-/// Run the S01 shard-isolation pass.
-pub fn shard_isolation(views: &[(&str, &Lexed)]) -> Vec<Finding> {
-    let Some(bi) = views
-        .iter()
-        .position(|(rel, _)| *rel == policy::SHARD_BOUNDARY)
-    else {
-        return Vec::new(); // no sharded kernel in this workspace
-    };
-    let mut out = Vec::new();
-    let (_, blx) = views[bi];
-
-    // Shard-local type names defined by the boundary file.
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for (i, t) in blx.toks.iter().enumerate() {
-        if matches!(t.text, "struct" | "enum")
-            && !in_spans(&blx.tests, t.line)
-            && blx
-                .toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokKind::Ident)
-        {
-            let name = blx.toks[i + 1].text;
-            if !policy::SHARD_EXPORTED.contains(&name) {
-                names.insert(name);
-            }
-        }
-    }
-
-    // (a) The boundary file must not export shard-local items: a bare
-    // `pub` item other than the allow-listed read-only exports.
-    let mut i = 0;
-    while i < blx.toks.len() {
-        let t = &blx.toks[i];
-        if t.text == "pub"
-            && !in_spans(&blx.tests, t.line)
-            && blx.toks.get(i + 1).is_none_or(|n| n.text != "(")
-        {
-            let mut j = i + 1;
-            while blx
-                .toks
-                .get(j)
-                .is_some_and(|n| matches!(n.text, "async" | "const" | "unsafe"))
-            {
-                j += 1;
-            }
-            if blx
-                .toks
-                .get(j)
-                .is_some_and(|n| matches!(n.text, "fn" | "struct" | "enum"))
-            {
-                if let Some(name) = blx.toks.get(j + 1) {
-                    if !policy::SHARD_EXPORTED.contains(&name.text) {
-                        out.push(Finding::new(
-                            views[bi].0,
-                            blx,
-                            t.line,
-                            Rule::S01,
-                            format!(
-                                "shard-boundary item `{}` is exported `pub` — keep \
-                                 shard-local state `pub(crate)` so only the merge \
-                                 boundary can reach it",
-                                name.text
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-
-    // (b) Scope crates: shard-local types and the `.shards` arena are
-    // reachable only through the merge boundary.
-    for (rel, lx) in views {
-        let scoped = policy::crate_of(rel).is_some_and(|c| policy::SHARD_SCOPE_CRATES.contains(&c))
-            && !policy::SHARD_MERGERS.contains(rel);
-        if !scoped {
-            continue;
-        }
-        for (i, t) in lx.toks.iter().enumerate() {
-            if in_spans(&lx.tests, t.line) {
-                continue;
-            }
-            if t.kind == TokKind::Ident && names.contains(t.text) {
-                out.push(Finding::new(
-                    rel,
-                    lx,
-                    t.line,
-                    Rule::S01,
-                    format!(
-                        "shard-local type `{}` used outside the merge boundary \
-                         ({}) — cross-shard state must flow through the \
-                         merge/global-sequence path",
-                        t.text,
-                        policy::SHARD_MERGERS.join(", "),
-                    ),
-                ));
-            }
-            if t.text == "shards" && i >= 1 && lx.toks[i - 1].text == "." {
-                out.push(Finding::new(
-                    rel,
-                    lx,
-                    t.line,
-                    Rule::S01,
-                    "per-shard arena `.shards` accessed outside the merge \
-                     boundary — shard heaps are private to the \
-                     merge/global-sequence path",
-                ));
-            }
-        }
     }
     sort_dedup(&mut out);
     out

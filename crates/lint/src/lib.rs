@@ -15,10 +15,9 @@
 //! passes ([`semantic`]): transitive panic-reachability (D03-T),
 //! protocol error-flow (E01–E03) and control-protocol conformance
 //! (P01/P02). The flow-sensitive layer ([`phases`], [`dataflow`]) adds
-//! phase-order model checking (P10), determinism taint (D10), GC-floor
-//! soundness (P21) and shard isolation (S01); the conformance layer
-//! ([`session`], [`wire`]) checks session tag-duality per protocol mode
-//! (P20) and wire-shape encode/decode pairing (W10). Policy tiers
+//! phase-order model checking (P10), determinism taint (D10) and GC-floor
+//! soundness (P21); the conformance layer ([`session`]) checks session
+//! tag-duality per protocol mode (P20). Policy tiers
 //! ([`policy`]) decide which rules apply where; inline waivers
 //! ([`suppress`]) and a committed baseline ([`baseline`]) manage the
 //! path to zero findings. An incremental cache ([`cache`]) keyed by
@@ -50,7 +49,6 @@ pub mod semantic;
 pub mod session;
 pub mod suppress;
 pub mod symbols;
-pub mod wire;
 
 use std::fs;
 use std::io;
@@ -108,20 +106,17 @@ pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
     let graph = callgraph::build(&index, &views, &mut waivers);
     raw.extend(semantic::check(&index, &graph, &views));
 
-    // Flow-sensitive passes: protocol phase-order model checking (P10),
-    // determinism taint dataflow (D10) and shard isolation (S01). Their
-    // findings go through the same waiver/baseline machinery below.
+    // Flow-sensitive passes: protocol phase-order model checking (P10)
+    // and determinism taint dataflow (D10). Their findings go through
+    // the same waiver/baseline machinery below.
     let extracted = phases::extract(&index, &views);
     raw.extend(phases::check(&extracted, &index, &views));
     raw.extend(dataflow::check(&index, &graph, &views));
-    raw.extend(dataflow::shard_isolation(&views));
 
-    // Conformance passes: session tag-duality per protocol mode (P20),
-    // wire-shape encode/decode pairing (W10) and GC-floor soundness
-    // (P21). P20 reads P10's extracted trees; same waiver/baseline
-    // machinery.
+    // Conformance passes: session tag-duality per protocol mode (P20)
+    // and GC-floor soundness (P21). P20 reads P10's extracted trees;
+    // same waiver/baseline machinery.
     raw.extend(session::check(&extracted, &index, &views));
-    raw.extend(wire::check(&index, &views));
     raw.extend(dataflow::gc_floor(&index, &views));
 
     // Apply line waivers to every engine's findings, then collect

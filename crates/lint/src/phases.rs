@@ -404,12 +404,7 @@ pub fn check(
 }
 
 /// The id of the fn named `name` with a body in `file`, if indexed.
-pub(crate) fn find_fn(
-    index: &SymbolIndex,
-    views: &[(&str, &Lexed)],
-    name: &str,
-    file: &str,
-) -> Option<usize> {
+fn find_fn(index: &SymbolIndex, views: &[(&str, &Lexed)], name: &str, file: &str) -> Option<usize> {
     index
         .fns
         .iter()

@@ -38,7 +38,7 @@ pub const RECOVERY_CRITICAL: &[&str] = &[
     "crates/net/src/ckptstore.rs",
     "crates/net/src/restore.rs",
     "crates/chaos/src/engine.rs",
-    "crates/sim/src/shard.rs",
+    "crates/sim/src/executor/shard.rs",
 ];
 
 /// Crates the transitive panic-reachability pass (D03-T) propagates
@@ -52,24 +52,6 @@ pub const D03T_SCOPE_CRATES: &[&str] = &["core", "net", "mpi", "chaos"];
 /// Error types whose loss the error-flow rules (E01/E02/E03) never allow:
 /// these carry recovery-path fault information.
 pub const PROTOCOL_ERROR_TYPES: &[&str] = &["RecoveryError", "StorageError"];
-
-/// The shard-isolation boundary (rule S01): the module defining the
-/// per-shard timer heaps and the merge/global-sequence order. Types
-/// declared here are shard-local state.
-pub const SHARD_BOUNDARY: &str = "crates/sim/src/shard.rs";
-
-/// Files allowed to touch shard-local state: the boundary itself and the
-/// executor's merge loop (which owns the `.shards` arena and the
-/// conservative-window drain).
-pub const SHARD_MERGERS: &[&str] = &["crates/sim/src/shard.rs", "crates/sim/src/executor.rs"];
-
-/// Boundary types that are deliberately exported read-only (merged
-/// counters, no timer state).
-pub const SHARD_EXPORTED: &[&str] = &["SimStats"];
-
-/// Crates inside which S01 polices shard-local reachability: the
-/// simulation kernel and the MPI layer routed onto it.
-pub const SHARD_SCOPE_CRATES: &[&str] = &["sim", "mpi"];
 
 /// The rule set in force for one file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,7 +100,7 @@ mod tests {
 
         // The shard/merge module: deterministic (gcr-sim is a D01 crate)
         // AND panic-free (D03) — every group shares one merge loop.
-        let p = policy_for("crates/sim/src/shard.rs");
+        let p = policy_for("crates/sim/src/executor/shard.rs");
         assert!(p.d01 && p.d02 && p.d03 && !p.d04);
 
         let p = policy_for("crates/core/src/restart.rs");

@@ -41,12 +41,6 @@ pub enum Rule {
     /// GC-floor soundness: a value read from the *pending* (uncommitted)
     /// generation ledger flows into a log-trim / floor-advertise sink.
     P21,
-    /// Shard-isolation: shard-local simulator state touched outside the
-    /// merge/global-sequence boundary.
-    S01,
-    /// Wire-shape pairing: an encoder's ordered field writes diverge from
-    /// its decoder's field reads (arity or order).
-    W10,
     /// Stale waiver: it matches no finding on its target line.
     W00,
     /// Waiver without a justification.
@@ -71,8 +65,6 @@ impl Rule {
             Rule::P10 => "P10",
             Rule::P20 => "P20",
             Rule::P21 => "P21",
-            Rule::S01 => "S01",
-            Rule::W10 => "W10",
             Rule::W00 => "W00",
             Rule::W01 => "W01",
         }
@@ -101,8 +93,6 @@ impl Rule {
         Rule::P10,
         Rule::P20,
         Rule::P21,
-        Rule::S01,
-        Rule::W10,
         Rule::W00,
         Rule::W01,
     ];

@@ -1,8 +1,7 @@
-//! Fixture tests for the conformance passes: P20 session tag-duality,
-//! W10 wire-shape pairing and P21 GC-floor soundness. Each fixture
-//! pretends to live at the real protocol path so the checked-in
-//! session/wire tables activate, and is fed through
-//! [`gcr_lint::lint_files`] as a synthetic workspace.
+//! Fixture tests for the conformance passes: P20 session tag-duality
+//! and P21 GC-floor soundness. Each fixture pretends to live at the real
+//! protocol path so the checked-in session tables activate, and is fed
+//! through [`gcr_lint::lint_files`] as a synthetic workspace.
 
 use gcr_lint::{lint_files, Baseline, Finding, Report, Rule};
 
@@ -19,10 +18,9 @@ fn of_rule(report: &Report, rule: Rule) -> Vec<&Finding> {
     report.findings.iter().filter(|f| f.rule == rule).collect()
 }
 
-/// The session/wire tables only activate at the real protocol paths.
+/// The session tables only activate at the real protocol paths.
 const BLOCKING: &str = "crates/core/src/blocking.rs";
 const VCL: &str = "crates/core/src/vcl.rs";
-const CVC: &str = "crates/core/src/cvc.rs";
 const CONFIG: &str = "crates/core/src/config.rs";
 const RESTART: &str = "crates/core/src/restart.rs";
 const HOOKS: &str = "crates/core/src/hooks.rs";
@@ -94,38 +92,6 @@ fn p20_fires_on_a_mode_variant_without_a_session_table() {
         !p20.iter().any(|f| f.message.contains("`Blocking`")),
         "the fully-live `Blocking` table must not fire: {p20:#?}"
     );
-}
-
-// ---------------------------------------------------------------- W10
-
-#[test]
-fn w10_fires_on_a_field_order_swap() {
-    let report = ws(&[(CVC, include_str!("fixtures/w10_swap.rs"))]);
-    let w10 = of_rule(&report, Rule::W10);
-    assert!(
-        w10.iter().any(|f| f.message.contains("field-order swap")
-            && f.message.contains("[val, comm]")
-            && f.message.contains("[c, v]")),
-        "the swapped decoder destructure must fire: {w10:#?}"
-    );
-}
-
-#[test]
-fn w10_fires_on_record_arity_drift() {
-    let report = ws(&[(CVC, include_str!("fixtures/w10_arity.rs"))]);
-    let w10 = of_rule(&report, Rule::W10);
-    assert!(
-        w10.iter()
-            .any(|f| f.message.contains("chunks of 3") && f.message.contains("2-field records")),
-        "the 2-write/3-read drift must fire: {w10:#?}"
-    );
-}
-
-#[test]
-fn w10_quiet_on_matching_record_shapes() {
-    let report = ws(&[(CVC, include_str!("fixtures/w10_quiet.rs"))]);
-    let w10 = of_rule(&report, Rule::W10);
-    assert!(w10.is_empty(), "a matching pair must be clean: {w10:#?}");
 }
 
 // ---------------------------------------------------------------- P21

@@ -1,8 +1,8 @@
 //! Fixture tests for the flow-sensitive passes: P10 protocol phase-order
-//! model checking, D10 determinism taint dataflow, and S01 shard
-//! isolation. Each fixture is fed through [`gcr_lint::lint_files`] as a
-//! synthetic workspace so the interprocedural machinery (symbol index,
-//! call graph, spec activation) runs exactly as it does on the live tree.
+//! model checking and D10 determinism taint dataflow. Each fixture is
+//! fed through [`gcr_lint::lint_files`] as a synthetic workspace so the
+//! interprocedural machinery (symbol index, call graph, spec activation)
+//! runs exactly as it does on the live tree.
 
 use gcr_lint::{lint_files, Baseline, Finding, Report, Rule};
 
@@ -148,70 +148,6 @@ fn d10_quiet_on_killed_taint_and_unsinked_wall_time() {
         "reassignment kills taint; reporting is not digesting: {:#?}",
         report.findings
     );
-}
-
-// ---------------------------------------------------------------- S01
-
-const SHARD: &str = "crates/sim/src/shard.rs";
-
-#[test]
-fn s01_fires_on_cross_shard_reach_around() {
-    let report = ws(&[
-        (SHARD, include_str!("fixtures/s01_boundary.rs")),
-        (
-            "crates/sim/src/rogue.rs",
-            include_str!("fixtures/s01_fire.rs"),
-        ),
-    ]);
-    let s01 = of_rule(&report, Rule::S01);
-    assert!(
-        s01.iter()
-            .any(|f| f.message.contains("per-shard arena `.shards`")),
-        "the arena poke must fire: {s01:#?}"
-    );
-    assert!(
-        s01.iter()
-            .any(|f| f.message.contains("shard-local type `HeapEntry`")),
-        "naming a shard-local type must fire: {s01:#?}"
-    );
-}
-
-#[test]
-fn s01_quiet_on_exported_counters_and_in_boundary_use() {
-    let report = ws(&[
-        (SHARD, include_str!("fixtures/s01_boundary.rs")),
-        (
-            "crates/sim/src/stats.rs",
-            include_str!("fixtures/s01_quiet.rs"),
-        ),
-    ]);
-    assert!(
-        report.findings.is_empty(),
-        "SimStats is the sanctioned export: {:#?}",
-        report.findings
-    );
-}
-
-#[test]
-fn s01_fires_when_the_boundary_exports_shard_state() {
-    let leaky = include_str!("fixtures/s01_boundary.rs")
-        .replace("pub(crate) struct Shard", "pub struct Shard");
-    let report = ws(&[(SHARD, &leaky)]);
-    let s01 = of_rule(&report, Rule::S01);
-    assert!(
-        s01.iter()
-            .any(|f| f.message.contains("`Shard` is exported `pub`")),
-        "a bare-pub shard type must fire: {s01:#?}"
-    );
-}
-
-#[test]
-fn s01_ignores_workspaces_without_a_sharded_kernel() {
-    let report = ws(&[(
-        "crates/sim/src/rogue.rs",
-        include_str!("fixtures/s01_fire.rs"),
-    )]);
-    assert!(of_rule(&report, Rule::S01).is_empty());
 }
 
 // -------------------------------------------------------------- SARIF

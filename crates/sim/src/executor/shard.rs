@@ -40,7 +40,7 @@ use std::task::Waker;
 use crate::time::SimTime;
 
 /// What an event does when its deadline is reached.
-pub(crate) enum EventKind {
+pub(super) enum EventKind {
     /// Wake a parked task (classic timer semantics).
     Wake(Waker),
     /// Run a closure on the executor — the arena-allocated replacement for
@@ -49,7 +49,7 @@ pub(crate) enum EventKind {
 }
 
 /// [`EventSlot::next`] of the last slot in an instant run.
-pub(crate) const RUN_END: u32 = u32::MAX;
+pub(super) const RUN_END: u32 = u32::MAX;
 
 /// Arena slot for a scheduled event.
 ///
@@ -67,16 +67,16 @@ pub(crate) const RUN_END: u32 = u32::MAX;
 ///   after it has been popped; each slot sits in at most one run and has
 ///   at most one pending ready-FIFO reference at a time, so no generation
 ///   counter is needed.
-pub(crate) struct EventSlot {
+pub(super) struct EventSlot {
     /// Global schedule sequence number (the heap key when this slot heads
     /// its run).
-    pub(crate) seq: u64,
+    pub(super) seq: u64,
     /// Next slot of the same instant run, or [`RUN_END`].
-    pub(crate) next: u32,
+    pub(super) next: u32,
     /// Owning shard index (attribution only — never affects order).
-    pub(crate) shard: u32,
+    pub(super) shard: u32,
     /// Payload; `None` once consumed (slot is free or about to be).
-    pub(crate) kind: Option<EventKind>,
+    pub(super) kind: Option<EventKind>,
 }
 
 // The arena's cost per pending event: adding a field must not grow it.
@@ -90,14 +90,14 @@ const _: () = assert!(std::mem::size_of::<EventSlot>() == 40);
 /// entries from *different* shards is meaningful: the minimum over all
 /// shard heads is the globally next event.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(crate) struct HeapEntry {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) slot: u32,
+pub(super) struct HeapEntry {
+    pub(super) at: SimTime,
+    pub(super) seq: u64,
+    pub(super) slot: u32,
 }
 
 /// One event shard: a min-heap of instant runs.
-pub(crate) struct Shard {
+pub(super) struct Shard {
     heap: BinaryHeap<Reverse<HeapEntry>>,
     /// Instant and tail slot of the run most recently pushed onto the
     /// heap. Cleared when that tail pops: the run is gone from the heap
@@ -108,7 +108,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new() -> Self {
+    pub(super) fn new() -> Self {
         Shard {
             heap: BinaryHeap::new(),
             open: None,
@@ -117,14 +117,14 @@ impl Shard {
     }
 
     /// The `(at, seq)` key of the earliest pending event, if any.
-    pub(crate) fn head(&self) -> Option<(SimTime, u64)> {
+    pub(super) fn head(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
     }
 
     /// Push an entry whose slot is allocated in `events` with `next` set
     /// to [`RUN_END`]. Entries must arrive in increasing `seq`, which the
     /// global counter guarantees, so appending keeps every run sorted.
-    pub(crate) fn push(&mut self, entry: HeapEntry, events: &mut [EventSlot]) {
+    pub(super) fn push(&mut self, entry: HeapEntry, events: &mut [EventSlot]) {
         self.pending += 1;
         if let Some((at, tail)) = self.open {
             if at == entry.at {
@@ -140,7 +140,7 @@ impl Shard {
     }
 
     /// Pop the earliest entry if its deadline is exactly `at`.
-    pub(crate) fn pop_at(&mut self, at: SimTime, events: &[EventSlot]) -> Option<HeapEntry> {
+    pub(super) fn pop_at(&mut self, at: SimTime, events: &[EventSlot]) -> Option<HeapEntry> {
         let mut root = self.heap.peek_mut()?;
         let head = root.0;
         if head.at != at {
@@ -167,28 +167,9 @@ impl Shard {
     }
 
     /// Number of pending events in this shard (events, not runs).
-    pub(crate) fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.pending
     }
-}
-
-/// Snapshot of executor counters, for benchmarks and diagnostics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Number of event shards.
-    pub shard_count: usize,
-    /// Task polls performed.
-    pub polls: u64,
-    /// Events fired off the shard heaps (wakes and calls).
-    pub events_fired: u64,
-    /// Scheduled closures run (arena-allocated in-flight work).
-    pub calls_run: u64,
-    /// Clock advances (cross-shard merge decisions).
-    pub merges: u64,
-    /// Merge decisions that needed the slow same-instant cross-shard path.
-    pub window_batches: u64,
-    /// Events drained through the slow same-instant path.
-    pub window_events: u64,
 }
 
 #[cfg(test)]

@@ -30,11 +30,9 @@ pub mod executor;
 pub mod future;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod sync;
 pub mod time;
 
-pub use executor::{Deadlock, RunOutcome, Sim, TaskId};
+pub use executor::{Deadlock, RunOutcome, Sim, SimStats, TaskId};
 pub use rng::{fnv1a, fnv1a_words, DetRng};
-pub use shard::SimStats;
 pub use time::{SimDuration, SimTime};
