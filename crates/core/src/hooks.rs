@@ -19,7 +19,7 @@ use gcr_sim::SimDuration;
 
 use crate::msglog::{LogEntry, MsgLog};
 use crate::runtime::GC_RETENTION_GENS;
-use crate::volume::VolumeCounters;
+use crate::volume::{snapshot_value, VolumeCounters};
 
 /// Sender-side log copy bandwidth (bytes/s): the memcpy + bookkeeping cost
 /// of asynchronous sender-based logging, charged per logged message.
@@ -29,11 +29,11 @@ const LOG_COPY_BPS: f64 = 250e6;
 const LOG_FIXED: SimDuration = SimDuration::from_micros(20);
 
 /// One generation's volume snapshot: the `RR`/`SS` values a restart from
-/// that generation's image would read back.
+/// that generation's image would read back, each sorted by peer.
 #[derive(Debug, Default, Clone)]
 struct GenSnap {
-    rr: std::collections::BTreeMap<u32, u64>,
-    ss: std::collections::BTreeMap<u32, u64>,
+    rr: Box<[(u32, u64)]>,
+    ss: Box<[(u32, u64)]>,
 }
 
 /// Per-rank GP protocol state (Algorithm 1), generation-aware: volume
@@ -45,8 +45,10 @@ pub struct GpState {
     groups: Rc<GroupDef>,
     log: RefCell<MsgLog>,
     vols: RefCell<VolumeCounters>,
-    /// Snapshots of generations whose image writes are still in flight.
-    pending: RefCell<std::collections::BTreeMap<u64, GenSnap>>,
+    /// Snapshots of generations whose image writes are still in flight,
+    /// one per generation. Usually there is just one, so a plain vector
+    /// with exact capacity beats a map's node allocation.
+    pending: RefCell<Vec<(u64, GenSnap)>>,
     /// Snapshots of durably committed generations, oldest first.
     committed: RefCell<Vec<(u64, GenSnap)>>,
     /// Retention window `W`: GC advertises the floor of the oldest
@@ -67,7 +69,7 @@ impl GpState {
             groups,
             log: RefCell::new(MsgLog::new()),
             vols: RefCell::new(VolumeCounters::new()),
-            pending: RefCell::new(Default::default()),
+            pending: RefCell::new(Vec::new()),
             committed: RefCell::new(Vec::new()),
             retention: Cell::new(GC_RETENTION_GENS),
             piggyback_gc,
@@ -121,7 +123,14 @@ impl GpState {
             rr: vols.snapshot_received(out),
             ss: vols.snapshot_sent(out),
         };
-        self.pending.borrow_mut().insert(gen, snap);
+        let mut pending = self.pending.borrow_mut();
+        match pending.iter_mut().find(|(g, _)| *g == gen) {
+            Some(slot) => slot.1 = snap,
+            None => {
+                pending.reserve_exact(1);
+                pending.push((gen, snap));
+            }
+        }
         self.log.borrow_mut().take_all_pending_flush()
     }
 
@@ -130,7 +139,7 @@ impl GpState {
     /// oldest *retained* committed generation (lagged by the retention
     /// window, so peers never trim log a fallback restart still needs).
     pub fn on_commit(&self, gen: u64) {
-        let snap = match self.pending.borrow_mut().remove(&gen) {
+        let snap = match self.take_pending(gen) {
             Some(s) => s,
             None => return,
         };
@@ -146,7 +155,14 @@ impl GpState {
     /// crashed mid-checkpoint): drop its snapshot. `RR`/`SS` and the GC
     /// floor stay at the last committed generation.
     pub fn on_abort(&self, gen: u64) {
-        self.pending.borrow_mut().remove(&gen);
+        self.take_pending(gen);
+    }
+
+    /// Remove and return generation `gen`'s pending snapshot, if any.
+    fn take_pending(&self, gen: u64) -> Option<GenSnap> {
+        let mut pending = self.pending.borrow_mut();
+        let i = pending.iter().position(|&(g, _)| g == gen)?;
+        Some(pending.swap_remove(i).1)
     }
 
     /// Roll the ledger back for a restart from generation `gen` (`None`:
@@ -167,10 +183,7 @@ impl GpState {
         let idx = committed.len().saturating_sub(self.retention.get());
         match committed.get(idx) {
             Some((_, floor)) => self.vols.borrow_mut().reset_floors(&floor.rr),
-            None => self
-                .vols
-                .borrow_mut()
-                .reset_floors(&std::collections::BTreeMap::new()),
+            None => self.vols.borrow_mut().reset_floors(&[]),
         }
     }
 
@@ -180,8 +193,7 @@ impl GpState {
         self.committed
             .borrow()
             .last()
-            .and_then(|(_, s)| s.rr.get(&q).copied())
-            .unwrap_or(0)
+            .map_or(0, |(_, s)| snapshot_value(&s.rr, q))
     }
 
     /// `S_Q` at the newest **committed** generation.
@@ -189,8 +201,7 @@ impl GpState {
         self.committed
             .borrow()
             .last()
-            .and_then(|(_, s)| s.ss.get(&q).copied())
-            .unwrap_or(0)
+            .map_or(0, |(_, s)| snapshot_value(&s.ss, q))
     }
 
     /// The GC floor this rank currently advertises toward `q` (lagged by

@@ -244,12 +244,12 @@ pub(crate) async fn serve_peer_recovery(
 
 /// Swap volume marks with `peer`: send `mine`, return the peer's.
 async fn exchange_volume(ctx: &RankCtx, peer: Rank, mine: u64) -> Result<u64, RecoveryError> {
-    let (_, env) = join2(
+    let (_, theirs) = join2(
         ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new([mine]))),
-        ctx.ctrl_recv(peer, tags::RESTART_VOL),
+        async move { ctx.ctrl_recv(peer, tags::RESTART_VOL).await.word() },
     )
     .await;
-    env.word().ok_or(RecoveryError::BadPayload {
+    theirs.ok_or(RecoveryError::BadPayload {
         at: ctx.rank().0,
         from: peer.0,
         what: "volume",

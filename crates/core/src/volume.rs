@@ -73,22 +73,19 @@ impl VolumeCounters {
     /// belongs to a *pending* generation; advertising it before the
     /// generation commits would let peers trim log a fallback restart
     /// still needs.
-    pub fn snapshot_received(&self, keep: impl Fn(u32) -> bool) -> BTreeMap<u32, u64> {
-        self.r
-            .iter()
-            .filter(|&(&q, _)| keep(q))
-            .map(|(&q, &v)| (q, v))
-            .collect()
+    ///
+    /// The snapshot is a boxed slice sorted by peer: a pending or
+    /// committed generation holds one per rank, most of them for a
+    /// handful of partners, where a `BTreeMap` would allocate a whole
+    /// leaf node each.
+    pub fn snapshot_received(&self, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
+        snapshot(&self.r, keep)
     }
 
-    /// Sparse snapshot of the `S` counters, filtered like
+    /// Sparse snapshot of the `S` counters, filtered and laid out like
     /// [`VolumeCounters::snapshot_received`].
-    pub fn snapshot_sent(&self, keep: impl Fn(u32) -> bool) -> BTreeMap<u32, u64> {
-        self.s
-            .iter()
-            .filter(|&(&q, _)| keep(q))
-            .map(|(&q, &v)| (q, v))
-            .collect()
+    pub fn snapshot_sent(&self, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
+        snapshot(&self.s, keep)
     }
 
     /// Peers this rank exchanged any bytes with, ascending, deduplicated.
@@ -102,22 +99,20 @@ impl VolumeCounters {
     /// Commit-side bookkeeping: adopt `floors` as the advertised `RR`
     /// values and re-arm the piggyback flag for every peer (epoch bump).
     /// Called once the generation the floors belong to is durably
-    /// committed. Floors absent from the map stay at their previous value
+    /// committed. Peers absent from `floors` stay at their previous value
     /// — within one ledger progression `R` is monotonic, so a peer with
     /// recorded traffic never drops out of a later snapshot.
-    pub fn advertise(&mut self, floors: &BTreeMap<u32, u64>) {
-        for (&q, &r) in floors {
-            self.rr.insert(q, r);
-        }
+    pub fn advertise(&mut self, floors: &[(u32, u64)]) {
+        self.rr.extend(floors.iter().copied());
         self.epoch += 1;
     }
 
     /// Rollback-side bookkeeping: *replace* the advertised floors (peers
     /// absent from `floors` drop to zero — the rolled-back ledger no
     /// longer vouches for them) and re-arm every piggyback.
-    pub fn reset_floors(&mut self, floors: &BTreeMap<u32, u64>) {
+    pub fn reset_floors(&mut self, floors: &[(u32, u64)]) {
         self.rr.clear();
-        self.rr.extend(floors.iter().map(|(&q, &v)| (q, v)));
+        self.rr.extend(floors.iter().copied());
         self.epoch += 1;
     }
 
@@ -131,6 +126,24 @@ impl VolumeCounters {
             None
         }
     }
+}
+
+/// The entries of `counters` whose peer `keep` accepts, ascending by peer.
+fn snapshot(counters: &BTreeMap<u32, u64>, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
+    counters
+        .iter()
+        .filter(|&(&q, _)| keep(q))
+        .map(|(&q, &v)| (q, v))
+        .collect()
+}
+
+/// `peer`'s value in a sorted snapshot (see
+/// [`VolumeCounters::snapshot_received`]); absent reads as zero.
+pub(crate) fn snapshot_value(snap: &[(u32, u64)], peer: u32) -> u64 {
+    snap.binary_search_by_key(&peer, |&(q, _)| q)
+        .ok()
+        .and_then(|i| snap.get(i))
+        .map_or(0, |&(_, v)| v)
 }
 
 #[cfg(test)]
@@ -186,9 +199,10 @@ mod tests {
         let mut v = VolumeCounters::new();
         v.on_recv(1, 100);
         let snap = v.snapshot_received(|_| true);
-        assert_eq!(snap.get(&1), Some(&100));
+        assert_eq!(*snap, [(1, 100)]);
         // Sparse: a peer that never sent is absent, and absent reads zero.
-        assert_eq!(snap.get(&2), None);
+        assert_eq!(snapshot_value(&snap, 1), 100);
+        assert_eq!(snapshot_value(&snap, 2), 0);
         // Nothing advertised yet: RR stays at its old floor, no piggyback.
         assert_eq!(v.recorded_received(1), 0);
         assert_eq!(v.piggyback_for(1), None);
@@ -213,8 +227,7 @@ mod tests {
         checkpoint(&mut v, &[1, 2]);
         assert_eq!(v.piggyback_for(1), Some(10));
         // Roll back to a ledger that only vouches for peer 2.
-        let surviving: BTreeMap<u32, u64> = [(2u32, 20u64)].into_iter().collect();
-        v.reset_floors(&surviving);
+        v.reset_floors(&[(2, 20)]);
         assert_eq!(v.recorded_received(1), 0);
         assert_eq!(v.recorded_received(2), 20);
         // Every peer is re-armed, including the one that already sent.

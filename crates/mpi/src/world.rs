@@ -8,6 +8,7 @@ use std::rc::Rc;
 
 use gcr_net::Cluster;
 use gcr_sim::channel::oneshot;
+use gcr_sim::executor::Sleep;
 use gcr_sim::sync::{Gate, WaitGroup};
 use gcr_sim::{DetRng, Sim, SimDuration, SimTime};
 
@@ -658,9 +659,11 @@ impl RankCtx {
 
     // -- protocol-control plane (bypasses gates, uncounted, untraced) ------
 
-    /// Send a protocol control message. It is posted (always eager) at the
-    /// first poll; the future then only waits for the uplink to free.
-    pub async fn ctrl_send(&self, dst: Rank, ctrl_tag: u64, bytes: u64, payload: Payload) {
+    /// Send a protocol control message. It is posted (always eager) when
+    /// called, whether or not the result is awaited; the returned `Sleep`
+    /// only waits for the uplink to free, so a caller that holds it
+    /// across other work holds 32 bytes, not the arguments as well.
+    pub fn ctrl_send(&self, dst: Rank, ctrl_tag: u64, bytes: u64, payload: Payload) -> Sleep {
         let env = self.world.envelope(
             self.rank,
             dst,
@@ -670,7 +673,7 @@ impl RankCtx {
             payload,
         );
         let tx_done = self.world.post_eager(env);
-        self.world.sim().sleep_until(tx_done).await;
+        self.world.sim().sleep_until(tx_done)
     }
 
     /// Receive a protocol control message.

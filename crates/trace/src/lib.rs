@@ -18,6 +18,6 @@ pub mod tracer;
 
 pub use analysis::{pair_flows, PairFlow};
 pub use gaps::{analyze, GapStats, Window};
-pub use record::{Trace, TraceEvent, TraceMeta};
+pub use record::{Trace, TraceEvent, TraceMeta, MAX_TRACE_RANKS};
 pub use summary::{summarize, TraceSummary};
 pub use tracer::Tracer;

@@ -116,6 +116,12 @@ impl TraceEvent {
     }
 }
 
+/// Largest world a trace may declare in `meta.n`: 2^24 ranks, 167 times
+/// the largest world the simulator runs (100,000). Trace consumers size
+/// per-rank tables from `meta.n`, so [`Trace::from_json`] rejects a larger
+/// claim as malformed instead of trying to allocate for it.
+pub const MAX_TRACE_RANKS: usize = 1 << 24;
+
 /// Metadata stored at the head of a trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
@@ -191,11 +197,17 @@ impl Trace {
     /// Parse a trace from its JSON value.
     ///
     /// # Errors
-    /// [`JsonError`] on shape mismatches, or naming the first event whose
-    /// source or destination rank is not below `meta.n`.
+    /// [`JsonError`] on shape mismatches, on a `meta.n` above
+    /// [`MAX_TRACE_RANKS`], or naming the first event whose source or
+    /// destination rank is not below `meta.n`.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
         let meta = v.field("meta")?;
         let n = meta.usize_field("n")?;
+        if n > MAX_TRACE_RANKS {
+            return Err(JsonError::msg(format!(
+                "meta.n = {n} exceeds the {MAX_TRACE_RANKS}-rank limit of a trace"
+            )));
+        }
         let events = v
             .arr_field("events")?
             .iter()
@@ -262,6 +274,15 @@ mod tests {
         assert_eq!(sends, vec![(0, 1, 100), (2, 3, 200)]);
         assert_eq!(tr.send_count(), 2);
         assert_eq!(tr.end_time(), 10);
+    }
+
+    #[test]
+    fn world_size_is_capped_at_max_trace_ranks() {
+        let doc = |n: usize| format!(r#"{{"meta":{{"n":{n},"workload":"x"}},"events":[]}}"#);
+        let at_cap = Trace::from_json_str(&doc(MAX_TRACE_RANKS)).unwrap();
+        assert_eq!(at_cap.meta.n, MAX_TRACE_RANKS);
+        let e = Trace::from_json_str(&doc(MAX_TRACE_RANKS + 1)).unwrap_err();
+        assert!(e.msg.contains("rank limit"), "{}", e.msg);
     }
 
     #[test]

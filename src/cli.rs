@@ -1004,6 +1004,25 @@ mod tests {
     }
 
     #[test]
+    fn trace_commands_reject_a_world_too_large_to_hold() {
+        let dir = std::env::temp_dir().join("gcr-cli-huge-world-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tpath = dir.join("huge.json").to_string_lossy().into_owned();
+        std::fs::write(
+            &tpath,
+            r#"{"meta":{"n":1000000000000000,"workload":"x"},"events":[]}"#,
+        )
+        .unwrap();
+        // An `Err` from `execute` is exit status 2 in `gcrsim`; before the
+        // cap, `stats` aborted allocating one counter per claimed rank.
+        for cmd in ["stats", "groups --max-size 8"] {
+            let e = execute(parse(&argv(&format!("{cmd} --trace {tpath}"))).unwrap()).unwrap_err();
+            assert!(e.0.contains("rank limit"), "{cmd}: {}", e.0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn parses_a_chaos_command_with_overrides() {
         let cmd = parse(&argv(
             "chaos --seed 3 --workload cg --proto gp4 --storage local --interval-ms 800 \

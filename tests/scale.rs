@@ -115,6 +115,7 @@ fn hundred_thousand_ranks_survive_a_group_failure() {
     // and futures are larger).
     #[cfg(not(debug_assertions))]
     if let Some(hwm) = peak_rss_mib() {
+        println!("100k-rank run: VmHWM {hwm} MiB (limit {PEAK_RSS_LIMIT_MIB} MiB)");
         assert!(
             hwm <= PEAK_RSS_LIMIT_MIB,
             "100k-rank run peaked at VmHWM {hwm} MiB, over {PEAK_RSS_LIMIT_MIB} MiB"
