@@ -301,7 +301,9 @@ impl MpiHook for GpState {
         self.vols.borrow_mut().on_recv(src, env.bytes);
         if let Some(v) = env.piggyback_rr {
             if self.piggyback_gc {
-                self.log.borrow_mut().gc(src, v + self.gc_overshoot.get());
+                self.log
+                    .borrow_mut()
+                    .gc(src, v.saturating_add(self.gc_overshoot.get()));
             }
         }
     }

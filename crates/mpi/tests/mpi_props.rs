@@ -121,3 +121,54 @@ fn bytes_are_conserved() {
         assert_eq!(consumed, total_sent, "case {case}");
     }
 }
+
+/// A 64-rank ring on `shards` executor shards: each rank batch-sends four
+/// eager messages to its successor and drains four from its predecessor.
+/// Groups of eight ranks are pinned to shards, so one ring edge in eight
+/// crosses a shard boundary. Returns the final simulated time (ns) and
+/// the executor counters that must not depend on the shard count.
+fn sharded_ring(shards: usize) -> (u64, u64, u64, u64, u64) {
+    const N: u32 = 64;
+    const GROUP_RANKS: u32 = 8;
+    const ITERS: u32 = 4;
+    let sim = Sim::with_shards(shards);
+    let world = World::new(
+        Cluster::new(&sim, ClusterSpec::test(N as usize)),
+        WorldOpts::default(),
+    );
+    world.set_shard_map((0..N).map(|r| r / GROUP_RANKS).collect());
+    for r in 0..N {
+        let next = Rank((r + 1) % N);
+        let prev = Rank((r + N - 1) % N);
+        world.launch(Rank(r), move |ctx| async move {
+            ctx.send_batch(next, 7, 1033, ITERS).await;
+            for _ in 0..ITERS {
+                ctx.recv(prev, 7).await;
+            }
+        });
+    }
+    sim.run().unwrap();
+    let st = sim.stats();
+    (
+        sim.now().as_nanos(),
+        st.polls,
+        st.events_fired,
+        st.calls_run,
+        st.merges,
+    )
+}
+
+/// Sharding is layout only: the simulated outcome and the executor's
+/// counters are the same at 1, 4 and 16 shards, and from run to run.
+#[test]
+fn executor_counters_are_shard_invariant_and_run_stable() {
+    let one = sharded_ring(1);
+    assert_eq!(sharded_ring(1), one, "same run, different outcome");
+    for shards in [4, 16] {
+        assert_eq!(
+            sharded_ring(shards),
+            one,
+            "(now, polls, fired, calls, merges) moved between 1 and {shards} shards"
+        );
+    }
+}

@@ -198,8 +198,9 @@ impl Trace {
     ///
     /// # Errors
     /// [`JsonError`] on shape mismatches, on a `meta.n` above
-    /// [`MAX_TRACE_RANKS`], or naming the first event whose source or
-    /// destination rank is not below `meta.n`.
+    /// [`MAX_TRACE_RANKS`], naming the first event whose source or
+    /// destination rank is not below `meta.n`, or naming the send that
+    /// takes the total of send bytes past `u64::MAX`.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
         let meta = v.field("meta")?;
         let n = meta.usize_field("n")?;
@@ -208,6 +209,9 @@ impl Trace {
                 "meta.n = {n} exceeds the {MAX_TRACE_RANKS}-rank limit of a trace"
             )));
         }
+        // Every per-pair, per-rank and per-group byte tally a consumer
+        // keeps is at most this total, so bounding it bounds them all.
+        let mut sent = 0u64;
         let events = v
             .arr_field("events")?
             .iter()
@@ -215,12 +219,17 @@ impl Trace {
             .map(|(i, e)| {
                 let ev = TraceEvent::from_json(e)?;
                 let (TraceEvent::Send { src, dst, .. } | TraceEvent::Recv { src, dst, .. }) = ev;
-                match [src, dst].into_iter().find(|&r| r as usize >= n) {
-                    Some(r) => Err(JsonError::msg(format!(
+                if let Some(r) = [src, dst].into_iter().find(|&r| r as usize >= n) {
+                    return Err(JsonError::msg(format!(
                         "event {i}: rank {r} is outside the trace's {n}-rank world"
-                    ))),
-                    None => Ok(ev),
+                    )));
                 }
+                if let TraceEvent::Send { bytes, .. } = ev {
+                    sent = sent.checked_add(bytes).ok_or_else(|| {
+                        JsonError::msg(format!("event {i}: the send bytes sum past 2^64"))
+                    })?;
+                }
+                Ok(ev)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Trace {

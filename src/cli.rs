@@ -9,10 +9,8 @@
 //! gcrsim phases --trace app.trace.json --window-ms 500 --max-size 8
 //! gcrsim chaos  --seed 17 --runs 50
 //! gcrsim chaos  --seed 3 --workload cg --proto gp4 --schedule 'crash:g1@2500'
-//! gcrsim bench  --ranks 1000,10000 --shards 1,4,16 --out BENCH_kernel.json
 //! ```
 
-use gcr_bench::kernel::{report_json, run_kernel, KernelSpec};
 use gcr_bench::{profile_trace, run_one, RunSpec, Schedule};
 use gcr_chaos::{
     parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosEvent, ChaosSpec,
@@ -60,27 +58,8 @@ pub enum Command {
     },
     /// Run seeded fault-injection scenarios with invariant oracles.
     Chaos(ChaosArgs),
-    /// Run the sharded-kernel throughput grid (`BENCH_kernel.json`).
-    Bench(BenchArgs),
     /// Run the workspace determinism & protocol-safety analyzer.
     Lint(LintArgs),
-}
-
-/// Arguments of the `bench` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// World sizes to run (`--ranks 1000,10000`).
-    pub ranks: Vec<usize>,
-    /// Executor shard counts (`--shards 1,4,16`).
-    pub shards: Vec<usize>,
-    /// Messages per rank; defaults per world size when absent.
-    pub iters: Option<u32>,
-    /// Payload seed.
-    pub seed: u64,
-    /// Write `BENCH_kernel.json` here (no file written when absent).
-    pub out: Option<String>,
-    /// Print the JSON report instead of the human table.
-    pub json: bool,
 }
 
 /// Arguments of the `lint` subcommand.
@@ -203,9 +182,6 @@ USAGE:
                  slow:n<N>x<F>@<ms>+<dur> torn:n<N>x<C>@<ms> corrupt:g<G>@<ms>
                  crashckpt:g<G>p<0|1|2>@<ms> replica:g<G>[p<0|1>]@<ms>;
                  replica events drop a group's held peer copies — restore only)
-  gcrsim bench  [--ranks N,N,..] [--shards N,N,..] [--iters K] [--seed X]
-                [--out FILE] [--json]   (sharded-kernel throughput grid;
-                 --out writes the BENCH_kernel.json trajectory file)
   gcrsim lint   [--root DIR] [--baseline FILE] [--json] [--sarif]
                 [--update-baseline]   (--update-baseline also prunes
                  entries that no longer match any finding)
@@ -280,17 +256,6 @@ fn parse_millis(v: &str, flag: &str) -> Result<u64, CliError> {
             "{flag} expects a positive number of milliseconds"
         ))),
     }
-}
-
-/// Parse a comma-separated list of positive integers (`1000,10000`).
-fn parse_list(v: &str, flag: &str) -> Result<Vec<usize>, CliError> {
-    v.split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| err(format!("{flag}: '{part}' is not a number")))
-        })
-        .collect()
 }
 
 fn parse_workload(f: &Flags) -> Result<WorkloadArg, CliError> {
@@ -439,9 +404,17 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     Some(k)
                 }
             };
+            let seed: u64 = f.parse_num("--seed")?;
+            let runs: u64 = f.parse_num_or("--runs", 1)?;
+            if seed.checked_add(runs.saturating_sub(1)).is_none() {
+                return Err(err(format!(
+                    "--seed {seed} --runs {runs} runs past the last seed, {}",
+                    u64::MAX
+                )));
+            }
             Ok(Command::Chaos(ChaosArgs {
-                seed: f.parse_num("--seed")?,
-                runs: f.parse_num_or("--runs", 1)?,
+                seed,
+                runs,
                 workload,
                 proto,
                 storage,
@@ -453,34 +426,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 replication,
                 verify: f.has("--verify"),
                 no_shrink: f.has("--no-shrink"),
-                json: f.has("--json"),
-            }))
-        }
-        "bench" => {
-            let ranks = match f.get("--ranks") {
-                None => vec![1_000, 10_000],
-                Some(v) => parse_list(v, "--ranks")?,
-            };
-            let shards = match f.get("--shards") {
-                None => vec![1, 4, 16],
-                Some(v) => parse_list(v, "--shards")?,
-            };
-            if ranks.iter().any(|&r| r < 2) {
-                return Err(err("--ranks entries must be at least 2"));
-            }
-            if shards.contains(&0) {
-                return Err(err("--shards entries must be at least 1"));
-            }
-            let iters = match f.get("--iters") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|_| err("--iters expects a count"))?),
-            };
-            Ok(Command::Bench(BenchArgs {
-                ranks,
-                shards,
-                iters,
-                seed: f.parse_num_or("--seed", 49_297)?,
-                out: f.get("--out").map(str::to_string),
                 json: f.has("--json"),
             }))
         }
@@ -589,44 +534,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             Ok(s)
         }
         Command::Chaos(a) => execute_chaos(a),
-        Command::Bench(a) => execute_bench(a),
         Command::Lint(a) => execute_lint(a),
-    }
-}
-
-/// Run the `(ranks × shards)` kernel throughput grid, optionally writing
-/// the `BENCH_kernel.json` trajectory file.
-fn execute_bench(a: BenchArgs) -> Result<String, CliError> {
-    let mut points = Vec::new();
-    let mut lines = vec![format!(
-        "{:>8} {:>7} {:>7} {:>12} {:>9} {:>14}  digest",
-        "ranks", "shards", "iters", "events", "wall_s", "events/sec"
-    )];
-    for &ranks in &a.ranks {
-        let iters = a.iters.unwrap_or_else(|| KernelSpec::default_iters(ranks));
-        for &shards in &a.shards {
-            let p = run_kernel(&KernelSpec {
-                ranks,
-                shards,
-                iters,
-                seed: a.seed,
-            });
-            lines.push(format!(
-                "{:>8} {:>7} {:>7} {:>12} {:>9.3} {:>14.0}  {:#018x}",
-                ranks, shards, iters, p.events, p.wall_s, p.events_per_sec, p.digest
-            ));
-            points.push(p);
-        }
-    }
-    let doc = report_json(a.seed, &points);
-    if let Some(out) = &a.out {
-        std::fs::write(out, doc.pretty() + "\n").map_err(|e| err(e.to_string()))?;
-        lines.push(format!("wrote {} point(s) to {out}", points.len()));
-    }
-    if a.json {
-        Ok(doc.pretty())
-    } else {
-        Ok(lines.join("\n"))
     }
 }
 
@@ -894,6 +802,10 @@ mod tests {
                 "--window-ms",
                 "phases --trace t.json --window-ms 18446744073710 --max-size 4".to_string(),
             ),
+            (
+                "--runs",
+                "chaos --seed 18446744073709551615 --runs 2".to_string(),
+            ),
         ];
         for (flag, line) in cases {
             let parsed = parse(&argv(&line));
@@ -906,6 +818,8 @@ mod tests {
                 );
             }
         }
+        // The last seed itself is a valid range of one.
+        assert!(parse(&argv("chaos --seed 18446744073709551615")).is_ok());
     }
 
     #[test]
@@ -987,6 +901,34 @@ mod tests {
         ] {
             let e = execute(parse(&argv(&format!("{cmd} --trace {tpath}"))).unwrap()).unwrap_err();
             assert!(e.0.contains("event 1: rank 5"), "{cmd}: {}", e.0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_commands_reject_send_bytes_that_sum_past_u64() {
+        let dir = std::env::temp_dir().join("gcr-cli-byte-sum-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tpath = dir.join("t.json").to_string_lossy().into_owned();
+        std::fs::write(
+            &tpath,
+            r#"{"meta":{"n":2,"workload":"x"},"events":[{"ev":"send","t":0,"src":0,"dst":1,"tag":1,"bytes":18446744073709551615},{"ev":"send","t":0,"src":0,"dst":1,"tag":1,"bytes":5}]}"#,
+        )
+        .unwrap();
+        // An `Err` from `execute` is exit status 2 in `gcrsim`; before the
+        // check, the byte tallies overflowed (a panic in debug builds, a
+        // wrapped 4-byte total in release builds).
+        for cmd in [
+            "stats",
+            "groups --max-size 2",
+            "phases --window-ms 10 --max-size 2",
+        ] {
+            let e = execute(parse(&argv(&format!("{cmd} --trace {tpath}"))).unwrap()).unwrap_err();
+            assert!(
+                e.0.contains("event 1: the send bytes sum past 2^64"),
+                "{cmd}: {}",
+                e.0
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1076,55 +1018,6 @@ mod tests {
         assert!(parse(&argv("chaos --seed 5 --backend nfs")).is_err());
         assert!(parse(&argv("chaos --seed 5 --replication 0")).is_err());
         assert!(parse(&argv("chaos --seed 5 --schedule replica:g1@1500")).is_ok());
-    }
-
-    #[test]
-    fn parses_a_bench_command() {
-        let cmd = parse(&argv(
-            "bench --ranks 100,200 --shards 1,4 --iters 2 --seed 7",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Bench(a) => {
-                assert_eq!(a.ranks, vec![100, 200]);
-                assert_eq!(a.shards, vec![1, 4]);
-                assert_eq!(a.iters, Some(2));
-                assert_eq!(a.seed, 7);
-                assert!(a.out.is_none() && !a.json);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Defaults: the full shard matrix over the two smaller world sizes.
-        match parse(&argv("bench")).unwrap() {
-            Command::Bench(a) => {
-                assert_eq!(a.ranks, vec![1_000, 10_000]);
-                assert_eq!(a.shards, vec![1, 4, 16]);
-                assert_eq!(a.iters, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("bench --ranks 1")).is_err());
-        assert!(parse(&argv("bench --shards 0")).is_err());
-        assert!(parse(&argv("bench --ranks ten")).is_err());
-    }
-
-    #[test]
-    fn bench_command_runs_a_tiny_grid_and_writes_the_report() {
-        let dir = std::env::temp_dir().join("gcr-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_kernel.json").to_string_lossy().into_owned();
-        let rendered = execute(
-            parse(&argv(&format!(
-                "bench --ranks 16,32 --shards 1,4 --iters 2 --out {out}"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(rendered.contains("events/sec"), "{rendered}");
-        assert!(rendered.contains("wrote 4 point(s)"), "{rendered}");
-        let doc = gcr_json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        gcr_bench::kernel::validate_report(&doc).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1246,15 +1139,21 @@ mod tests {
 
     #[test]
     fn chaos_command_fails_with_repro_on_broken_gc() {
-        let cmd = parse(&argv(
-            "chaos --seed 3 --workload cg --proto gp4 --storage local --gc-overshoot 65536",
-        ))
-        .unwrap();
-        let e = execute(cmd).unwrap_err();
-        assert!(e.0.contains("FAIL"), "{e}");
-        assert!(e.0.contains("violation:"), "{e}");
-        assert!(e.0.contains("repro: gcrsim chaos --seed 3"), "{e}");
-        assert!(e.0.contains("--gc-overshoot 65536"), "{e}");
+        // The largest overshoot used to overflow the GC bound: a panic in
+        // debug builds, and in release builds a wrap that collected one
+        // byte less than the piggybacked RR instead of more.
+        for overshoot in ["65536", "18446744073709551615"] {
+            let cmd = parse(&argv(&format!(
+                "chaos --seed 3 --workload cg --proto gp4 --storage local \
+                 --gc-overshoot {overshoot}"
+            )))
+            .unwrap();
+            let e = execute(cmd).unwrap_err();
+            assert!(e.0.contains("FAIL"), "{e}");
+            assert!(e.0.contains("violation:"), "{e}");
+            assert!(e.0.contains("repro: gcrsim chaos --seed 3"), "{e}");
+            assert!(e.0.contains(&format!("--gc-overshoot {overshoot}")), "{e}");
+        }
     }
 
     #[test]
