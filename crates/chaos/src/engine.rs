@@ -236,7 +236,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     for (i, ev) in spec.schedule.iter().copied().enumerate() {
         let cx = Rc::clone(&cx);
         sim.spawn_named(
-            format!("chaos-inject{i}"),
+            ("chaos-inject", i as u32),
             async move { cx.inject(ev).await },
         );
     }

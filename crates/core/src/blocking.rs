@@ -57,7 +57,7 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
     // un-synced tail to hit stable storage. The RR/S snapshot goes under
     // the *pending* generation: GC advertisement waits for the commit.
     let mut log_flushed_bytes = p.gp.on_checkpoint(wave);
-    if let Some(rb) = &p.rb {
+    if let Some(rb) = p.rb() {
         // Receiver-based logging: the receiver-side log's un-synced
         // tail must also hit the local disk before the image counts.
         log_flushed_bytes += rb.take_recv_flush();
@@ -102,7 +102,7 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
     let committed = resolve_generation(p, gid, wave, trap.as_deref()).await;
     if committed {
         p.gp.on_commit(wave);
-        if let Some(rb) = &p.rb {
+        if let Some(rb) = p.rb() {
             // Receiver-log entries below the committed (retention-
             // lagged) floor can never replay again — drop them.
             rb.on_commit();

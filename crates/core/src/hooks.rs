@@ -314,10 +314,8 @@ pub struct VclState {
     rank: u32,
     n: usize,
     /// recording\[p\] = true while messages from p belong to channel state.
-    /// Allocated lazily on the first wave: a rank that never starts one —
-    /// every rank in non-VCL modes, most ranks between waves — costs O(1)
-    /// instead of O(n), which matters in a 100k-rank world where the
-    /// per-rank state is built n times.
+    /// Allocated lazily on the first wave: a rank that has not started
+    /// one costs O(1) instead of O(n).
     recording: RefCell<Vec<bool>>,
     /// Channel-state bytes accumulated in the current wave.
     state_bytes: Cell<u64>,

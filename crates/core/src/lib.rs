@@ -41,6 +41,7 @@ pub mod error;
 pub mod hooks;
 pub mod metrics;
 pub mod msglog;
+mod peer_table;
 pub mod restart;
 pub mod runtime;
 pub mod vcl;

@@ -18,11 +18,13 @@
 //! drained right before a checkpoint ("Synchronize message logs" in
 //! Algorithm 1), and `take_all_pending_flush` reports how many they are.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use gcr_net::Storage;
 use gcr_sim::fnv1a_words;
+
+use crate::peer_table::PeerTable;
 
 /// One logged message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +148,8 @@ impl PeerLog {
 /// that streams appends to the node's local disk.
 #[derive(Default)]
 pub struct MsgLog {
-    peers: BTreeMap<u32, PeerLog>,
+    /// One stream per peer ever appended to, ascending by peer.
+    peers: PeerTable<PeerLog>,
     /// Bytes appended since the last flush, across peers.
     pending_flush: u64,
     /// Background log writer target: queued (non-blocking) writes on
@@ -168,7 +171,12 @@ impl MsgLog {
     /// Append a message of `bytes` at the end of `peer`'s stream and queue
     /// its background disk write.
     pub fn append(&mut self, peer: u32, bytes: u64, seq: u64) -> LogEntry {
-        let e = self.peers.entry(peer).or_default().append(bytes, seq);
+        let mut e = LogEntry {
+            offset: 0,
+            bytes,
+            seq,
+        };
+        self.peers.update(peer, |l| e = l.append(bytes, seq));
         self.pending_flush += bytes;
         if let Some((storage, node)) = &self.disk {
             storage.queue_local_log_write(*node, bytes);
@@ -178,19 +186,17 @@ impl MsgLog {
 
     /// [`PeerLog::gc`] on `peer`'s stream (0 if nothing was ever logged).
     pub fn gc(&mut self, peer: u32, covered_offset: u64) -> u64 {
-        self.peers
-            .get_mut(&peer)
-            .map_or(0, |l| l.gc(covered_offset))
+        self.peers.get_mut(peer).map_or(0, |l| l.gc(covered_offset))
     }
 
     /// The log of `peer`'s stream, if any messages were ever logged.
     pub fn peer(&self, peer: u32) -> Option<&PeerLog> {
-        self.peers.get(&peer)
+        self.peers.get(peer)
     }
 
-    /// Iterate all (peer, log) pairs.
+    /// Iterate all (peer, log) pairs, ascending by peer.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &PeerLog)> {
-        self.peers.iter().map(|(&p, l)| (p, l))
+        self.peers.iter()
     }
 
     /// High-water mark of `peer`'s stream (0 if never logged).
@@ -213,12 +219,12 @@ impl MsgLog {
 
     /// Total bytes ever appended across peers.
     pub fn appended_bytes(&self) -> u64 {
-        self.peers.values().map(PeerLog::appended_bytes).sum()
+        self.peers.iter().map(|(_, l)| l.appended_bytes()).sum()
     }
 
     /// Total retained bytes across peers (memory pressure diagnostics).
     pub fn retained_bytes(&self) -> u64 {
-        self.peers.values().map(PeerLog::retained_bytes).sum()
+        self.peers.iter().map(|(_, l)| l.retained_bytes()).sum()
     }
 
     /// Total bytes garbage-collected across peers: every appended byte is

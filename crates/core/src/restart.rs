@@ -54,7 +54,7 @@ const RESTART_PEER_OVERHEAD: SimDuration = SimDuration::from_millis(100);
 /// `gen` is the committed generation selected for this rank's group
 /// (`None`: restart from the initial state).
 ///
-/// Per out-of-group peer `Q`, under receiver-based logging (`p.rb` is
+/// Per out-of-group peer `Q`, under receiver-based logging (`p.rb()` is
 /// set):
 /// 1. **Local replay** — every logged entry of `Q`'s stream between the
 ///    rolled-back `RR_Q` and the receiver log's high-water mark is read
@@ -144,7 +144,7 @@ pub(crate) async fn restart_rank_with_peers(
     let mut skip_bytes = 0u64;
     // One future per peer, borrowing `ctx` and the rank's state rather
     // than owning handles: a recovery holds all of them at once.
-    let (gp, rb) = (&p.gp, p.rb.as_deref());
+    let (gp, rb) = (&p.gp, p.rb());
     let futs = out.iter().map(|&q| async move {
         let peer = Rank(q);
         // The point up to which I can rebuild Q's stream without Q: my

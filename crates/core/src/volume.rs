@@ -6,28 +6,33 @@
 //! * A "first message to X since my checkpoint" flag per out-of-group peer,
 //!   which triggers piggybacking `RR_X` for log garbage collection.
 //!
-//! Everything here is **traffic-sparse**: maps only hold peers that
+//! Everything here is **traffic-sparse**: tables only hold peers that
 //! actually exchanged bytes, and every read defaults to zero for absent
 //! peers. That is what lets a 100k-rank world checkpoint without
 //! materializing 100k entries per rank — the dense representation would
-//! be O(n²) across the job. The piggyback flag in particular is *not* a
-//! per-peer set (arming all out-of-group peers at every commit is O(n²)
-//! by itself): an advertisement bumps an epoch, and a send piggybacks
-//! iff its destination has not piggybacked in the current epoch.
+//! be O(n²) across the job. The tables are flat vectors sorted by peer
+//! (`peer_table`), since a rank has a handful of partners. The
+//! piggyback flag in particular is *not* a per-peer set (arming all
+//! out-of-group peers at every commit is O(n²) by itself): an
+//! advertisement bumps an epoch, and a send piggybacks iff its
+//! destination has not piggybacked in the current epoch.
 
-use std::collections::BTreeMap;
+use crate::peer_table::{find, PeerTable};
 
 /// Algorithm-1 per-rank counter state.
 #[derive(Debug, Default, Clone)]
 pub struct VolumeCounters {
-    r: BTreeMap<u32, u64>,
-    s: BTreeMap<u32, u64>,
-    rr: BTreeMap<u32, u64>,
+    /// `R`: every peer that sent to this rank, even 0 bytes.
+    r: PeerTable<u64>,
+    /// `S`: every peer this rank sent to, even 0 bytes.
+    s: PeerTable<u64>,
+    /// `RR`: the advertised GC floors.
+    rr: PeerTable<u64>,
     /// Arming epoch: bumped whenever new GC floors are advertised. A
     /// fresh state is epoch 0 = nothing armed.
     epoch: u64,
     /// Per-destination epoch of the last piggyback actually attached.
-    piggybacked: BTreeMap<u32, u64>,
+    piggybacked: PeerTable<u64>,
 }
 
 impl VolumeCounters {
@@ -38,22 +43,22 @@ impl VolumeCounters {
 
     /// Record `bytes` received from `src` (`R_src += bytes`).
     pub fn on_recv(&mut self, src: u32, bytes: u64) {
-        *self.r.entry(src).or_insert(0) += bytes;
+        self.r.update(src, |v| *v += bytes);
     }
 
     /// Record `bytes` sent to `dst` (`S_dst += bytes`).
     pub fn on_send(&mut self, dst: u32, bytes: u64) {
-        *self.s.entry(dst).or_insert(0) += bytes;
+        self.s.update(dst, |v| *v += bytes);
     }
 
     /// `R_X`: bytes received from `x` so far.
     pub fn received_from(&self, x: u32) -> u64 {
-        self.r.get(&x).copied().unwrap_or(0)
+        self.r.get(x).copied().unwrap_or(0)
     }
 
     /// `S_X`: bytes sent to `x` so far.
     pub fn sent_to(&self, x: u32) -> u64 {
-        self.s.get(&x).copied().unwrap_or(0)
+        self.s.get(x).copied().unwrap_or(0)
     }
 
     /// `RR_X`: the received-volume floor this rank currently advertises to
@@ -62,7 +67,7 @@ impl VolumeCounters {
     /// trails the newest snapshot by the retention window, so fallback
     /// restarts stay replayable.
     pub fn recorded_received(&self, x: u32) -> u64 {
-        self.rr.get(&x).copied().unwrap_or(0)
+        self.rr.get(x).copied().unwrap_or(0)
     }
 
     /// Pure snapshot read of the `R` counters, taken at checkpoint time
@@ -74,10 +79,9 @@ impl VolumeCounters {
     /// generation commits would let peers trim log a fallback restart
     /// still needs.
     ///
-    /// The snapshot is a boxed slice sorted by peer: a pending or
-    /// committed generation holds one per rank, most of them for a
-    /// handful of partners, where a `BTreeMap` would allocate a whole
-    /// leaf node each.
+    /// The snapshot is a boxed slice sorted by peer, the counters' own
+    /// layout frozen at its exact length: a pending or committed
+    /// generation holds one per rank.
     pub fn snapshot_received(&self, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
         snapshot(&self.r, keep)
     }
@@ -90,7 +94,7 @@ impl VolumeCounters {
 
     /// Peers this rank exchanged any bytes with, ascending, deduplicated.
     pub fn active_partners(&self) -> Vec<u32> {
-        let mut partners: Vec<u32> = self.r.keys().chain(self.s.keys()).copied().collect();
+        let mut partners: Vec<u32> = self.r.iter().chain(self.s.iter()).map(|(q, _)| q).collect();
         partners.sort_unstable();
         partners.dedup();
         partners
@@ -103,7 +107,9 @@ impl VolumeCounters {
     /// — within one ledger progression `R` is monotonic, so a peer with
     /// recorded traffic never drops out of a later snapshot.
     pub fn advertise(&mut self, floors: &[(u32, u64)]) {
-        self.rr.extend(floors.iter().copied());
+        for &(q, v) in floors {
+            self.rr.set(q, v);
+        }
         self.epoch += 1;
     }
 
@@ -112,15 +118,14 @@ impl VolumeCounters {
     /// longer vouches for them) and re-arm every piggyback.
     pub fn reset_floors(&mut self, floors: &[(u32, u64)]) {
         self.rr.clear();
-        self.rr.extend(floors.iter().copied());
-        self.epoch += 1;
+        self.advertise(floors);
     }
 
     /// If this is the first message to `dst` since the latest checkpoint,
     /// return the `RR_dst` value to piggyback and clear the flag.
     pub fn piggyback_for(&mut self, dst: u32) -> Option<u64> {
-        if self.piggybacked.get(&dst).copied().unwrap_or(0) < self.epoch {
-            self.piggybacked.insert(dst, self.epoch);
+        if self.piggybacked.get(dst).copied().unwrap_or(0) < self.epoch {
+            self.piggybacked.set(dst, self.epoch);
             Some(self.recorded_received(dst))
         } else {
             None
@@ -129,21 +134,18 @@ impl VolumeCounters {
 }
 
 /// The entries of `counters` whose peer `keep` accepts, ascending by peer.
-fn snapshot(counters: &BTreeMap<u32, u64>, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
+fn snapshot(counters: &PeerTable<u64>, keep: impl Fn(u32) -> bool) -> Box<[(u32, u64)]> {
     counters
         .iter()
-        .filter(|&(&q, _)| keep(q))
-        .map(|(&q, &v)| (q, v))
+        .filter(|&(q, _)| keep(q))
+        .map(|(q, &v)| (q, v))
         .collect()
 }
 
 /// `peer`'s value in a sorted snapshot (see
 /// [`VolumeCounters::snapshot_received`]); absent reads as zero.
 pub(crate) fn snapshot_value(snap: &[(u32, u64)], peer: u32) -> u64 {
-    snap.binary_search_by_key(&peer, |&(q, _)| q)
-        .ok()
-        .and_then(|i| snap.get(i))
-        .map_or(0, |&(_, v)| v)
+    find(snap, peer).copied().unwrap_or(0)
 }
 
 #[cfg(test)]

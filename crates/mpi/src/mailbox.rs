@@ -106,6 +106,12 @@ pub struct Posted {
     pub slot: Rc<RefCell<RecvSlot>>,
 }
 
+/// Slots an unexpected-arrival queue allocates on first use and keeps
+/// across drains. Most queues hold one or two arrivals at a time; a queue
+/// that grew past this gives its buffer back when a drain empties it, so
+/// a rank does not sit on its high-water capacity for the rest of the run.
+const ARRIVED_KEPT: usize = 2;
+
 /// One rank's matching state.
 #[derive(Default)]
 pub struct Mailbox {
@@ -124,16 +130,23 @@ impl Mailbox {
     pub fn take_matching_arrival(&mut self, src: SrcSel, tag: Tag) -> Option<Arrival> {
         // Hot path: the FIFO head matches. Tight send/recv loops hit this
         // almost always, skipping the linear scan and the queue shift.
-        if let Some(a) = self.arrived.front() {
-            if a.env().tag == tag && src.matches(a.env().src) {
-                return self.arrived.pop_front();
-            }
-        }
-        let pos = self
+        let head = self
             .arrived
-            .iter()
-            .position(|a| a.env().tag == tag && src.matches(a.env().src))?;
-        self.arrived.remove(pos)
+            .front()
+            .is_some_and(|a| a.env().tag == tag && src.matches(a.env().src));
+        let taken = if head {
+            self.arrived.pop_front()
+        } else {
+            let pos = self
+                .arrived
+                .iter()
+                .position(|a| a.env().tag == tag && src.matches(a.env().src))?;
+            self.arrived.remove(pos)
+        };
+        if self.arrived.is_empty() && self.arrived.capacity() > ARRIVED_KEPT {
+            self.arrived = VecDeque::new();
+        }
+        taken
     }
 
     /// Try to match a new arrival against the posted queue, removing and
@@ -153,6 +166,9 @@ impl Mailbox {
 
     /// Queue an unmatched arrival.
     pub fn push_arrival(&mut self, a: Arrival) {
+        if self.arrived.capacity() == 0 {
+            self.arrived.reserve_exact(ARRIVED_KEPT);
+        }
         self.arrived.push_back(a);
     }
 
@@ -297,6 +313,38 @@ mod tests {
         let p = mb.take_matching_posted(&e).unwrap();
         assert!(Rc::ptr_eq(&p.slot, &s2));
         assert!(mb.take_matching_posted(&e).is_none());
+    }
+
+    #[test]
+    fn drained_queues_keep_a_small_buffer_and_release_a_grown_one() {
+        let mut mb = Mailbox::new();
+        assert_eq!(mb.arrived.capacity(), 0, "no buffer before first use");
+        // One-element episodes allocate once and reuse that buffer.
+        for seq in 0..4 {
+            mb.push_arrival(Arrival::Ready(env(1, 5, seq)));
+            assert_eq!(mb.arrived.capacity(), ARRIVED_KEPT);
+            assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(5)).is_some());
+            assert_eq!(mb.arrived.capacity(), ARRIVED_KEPT);
+        }
+        // A burst grows the queue past the kept size...
+        for seq in 0..5 {
+            mb.push_arrival(Arrival::Ready(env(1, 5, seq)));
+        }
+        assert!(mb.arrived.capacity() > ARRIVED_KEPT);
+        // ...and holds the grown buffer while anything is queued, whether
+        // the match is at the head or found by the scan.
+        mb.push_arrival(Arrival::Ready(env(2, 6, 0)));
+        assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(6)).is_some());
+        for _ in 0..4 {
+            assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(5)).is_some());
+            assert!(mb.arrived.capacity() > ARRIVED_KEPT);
+        }
+        // The drain that empties it gives the buffer back.
+        assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(5)).is_some());
+        assert_eq!(mb.arrived.capacity(), 0);
+        // A failed match changes nothing.
+        assert!(mb.take_matching_arrival(SrcSel::Any, Tag::app(5)).is_none());
+        assert_eq!(mb.arrived.capacity(), 0);
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl World {
         let inner2 = Rc::clone(&self.inner);
         self.inner
             .sim
-            .spawn_named_on(self.shard_of(rank), format!("rank{}", rank.0), async move {
+            .spawn_named_on(self.shard_of(rank), ("rank", rank.0), async move {
                 fut.await;
                 inner2.finished.set(inner2.finished.get() + 1);
                 inner2.ranks_done.done();

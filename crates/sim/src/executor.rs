@@ -40,6 +40,41 @@ pub struct TaskId {
     generation: u64,
 }
 
+/// A task's name: a static kind and an optional index, printed as the
+/// kind followed by the index (`("rank", 17)` prints `rank17`). Kept
+/// unformatted until a [`Deadlock`] report prints it, so a task's name
+/// costs no allocation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TaskName {
+    kind: &'static str,
+    index: Option<u32>,
+}
+
+impl From<&'static str> for TaskName {
+    fn from(kind: &'static str) -> Self {
+        TaskName { kind, index: None }
+    }
+}
+
+impl From<(&'static str, u32)> for TaskName {
+    fn from((kind, index): (&'static str, u32)) -> Self {
+        TaskName {
+            kind,
+            index: Some(index),
+        }
+    }
+}
+
+impl fmt::Display for TaskName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.kind)?;
+        match self.index {
+            Some(i) => write!(f, "{i}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Error returned by [`Sim::run`] when no task can make progress but live
 /// tasks remain — i.e. every remaining task waits on an event that will
 /// never fire. The names of the stuck tasks are reported to make protocol
@@ -51,7 +86,7 @@ pub struct Deadlock {
     /// Simulated time at which the simulation stalled.
     pub at: SimTime,
     /// Names of the tasks that were still alive.
-    pub stuck: Vec<String>,
+    pub stuck: Vec<TaskName>,
     /// Shard index of each stuck task, parallel to `stuck`.
     pub stuck_shards: Vec<u32>,
 }
@@ -269,7 +304,7 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct Task {
     future: Option<BoxFuture>,
-    name: Rc<str>,
+    name: TaskName,
     /// The task's waker, built once at spawn. [`Sim::poll_task`] lends it
     /// to each poll.
     waker: Waker,
@@ -441,7 +476,7 @@ impl Sim {
     /// Spawn a named task on the shard of the current task (shard 0 when
     /// spawned from outside the executor). The name appears in deadlock
     /// reports.
-    pub fn spawn_named<F>(&self, name: impl Into<String>, fut: F) -> TaskId
+    pub fn spawn_named<F>(&self, name: impl Into<TaskName>, fut: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
@@ -452,7 +487,7 @@ impl Sim {
     /// Spawn a named task attributed to `shard` (taken modulo the shard
     /// count). Attribution decides which heap the task's timers wait in;
     /// it never affects ordering.
-    pub fn spawn_named_on<F>(&self, shard: usize, name: impl Into<String>, fut: F) -> TaskId
+    pub fn spawn_named_on<F>(&self, shard: usize, name: impl Into<TaskName>, fut: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
@@ -460,7 +495,7 @@ impl Sim {
         self.spawn_on_shard((shard % count) as u32, name, fut)
     }
 
-    fn spawn_on_shard<F>(&self, shard: u32, name: impl Into<String>, fut: F) -> TaskId
+    fn spawn_on_shard<F>(&self, shard: u32, name: impl Into<TaskName>, fut: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
@@ -481,7 +516,7 @@ impl Sim {
         });
         core.tasks[slot] = Some(Task {
             future: Some(Box::pin(fut)),
-            name: Rc::from(name.into()),
+            name: name.into(),
             waker: thread_waker::waker(Rc::clone(&wake)),
             wake,
             generation,
@@ -698,7 +733,7 @@ impl Sim {
                     let mut stuck_shards = Vec::new();
                     for t in core.tasks.iter().flatten() {
                         if t.future.is_some() {
-                            stuck.push(t.name.to_string());
+                            stuck.push(t.name);
                             stuck_shards.push(t.shard);
                         }
                     }
@@ -915,7 +950,7 @@ mod tests {
         for label in 0..10usize {
             let s = sim.clone();
             let ord = Rc::clone(&order);
-            sim.spawn_named_on(label % 4, format!("t{label}"), async move {
+            sim.spawn_named_on(label % 4, ("t", label as u32), async move {
                 s.sleep(SimDuration::from_millis(5)).await;
                 ord.borrow_mut().push(label);
             });
@@ -940,7 +975,7 @@ mod tests {
             for label in 0..12usize {
                 let s = sim.clone();
                 let ord = Rc::clone(&order);
-                sim.spawn_named_on(label % 5, format!("t{label}"), async move {
+                sim.spawn_named_on(label % 5, ("t", label as u32), async move {
                     s.sleep(SimDuration::from_millis((label as u64 % 3) * 7))
                         .await;
                     ord.borrow_mut().push(label);
@@ -987,7 +1022,7 @@ mod tests {
             for label in 0..8usize {
                 let s = sim.clone();
                 let ord = Rc::clone(&order);
-                sim.spawn_named_on(label % 3, format!("t{label}"), async move {
+                sim.spawn_named_on(label % 3, ("t", label as u32), async move {
                     let at = s.now() + SimDuration::from_millis(5);
                     if label % 2 == 0 {
                         let ord2 = Rc::clone(&ord);
@@ -1044,8 +1079,14 @@ mod tests {
     fn deadlock_is_reported_with_names() {
         let sim = Sim::new();
         sim.spawn_named("waits-forever", std::future::pending::<()>());
+        sim.spawn_named(("rank", 7), std::future::pending::<()>());
         let err = sim.run().unwrap_err();
-        assert_eq!(err.stuck, vec!["waits-forever".to_string()]);
+        assert_eq!(err.stuck, vec!["waits-forever".into(), ("rank", 7).into()]);
+        // The text chaos violations embed: kind and index run together.
+        assert_eq!(
+            err.to_string(),
+            "simulation deadlocked at 0ns with 2 stuck task(s): waits-forever, rank7"
+        );
     }
 
     #[test]
@@ -1057,10 +1098,7 @@ mod tests {
         sim.spawn_named_on(1, "stuck-a", std::future::pending::<()>());
         sim.spawn_named_on(3, "stuck-b", std::future::pending::<()>());
         let err = sim.run().unwrap_err();
-        assert_eq!(
-            err.stuck,
-            vec!["stuck-a".to_string(), "stuck-b".to_string()]
-        );
+        assert_eq!(err.stuck, vec!["stuck-a".into(), "stuck-b".into()]);
         assert_eq!(err.stuck_shards, vec![1, 3]);
         let msg = err.to_string();
         assert!(msg.contains("stuck-a[shard 1]"), "got: {msg}");

@@ -33,6 +33,6 @@ pub mod rng;
 pub mod sync;
 pub mod time;
 
-pub use executor::{Deadlock, RunOutcome, Sim, SimStats, TaskId};
+pub use executor::{Deadlock, RunOutcome, Sim, SimStats, TaskId, TaskName};
 pub use rng::{fnv1a, fnv1a_words, DetRng};
 pub use time::{SimDuration, SimTime};

@@ -934,6 +934,33 @@ mod tests {
     }
 
     #[test]
+    fn phases_reaches_a_send_after_a_trillion_empty_windows() {
+        let dir = std::env::temp_dir().join("gcr-cli-far-send-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tpath = dir.join("t.json").to_string_lossy().into_owned();
+        std::fs::write(
+            &tpath,
+            r#"{"meta":{"n":2,"workload":"x"},"events":[{"ev":"send","t":1000000000000000000,"src":0,"dst":1,"tag":1,"bytes":8}]}"#,
+        )
+        .unwrap();
+        // An `Ok` from `execute` is exit status 0 in `gcrsim`. Stepping
+        // through the 10^12 empty 1 ms windows before the send did not
+        // finish in 10 s.
+        let out = execute(
+            parse(&argv(&format!(
+                "phases --window-ms 1 --max-size 2 --trace {tpath}"
+            )))
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            "1 phase(s) detected:\nphase 0: [1000000000.000s, 1000000000.001s), 1 sends, 1 group(s), max size 2\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stats_rejects_a_trace_nested_too_deep_to_parse() {
         let dir = std::env::temp_dir().join("gcr-cli-deep-json-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -4,6 +4,7 @@
 //! case is reproducible from its printed seed (no external property-test
 //! framework; the container builds fully offline).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use gcr::ckpt::{check_quiescent, check_recovery_line, CkptConfig, CkptRuntime, Mode};
@@ -154,6 +155,180 @@ fn msg_log_tallies_close_under_random_appends_and_gcs() {
 /// committed checkpoints and receiver-log acknowledgement GC:
 /// `total_logged_bytes == total_gc_bytes + retained_log_bytes` on every
 /// rank after every step.
+/// The `BTreeMap` layout the volume counters had before their tables
+/// became sorted vectors: the reference every read is compared with.
+#[derive(Default)]
+struct VolumeModel {
+    r: BTreeMap<u32, u64>,
+    s: BTreeMap<u32, u64>,
+    rr: BTreeMap<u32, u64>,
+    epoch: u64,
+    piggybacked: BTreeMap<u32, u64>,
+}
+
+impl VolumeModel {
+    fn snapshot(counters: &BTreeMap<u32, u64>, peers: &[u32]) -> Vec<(u32, u64)> {
+        counters
+            .iter()
+            .filter(|(q, _)| peers.contains(q))
+            .map(|(&q, &v)| (q, v))
+            .collect()
+    }
+
+    fn piggyback_for(&mut self, dst: u32) -> Option<u64> {
+        if self.piggybacked.get(&dst).copied().unwrap_or(0) < self.epoch {
+            self.piggybacked.insert(dst, self.epoch);
+            Some(self.rr.get(&dst).copied().unwrap_or(0))
+        } else {
+            None
+        }
+    }
+
+    fn active_partners(&self) -> Vec<u32> {
+        let set: BTreeSet<u32> = self.r.keys().chain(self.s.keys()).copied().collect();
+        set.into_iter().collect()
+    }
+}
+
+/// The flat per-peer tables keep the map semantics: after seeded
+/// sequences of sends and receives (zero-byte ones included), snapshots,
+/// advertisements, floor resets and piggybacks, every read of
+/// `VolumeCounters` equals the `BTreeMap` model's.
+#[test]
+fn volume_counters_read_like_their_btreemap_model() {
+    use gcr::ckpt::VolumeCounters;
+    for case in 0..128u64 {
+        let mut rng = DetRng::new(0xF1A7_0001).fork_idx(case);
+        let peers = rng.range_u64(1, 24) as u32;
+        let mut v = VolumeCounters::new();
+        let mut m = VolumeModel::default();
+        let mut last_snap: Vec<(u32, u64)> = Vec::new();
+        for step in 0..rng.range_u64(1, 200) {
+            let q = rng.index(peers as usize) as u32;
+            let bytes = if rng.chance(0.2) {
+                0
+            } else {
+                rng.range_u64(1, 10_000)
+            };
+            let ctx = format!("case {case} step {step}");
+            match rng.index(8) {
+                0 | 1 => {
+                    v.on_send(q, bytes);
+                    *m.s.entry(q).or_insert(0) += bytes;
+                }
+                2 | 3 => {
+                    v.on_recv(q, bytes);
+                    *m.r.entry(q).or_insert(0) += bytes;
+                }
+                4 => {
+                    let keep: Vec<u32> = (0..peers).filter(|_| rng.chance(0.6)).collect();
+                    let rr = v.snapshot_received(|p| keep.contains(&p));
+                    let ss = v.snapshot_sent(|p| keep.contains(&p));
+                    assert_eq!(*rr, *VolumeModel::snapshot(&m.r, &keep), "{ctx}");
+                    assert_eq!(*ss, *VolumeModel::snapshot(&m.s, &keep), "{ctx}");
+                    last_snap = rr.to_vec();
+                }
+                5 => {
+                    v.advertise(&last_snap);
+                    m.rr.extend(last_snap.iter().copied());
+                    m.epoch += 1;
+                }
+                6 => {
+                    // Floors in any order, duplicates included: the map
+                    // sorts them and the later value of a peer wins.
+                    let floors: Vec<(u32, u64)> = (0..rng.range_u64(0, 6))
+                        .map(|_| (rng.index(peers as usize) as u32, rng.range_u64(0, 5_000)))
+                        .collect();
+                    if rng.chance(0.5) {
+                        v.reset_floors(&floors);
+                        m.rr.clear();
+                    } else {
+                        v.advertise(&floors);
+                    }
+                    m.rr.extend(floors.iter().copied());
+                    m.epoch += 1;
+                }
+                _ => assert_eq!(v.piggyback_for(q), m.piggyback_for(q), "{ctx}"),
+            }
+            assert_eq!(v.active_partners(), m.active_partners(), "{ctx}");
+            for p in 0..peers {
+                assert_eq!(v.sent_to(p), m.s.get(&p).copied().unwrap_or(0), "{ctx}");
+                assert_eq!(
+                    v.received_from(p),
+                    m.r.get(&p).copied().unwrap_or(0),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    v.recorded_received(p),
+                    m.rr.get(&p).copied().unwrap_or(0),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// `MsgLog`'s flat peer table keeps the map semantics: after seeded
+/// appends (zero-byte ones included), GCs and replays, every read equals
+/// a `BTreeMap<u32, PeerLog>` model's, and `iter` walks the same streams
+/// in ascending peer order.
+#[test]
+fn msg_log_reads_like_its_btreemap_model() {
+    use gcr::ckpt::MsgLog;
+    for case in 0..128u64 {
+        let mut rng = DetRng::new(0xF1A7_0002).fork_idx(case);
+        let peers = rng.range_u64(1, 24) as u32;
+        let mut log = MsgLog::new();
+        let mut m: BTreeMap<u32, PeerLog> = BTreeMap::new();
+        for seq in 0..rng.range_u64(1, 200) {
+            let q = rng.index(peers as usize) as u32;
+            let ctx = format!("case {case} seq {seq}");
+            match rng.index(4) {
+                0 | 1 => {
+                    let bytes = if rng.chance(0.2) {
+                        0
+                    } else {
+                        rng.range_u64(1, 5_000)
+                    };
+                    let e = log.append(q, bytes, seq);
+                    assert_eq!(e, m.entry(q).or_default().append(bytes, seq), "{ctx}");
+                }
+                2 => {
+                    let to = rng.range_u64(0, log.logged_end(q) + 2);
+                    let want = m.get_mut(&q).map_or(0, |l| l.gc(to));
+                    assert_eq!(log.gc(q, to), want, "{ctx}");
+                }
+                _ => {
+                    let from = rng.range_u64(0, log.logged_end(q) + 2);
+                    let to = rng.range_u64(from, from + 10_000);
+                    let want = m
+                        .get(&q)
+                        .map(|l| l.replay_range(from, to))
+                        .unwrap_or_default();
+                    assert_eq!(log.replay_range(q, from, to), want, "{ctx}");
+                }
+            }
+            let got: Vec<(u32, u64, u64, usize)> = log
+                .iter()
+                .map(|(p, l)| (p, l.appended_bytes(), l.retained_bytes(), l.len()))
+                .collect();
+            let want: Vec<(u32, u64, u64, usize)> = m
+                .iter()
+                .map(|(&p, l)| (p, l.appended_bytes(), l.retained_bytes(), l.len()))
+                .collect();
+            assert_eq!(got, want, "{ctx}");
+            for p in 0..peers {
+                assert_eq!(log.peer(p).is_some(), m.contains_key(&p), "{ctx}");
+                assert_eq!(
+                    log.logged_end(p),
+                    m.get(&p).map_or(0, PeerLog::appended_bytes),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn gp_log_tallies_close_under_piggyback_and_ack_gc() {
     use gcr::ckpt::{GpState, RbState};
@@ -479,7 +654,7 @@ fn cross_shard_merge_preserves_time_and_tiebreak_order() {
                 let s = sim.clone();
                 let log = Rc::clone(&log);
                 let prog = prog.clone();
-                sim.spawn_named_on(assignment[t], format!("t{t}"), async move {
+                sim.spawn_named_on(assignment[t], ("t", t as u32), async move {
                     for (i, &d) in prog.iter().enumerate() {
                         let target = s.now() + SimDuration::from_micros(d);
                         s.sleep(SimDuration::from_micros(d)).await;

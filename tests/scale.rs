@@ -114,8 +114,12 @@ fn hundred_thousand_ranks_survive_a_group_failure() {
     // The 100k-rank footprint, in optimised builds (a debug build's frames
     // and futures are larger).
     #[cfg(not(debug_assertions))]
-    if let Some(hwm) = peak_rss_mib() {
-        println!("100k-rank run: VmHWM {hwm} MiB (limit {PEAK_RSS_LIMIT_MIB} MiB)");
+    if let Some(hwm_kib) = peak_rss_kib() {
+        let hwm = hwm_kib / 1024;
+        println!(
+            "100k-rank run: VmHWM {hwm} MiB, {:.2} KiB per rank (limit {PEAK_RSS_LIMIT_MIB} MiB)",
+            hwm_kib as f64 / RANKS as f64
+        );
         assert!(
             hwm <= PEAK_RSS_LIMIT_MIB,
             "100k-rank run peaked at VmHWM {hwm} MiB, over {PEAK_RSS_LIMIT_MIB} MiB"
@@ -128,11 +132,10 @@ fn hundred_thousand_ranks_survive_a_group_failure() {
 const PEAK_RSS_LIMIT_MIB: u64 = 1024;
 
 /// This process's peak resident set (`VmHWM` in `/proc/self/status`) in
-/// MiB, or `None` where that file cannot be read (not Linux).
+/// KiB, or `None` where that file cannot be read (not Linux).
 #[cfg(not(debug_assertions))]
-fn peak_rss_mib() -> Option<u64> {
+fn peak_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024)
+    line.split_whitespace().nth(1)?.parse().ok()
 }
