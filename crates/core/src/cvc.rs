@@ -262,7 +262,7 @@ fn merge_max(target: &mut BTreeMap<u64, u64>, flat: &[u64]) {
 /// sends are never suspended: the wave agrees on a clock target, waits
 /// for the rank's own cut, and runs the image write and the group
 /// two-phase commit concurrently with execution.
-pub(crate) async fn cvc_wave(p: &RankProto, cvc: &CvcState, wave: u64) {
+pub(crate) async fn cvc_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
     let world = ctx.world();
     let sim = world.sim();
@@ -281,7 +281,7 @@ pub(crate) async fn cvc_wave(p: &RankProto, cvc: &CvcState, wave: u64) {
     // keeps the cut consistent under any target divergence.
     let n = world.n();
     let me = rank.0 as usize;
-    let mut target = cvc.clock_snapshot();
+    let mut target = p.cvc().clock_snapshot();
     let mut k = 1usize;
     while k < n {
         let dst = Rank(((me + k) % n) as u32);
@@ -300,7 +300,7 @@ pub(crate) async fn cvc_wave(p: &RankProto, cvc: &CvcState, wave: u64) {
     // Step 2: cut when our own clock reaches the target (or a
     // piggybacked epoch forces it first). Execution continues at full
     // speed while we wait.
-    cvc.arm(wave, target).wait().await;
+    p.cvc().arm(wave, target).wait().await;
 
     // Step 3: image write + group 2PC, concurrent with execution.
     let gid = p.groups.group_of(rank.0);
@@ -318,7 +318,7 @@ pub(crate) async fn cvc_wave(p: &RankProto, cvc: &CvcState, wave: u64) {
     {
         member_ok = false;
     }
-    let state_bytes = cvc.end_wave();
+    let state_bytes = p.cvc().end_wave();
     let storage = world.cluster().storage();
     if state_bytes > 0
         && storage

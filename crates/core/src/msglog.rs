@@ -171,12 +171,7 @@ impl MsgLog {
     /// Append a message of `bytes` at the end of `peer`'s stream and queue
     /// its background disk write.
     pub fn append(&mut self, peer: u32, bytes: u64, seq: u64) -> LogEntry {
-        let mut e = LogEntry {
-            offset: 0,
-            bytes,
-            seq,
-        };
-        self.peers.update(peer, |l| e = l.append(bytes, seq));
+        let e = self.peers.update(peer, |l| l.append(bytes, seq));
         self.pending_flush += bytes;
         if let Some((storage, node)) = &self.disk {
             storage.queue_local_log_write(*node, bytes);

@@ -44,24 +44,23 @@ impl<V> PeerTable<V> {
         self.entries.get_mut(i).map(|(_, v)| v)
     }
 
-    /// Apply `f` to `peer`'s value, creating it as `V::default()` first
-    /// if `peer` has no entry. The vector grows by exactly one slot per
-    /// new peer: a rank meets each partner once, and most have few.
-    pub(crate) fn update(&mut self, peer: u32, f: impl FnOnce(&mut V))
+    /// Apply `f` to `peer`'s value and return its result, creating the
+    /// value as `V::default()` first if `peer` has no entry. The vector
+    /// grows by exactly one slot per new peer: a rank meets each partner
+    /// once, and most have few.
+    pub(crate) fn update<R>(&mut self, peer: u32, f: impl FnOnce(&mut V) -> R) -> R
     where
         V: Default,
     {
-        match self.search(peer) {
-            Ok(i) => {
-                if let Some((_, v)) = self.entries.get_mut(i) {
-                    f(v);
-                }
-            }
-            Err(i) => {
+        let i = self.entries.partition_point(|&(q, _)| q < peer);
+        match self.entries.get_mut(i) {
+            Some((q, v)) if *q == peer => f(v),
+            _ => {
                 let mut v = V::default();
-                f(&mut v);
+                let r = f(&mut v);
                 self.entries.reserve_exact(1);
                 self.entries.insert(i, (peer, v));
+                r
             }
         }
     }

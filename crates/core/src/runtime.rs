@@ -87,6 +87,24 @@ impl RankProto {
             _ => None,
         }
     }
+
+    /// The MPICH-VCL recorder. Only a [`Mode::Vcl`] run builds one, and
+    /// only its waves read it.
+    pub(crate) fn vcl(&self) -> &VclState {
+        match &self.plane {
+            Plane::Vcl(vcl) => vcl,
+            _ => unreachable!("only a VCL run takes VCL waves"),
+        }
+    }
+
+    /// The CVC clock and cut. Only a [`Mode::Cvc`] run builds one, and
+    /// only its waves read it.
+    pub(crate) fn cvc(&self) -> &CvcState {
+        match &self.plane {
+            Plane::Cvc(cvc) => cvc,
+            _ => unreachable!("only a CVC run takes CVC waves"),
+        }
+    }
 }
 
 enum Cmd {
@@ -236,14 +254,12 @@ impl CkptRuntime {
                             let jitter_us = proto.rng.borrow_mut().range_u64(0, 2_000);
                             sim.sleep(latency + propagation + SimDuration::from_micros(jitter_us))
                                 .await;
-                            match &proto.plane {
+                            match mode {
                                 // Receiver-based logging rides the blocking
                                 // group plane.
-                                Plane::Blocking | Plane::RbLog(_) => {
-                                    blocking_wave(&proto, wave).await
-                                }
-                                Plane::Vcl(vcl) => vcl_wave(&proto, vcl, wave).await,
-                                Plane::Cvc(cvc) => cvc_wave(&proto, cvc, wave).await,
+                                Mode::Blocking | Mode::RbLog => blocking_wave(&proto, wave).await,
+                                Mode::Vcl => vcl_wave(&proto, wave).await,
+                                Mode::Cvc => cvc_wave(&proto, wave).await,
                             }
                             done.done();
                         }
@@ -675,8 +691,7 @@ mod tests {
     /// stopped holding its received token and `ctrl_send` became a
     /// plain `Sleep`: 424 bytes for the blocking wave and 504 for CVC.
     /// While the barrier held the token's whole `Envelope`, the two were
-    /// 544 and 568. The CVC wave is 520 bytes since it takes its
-    /// recorder as an argument, the plane being built only under CVC.
+    /// 544 and 568.
     #[test]
     fn wave_futures_stay_within_32_bytes_of_their_measured_sizes() {
         let sim = Sim::new();
@@ -689,11 +704,11 @@ mod tests {
         let rt = CkptRuntime::install(&world, groups, Mode::Blocking, cfg);
         let p = rt.inner.rank_proto(0, DetRng::new(0));
         let blocking = std::mem::size_of_val(&blocking_wave(&p, 0));
-        let cvc = std::mem::size_of_val(&cvc_wave(&p, &CvcState::new(), 0));
+        let cvc = std::mem::size_of_val(&cvc_wave(&p, 0));
         assert!(
             blocking <= 424 + 32,
             "blocking_wave future is {blocking} bytes"
         );
-        assert!(cvc <= 520 + 32, "cvc_wave future is {cvc} bytes");
+        assert!(cvc <= 504 + 32, "cvc_wave future is {cvc} bytes");
     }
 }

@@ -19,7 +19,6 @@ use gcr_sim::future::{join2, join_all};
 use gcr_sim::SimDuration;
 
 use crate::ctrlplane::{tags, CTRL_BYTES};
-use crate::hooks::VclState;
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
 
@@ -30,7 +29,7 @@ use crate::runtime::RankProto;
 const VCL_IMAGE_FACTOR: f64 = 2.0;
 
 /// Execute one VCL wave at one rank.
-pub(crate) async fn vcl_wave(p: &RankProto, vcl: &VclState, wave: u64) {
+pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
     let ctx = &p.ctx;
     let world = ctx.world();
     let rank = ctx.rank();
@@ -39,7 +38,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, vcl: &VclState, wave: u64) {
     let started = ctx.now();
 
     world.block_sends(rank);
-    vcl.start_wave();
+    p.vcl().start_wave();
 
     // Every other rank, in rank order. The per-peer marker futures below
     // borrow `ctx` and `p` rather than owning handles: VCL's one global
@@ -50,7 +49,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, vcl: &VclState, wave: u64) {
     // at marker arrival, concurrently with the image write.
     let collect = join_all(peers().map(|peer| async move {
         ctx.ctrl_recv(peer, tags::MARKER + wave).await;
-        vcl.marker_from(peer.0);
+        p.vcl().marker_from(peer.0);
     }));
 
     // VCL's single global group is catalog group 0; the commit decision is
@@ -80,7 +79,7 @@ pub(crate) async fn vcl_wave(p: &RankProto, vcl: &VclState, wave: u64) {
     let ((t_img, image_ok), _) = join2(work, collect).await;
 
     // Persist the recorded channel state alongside the image.
-    let state_bytes = vcl.take_state_bytes();
+    let state_bytes = p.vcl().take_state_bytes();
     let mut state_ok = true;
     if state_bytes > 0 {
         state_ok = storage

@@ -150,11 +150,6 @@ fn msg_log_tallies_close_under_random_appends_and_gcs() {
     }
 }
 
-/// The protocol state's log tallies close under random inter-group
-/// traffic with both trimming paths live — piggybacked `RR` GC after
-/// committed checkpoints and receiver-log acknowledgement GC:
-/// `total_logged_bytes == total_gc_bytes + retained_log_bytes` on every
-/// rank after every step.
 /// The `BTreeMap` layout the volume counters had before their tables
 /// became sorted vectors: the reference every read is compared with.
 #[derive(Default)]
@@ -329,6 +324,11 @@ fn msg_log_reads_like_its_btreemap_model() {
     }
 }
 
+/// The protocol state's log tallies close under random inter-group
+/// traffic with both trimming paths live — piggybacked `RR` GC after
+/// committed checkpoints and receiver-log acknowledgement GC:
+/// `total_logged_bytes == total_gc_bytes + retained_log_bytes` on every
+/// rank after every step.
 #[test]
 fn gp_log_tallies_close_under_piggyback_and_ack_gc() {
     use gcr::ckpt::{GpState, RbState};
