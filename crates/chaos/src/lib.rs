@@ -44,6 +44,7 @@
 //! repro command.
 
 #![warn(missing_docs)]
+#![forbid(dead_code)]
 
 mod engine;
 mod scenario;

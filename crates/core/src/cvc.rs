@@ -395,6 +395,12 @@ mod tests {
         let mut target = BTreeMap::from([(1u64, 8u64), (7, 1)]);
         merge_max(&mut target, &flat);
         assert_eq!(target, BTreeMap::from([(1, 8), (7, 2), (9, 0)]));
+        // An empty record merges nothing; an odd-length one ignores its
+        // trailing word.
+        merge_max(&mut target, &[]);
+        assert_eq!(target, BTreeMap::from([(1, 8), (7, 2), (9, 0)]));
+        merge_max(&mut target, &[7, 4, 11]);
+        assert_eq!(target, BTreeMap::from([(1, 8), (7, 4), (9, 0)]));
     }
 
     #[test]

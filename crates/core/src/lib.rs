@@ -30,6 +30,7 @@
 //! Entry point: [`runtime::CkptRuntime::install`].
 
 #![warn(missing_docs)]
+#![forbid(dead_code)]
 
 pub mod advisor;
 pub mod blocking;

@@ -6,6 +6,7 @@
 //! the evaluation's GP1 / GP4 / NORM are in [`strategy`].
 
 #![warn(missing_docs)]
+#![forbid(dead_code)]
 
 pub mod def;
 pub mod formation;

@@ -6,6 +6,8 @@
 //! (the snippet changes, the finding becomes new, and the author must fix
 //! or re-justify it). Every entry carries a `note` saying why it is
 //! tolerated. Unused entries are reported so the baseline only shrinks.
+//! The file is edited by hand: new exceptions go through inline waivers,
+//! which carry their reason next to the code.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +20,7 @@ use crate::report::{Finding, Status};
 pub struct BaselineEntry {
     /// Workspace-relative path.
     pub file: String,
-    /// Rule id (`D01`…).
+    /// Rule id (`D02`…).
     pub rule: String,
     /// Trimmed source line the finding sits on.
     pub snippet: String,
@@ -89,62 +91,6 @@ impl Baseline {
             ("findings", Json::from(findings)),
         ])
         .pretty()
-    }
-
-    /// Build a baseline that grandfathers exactly the given findings
-    /// (`--update-baseline`). Notes are stamped as needing justification.
-    pub fn from_findings(findings: &[Finding]) -> Baseline {
-        let mut counts: BTreeMap<(String, String, String), u64> = BTreeMap::new();
-        for f in findings {
-            *counts
-                .entry((f.file.clone(), f.rule.id().to_string(), f.snippet.clone()))
-                .or_insert(0) += 1;
-        }
-        Baseline {
-            entries: counts
-                .into_iter()
-                .map(|((file, rule, snippet), count)| BaselineEntry {
-                    file,
-                    rule,
-                    snippet,
-                    count,
-                    note: "TODO: justify or fix".to_string(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild the baseline from the current findings
-    /// (`--update-baseline`): entries whose `(file, rule, snippet)` key
-    /// still matches keep their note (and get the fresh count); entries
-    /// that no longer match anything are *pruned* instead of silently
-    /// carried forever. Returns the refreshed baseline and one human
-    /// description per pruned entry.
-    pub fn refresh(&self, findings: &[Finding]) -> (Baseline, Vec<String>) {
-        let mut fresh = Baseline::from_findings(findings);
-        let mut old: BTreeMap<(String, String, String), String> = self
-            .entries
-            .iter()
-            .map(|e| {
-                (
-                    (e.file.clone(), e.rule.clone(), e.snippet.clone()),
-                    e.note.clone(),
-                )
-            })
-            .collect();
-        for e in &mut fresh.entries {
-            let key = (e.file.clone(), e.rule.clone(), e.snippet.clone());
-            if let Some(note) = old.remove(&key) {
-                e.note = note;
-            }
-        }
-        let pruned = old
-            .into_keys()
-            .map(|(file, rule, snippet)| {
-                format!("{file}: {rule} `{snippet}` — stale (no longer matches any finding)")
-            })
-            .collect();
-        (fresh, pruned)
     }
 
     /// Mark findings covered by this baseline as [`Status::Baselined`].

@@ -25,14 +25,6 @@ pub struct RuleDoc {
 /// Documentation for every rule, in rule order.
 pub const CATALOG: &[RuleDoc] = &[
     RuleDoc {
-        rule: Rule::D01,
-        summary: "no iteration over hash-ordered containers in deterministic crates",
-        rationale: "HashMap/HashSet iteration order varies run to run; one stray loop \
-                    breaks bit-determinism, replay, and schedule shrinking.",
-        example: "for (k, v) in map.iter() { … }   // map: HashMap<_, _>",
-        fix: "Use BTreeMap/BTreeSet, or collect and sort before iterating.",
-    },
-    RuleDoc {
         rule: Rule::D02,
         summary: "no wall clock, OS entropy, threads, or env reads in simulation code",
         rationale: "Anything outside the simulated clock and DetRng injects host state \
@@ -65,17 +57,9 @@ pub const CATALOG: &[RuleDoc] = &[
               stale trust directives are themselves findings).",
     },
     RuleDoc {
-        rule: Rule::D04,
-        summary: "no `#[allow(dead_code)]` on pub fns taking `&mut` protocol state",
-        rationale: "A mutating protocol entry point nobody calls is a rotting branch of \
-                    the state machine; it drifts from the live protocol unnoticed.",
-        example: "#[allow(dead_code)] pub fn force_commit(&mut self) { … }",
-        fix: "Wire the fn into the protocol or delete it.",
-    },
-    RuleDoc {
         rule: Rule::D10,
         summary: "no nondeterministic value may *flow into* a digest, trace record, or payload",
-        rationale: "D01/D02 flag any use of a nondeterminism source; D10 is the \
+        rationale: "D02 flags any use of a nondeterminism source; D10 is the \
                     flow-sensitive refinement: it tracks tainted values through \
                     bindings, branches and call returns, and fires only when one \
                     actually reaches the replay-checked plane — a digest fold, a \

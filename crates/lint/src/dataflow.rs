@@ -1,11 +1,12 @@
 //! D10 — determinism taint dataflow; P21 — GC-floor soundness.
 //!
-//! **D10** upgrades D01/D02's "any use anywhere" syntactic net into a
+//! **D10** upgrades D02's "any use anywhere" syntactic net into a
 //! flow-sensitive question: does a nondeterministic *value* actually
 //! reach a determinism-critical *sink*? Sources are hash-order iteration
-//! (D01's method list) and the clock/entropy/thread/env surfaces; sinks
-//! are digest folds, trace/metrics records, and protocol message
-//! payloads. The analysis is
+//! (over bindings the file types as `HashMap`/`HashSet`; clippy bans
+//! those types in the workspace outright) and the
+//! clock/entropy/thread/env surfaces; sinks are digest folds,
+//! trace/metrics records, and protocol message payloads. The analysis is
 //! an intraprocedural worklist walk over the structured CFG
 //! ([`crate::cfg`]) with a taint environment per simple binding, merged
 //! at joins and iterated (twice) through loops, plus a coarse
@@ -32,7 +33,7 @@ use crate::callgraph::CallGraph;
 use crate::cfg::{self, Cfg};
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::report::{sort_dedup, Finding, Rule};
-use crate::rules;
+use crate::rules::NON_INDEX_KEYWORDS;
 use crate::symbols::SymbolIndex;
 
 /// Sink function names: a call to one of these with a tainted argument
@@ -48,6 +49,21 @@ const SINKS: &[&str] = &[
     "send_batch",
 ];
 
+/// Methods whose call on a hash-ordered container observes its order
+/// (D10's hash-iteration source).
+const HASH_ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "retain",
+    "into_iter",
+    "into_keys",
+    "into_values",
+];
+
 /// A taint chain: human-readable steps from source to the current value.
 type Chain = Vec<(String, usize)>;
 
@@ -58,10 +74,10 @@ type Env<'a> = BTreeMap<&'a str, Chain>;
 pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -> Vec<Finding> {
     let n = index.fns.len();
 
-    // Per-file hash-bound identifier sets (reused from D01's binding scan).
+    // Per-file hash-bound identifier sets.
     let hash_bound: Vec<BTreeSet<&str>> = views
         .iter()
-        .map(|(_, lx)| rules::hash_bound_idents(&lx.toks))
+        .map(|(_, lx)| hash_bound_idents(&lx.toks))
         .collect();
 
     // Summary 1: does the body touch a source at all?
@@ -123,6 +139,48 @@ pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -
     out
 }
 
+fn is_hash_type(t: &Tok) -> bool {
+    t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet")
+}
+
+/// Identifiers bound to a `HashMap`/`HashSet` anywhere in the file:
+/// `let m = HashMap::new()`, `m: HashMap<..>` (locals, fields, params),
+/// including `std::collections::`-qualified spellings.
+fn hash_bound_idents<'a>(toks: &[Tok<'a>]) -> BTreeSet<&'a str> {
+    let mut bound = BTreeSet::new();
+    for (k, t) in toks.iter().enumerate() {
+        if !is_hash_type(t) {
+            continue;
+        }
+        // Walk back over a path prefix: (`ident` `:` `:`)* .
+        let mut j = k;
+        while j >= 3
+            && toks[j - 1].text == ":"
+            && toks[j - 2].text == ":"
+            && toks[j - 3].kind == TokKind::Ident
+        {
+            j -= 3;
+        }
+        if j == 0 {
+            continue;
+        }
+        // `name : HashMap` (ascription, not a path `::`) or `name = Hash…`.
+        let prev = &toks[j - 1];
+        let ascription = prev.text == ":" && (j < 2 || toks[j - 2].text != ":");
+        let binder = if ascription || prev.text == "=" {
+            toks.get(j.wrapping_sub(2))
+        } else {
+            None
+        };
+        if let Some(b) = binder {
+            if b.kind == TokKind::Ident && !NON_INDEX_KEYWORDS.contains(&b.text) {
+                bound.insert(b.text);
+            }
+        }
+    }
+    bound
+}
+
 /// Does `[lo, hi)` contain a nondeterminism source?
 fn has_source(toks: &[Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> bool {
     let hi = hi.min(toks.len());
@@ -154,7 +212,7 @@ fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> 
         && toks.get(i + 1).is_some_and(|a| a.text == ".")
         && i + 2 < hi
         && toks[i + 2].kind == TokKind::Ident
-        && rules::HASH_ITER_METHODS.contains(&toks[i + 2].text)
+        && HASH_ITER_METHODS.contains(&toks[i + 2].text)
     {
         return Some(format!("hash-ordered iteration over `{}`", t.text));
     }

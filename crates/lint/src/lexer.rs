@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn own_line_comments_are_flagged() {
-        let lx = lex("// gcr-lint: allow(D01) reason\nlet x = 1; // trailing\n");
+        let lx = lex("// gcr-lint: allow(D02) reason\nlet x = 1; // trailing\n");
         assert!(lx.comments[0].own_line);
         assert!(!lx.comments[1].own_line);
     }

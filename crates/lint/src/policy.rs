@@ -1,30 +1,16 @@
 //! Per-crate policy tiers: which rules apply to which workspace paths.
 //!
 //! Paths are workspace-relative with `/` separators (the walker
-//! normalizes). Three tiers exist:
+//! normalizes). Two tiers exist:
 //!
-//! * **deterministic** crates — everything that executes inside the
-//!   simulation and therefore feeds the bit-determinism oracle;
 //! * **recovery-critical** modules — code on the restart/replay path,
 //!   where an injected fault must degrade into `Err`, not an abort;
 //! * **exempt** surfaces — `crates/bench` (wall-clock measurement and
 //!   thread fan-out are its job) and `src/cli.rs` (process boundary).
 
-/// Crates whose `src/` trees must be deterministic (rule D01, and the
-/// scope of D02's strictest reading).
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "sim",
-    "net",
-    "mpi",
-    "trace",
-    "group",
-    "core",
-    "workloads",
-    "chaos",
-];
-
-/// Protocol crates whose public mutating API must not hide behind
-/// `#[allow(dead_code)]` (rule D04).
+/// Protocol crates. Each crate root carries `#![forbid(dead_code)]`, so
+/// no mutating entry point can sit unwired behind an `allow`; a
+/// workspace test keeps the attribute in place.
 pub const PROTOCOL_CRATES: &[&str] = &["core", "mpi", "group", "chaos"];
 
 /// Modules on the recovery path (rules D03, D03-T roots, P02). The
@@ -56,14 +42,10 @@ pub const PROTOCOL_ERROR_TYPES: &[&str] = &["RecoveryError", "StorageError"];
 /// The rule set in force for one file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Policy {
-    /// D01: no iteration over hash-ordered containers.
-    pub d01: bool,
     /// D02: no wall-clock / OS entropy / threads / env.
     pub d02: bool,
     /// D03: no unwrap/expect/panic/unchecked indexing.
     pub d03: bool,
-    /// D04: no dead-code-suppressed pub fns taking `&mut` state.
-    pub d04: bool,
     /// E01/E02/E03: no discarded protocol `Result`s (workspace passes).
     pub e: bool,
 }
@@ -78,13 +60,10 @@ pub(crate) fn crate_of(rel: &str) -> Option<&str> {
 
 /// Resolve the policy for a workspace-relative path.
 pub fn policy_for(rel: &str) -> Policy {
-    let cr = crate_of(rel);
     let d02_exempt = rel.starts_with("crates/bench/") || rel == "src/cli.rs";
     Policy {
-        d01: cr.is_some_and(|c| DETERMINISTIC_CRATES.contains(&c)),
         d02: !d02_exempt,
         d03: RECOVERY_CRITICAL.contains(&rel),
-        d04: cr.is_some_and(|c| PROTOCOL_CRATES.contains(&c)),
         e: !d02_exempt,
     }
 }
@@ -96,37 +75,36 @@ mod tests {
     #[test]
     fn tiers_resolve_as_documented() {
         let p = policy_for("crates/sim/src/executor.rs");
-        assert!(p.d01 && p.d02 && !p.d03 && !p.d04);
+        assert!(p.d02 && !p.d03);
 
-        // The shard/merge module: deterministic (gcr-sim is a D01 crate)
-        // AND panic-free (D03) — every group shares one merge loop.
+        // The shard/merge module is panic-free (D03): every group shares
+        // one merge loop.
         let p = policy_for("crates/sim/src/executor/shard.rs");
-        assert!(p.d01 && p.d02 && p.d03 && !p.d04);
+        assert!(p.d02 && p.d03);
 
         let p = policy_for("crates/core/src/restart.rs");
-        assert!(p.d01 && p.d02 && p.d03 && p.d04);
+        assert!(p.d02 && p.d03);
 
-        // The durable checkpoint store is deterministic (gcr-net) AND on
-        // the recovery path (restart generation selection + validation),
-        // but gcr-net is not a protocol-API tier.
+        // The durable checkpoint store is on the recovery path (restart
+        // generation selection + validation).
         let p = policy_for("crates/net/src/ckptstore.rs");
-        assert!(p.d01 && p.d02 && p.d03 && !p.d04);
+        assert!(p.d02 && p.d03);
 
         // The replicated restore backend serves restart reads from peer
         // memory: replica exhaustion must degrade typed, never panic.
         let p = policy_for("crates/net/src/restore.rs");
-        assert!(p.d01 && p.d02 && p.d03 && !p.d04);
+        assert!(p.d02 && p.d03);
 
         let p = policy_for("crates/bench/src/sweep.rs");
-        assert!(!p.d01 && !p.d02 && !p.d03 && !p.d04);
+        assert!(!p.d02 && !p.d03 && !p.e);
 
         let p = policy_for("src/cli.rs");
-        assert!(!p.d01 && !p.d02);
+        assert!(!p.d02);
 
         let p = policy_for("src/bin/gcrsim.rs");
-        assert!(!p.d01 && p.d02);
+        assert!(p.d02);
 
         let p = policy_for("crates/json/src/lib.rs");
-        assert!(!p.d01 && p.d02 && !p.d03 && !p.d04);
+        assert!(p.d02 && !p.d03);
     }
 }

@@ -7,14 +7,10 @@ use crate::lexer::Lexed;
 /// Rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Iteration over a hash-ordered container in a deterministic crate.
-    D01,
     /// Wall-clock / OS entropy / threads / env outside exempt surfaces.
     D02,
     /// `unwrap`/`expect`/`panic!`/unchecked indexing on the recovery path.
     D03,
-    /// `#[allow(dead_code)]` on a `pub fn` taking `&mut` state.
-    D04,
     /// Transitive panic-reachability: a recovery-critical fn reaches a
     /// panic site through a workspace callee (call-graph pass).
     D03T,
@@ -51,10 +47,8 @@ impl Rule {
     /// The identifier as written in suppressions and reports.
     pub fn id(&self) -> &'static str {
         match self {
-            Rule::D01 => "D01",
             Rule::D02 => "D02",
             Rule::D03 => "D03",
-            Rule::D04 => "D04",
             Rule::D03T => "D03-T",
             Rule::D10 => "D10",
             Rule::E01 => "E01",
@@ -79,11 +73,9 @@ impl Rule {
 
     /// Every rule, in catalog order.
     pub const ALL: &'static [Rule] = &[
-        Rule::D01,
         Rule::D02,
         Rule::D03,
         Rule::D03T,
-        Rule::D04,
         Rule::D10,
         Rule::E01,
         Rule::E02,
@@ -234,7 +226,8 @@ impl GraphStats {
         if self.call_sites == 0 {
             return 1.0;
         }
-        (self.resolved + self.external) as f64 / self.call_sites as f64
+        // Summed as floats: a replayed cache entry may hold any counts.
+        (self.resolved as f64 + self.external as f64) / self.call_sites as f64
     }
 
     fn to_json(self) -> Json {

@@ -1,8 +1,8 @@
-//! Inline suppressions: `// gcr-lint: allow(D01) <reason>`.
+//! Inline suppressions: `// gcr-lint: allow(D02) <reason>`.
 //!
 //! A suppression on its own line covers the next code line; a trailing
 //! suppression covers its own line. Several rules may be listed
-//! (`allow(D01,D03)`). Every suppression must carry a justification, and
+//! (`allow(D02,D03)`). Every suppression must carry a justification, and
 //! a suppression that suppresses nothing is itself a finding (W00) — the
 //! analyzer refuses to let dead waivers accumulate.
 //!

@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use gcr_lint::cache::lint_workspace_cached;
-use gcr_lint::Baseline;
+use gcr_lint::{Baseline, BaselineEntry};
 
 /// A throwaway workspace root with one deterministic-crate source file.
 fn scratch(name: &str, src: &str) -> PathBuf {
@@ -74,7 +74,19 @@ fn a_baseline_change_invalidates_the_workspace_artifact() {
     let (report, _) = lint_workspace_cached(&root, &Baseline::default(), &cache).expect("cold");
     assert!(!report.passed());
 
-    let grandfathered = Baseline::from_findings(&report.findings);
+    let grandfathered = Baseline {
+        entries: report
+            .findings
+            .iter()
+            .map(|f| BaselineEntry {
+                file: f.file.clone(),
+                rule: f.rule.id().to_string(),
+                snippet: f.snippet.clone(),
+                count: 1,
+                note: "fixture".to_string(),
+            })
+            .collect(),
+    };
     let (rebased, stats) = lint_workspace_cached(&root, &grandfathered, &cache).expect("rebased");
     assert!(!stats.hit, "a baseline change must miss the workspace tier");
     assert!(rebased.passed(), "grandfathered findings must not fail");

@@ -1,10 +1,13 @@
 //! Tier-1 gate: the live workspace must lint clean against the committed
 //! baseline. This is the test that keeps nondeterminism from re-entering:
-//! a new HashMap iteration, wall-clock read, or recovery-path unwrap
-//! anywhere in the deterministic crates fails the build right here.
+//! a new wall-clock read or recovery-path unwrap fails the build right
+//! here. Two guards live outside the lint, and the last test below keeps
+//! them in place: `clippy.toml` bans the hash containers, and the
+//! protocol crates forbid `dead_code`.
 
 use std::path::Path;
 
+use gcr_lint::policy::PROTOCOL_CRATES;
 use gcr_lint::{lint_workspace, load_baseline};
 
 /// The workspace root, two levels up from this crate's manifest.
@@ -122,4 +125,28 @@ fn call_graph_resolves_enough_of_the_live_workspace() {
         g.ambiguous
     );
     assert!(g.functions > 500, "index saw only {} fns", g.functions);
+}
+
+#[test]
+fn the_compiler_guards_that_replace_lint_rules_stay_in_place() {
+    // Dead code in a protocol crate is a compile error, not a finding.
+    let root = workspace_root();
+    for krate in PROTOCOL_CRATES {
+        let lib = root.join("crates").join(krate).join("src/lib.rs");
+        let src = std::fs::read_to_string(&lib).expect("protocol crate root must be readable");
+        assert!(
+            src.lines().any(|l| l.trim() == "#![forbid(dead_code)]"),
+            "{} must carry `#![forbid(dead_code)]`",
+            lib.display()
+        );
+    }
+    // Hash-ordered containers are banned by clippy, which CI runs with
+    // `-D warnings`.
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            clippy.contains(&format!("path = \"{ty}\"")),
+            "clippy.toml must ban `{ty}`"
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //! entries, while its actual communication graph (grid neighbors, group
 //! members) touches a vanishing fraction of pairs. The sparse map is a
 //! `BTreeMap`, not a hash map, so every iteration order is deterministic
-//! (gcr-lint rule D01).
+//! (`clippy.toml` bans the hash containers).
 
 // gcr-lint: trust(D03-T) the dense pair matrix is n×n by construction; rank indices come from the validated world
 

@@ -17,6 +17,7 @@
 //!   volume counters.
 
 #![warn(missing_docs)]
+#![forbid(dead_code)]
 
 pub mod collective;
 pub mod counters;

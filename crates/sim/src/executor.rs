@@ -444,11 +444,6 @@ impl Sim {
         self.core.borrow().shards.len()
     }
 
-    /// Number of tasks that have not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.core.borrow().live_tasks
-    }
-
     /// Total number of task polls performed so far (diagnostic).
     pub fn poll_count(&self) -> u64 {
         self.core.borrow().polls
@@ -1114,7 +1109,7 @@ mod tests {
         });
         let outcome = sim.run_until(SimTime::from_secs(10)).unwrap();
         assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(sim.live_tasks(), 1);
+        assert_eq!(sim.core.borrow().live_tasks, 1);
         // Resuming without a horizon finishes the task.
         sim.run().unwrap();
         assert_eq!(sim.now(), SimTime::from_secs(100));
@@ -1238,7 +1233,7 @@ mod tests {
         waker.wake();
         sim.run().unwrap();
         assert!(done.get());
-        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(sim.core.borrow().live_tasks, 0);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Gate {
         self.inner.borrow_mut().open = false;
     }
 
-    /// Whether the gate is currently open.
-    pub fn is_open(&self) -> bool {
-        self.inner.borrow().open
-    }
-
     /// Completes once the gate is open (immediately if already open).
     pub fn wait_open(&self) -> GateWait {
         GateWait { gate: self.clone() }
@@ -280,9 +275,7 @@ mod tests {
         let sim = Sim::new();
         let gate = Gate::new(true);
         gate.close();
-        assert!(!gate.is_open());
         gate.open();
-        assert!(gate.is_open());
         let g = gate.clone();
         sim.spawn(async move {
             g.wait_open().await; // open: passes immediately

@@ -27,7 +27,7 @@ pub struct PairFlow {
 pub fn pair_flows(trace: &Trace) -> Vec<PairFlow> {
     // BTreeMap, not HashMap: the post-sort is total (bytes, count, pair),
     // but hash iteration order must never reach even an intermediate
-    // stage of anything the bit-determinism oracle digests (gcr-lint D01).
+    // stage of anything the bit-determinism oracle digests (`clippy.toml`).
     let mut map: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
     for (src, dst, bytes) in trace.sends() {
         if src == dst {

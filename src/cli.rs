@@ -65,16 +65,13 @@ pub enum Command {
 /// Arguments of the `lint` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintArgs {
-    /// Workspace root to scan (defaults to the current directory).
+    /// Workspace root to scan (defaults to the current directory); the
+    /// baseline is read from `<root>/lint-baseline.json`.
     pub root: String,
-    /// Baseline path (defaults to `<root>/lint-baseline.json`).
-    pub baseline: Option<String>,
     /// Emit the JSON report instead of human lines.
     pub json: bool,
     /// Emit a SARIF 2.1.0 report (for code-scanning upload).
     pub sarif: bool,
-    /// Rewrite the baseline to grandfather all current findings.
-    pub update_baseline: bool,
     /// Print one rule's catalog entry instead of linting.
     pub explain: Option<String>,
 }
@@ -182,12 +179,9 @@ USAGE:
                  slow:n<N>x<F>@<ms>+<dur> torn:n<N>x<C>@<ms> corrupt:g<G>@<ms>
                  crashckpt:g<G>p<0|1|2>@<ms> replica:g<G>[p<0|1>]@<ms>;
                  replica events drop a group's held peer copies — restore only)
-  gcrsim lint   [--root DIR] [--baseline FILE] [--json] [--sarif]
-                [--update-baseline]   (--update-baseline also prunes
-                 entries that no longer match any finding)
-                [--explain RULE]   (rules: D01 D02 D03 D03-T D04 D10 E01 E02
-                 E03 P01 P02 P10 P20 P21 W00 W01 — prints the entry
-                 and exits)
+  gcrsim lint   [--root DIR] [--json] [--sarif]
+                [--explain RULE]   (rules: D02 D03 D03-T D10 E01 E02 E03
+                 P01 P02 P10 P20 P21 W00 W01 — prints the entry and exits)
 ";
 
 struct Flags<'a> {
@@ -431,10 +425,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "lint" => Ok(Command::Lint(LintArgs {
             root: f.get("--root").unwrap_or(".").to_string(),
-            baseline: f.get("--baseline").map(str::to_string),
             json: f.has("--json"),
             sarif: f.has("--sarif"),
-            update_baseline: f.has("--update-baseline"),
             explain: f.get("--explain").map(str::to_string),
         })),
         "help" | "--help" | "-h" => Err(err(USAGE)),
@@ -549,31 +541,8 @@ fn execute_lint(a: LintArgs) -> Result<String, CliError> {
         return Ok(gcr_lint::catalog::explain(rule));
     }
     let root = std::path::PathBuf::from(&a.root);
-    let baseline_path = a
-        .baseline
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
-    if a.update_baseline {
-        // Refresh, don't regenerate: still-matching entries keep their
-        // justification notes; entries matching nothing are pruned and
-        // reported, so the baseline only shrinks.
-        let old = gcr_lint::load_baseline(&baseline_path).map_err(|e| err(e.to_string()))?;
-        let report = gcr_lint::lint_workspace(&root, &gcr_lint::Baseline::default())
-            .map_err(|e| err(e.to_string()))?;
-        let (baseline, pruned) = old.refresh(&report.findings);
-        std::fs::write(&baseline_path, baseline.dump() + "\n").map_err(|e| err(e.to_string()))?;
-        let mut msg = format!(
-            "baseline rewritten: {} entry(ies) -> {}",
-            baseline.entries.len(),
-            baseline_path.display()
-        );
-        for p in &pruned {
-            msg.push_str("\npruned: ");
-            msg.push_str(p);
-        }
-        return Ok(msg);
-    }
-    let baseline = gcr_lint::load_baseline(&baseline_path).map_err(|e| err(e.to_string()))?;
+    let baseline = gcr_lint::load_baseline(&root.join("lint-baseline.json"))
+        .map_err(|e| err(e.to_string()))?;
     // Normal runs go through the incremental cache; the report is
     // bit-identical to the uncached path, only wall-clock differs.
     let cache_dir = root.join("target").join("lint-cache");
@@ -1055,8 +1024,6 @@ mod tests {
                 assert_eq!(a.root, ".");
                 assert!(a.json);
                 assert!(!a.sarif);
-                assert!(a.baseline.is_none());
-                assert!(!a.update_baseline);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1071,8 +1038,11 @@ mod tests {
             let out = execute(parse(&argv(&format!("lint --explain {id}"))).unwrap()).unwrap();
             assert!(out.starts_with(&format!("{id}:")), "{out}");
         }
-        let bad = execute(parse(&argv("lint --explain Z99")).unwrap());
-        assert!(bad.is_err());
+        // Unknown ids, and the ids of retired rules, are rejected.
+        for id in ["Z99", "D01", "D04"] {
+            let bad = execute(parse(&argv(&format!("lint --explain {id}"))).unwrap());
+            assert!(bad.is_err(), "{id}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ fn gcrsim_exits_quietly_when_its_stdout_is_closed() {
     let (reader, writer) = std::io::pipe().expect("the OS hands out a pipe");
     drop(reader);
     let out = Command::new(env!("CARGO_BIN_EXE_gcrsim"))
-        .args(["lint", "--explain", "D01"])
+        .args(["lint", "--explain", "D02"])
         .stdout(writer)
         .stderr(Stdio::piped())
         .output()
@@ -30,7 +30,7 @@ fn gcrsim_reports_other_stdout_errors_with_status_2() {
         return;
     };
     let out = Command::new(env!("CARGO_BIN_EXE_gcrsim"))
-        .args(["lint", "--explain", "D01"])
+        .args(["lint", "--explain", "D02"])
         .stdout(full)
         .stderr(Stdio::piped())
         .output()

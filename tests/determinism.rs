@@ -1,12 +1,13 @@
 //! Determinism regression gate: the same chaos scenario, run twice in the
 //! same process, must produce bit-identical oracle reports for every
 //! protocol — at every executor shard count, and identically *across*
-//! shard counts. This is the dynamic counterpart of `gcr-lint`'s static
-//! rules (D01/D02): if a hash-ordered iteration or wall-clock read slips
-//! past the analyzer, the digest comparison catches it here before it
-//! corrupts replay, shrinking, or a published figure. The cross-shard
-//! half is the contract that makes the sharded kernel a refactor rather
-//! than a semantics change: shard count is a layout knob, never an input.
+//! shard counts. This is the dynamic counterpart of the static guards
+//! (`clippy.toml`'s hash-container ban and `gcr-lint`'s D02): if a
+//! hash-ordered iteration or wall-clock read slips past them, the digest
+//! comparison catches it here before it corrupts replay, shrinking, or a
+//! published figure. The cross-shard half is the contract that makes the
+//! sharded kernel a refactor rather than a semantics change: shard count
+//! is a layout knob, never an input.
 
 use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
 use gcr_net::StorageTarget;

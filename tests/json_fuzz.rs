@@ -3,7 +3,9 @@
 //! numbers, brackets and escapes, and every result goes through every
 //! reader. A reader may reject a document; none may panic. Every trace
 //! a reader accepts also goes through the consumers that size and sum
-//! from it (`summarize`, `pair_flows`, `form_groups`).
+//! from it (`summarize`, `pair_flows`, `form_groups`). The lint cache's
+//! workspace entry is fuzzed the same way in place: a corrupt entry is a
+//! miss, and a replayed one must render.
 //!
 //! Mutations come from the deterministic [`DetRng`], so a failing case
 //! replays from its index. The tier-1 run is small; run the long one
@@ -11,10 +13,12 @@
 //! build: the test profile's overflow checks are what turn a wrapped
 //! tally into a panic here.
 
+use std::fs;
 use std::ops::Range;
 use std::panic;
 
 use gcr_group::{form_groups, GroupDef};
+use gcr_lint::cache::lint_workspace_cached;
 use gcr_lint::Baseline;
 use gcr_sim::DetRng;
 use gcr_trace::{pair_flows, summarize, Trace};
@@ -141,4 +145,55 @@ fn mutated_json_documents_never_panic_a_reader() {
 #[ignore = "long run: about a million cases"]
 fn mutated_json_documents_never_panic_a_reader_long() {
     fuzz(1_000_000);
+}
+
+fn fuzz_cache(cases: u64) {
+    let root = std::env::temp_dir().join(format!("gcr-json-fuzz-cache-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    fs::create_dir_all(root.join("crates/sim/src")).expect("scratch tree");
+    fs::write(
+        root.join("crates/sim/src/lib.rs"),
+        "pub fn f() -> u64 { let t = std::time::Instant::now(); 7 }\n",
+    )
+    .expect("scratch source");
+    let cache = root.join("target/lint-cache");
+    let baseline = Baseline::default();
+    lint_workspace_cached(&root, &baseline, &cache).expect("cold run");
+    let entries: Vec<_> = fs::read_dir(&cache)
+        .expect("cache dir")
+        .map(|e| e.expect("cache entry").path())
+        .collect();
+    let [entry] = entries.as_slice() else {
+        panic!("one workspace entry expected: {entries:?}");
+    };
+    let rendered = fs::read_to_string(entry).expect("cached report");
+    for case in 0..cases {
+        let mut rng = DetRng::new(0x1c_ac4e).fork_idx(case);
+        let doc = mutate(&mut rng, &rendered);
+        fs::write(entry, &doc).expect("overwrite entry");
+        let run = panic::catch_unwind(|| {
+            let (report, _) = lint_workspace_cached(&root, &baseline, &cache)?;
+            report.human();
+            report.to_json().pretty();
+            report.to_sarif().pretty();
+            Ok::<_, std::io::Error>(())
+        });
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("case {case} failed ({e}) on {doc}"),
+            Err(_) => panic!("case {case} panicked on {doc}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn mutated_lint_cache_entries_never_panic_a_cached_run() {
+    fuzz_cache(2_000);
+}
+
+#[test]
+#[ignore = "long run: a hundred thousand cases"]
+fn mutated_lint_cache_entries_never_panic_a_cached_run_long() {
+    fuzz_cache(100_000);
 }
