@@ -18,7 +18,8 @@
 //! protocol_crossover [--seed N] [--interval-ms MS] [--out FILE]
 //! ```
 
-use gcr_bench::table::{f1, f2, Table};
+use gcr_bench::arg;
+use gcr_bench::table::{f1, f2, table};
 use gcr_chaos::{parse_schedule, run_chaos, ChaosBackend, ChaosSpec, Proto, WorkloadKind};
 use gcr_json::Json;
 use gcr_net::StorageTarget;
@@ -51,14 +52,6 @@ struct Point {
     replayed_bytes: u64,
 }
 
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(0xBEEF);
     let interval_ms: u64 = arg("--interval-ms")
@@ -68,14 +61,15 @@ fn main() {
     println!("Protocol crossover: execution + recovery cost vs failure rate\n");
     let mut points: Vec<Point> = Vec::new();
     for workload in WORKLOADS {
-        let mut t = Table::new(&[
+        let headers = [
             "proto",
             "crashes",
             "exec (s)",
             "waves",
             "downtime (s)",
             "replayed (KiB)",
-        ]);
+        ];
+        let mut rows = Vec::new();
         for proto in PROTOCOLS {
             for (crashes, schedule) in RATES {
                 let spec = ChaosSpec {
@@ -102,7 +96,7 @@ fn main() {
                 // would leak a negative zero into the committed artifact.
                 let downtime_s = r.recoveries.iter().fold(0.0, |a, s| a + s.downtime_s);
                 let replayed_bytes: u64 = r.recoveries.iter().map(|s| s.replayed_bytes).sum();
-                t.row(vec![
+                rows.push(vec![
                     proto.label().to_string(),
                     crashes.to_string(),
                     f2(r.exec_s),
@@ -122,7 +116,7 @@ fn main() {
                 });
             }
         }
-        println!("workload: {}\n{}", workload.label(), t.render());
+        println!("workload: {}\n{}", workload.label(), table(&headers, rows));
     }
     println!("expected: the cheapest protocol changes with the failure rate — logging");
     println!("pays per message but recovers locally; coordination pays per wave but");

@@ -15,16 +15,11 @@
 //! recovery_latency [--procs N,N,..] [--replication K] [--out FILE]
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use gcr_bench::table::{f1, f2, Table};
-use gcr_bench::{Proto, WorkloadSpec};
-use gcr_ckpt::{CkptConfig, CkptRuntime, Mode, RecoveryStats};
+use gcr_bench::runner::{recover_after_run, Recovered};
+use gcr_bench::table::{f1, f2, table};
+use gcr_bench::{arg, Proto, WorkloadSpec};
 use gcr_json::Json;
-use gcr_mpi::{World, WorldOpts};
-use gcr_net::{Cluster, ClusterSpec, RestoreBackend, StorageTarget};
-use gcr_sim::{Sim, SimDuration};
+use gcr_sim::SimDuration;
 use gcr_workloads::CgConfig;
 
 /// One measured recovery.
@@ -36,50 +31,15 @@ struct Point {
     ranks_restarted: usize,
 }
 
-fn run(n: usize, restore_k: Option<usize>) -> (RecoveryStats, u64) {
-    let wl_spec = WorkloadSpec::Cg(CgConfig::class_c(n));
-    let groups = Proto::Gp { max_size: 4 }.groups(&wl_spec);
-    let sim = Sim::new();
-    let cluster = Cluster::new(&sim, ClusterSpec::gideon300(n));
-    let world = World::new(cluster, WorldOpts::default());
-    let backend = restore_k.map(|k| {
-        let group_of: Vec<usize> = (0..n as u32).map(|r| groups.group_of(r)).collect();
-        RestoreBackend::install(world.cluster(), group_of, k)
-    });
-    let wl = wl_spec.build();
-    let image = wl.image_bytes();
-    wl.launch(&world);
-    let mut cfg = CkptConfig::uniform(n, 0, StorageTarget::Remote);
-    cfg.image_bytes = image;
-    let rt = CkptRuntime::install(&world, Rc::new(groups), Mode::Blocking, cfg);
-    let out = Rc::new(RefCell::new(None));
-    {
-        let (rt, world, out) = (rt.clone(), world.clone(), Rc::clone(&out));
-        sim.spawn(async move {
-            rt.interval_schedule(SimDuration::from_secs(30), SimDuration::from_secs(30))
-                .await;
-            world.wait_all_ranks().await;
-            rt.shutdown();
-            // Group 0 "fails" right after the run; time its recovery.
-            let stats = rt
-                .recover_group(0)
-                .await
-                .expect("quiescent group recovery cannot fail");
-            *out.borrow_mut() = Some(stats);
-        });
-    }
-    sim.run().expect("run failed");
-    let stats = out.borrow().expect("recovery ran");
-    let peer_reads = backend.map(|b| b.peer_reads()).unwrap_or(0);
-    (stats, peer_reads)
-}
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One post-run recovery of group 0 (GP/4 on CG, checkpoints every 30 s).
+fn run(n: usize, restore_k: Option<usize>) -> Recovered {
+    let wl = WorkloadSpec::Cg(CgConfig::class_c(n));
+    recover_after_run(
+        wl,
+        Proto::Gp { max_size: 4 },
+        SimDuration::from_secs(30),
+        restore_k,
+    )
 }
 
 fn main() {
@@ -91,24 +51,29 @@ fn main() {
         .unwrap_or(2);
 
     println!("Recovery latency: remote servers vs replicated peer memory (CG, GP/4, k={k})\n");
-    let mut t = Table::new(&[
+    let headers = [
         "procs",
         "remote downtime (s)",
         "restore downtime (s)",
         "speedup",
         "peer reads",
-    ]);
+    ];
+    let mut rows = Vec::new();
     let mut points: Vec<Point> = Vec::new();
     for &n in &procs {
-        let (remote, _) = run(n, None);
-        let (restore, peer_reads) = run(n, Some(k));
+        let remote = run(n, None).stats;
+        let Recovered {
+            stats: restore,
+            peer_reads,
+            ..
+        } = run(n, Some(k));
         assert!(
             peer_reads > 0,
             "{n} procs: restore recovery never read from peer memory"
         );
         let remote_s = remote.downtime.as_secs_f64();
         let restore_s = restore.downtime.as_secs_f64();
-        t.row(vec![
+        rows.push(vec![
             n.to_string(),
             f2(remote_s),
             f2(restore_s),
@@ -130,7 +95,7 @@ fn main() {
             ranks_restarted: restore.ranks_restarted,
         });
     }
-    println!("{}", t.render());
+    println!("{}", table(&headers, rows));
     println!("expected: peer-memory restart reads skip the shared servers, so the restore");
     println!("backend recovers strictly faster at every world size\n");
 

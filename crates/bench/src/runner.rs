@@ -1,13 +1,14 @@
 //! Run one experiment end-to-end in a fresh simulation.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use gcr_chaos::{Built, ChaosBackend, Scenario};
-use gcr_ckpt::{check_recovery_line, Mode};
+use gcr_chaos::{Built, ChaosBackend, Proto, Scenario, WorkloadSpec};
+use gcr_ckpt::{check_recovery_line, CkptConfig, CkptRuntime, Mode, RecoveryStats};
 use gcr_group::GroupDef;
-use gcr_net::ClusterSpec;
-use gcr_sim::{SimDuration, SimTime};
+use gcr_mpi::{World, WorldOpts};
+use gcr_net::{Cluster, ClusterSpec, RestoreBackend, StorageTarget};
+use gcr_sim::{Sim, SimDuration, SimTime};
 use gcr_trace::{Trace, Tracer, Window};
 
 use crate::spec::{RunResult, RunSpec, Schedule};
@@ -178,5 +179,69 @@ fn run_inner(spec: &RunSpec, capture_trace: bool) -> TracedRun {
             .map(|t| t.take())
             .unwrap_or_else(|| Trace::new(n, "untraced")),
         windows,
+    }
+}
+
+/// A run that ended with group 0 failing and recovering.
+pub struct Recovered {
+    /// The recovery's summary.
+    pub stats: RecoveryStats,
+    /// Restart image reads served from peer memory (0 without a restore
+    /// backend).
+    pub peer_reads: u64,
+    /// Simulated time when the recovery finished (s).
+    pub end_s: f64,
+    /// The runtime, for its metrics.
+    pub rt: CkptRuntime,
+}
+
+/// Run `wl_spec` under `proto` with images on the remote servers,
+/// checkpointing every `every` until the application finishes; then group
+/// 0 fails and is recovered, from a restore backend with replication `k`
+/// when one is given. The world is built by hand with default world
+/// options, not through [`Scenario`], which keeps these runs'
+/// calibration.
+pub fn recover_after_run(
+    wl_spec: WorkloadSpec,
+    proto: Proto,
+    every: SimDuration,
+    restore_k: Option<usize>,
+) -> Recovered {
+    let n = wl_spec.n();
+    let groups = proto.groups(&wl_spec);
+    let sim = Sim::new();
+    let cluster = Cluster::new(&sim, ClusterSpec::gideon300(n));
+    let world = World::new(cluster, WorldOpts::default());
+    let backend = restore_k.map(|k| {
+        let group_of: Vec<usize> = (0..n as u32).map(|r| groups.group_of(r)).collect();
+        RestoreBackend::install(world.cluster(), group_of, k)
+    });
+    let wl = wl_spec.build();
+    let image = wl.image_bytes();
+    wl.launch(&world);
+    let mut cfg = CkptConfig::uniform(n, 0, StorageTarget::Remote);
+    cfg.image_bytes = image;
+    let rt = CkptRuntime::install(&world, Rc::new(groups), Mode::Blocking, cfg);
+    let out = Rc::new(RefCell::new(None));
+    {
+        let (rt, world, out) = (rt.clone(), world.clone(), Rc::clone(&out));
+        sim.spawn(async move {
+            rt.interval_schedule(every, every).await;
+            world.wait_all_ranks().await;
+            rt.shutdown();
+            let stats = rt
+                .recover_group(0)
+                .await
+                .expect("quiescent group recovery cannot fail");
+            *out.borrow_mut() = Some(stats);
+        });
+    }
+    sim.run().expect("run failed");
+    let stats = out.borrow().expect("recovery ran");
+    Recovered {
+        stats,
+        peer_reads: backend.map_or(0, |b| b.peer_reads()),
+        end_s: sim.now().as_secs_f64(),
+        rt,
     }
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::runner::run_one;
-use crate::spec::{RunResult, RunSpec};
+use crate::spec::{average, with_trials, RunResult, RunSpec};
 
 /// Run every spec, in parallel, returning results in input order.
 pub fn run_all(specs: &[RunSpec]) -> Vec<RunResult> {
@@ -46,16 +46,21 @@ pub fn run_all_with(specs: &[RunSpec], workers: usize) -> Vec<RunResult> {
         .collect()
 }
 
-/// Run each spec `trials` times with varied seeds (in parallel) and return
-/// the per-spec averages, in input order.
-pub fn run_averaged(specs: &[RunSpec], trials: u64) -> Vec<RunResult> {
-    let expanded: Vec<RunSpec> = specs
+/// Seeded trials averaged per spec (the paper averaged 5 physical runs).
+pub const TRIALS: u64 = 3;
+
+/// Run [`TRIALS`] seed-varied copies of every spec, all rows in one
+/// parallel batch, and return the per-spec averages in the rows' shape.
+pub fn run_averaged(rows: impl IntoIterator<Item = Vec<RunSpec>>) -> Vec<Vec<RunResult>> {
+    let rows: Vec<Vec<RunSpec>> = rows.into_iter().collect();
+    let expanded: Vec<RunSpec> = rows
         .iter()
-        .flat_map(|s| crate::spec::with_trials(s, trials))
+        .flatten()
+        .flat_map(|s| with_trials(s, TRIALS))
         .collect();
     let results = run_all(&expanded);
-    results
-        .chunks(trials as usize)
-        .map(crate::spec::average)
+    let mut averages = results.chunks(TRIALS as usize).map(average);
+    rows.iter()
+        .map(|r| averages.by_ref().take(r.len()).collect())
         .collect()
 }

@@ -1,59 +1,33 @@
 //! Plain-text aligned tables for figure/table output.
 
-/// A simple column-aligned table builder.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Create a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+/// Render `rows` under `headers`: right-aligned columns two spaces
+/// apart, a dashed rule under the headers, a newline after every line.
+///
+/// # Panics
+/// Panics when a row's arity differs from the headers'.
+pub fn table(headers: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in &rows {
+        assert_eq!(row.len(), headers.len(), "row arity mismatch");
+        for (w, c) in widths.iter_mut().zip(row) {
+            *w = (*w).max(c.len());
         }
     }
-
-    /// Append a row; must match the header arity.
-    ///
-    /// # Panics
-    /// Panics on arity mismatch.
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
+    let line = |cells: &[&str]| {
+        let cells: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        cells.join("  ") + "\n"
+    };
+    let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+    let mut out = line(headers) + &"-".repeat(rule) + "\n";
+    for row in &rows {
+        out += &line(&row.iter().map(String::as_str).collect::<Vec<_>>());
     }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..cols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{:>w$}", cells[i], w = widths[i]));
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-        }
-        out
-    }
+    out
 }
 
 /// Format a float with 2 decimals.
@@ -77,10 +51,11 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(&["n", "GP", "NORM"]);
-        t.row(vec!["16".into(), f2(1.5), f2(20.25)]);
-        t.row(vec!["128".into(), f2(11.0), f2(3.5)]);
-        let s = t.render();
+        let rows = [
+            vec!["16".into(), f2(1.5), f2(20.25)],
+            vec!["128".into(), f2(11.0), f2(3.5)],
+        ];
+        let s = table(&["n", "GP", "NORM"], rows);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("NORM"));
@@ -92,8 +67,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_checked() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["1".into()]);
+        table(&["a", "b"], [vec!["1".into()]]);
     }
 
     #[test]

@@ -184,21 +184,97 @@ USAGE:
                  P01 P02 P10 P20 P21 W00 W01 — prints the entry and exits)
 ";
 
+/// A flag a subcommand accepts: its name, and whether it takes a value.
+type Flag = (&'static str, bool);
+
+const RUN_FLAGS: &[Flag] = &[
+    ("--workload", true),
+    ("--procs", true),
+    ("--proto", true),
+    ("--g", true),
+    ("--ckpt-at", true),
+    ("--interval", true),
+    ("--remote", false),
+    ("--restart", false),
+    ("--seed", true),
+    ("--json", false),
+];
+const TRACE_FLAGS: &[Flag] = &[("--workload", true), ("--procs", true), ("--out", true)];
+const GROUPS_FLAGS: &[Flag] = &[("--trace", true), ("--max-size", true), ("--out", true)];
+const STATS_FLAGS: &[Flag] = &[("--trace", true)];
+const PHASES_FLAGS: &[Flag] = &[
+    ("--trace", true),
+    ("--window-ms", true),
+    ("--max-size", true),
+];
+const CHAOS_FLAGS: &[Flag] = &[
+    ("--seed", true),
+    ("--runs", true),
+    ("--verify", false),
+    ("--json", false),
+    ("--no-shrink", false),
+    ("--workload", true),
+    ("--proto", true),
+    ("--storage", true),
+    ("--interval-ms", true),
+    ("--gc-overshoot", true),
+    ("--schedule", true),
+    ("--shards", true),
+    ("--backend", true),
+    ("--replication", true),
+];
+const LINT_FLAGS: &[Flag] = &[
+    ("--root", true),
+    ("--json", false),
+    ("--sarif", false),
+    ("--explain", true),
+];
+
+/// A subcommand's arguments, checked against its flags.
 struct Flags<'a> {
-    args: &'a [String],
+    given: Vec<(&'static str, Option<&'a str>)>,
 }
 
 impl<'a> Flags<'a> {
+    /// Every argument must be one of `known`, none may be given twice,
+    /// and a flag that takes a value must be followed by one (not by
+    /// another `--flag`).
+    fn new(sub: &str, known: &[Flag], args: &'a [String]) -> Result<Self, CliError> {
+        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
+        let mut rest = args.iter().peekable();
+        while let Some(a) = rest.next() {
+            let Some(&(name, takes_value)) = known.iter().find(|(n, _)| n == a) else {
+                let names: Vec<&str> = known.iter().map(|(n, _)| *n).collect();
+                return Err(err(format!(
+                    "unknown argument '{a}' for {sub} (flags: {})",
+                    names.join(" ")
+                )));
+            };
+            if given.iter().any(|(n, _)| *n == name) {
+                return Err(err(format!("{name} given twice")));
+            }
+            let value = if takes_value {
+                let v = rest
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| err(format!("{name} expects a value")))?;
+                Some(v.as_str())
+            } else {
+                None
+            };
+            given.push((name, value));
+        }
+        Ok(Flags { given })
+    }
+
     fn get(&self, name: &str) -> Option<&'a str> {
-        self.args
+        self.given
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| *v)
     }
 
     fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.given.iter().any(|(n, _)| *n == name)
     }
 
     fn require(&self, name: &str) -> Result<&'a str, CliError> {
@@ -286,9 +362,10 @@ fn validate_procs(kind: WorkloadKind, procs: usize) -> Result<(), CliError> {
 /// [`CliError`] with a user-facing message.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let sub = args.first().map(String::as_str).ok_or_else(|| err(USAGE))?;
-    let f = Flags { args: &args[1..] };
+    let flags = |known| Flags::new(sub, known, &args[1..]);
     match sub {
         "run" => {
+            let f = flags(RUN_FLAGS)?;
             let workload = parse_workload(&f)?;
             let g: usize = f.parse_num_or("--g", 8)?;
             if g == 0 {
@@ -325,24 +402,34 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 json: f.has("--json"),
             }))
         }
-        "trace" => Ok(Command::Trace {
-            workload: parse_workload(&f)?,
-            out: f.require("--out")?.to_string(),
-        }),
-        "groups" => Ok(Command::Groups {
-            trace: f.require("--trace")?.to_string(),
-            max_size: f.parse_count("--max-size")?,
-            out: f.get("--out").map(str::to_string),
-        }),
+        "trace" => {
+            let f = flags(TRACE_FLAGS)?;
+            Ok(Command::Trace {
+                workload: parse_workload(&f)?,
+                out: f.require("--out")?.to_string(),
+            })
+        }
+        "groups" => {
+            let f = flags(GROUPS_FLAGS)?;
+            Ok(Command::Groups {
+                trace: f.require("--trace")?.to_string(),
+                max_size: f.parse_count("--max-size")?,
+                out: f.get("--out").map(str::to_string),
+            })
+        }
         "stats" => Ok(Command::Stats {
-            trace: f.require("--trace")?.to_string(),
+            trace: flags(STATS_FLAGS)?.require("--trace")?.to_string(),
         }),
-        "phases" => Ok(Command::Phases {
-            trace: f.require("--trace")?.to_string(),
-            window_ms: parse_millis(f.require("--window-ms")?, "--window-ms")?,
-            max_size: f.parse_count("--max-size")?,
-        }),
+        "phases" => {
+            let f = flags(PHASES_FLAGS)?;
+            Ok(Command::Phases {
+                trace: f.require("--trace")?.to_string(),
+                window_ms: parse_millis(f.require("--window-ms")?, "--window-ms")?,
+                max_size: f.parse_count("--max-size")?,
+            })
+        }
         "chaos" => {
+            let f = flags(CHAOS_FLAGS)?;
             let workload = f
                 .get("--workload")
                 .map(WorkloadKind::parse)
@@ -423,12 +510,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 json: f.has("--json"),
             }))
         }
-        "lint" => Ok(Command::Lint(LintArgs {
-            root: f.get("--root").unwrap_or(".").to_string(),
-            json: f.has("--json"),
-            sarif: f.has("--sarif"),
-            explain: f.get("--explain").map(str::to_string),
-        })),
+        "lint" => {
+            let f = flags(LINT_FLAGS)?;
+            Ok(Command::Lint(LintArgs {
+                root: f.get("--root").unwrap_or(".").to_string(),
+                json: f.has("--json"),
+                sarif: f.has("--sarif"),
+                explain: f.get("--explain").map(str::to_string),
+            }))
+        }
         "help" | "--help" | "-h" => Err(err(USAGE)),
         other => Err(err(format!("unknown subcommand '{other}'\n\n{USAGE}"))),
     }
@@ -802,6 +892,26 @@ mod tests {
             let line = format!("chaos --seed 1 --no-shrink --schedule {event}");
             let e = parse(&argv(&line)).unwrap_err();
             assert!(e.0.contains(event) && e.0.contains("factor"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_repeated_and_valueless_flags() {
+        let cases = [
+            ("--update-baseline", "lint --update-baseline --explain D02"),
+            ("--bogus", "stats --trace f --bogus"),
+            ("stray", "stats --trace f stray"),
+            ("--json given twice", "lint --json --json"),
+            (
+                "--out expects a value",
+                "groups --trace t --max-size 2 --out --json",
+            ),
+            ("--trace expects a value", "stats --trace"),
+            ("--seed expects a value", "chaos --seed --verify"),
+        ];
+        for (named, line) in cases {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.0.contains(named), "{line}: {}", e.0);
         }
     }
 

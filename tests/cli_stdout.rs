@@ -1,6 +1,7 @@
-//! The `gcrsim` binary's output boundary: a reader that closes its end of
-//! the pipe early (`gcrsim … | head`, `… | true`) must not turn a
-//! finished run into a panic.
+//! The `gcrsim` binary's boundary: a reader that closes its end of the
+//! pipe early (`gcrsim … | head`, `… | true`) must not turn a finished
+//! run into a panic, and a flag the subcommand does not take is an
+//! error, not ignored.
 
 use std::process::{Command, Stdio};
 
@@ -42,4 +43,23 @@ fn gcrsim_reports_other_stdout_errors_with_status_2() {
         "stderr: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn gcrsim_rejects_a_flag_its_subcommand_does_not_take_with_status_2() {
+    for (flag, args) in [
+        (
+            "--update-baseline",
+            &["lint", "--update-baseline", "--explain", "D02"][..],
+        ),
+        ("--bogus", &["stats", "--trace", "f", "--bogus"][..]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gcrsim"))
+            .args(args)
+            .output()
+            .expect("gcrsim starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
 }
