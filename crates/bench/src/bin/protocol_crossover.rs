@@ -6,8 +6,8 @@
 //! from live ranks; the logging protocols (VCL sender-based, receiver-based
 //! logging) pay a per-message tax instead and localize recovery to the
 //! failed ranks; CVC coordinates without blocking by cutting on collective
-//! clocks. Which protocol wins therefore *crosses over* as the failure
-//! rate rises: the sweep runs every protocol on the same seeded chaos
+//! clocks. The sweep asks whether the cheapest protocol changes as the
+//! failure rate rises: it runs every protocol on the same seeded chaos
 //! scenarios at 0, 1, and 2 mid-run crashes and reports execution time,
 //! recovery downtime, and replayed volume per cell. Every cell must hold
 //! all chaos oracles — a protocol that "wins" by violating consistency is
@@ -118,10 +118,6 @@ fn main() {
         }
         println!("workload: {}\n{}", workload.label(), table(&headers, rows));
     }
-    println!("expected: the cheapest protocol changes with the failure rate — logging");
-    println!("pays per message but recovers locally; coordination pays per wave but");
-    println!("replays nothing from live ranks\n");
-
     if let Some(out) = arg("--out") {
         let doc = Json::obj([
             ("schema", Json::from("gcr-bench-protocols/v1")),

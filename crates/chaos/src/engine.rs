@@ -35,6 +35,8 @@
 //! not a panic — the harness's job is to catch protocol bugs, not to die
 //! of them.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 

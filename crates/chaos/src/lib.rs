@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![forbid(dead_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 mod engine;
 mod scenario;

@@ -8,6 +8,8 @@
 //! and the message logs (as in LAM/MPI, where the `crtcp` bookkeeping is
 //! out-of-band with respect to application traffic).
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::rc::Rc;
 
 use gcr_mpi::{Rank, RankCtx};

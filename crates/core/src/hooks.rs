@@ -599,6 +599,30 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_generation_never_moves_the_gc_floor_or_rr() {
+        // Sender-based logs are trimmed only against a committed
+        // checkpoint: until generation 1 commits, neither the floor peers
+        // trim to nor the restart-visible RR may follow its snapshot.
+        let gp = gp_test(0, true);
+        gp.on_recv(&env(2, 0, 100, 0));
+        gp.on_checkpoint(0);
+        gp.on_commit(0);
+        let committed = (gp.gc_floor(2), gp.rr(2));
+        assert_eq!(committed, (100, 100));
+        gp.on_recv(&env(2, 0, 400, 1));
+        gp.on_checkpoint(1);
+        assert_eq!((gp.gc_floor(2), gp.rr(2)), committed, "on_checkpoint");
+        gp.on_abort(1);
+        assert_eq!((gp.gc_floor(2), gp.rr(2)), committed, "on_abort");
+        gp.on_checkpoint(1);
+        gp.rollback_to(Some(0));
+        assert_eq!((gp.gc_floor(2), gp.rr(2)), committed, "rollback_to");
+        // The rollback dropped the snapshot: a late commit promotes nothing.
+        gp.on_commit(1);
+        assert_eq!((gp.gc_floor(2), gp.rr(2)), committed, "late on_commit");
+    }
+
+    #[test]
     fn piggyback_triggers_gc_at_receiver() {
         let gp = gp_test(2, true);
         // Rank 2 logged 300 bytes to rank 0.

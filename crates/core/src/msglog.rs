@@ -18,6 +18,8 @@
 //! drained right before a checkpoint ("Synchronize message logs" in
 //! Algorithm 1), and `take_all_pending_flush` reports how many they are.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::VecDeque;
 use std::rc::Rc;
 

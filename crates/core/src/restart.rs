@@ -18,6 +18,8 @@
 //! protocol would kill the whole scenario sweep rather than surface as a
 //! reported violation (gcr-lint rule D03 enforces this statically).
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::rc::Rc;
 
 use gcr_mpi::{Rank, RankCtx};

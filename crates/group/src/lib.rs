@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 #![forbid(dead_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod def;
 pub mod formation;

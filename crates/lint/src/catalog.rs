@@ -71,35 +71,6 @@ pub const CATALOG: &[RuleDoc] = &[
               never digested). A clean reassignment kills the taint.",
     },
     RuleDoc {
-        rule: Rule::E01,
-        summary: "`let _ =` must not discard a protocol `Result`",
-        rationale: "A `Result<_, RecoveryError|StorageError>` (or any Result produced by \
-                    a protocol crate) carries injected-fault information; discarding it \
-                    turns a detectable fault into silent corruption.",
-        example: "let _ = storage.read(node, bytes, target).await;",
-        fix: "Propagate with `?`/`map_err`, or handle the `Err` arm. Waive only for \
-              deliberately-abandoned operations (e.g. torn-write injection).",
-    },
-    RuleDoc {
-        rule: Rule::E02,
-        summary: "statement-level `.ok()` must not swallow a protocol error",
-        rationale: "`foo().ok();` as a statement is `let _ =` in disguise: the error \
-                    value is dropped on the floor with no record.",
-        example: "store.commit(gid, wave, &members).ok();",
-        fix: "Propagate the error or match on it; `.ok()` is fine when the Option is \
-              actually consumed.",
-    },
-    RuleDoc {
-        rule: Rule::E03,
-        summary: "`.unwrap_or_default()` must not paper over a protocol error",
-        rationale: "Substituting a default for a failed protocol operation hides the \
-                    fault *and* injects a plausible-looking wrong value — worse than a \
-                    loud failure.",
-        example: "let bytes = storage.read(n, b, t).await.unwrap_or_default();",
-        fix: "Handle the error; if a default genuinely is the semantics, say why in an \
-              `allow(E03)` waiver.",
-    },
-    RuleDoc {
         rule: Rule::P01,
         summary: "every control tag must be both sent and received",
         rationale: "The ctrl-plane protocol is a set of matched `ctrl_send`/`ctrl_recv` \
@@ -109,16 +80,6 @@ pub const CATALOG: &[RuleDoc] = &[
         fix: "Add the missing side, or route the tag through a helper — a use outside \
               ctrl_send/ctrl_recv (e.g. `ctrl_barrier(…, tags::X)`) exempts the tag, \
               because pairing is then the helper's contract.",
-    },
-    RuleDoc {
-        rule: Rule::P02,
-        summary: "no `_ =>` wildcard over protocol enums in recovery-critical matches",
-        rationale: "A wildcard arm silently absorbs protocol states added later — \
-                    exactly the states (new GenState, new event kinds) most likely to \
-                    need recovery handling.",
-        example: "match entry.state { Some(GenState::Committed) => …, _ => {} }",
-        fix: "Name every variant (`Some(GenState::Pending) | None => {}`), so adding a \
-              variant is a compile-time event.",
     },
     RuleDoc {
         rule: Rule::P10,
@@ -154,20 +115,6 @@ pub const CATALOG: &[RuleDoc] = &[
         fix: "Add the missing receive/send on the session's entry paths, delete the \
               dead arm, or — when a protocol legitimately gains/loses a tag — update \
               the session table in `crates/lint/src/session.rs` in the same PR.",
-    },
-    RuleDoc {
-        rule: Rule::P21,
-        summary: "no log-trim or floor-advertise may consume a *pending*-generation value",
-        rationale: "The GC floor must derive from durably *committed* generations only: \
-                    trimming a peer's log (or advertising a floor) against a pending \
-                    snapshot lets a crash-before-commit strand a fallback restart with \
-                    no log to replay. P21 is a taint dataflow over the hooks state \
-                    machine: values read from the `pending` ledger must not reach \
-                    `advertise`/`reset_floors`/`.gc(…)` sinks — promotion into the \
-                    committed ledger is the one sanctioned laundering point.",
-        example: "let snap = self.pending.borrow_mut().remove(&gen)…; vols.advertise(&snap.rr);",
-        fix: "Push the snapshot into the committed ledger first and derive the floor \
-              from the (retention-lagged) committed entry, as `on_commit` does.",
     },
     RuleDoc {
         rule: Rule::W00,

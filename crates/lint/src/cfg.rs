@@ -90,16 +90,9 @@ pub(crate) fn scan_to(toks: &[Tok], from: usize, hi: usize, stop: &str) -> usize
     hi
 }
 
-/// One `match` arm as token ranges: the pattern (with any guard) before
-/// the `=>`, and the body — a block's range excludes its braces.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Arm {
-    pub(crate) pat: (usize, usize),
-    pub(crate) body: (usize, usize),
-}
-
-/// The arms of the `match` body whose braces sit at `open` and `close`.
-pub(crate) fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<Arm> {
+/// The arm bodies of the `match` body whose braces sit at `open` and
+/// `close`, as token ranges (a block's range excludes its braces).
+fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut arms = Vec::new();
     let mut i = open + 1;
     while i < close {
@@ -124,13 +117,9 @@ pub(crate) fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<Arm> {
         if body_start >= close {
             break;
         }
-        let pat = (i, arrow);
         if toks[body_start].text == "{" {
             let bclose = matching(toks, body_start, close);
-            arms.push(Arm {
-                pat,
-                body: (body_start + 1, bclose),
-            });
+            arms.push((body_start + 1, bclose));
             i = bclose + 1;
             if toks.get(i).is_some_and(|t| t.text == ",") {
                 i += 1;
@@ -138,10 +127,7 @@ pub(crate) fn match_arms(toks: &[Tok], open: usize, close: usize) -> Vec<Arm> {
         } else {
             // Expression arm: runs to the `,` at depth 0 (or the match end).
             let k = scan_to(toks, body_start, close, ",");
-            arms.push(Arm {
-                pat,
-                body: (body_start, k),
-            });
+            arms.push((body_start, k));
             i = (k + 1).min(close);
         }
     }
@@ -343,7 +329,7 @@ fn parse_match(toks: &[Tok], at: usize, hi: usize) -> (Cfg, usize) {
     let scrutinee = Cfg::Stmt(at + 1, open);
     let mut arms: Vec<Cfg> = match_arms(toks, open, close)
         .into_iter()
-        .map(|a| Cfg::Seq(parse_seq(toks, a.body.0, a.body.1)))
+        .map(|(lo, hi)| Cfg::Seq(parse_seq(toks, lo, hi)))
         .collect();
     if arms.is_empty() {
         arms.push(Cfg::Seq(Vec::new()));

@@ -1,31 +1,19 @@
-//! D10 — determinism taint dataflow; P21 — GC-floor soundness.
+//! D10 — determinism taint dataflow.
 //!
-//! **D10** upgrades D02's "any use anywhere" syntactic net into a
+//! D10 upgrades D02's "any use anywhere" syntactic net into a
 //! flow-sensitive question: does a nondeterministic *value* actually
-//! reach a determinism-critical *sink*? Sources are hash-order iteration
-//! (over bindings the file types as `HashMap`/`HashSet`; clippy bans
-//! those types in the workspace outright) and the
-//! clock/entropy/thread/env surfaces; sinks are digest folds,
-//! trace/metrics records, and protocol message payloads. The analysis is
-//! an intraprocedural worklist walk over the structured CFG
-//! ([`crate::cfg`]) with a taint environment per simple binding, merged
-//! at joins and iterated (twice) through loops, plus a coarse
-//! interprocedural summary over the call graph: a function *returns
-//! taint* if its body touches a source (or it calls one that does) and
-//! it returns a value. Every finding carries the source→sink witness
-//! chain. Bindings killed by a clean reassignment drop their taint — the
-//! exact case the syntactic rules cannot express.
-//!
-//! **P21** runs the same walker (`Flow`) over the generation ledger; the
-//! two rules differ only in the `Taint` parts they hand it (rule, sink
-//! list, source matcher, message). A value read from the *pending*
-//! (uncommitted) side of `GpState`'s ledger must never reach a log-trim
-//! or floor-advertise sink (`advertise`, `reset_floors`, `gc`). The
-//! sanctioned laundering point is promotion into `committed` — floors
-//! derived from the committed ledger are clean by construction, and that
-//! is exactly what the flow-sensitive kill expresses. Trimming to an uncommitted floor destroys log bytes a
-//! fallback restart still needs; the survivability oracle only catches
-//! it when chaos happens to schedule the crash inside the window.
+//! reach a determinism-critical *sink*? Sources are the
+//! clock/entropy/thread/env surfaces (hash-ordered containers need no
+//! source here: `clippy.toml` bans `HashMap` and `HashSet` outright);
+//! sinks are digest folds, trace/metrics records, and protocol message
+//! payloads. The analysis is an intraprocedural worklist walk over the
+//! structured CFG ([`crate::cfg`]) with a taint environment per simple
+//! binding, merged at joins and iterated (twice) through loops, plus a
+//! coarse interprocedural summary over the call graph: a function
+//! *returns taint* if its body touches a source (or it calls one that
+//! does) and it returns a value. Every finding carries the source→sink
+//! witness chain. Bindings killed by a clean reassignment drop their
+//! taint — the exact case the syntactic rules cannot express.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,7 +21,6 @@ use crate::callgraph::CallGraph;
 use crate::cfg::{self, Cfg};
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::report::{sort_dedup, Finding, Rule};
-use crate::rules::NON_INDEX_KEYWORDS;
 use crate::symbols::SymbolIndex;
 
 /// Sink function names: a call to one of these with a tainted argument
@@ -49,21 +36,6 @@ const SINKS: &[&str] = &[
     "send_batch",
 ];
 
-/// Methods whose call on a hash-ordered container observes its order
-/// (D10's hash-iteration source).
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
 /// A taint chain: human-readable steps from source to the current value.
 type Chain = Vec<(String, usize)>;
 
@@ -74,18 +46,12 @@ type Env<'a> = BTreeMap<&'a str, Chain>;
 pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -> Vec<Finding> {
     let n = index.fns.len();
 
-    // Per-file hash-bound identifier sets.
-    let hash_bound: Vec<BTreeSet<&str>> = views
-        .iter()
-        .map(|(_, lx)| hash_bound_idents(&lx.toks))
-        .collect();
-
     // Summary 1: does the body touch a source at all?
     let mut gen = vec![false; n];
     for (f, fd) in index.fns.iter().enumerate() {
         let Some((lo, hi)) = fd.body else { continue };
         let lx = views[fd.file].1;
-        gen[f] = has_source(&lx.toks, lo, hi, &hash_bound[fd.file]);
+        gen[f] = has_source(&lx.toks, lo, hi);
     }
 
     // Summary 2: returns-taint — generates (or transitively calls a
@@ -120,75 +86,19 @@ pub fn check(index: &SymbolIndex, graph: &CallGraph, views: &[(&str, &Lexed)]) -
         if !gen[f] && !calls_taint {
             continue;
         }
-        let hash_bound = &hash_bound[fd.file];
-        let taint = Taint {
-            rule: Rule::D10,
-            sinks: SINKS,
-            source: &|toks, i, hi| source_at(toks, i, hi, hash_bound),
-            ret_taint: &ret_taint,
-            message: |sink, steps| {
-                format!(
-                    "nondeterministic value flows into sink `{sink}(…)`: {steps} → {sink}() \
-                     — the digest/trace/payload plane must be replay-stable"
-                )
-            },
-        };
-        Flow::new(&taint, index, views[fd.file], &mut out).run(lo, hi);
+        Flow::new(&ret_taint, index, views[fd.file], &mut out).run(lo, hi);
     }
     sort_dedup(&mut out);
     out
 }
 
-fn is_hash_type(t: &Tok) -> bool {
-    t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet")
-}
-
-/// Identifiers bound to a `HashMap`/`HashSet` anywhere in the file:
-/// `let m = HashMap::new()`, `m: HashMap<..>` (locals, fields, params),
-/// including `std::collections::`-qualified spellings.
-fn hash_bound_idents<'a>(toks: &[Tok<'a>]) -> BTreeSet<&'a str> {
-    let mut bound = BTreeSet::new();
-    for (k, t) in toks.iter().enumerate() {
-        if !is_hash_type(t) {
-            continue;
-        }
-        // Walk back over a path prefix: (`ident` `:` `:`)* .
-        let mut j = k;
-        while j >= 3
-            && toks[j - 1].text == ":"
-            && toks[j - 2].text == ":"
-            && toks[j - 3].kind == TokKind::Ident
-        {
-            j -= 3;
-        }
-        if j == 0 {
-            continue;
-        }
-        // `name : HashMap` (ascription, not a path `::`) or `name = Hash…`.
-        let prev = &toks[j - 1];
-        let ascription = prev.text == ":" && (j < 2 || toks[j - 2].text != ":");
-        let binder = if ascription || prev.text == "=" {
-            toks.get(j.wrapping_sub(2))
-        } else {
-            None
-        };
-        if let Some(b) = binder {
-            if b.kind == TokKind::Ident && !NON_INDEX_KEYWORDS.contains(&b.text) {
-                bound.insert(b.text);
-            }
-        }
-    }
-    bound
-}
-
 /// Does `[lo, hi)` contain a nondeterminism source?
-fn has_source(toks: &[Tok], lo: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> bool {
-    let hi = hi.min(toks.len());
-    (lo..hi).any(|i| source_at(toks, i, hi, hash_bound).is_some())
+fn has_source(toks: &[Tok], lo: usize, hi: usize) -> bool {
+    (lo..hi.min(toks.len())).any(|i| source_at(toks, i).is_some())
 }
 
 /// The nondeterminism source starting at token `i`, if any.
-fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> Option<String> {
+fn source_at(toks: &[Tok], i: usize) -> Option<String> {
     let t = &toks[i];
     if t.kind != TokKind::Ident {
         return None;
@@ -196,49 +106,24 @@ fn source_at(toks: &[Tok], i: usize, hi: usize, hash_bound: &BTreeSet<&str>) -> 
     let path_next = |j: usize| {
         toks.get(j).is_some_and(|a| a.text == ":") && toks.get(j + 1).is_some_and(|a| a.text == ":")
     };
-    match t.text {
+    let source = match t.text {
         "Instant" if path_next(i + 1) && toks.get(i + 3).is_some_and(|a| a.text == "now") => {
-            return Some("Instant::now()".to_string());
+            "Instant::now()"
         }
-        "SystemTime" => return Some("SystemTime".to_string()),
-        "RandomState" => return Some("RandomState".to_string()),
-        "available_parallelism" => return Some("available_parallelism()".to_string()),
-        "thread" if path_next(i + 1) => return Some("std::thread".to_string()),
-        "env" if path_next(i + 1) => return Some("std::env".to_string()),
-        _ => {}
-    }
-    // Hash-order iteration: `m.iter()` where `m` is hash-bound.
-    if hash_bound.contains(t.text)
-        && toks.get(i + 1).is_some_and(|a| a.text == ".")
-        && i + 2 < hi
-        && toks[i + 2].kind == TokKind::Ident
-        && HASH_ITER_METHODS.contains(&toks[i + 2].text)
-    {
-        return Some(format!("hash-ordered iteration over `{}`", t.text));
-    }
-    None
-}
-
-/// A taint source matcher: the source starting at token `i` of a range
-/// ending at `hi`, described for the witness chain.
-type Source<'a> = dyn Fn(&[Tok], usize, usize) -> Option<String> + 'a;
-
-/// The rule-specific parts of a taint pass. D10 and P21 share the
-/// walker ([`Flow`]) and differ only in these.
-struct Taint<'a> {
-    rule: Rule,
-    /// Callee names whose tainted arguments are findings.
-    sinks: &'a [&'a str],
-    source: &'a Source<'a>,
-    /// Per fn id: does a call to it return a tainted value?
-    ret_taint: &'a [bool],
-    /// The finding message for a sink name and its rendered chain.
-    message: fn(&str, &str) -> String,
+        "SystemTime" => "SystemTime",
+        "RandomState" => "RandomState",
+        "available_parallelism" => "available_parallelism()",
+        "thread" if path_next(i + 1) => "std::thread",
+        "env" if path_next(i + 1) => "std::env",
+        _ => return None,
+    };
+    Some(source.to_string())
 }
 
 /// The flow-sensitive taint walker over one function body.
 struct Flow<'a> {
-    taint: &'a Taint<'a>,
+    /// Per fn id: does a call to it return a tainted value?
+    ret_taint: &'a [bool],
     index: &'a SymbolIndex<'a>,
     rel: &'a str,
     lx: &'a Lexed<'a>,
@@ -248,13 +133,13 @@ struct Flow<'a> {
 
 impl<'a> Flow<'a> {
     fn new(
-        taint: &'a Taint<'a>,
+        ret_taint: &'a [bool],
         index: &'a SymbolIndex<'a>,
         (rel, lx): (&'a str, &'a Lexed<'a>),
         out: &'a mut Vec<Finding>,
     ) -> Self {
         Flow {
-            taint,
+            ret_taint,
             index,
             rel,
             lx,
@@ -320,7 +205,7 @@ impl<'a> Flow<'a> {
         for i in a..b {
             let t = &toks[i];
             if t.kind != TokKind::Ident
-                || !self.taint.sinks.contains(&t.text)
+                || !SINKS.contains(&t.text)
                 || toks.get(i + 1).is_none_or(|n| n.text != "(")
             {
                 continue;
@@ -337,13 +222,16 @@ impl<'a> Flow<'a> {
                 .iter()
                 .map(|(desc, line)| format!("{desc} (line {line})"))
                 .collect();
-            let message = (self.taint.message)(t.text, &steps.join(" → "));
+            let (sink, steps) = (t.text, steps.join(" → "));
             self.out.push(Finding::new(
                 self.rel,
                 self.lx,
                 t.line,
-                self.taint.rule,
-                message,
+                Rule::D10,
+                format!(
+                    "nondeterministic value flows into sink `{sink}(…)`: {steps} → {sink}() \
+                     — the digest/trace/payload plane must be replay-stable"
+                ),
             ));
         }
     }
@@ -379,7 +267,7 @@ impl<'a> Flow<'a> {
         let hi = hi.min(toks.len());
         let mut i = lo;
         while i < hi {
-            if let Some(desc) = (self.taint.source)(toks, i, hi) {
+            if let Some(desc) = source_at(toks, i) {
                 return Some(vec![(desc, toks[i].line)]);
             }
             let t = &toks[i];
@@ -389,7 +277,7 @@ impl<'a> Flow<'a> {
                 }
                 if toks.get(i + 1).is_some_and(|n| n.text == "(") {
                     if let Some(ids) = self.index.by_name.get(t.text) {
-                        if ids.iter().any(|&id| self.taint.ret_taint[id]) {
+                        if ids.iter().any(|&id| self.ret_taint[id]) {
                             return Some(vec![(
                                 format!("`{}()` (returns a nondeterministic value)", t.text),
                                 t.line,
@@ -448,54 +336,4 @@ fn simple_binding<'a>(toks: &[Tok<'a>], a: usize, b: usize) -> Option<(&'a str, 
     } else {
         None
     }
-}
-
-/// P21 sinks: log-trim and floor-advertise surfaces. A pending-ledger
-/// value reaching one of these trims log a fallback restart still needs.
-const GC_SINKS: &[&str] = &["advertise", "reset_floors", "gc"];
-
-/// The generation-ledger file P21 audits. The pending/committed split is
-/// this file's contract; elsewhere `pending` names unrelated state.
-const GC_FILE: &str = "crates/core/src/hooks.rs";
-
-/// Run the P21 GC-floor soundness pass: D10's walker with the pending
-/// ledger as the sole source and the GC surfaces as sinks. Promotion into
-/// `committed` is not a sink, so the committed-ledger laundering path
-/// stays clean — exactly the sanctioned flow.
-pub fn gc_floor(index: &SymbolIndex, views: &[(&str, &Lexed)]) -> Vec<Finding> {
-    let no_ret_taint = vec![false; index.fns.len()];
-    let taint = Taint {
-        rule: Rule::P21,
-        sinks: GC_SINKS,
-        source: &|toks, i, _| {
-            (toks[i].kind == TokKind::Ident && toks[i].text == "pending")
-                .then(|| "the pending generation ledger".to_string())
-        },
-        ret_taint: &no_ret_taint,
-        message: |sink, steps| {
-            format!(
-                "GC floor derived from an *uncommitted* generation reaches \
-                 `{sink}(…)`: {steps} → {sink}() — promote the snapshot to the \
-                 committed ledger first, or a crash inside the window trims log \
-                 bytes the fallback restart still needs"
-            )
-        },
-    };
-    let mut out = Vec::new();
-    for fd in &index.fns {
-        if views[fd.file].0 != GC_FILE {
-            continue;
-        }
-        let Some((lo, hi)) = fd.body else { continue };
-        let lx = views[fd.file].1;
-        // A body that never touches the pending ledger cannot leak it.
-        let touches = (lo..hi.min(lx.toks.len()))
-            .any(|i| lx.toks[i].kind == TokKind::Ident && lx.toks[i].text == "pending");
-        if !touches {
-            continue;
-        }
-        Flow::new(&taint, index, views[fd.file], &mut out).run(lo, hi);
-    }
-    sort_dedup(&mut out);
-    out
 }

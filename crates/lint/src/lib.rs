@@ -12,12 +12,11 @@
 //! ([`lexer`]) feeds two engines. The local line/token rules ([`rules`])
 //! run per file; on top of them a symbol index ([`symbols`]) and an
 //! approximate workspace call graph ([`callgraph`]) power the semantic
-//! passes ([`semantic`]): transitive panic-reachability (D03-T),
-//! protocol error-flow (E01–E03) and control-protocol conformance
-//! (P01/P02). The flow-sensitive layer ([`phases`], [`dataflow`]) adds
-//! phase-order model checking (P10), determinism taint (D10) and GC-floor
-//! soundness (P21); the conformance layer ([`session`]) checks session
-//! tag-duality per protocol mode (P20). Policy tiers
+//! passes ([`semantic`]): transitive panic-reachability (D03-T) and
+//! control-protocol conformance (P01). The flow-sensitive layer
+//! ([`phases`], [`dataflow`]) adds phase-order model checking (P10) and
+//! determinism taint (D10); the conformance layer ([`session`]) checks
+//! session tag-duality per protocol mode (P20). Policy tiers
 //! ([`policy`]) decide which rules apply where; inline waivers
 //! ([`suppress`]) and a committed baseline ([`baseline`]) manage the
 //! path to zero findings. An incremental cache ([`cache`]) keyed by
@@ -25,9 +24,15 @@
 //!
 //! Each mechanism exists once and the engines share it: the lexer
 //! computes test spans, one `Finding` constructor builds every finding,
-//! D03 and D03-T read one panic-site scan, D10 and P21 run one taint
-//! walker, P20 reads the event trees P10 extracts, and the cache stores
-//! reports in the report's own JSON form.
+//! D03 and D03-T read one panic-site scan, P20 reads the event trees P10
+//! extracts, and the cache stores reports in the report's own JSON form.
+//!
+//! What the compiler checks more strongly is left to it: discarded
+//! protocol `Result`s and `_ =>` over protocol enums are clippy lints
+//! denied at the crate roots and recovery-critical files, hash
+//! containers and `Result::unwrap_or_default` are disallowed in
+//! `clippy.toml`, and the GC-floor property is a `GpState` unit test
+//! (DESIGN.md §9 and §14).
 //!
 //! Run it as `gcrsim lint`; CI runs it with `--json` and fails on any
 //! non-baseline finding.
@@ -113,11 +118,9 @@ pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
     raw.extend(phases::check(&extracted, &index, &views));
     raw.extend(dataflow::check(&index, &graph, &views));
 
-    // Conformance passes: session tag-duality per protocol mode (P20)
-    // and GC-floor soundness (P21). P20 reads P10's extracted trees;
-    // same waiver/baseline machinery.
+    // Conformance pass: session tag-duality per protocol mode (P20),
+    // over P10's extracted trees; same waiver/baseline machinery.
     raw.extend(session::check(&extracted, &index, &views));
-    raw.extend(dataflow::gc_floor(&index, &views));
 
     // Apply line waivers to every engine's findings, then collect
     // stale/reasonless waiver findings.

@@ -17,16 +17,8 @@ pub enum Rule {
     /// Determinism taint dataflow: a nondeterminism source *flows into* a
     /// digest / trace record / protocol payload sink (witness chain).
     D10,
-    /// Discarded `Result` (`let _ = …`) carrying a protocol error type.
-    E01,
-    /// Statement-level `.ok()` discarding a protocol `Result`.
-    E02,
-    /// `.unwrap_or_default()` swallowing a protocol `Result`'s error.
-    E03,
     /// Control tag sent without a matching receive (or vice versa).
     P01,
-    /// Wildcard `_ =>` over a protocol enum in a recovery-critical module.
-    P02,
     /// Protocol phase-order violation: the extracted ctrl/storage event
     /// sequence leaves the checked-in phase-machine spec (witness path).
     P10,
@@ -34,9 +26,6 @@ pub enum Rule {
     /// never handled (peer hangs), handled but unemittable (dead handler),
     /// or emitted and handled under different modes.
     P20,
-    /// GC-floor soundness: a value read from the *pending* (uncommitted)
-    /// generation ledger flows into a log-trim / floor-advertise sink.
-    P21,
     /// Stale waiver: it matches no finding on its target line.
     W00,
     /// Waiver without a justification.
@@ -51,14 +40,9 @@ impl Rule {
             Rule::D03 => "D03",
             Rule::D03T => "D03-T",
             Rule::D10 => "D10",
-            Rule::E01 => "E01",
-            Rule::E02 => "E02",
-            Rule::E03 => "E03",
             Rule::P01 => "P01",
-            Rule::P02 => "P02",
             Rule::P10 => "P10",
             Rule::P20 => "P20",
-            Rule::P21 => "P21",
             Rule::W00 => "W00",
             Rule::W01 => "W01",
         }
@@ -77,14 +61,9 @@ impl Rule {
         Rule::D03,
         Rule::D03T,
         Rule::D10,
-        Rule::E01,
-        Rule::E02,
-        Rule::E03,
         Rule::P01,
-        Rule::P02,
         Rule::P10,
         Rule::P20,
-        Rule::P21,
         Rule::W00,
         Rule::W01,
     ];

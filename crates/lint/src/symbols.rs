@@ -46,38 +46,6 @@ impl FnDef<'_> {
             None => self.name.to_string(),
         }
     }
-
-    /// The error-type name if the return type is `Result<_, E>`;
-    /// `None` for non-`Result` returns or bare `Result` aliases.
-    pub fn result_err(&self) -> Option<&str> {
-        let r = self.ret.iter().position(|&t| t == "Result")?;
-        // Walk `Result < ok , err >` at angle depth 1: the error type is
-        // the last path segment before the `>` that closes the generics.
-        let mut depth = 0usize;
-        let mut after_comma = false;
-        let mut err: Option<&str> = None;
-        for &t in &self.ret[r + 1..] {
-            match t {
-                "<" => depth += 1,
-                ">" => {
-                    if depth == 1 && after_comma {
-                        return err;
-                    }
-                    depth = depth.saturating_sub(1);
-                }
-                "," if depth == 1 => after_comma = true,
-                _ => {
-                    if depth == 1
-                        && after_comma
-                        && t.chars().next().is_some_and(char::is_alphabetic)
-                    {
-                        err = Some(t);
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 /// One indexed enum definition.
@@ -477,8 +445,6 @@ mod tests {
         assert!(!ix.fns[1].is_method);
         assert!(ix.fns[2].is_method);
         assert!(ix.fns[4].body.is_none());
-        assert_eq!(ix.fns[0].result_err(), Some("RecoveryError"));
-        assert_eq!(ix.fns[1].result_err(), None);
     }
 
     #[test]
@@ -506,12 +472,5 @@ mod tests {
         let ix = index_one("fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n");
         assert_eq!(ix.fns.len(), 1);
         assert_eq!(ix.fns[0].name, "live");
-    }
-
-    #[test]
-    fn nested_generic_result_err_is_extracted() {
-        let ix =
-            index_one("fn f() -> Result<Vec<(u32, u64)>, gcr_net::StorageError> { Ok(vec![]) }\n");
-        assert_eq!(ix.fns[0].result_err(), Some("StorageError"));
     }
 }

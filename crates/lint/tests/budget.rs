@@ -3,7 +3,7 @@
 //! flow-sensitive and conformance engines — must stay interactive, and
 //! warm runs through the incremental cache must feel instant. CI runs
 //! this test in
-//! release mode (the `lint-semantic` job); the wall-clock assertion is
+//! release mode (the `lint-workspace` job); the wall-clock assertion is
 //! meaningless under an unoptimized build, so it is release-gated.
 
 use std::path::Path;

@@ -1,13 +1,15 @@
 //! Tier-1 gate: the live workspace must lint clean against the committed
 //! baseline. This is the test that keeps nondeterminism from re-entering:
 //! a new wall-clock read or recovery-path unwrap fails the build right
-//! here. Two guards live outside the lint, and the last test below keeps
-//! them in place: `clippy.toml` bans the hash containers, and the
-//! protocol crates forbid `dead_code`.
+//! here. Some guards live outside the lint, and the last test below keeps
+//! them in place: `clippy.toml` bans the hash containers and
+//! `Result::unwrap_or_default`, the protocol crates forbid `dead_code`,
+//! the library crates deny discarded `Result`s, and the recovery-critical
+//! files deny wildcard enum arms.
 
 use std::path::Path;
 
-use gcr_lint::policy::PROTOCOL_CRATES;
+use gcr_lint::policy::{PROTOCOL_CRATES, RECOVERY_CRITICAL};
 use gcr_lint::{lint_workspace, load_baseline};
 
 /// The workspace root, two levels up from this crate's manifest.
@@ -129,24 +131,46 @@ fn call_graph_resolves_enough_of_the_live_workspace() {
 
 #[test]
 fn the_compiler_guards_that_replace_lint_rules_stay_in_place() {
-    // Dead code in a protocol crate is a compile error, not a finding.
     let root = workspace_root();
-    for krate in PROTOCOL_CRATES {
-        let lib = root.join("crates").join(krate).join("src/lib.rs");
-        let src = std::fs::read_to_string(&lib).expect("protocol crate root must be readable");
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let carries = |rel: &str, attr: &str| {
         assert!(
-            src.lines().any(|l| l.trim() == "#![forbid(dead_code)]"),
-            "{} must carry `#![forbid(dead_code)]`",
-            lib.display()
+            read(rel).lines().any(|l| l.trim() == attr),
+            "{rel} must carry `{attr}`"
+        );
+    };
+    // Dead code in a protocol crate is a compile error, not a finding.
+    for krate in PROTOCOL_CRATES {
+        carries(
+            &format!("crates/{krate}/src/lib.rs"),
+            "#![forbid(dead_code)]",
         );
     }
-    // Hash-ordered containers are banned by clippy, which CI runs with
-    // `-D warnings`.
-    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
-    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+    // A `Result` dropped by `let _ =` or a statement `.ok()` fails clippy
+    // in every library crate that can name a protocol error type.
+    for krate in ["net", "mpi", "group", "trace", "workloads", "core", "chaos"] {
+        carries(
+            &format!("crates/{krate}/src/lib.rs"),
+            "#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]",
+        );
+    }
+    // A `_ =>` arm over an enum fails clippy on the recovery path.
+    for rel in RECOVERY_CRITICAL {
+        carries(rel, "#![deny(clippy::wildcard_enum_match_arm)]");
+    }
+    // clippy.toml bans hash-ordered containers and the `Result` form of
+    // `unwrap_or_default`; CI runs clippy with `-D warnings`.
+    let clippy = read("clippy.toml");
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "core::result::Result::unwrap_or_default",
+    ] {
         assert!(
-            clippy.contains(&format!("path = \"{ty}\"")),
-            "clippy.toml must ban `{ty}`"
+            clippy.contains(&format!("path = \"{path}\"")),
+            "clippy.toml must disallow `{path}`"
         );
     }
 }

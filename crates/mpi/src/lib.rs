@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![forbid(dead_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod collective;
 pub mod counters;

@@ -22,6 +22,8 @@
 //! recovery path (gcr-lint rule D03), where an injected fault must
 //! degrade into an `Err` or a `None`, never an abort.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::future::Future;

@@ -12,6 +12,7 @@
 //! discrete-event model.
 
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod backend;
 pub mod ckptstore;

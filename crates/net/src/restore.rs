@@ -27,6 +27,8 @@
 //! placement at all; they degrade the same way and every read falls
 //! back to the disk path.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;

@@ -32,6 +32,8 @@
 //! heaps store only 24-byte `HeapEntry` keys. Slot lifetime rules are
 //! documented on `EventSlot`.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;

@@ -7,6 +7,7 @@
 //! trace diagrams ([`ascii`]).
 
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod analysis;
 pub mod ascii;

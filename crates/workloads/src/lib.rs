@@ -11,6 +11,7 @@
 //! protocols and the trace-based grouping can observe (see DESIGN.md §2).
 
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod cg;
 pub mod hpl;

@@ -1,4 +1,4 @@
-//! `gcrsim` — command-line front end. See `gcr::cli::USAGE`.
+//! `gcrsim` — command-line front end. See `gcr::cli::usage`.
 
 use std::io::{self, Write};
 
